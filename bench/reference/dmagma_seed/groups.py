@@ -1,0 +1,541 @@
+"""Finite groups as dense multiplication tables.
+
+Elements are plain integer indices 0..n-1 with the identity pinned at index 0,
+so every group operation is a table lookup. Constructors validate the full set
+of table invariants eagerly (Latin square, identity, inverses, associativity);
+downstream brute-force scans can then trust the tables blindly.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import SpecError
+from .tables import as_table, first_associativity_failure, is_latin
+
+DEFAULT_ORDER_BUDGET = 1024
+
+
+class FiniteGroup:
+    """A finite group on indices 0..order-1 given by its multiplication table.
+
+    ``mul[x, y]`` is the product xy, ``inv[x]`` the inverse, and ``names[x]``
+    a display string (``names[0]`` is always ``"1"``). Instances are immutable
+    after construction and safe to share across workers.
+    """
+
+    def __init__(self, mul, names, label: str | None = None):
+        table = as_table(mul)
+        n = table.shape[0]
+        names = tuple(str(s) for s in names)
+        if len(names) != n:
+            raise ValueError(f"got {len(names)} names for order {n}")
+        if len(set(names)) != n:
+            raise ValueError("element names must be pairwise distinct")
+        if names[0] != "1":
+            raise ValueError("the identity (element 0) must be named '1'")
+        if not is_latin(table):
+            raise ValueError("multiplication table is not a Latin square")
+        idx = np.arange(n, dtype=table.dtype)
+        if not (np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)):
+            raise ValueError("element 0 is not a two-sided identity")
+        bad = first_associativity_failure(table)
+        if bad is not None:
+            raise ValueError(f"multiplication is not associative at {bad}")
+        inv = np.argmax(table == 0, axis=1).astype(np.int32)
+        inv.setflags(write=False)
+        # Latin square + identity row already force two-sidedness of inv.
+        self.order = n
+        self.mul = table
+        self.inv = inv
+        self.names = names
+        self.identity = 0
+        self.label = label if label is not None else f"group-of-order-{n}"
+        self._name_index = {s: i for i, s in enumerate(names)}
+
+    def __repr__(self):
+        return f"FiniteGroup({self.label!r}, order={self.order})"
+
+    def elements(self) -> range:
+        return range(self.order)
+
+    def name(self, x: int) -> str:
+        return self.names[x]
+
+    def index_of(self, name: str) -> int:
+        try:
+            return self._name_index[name]
+        except KeyError:
+            raise ValueError(f"no element named {name!r}") from None
+
+    def product(self, x: int, y: int) -> int:
+        return int(self.mul[x, y])
+
+    def inverse(self, x: int) -> int:
+        return int(self.inv[x])
+
+    def conjugate(self, x: int, y: int) -> int:
+        """x^y = y^-1 x y."""
+        m = self.mul
+        return int(m[m[self.inv[y], x], y])
+
+    def commutator(self, x: int, y: int) -> int:
+        """[x, y] = x^-1 y^-1 x y."""
+        m = self.mul
+        return int(m[m[self.inv[x], self.inv[y]], m[x, y]])
+
+    def power(self, x: int, k: int) -> int:
+        if k < 0:
+            x, k = int(self.inv[x]), -k
+        acc, cur = 0, x
+        while k:
+            if k & 1:
+                acc = int(self.mul[acc, cur])
+            k >>= 1
+            if k:
+                cur = int(self.mul[cur, cur])
+        return acc
+
+    def element_order(self, x: int) -> int:
+        k, cur = 1, x
+        while cur != 0:
+            cur = int(self.mul[cur, x])
+            k += 1
+        return k
+
+    def is_abelian(self) -> bool:
+        return bool(np.array_equal(self.mul, self.mul.T))
+
+
+@dataclass(frozen=True)
+class SubgroupSet:
+    """A subgroup given as a plain member set, verified closed on construction."""
+
+    members: frozenset[int]
+    owner: FiniteGroup
+
+    def __post_init__(self):
+        g = self.owner
+        if g.identity not in self.members:
+            raise ValueError("subgroup must contain the identity")
+        idx = np.fromiter(sorted(self.members), dtype=np.int64)
+        if len(idx) and (idx.min() < 0 or idx.max() >= g.order):
+            raise ValueError("subgroup members out of range")
+        prods = set(g.mul[np.ix_(idx, idx)].ravel().tolist())
+        invs = set(g.inv[idx].tolist())
+        if not (prods <= self.members and invs <= self.members):
+            raise ValueError("member set is not closed under product and inverse")
+
+    def __len__(self):
+        return len(self.members)
+
+    def __contains__(self, x: int) -> bool:
+        return x in self.members
+
+    def sorted_members(self) -> list[int]:
+        return sorted(self.members)
+
+
+def _whole_group(g: FiniteGroup) -> SubgroupSet:
+    return SubgroupSet(frozenset(range(g.order)), g)
+
+
+def subgroup_closure(g: FiniteGroup, seed) -> SubgroupSet:
+    """Smallest subgroup containing `seed` (always includes the identity)."""
+    cur = np.unique(np.fromiter(list(seed) + [g.identity], dtype=np.int64))
+    while True:
+        prods = g.mul[np.ix_(cur, cur)].ravel()
+        nxt = np.unique(np.concatenate([cur, prods, g.inv[cur]]))
+        if len(nxt) == len(cur):
+            return SubgroupSet(frozenset(int(x) for x in cur), g)
+        cur = nxt
+
+
+def normal_closure(g: FiniteGroup, seed) -> SubgroupSet:
+    """Smallest normal subgroup containing `seed`.
+
+    Closing the seed under conjugation by all of G yields a conjugation-stable
+    set, whose generated subgroup is automatically normal.
+    """
+    seed = sorted(set(seed))
+    if not seed:
+        return SubgroupSet(frozenset({g.identity}), g)
+    s = np.asarray(seed, dtype=np.int64)
+    cols = np.arange(g.order, dtype=np.int64)[:, None]
+    conj = g.mul[g.mul[g.inv[cols], s[None, :]], cols]  # [y, i] -> y^-1 s_i y
+    return subgroup_closure(g, np.unique(conj).tolist())
+
+
+def _commutators_of(g: FiniteGroup, left, right) -> np.ndarray:
+    """All [x, y] with x in `left`, y in `right`, as a unique index array."""
+    xs = np.asarray(sorted(left), dtype=np.int64)[:, None]
+    ys = np.asarray(sorted(right), dtype=np.int64)[None, :]
+    comm = g.mul[g.mul[g.inv[xs], g.inv[ys]], g.mul[xs, ys]]
+    return np.unique(comm)
+
+
+def derived_series(g: FiniteGroup) -> list[SubgroupSet]:
+    """[G, G', G'', ...] until stabilization.
+
+    Each successive term is the normal closure of the commutators of the
+    previous term; for metabelian groups the series ends [..., {1}] at or
+    before the third entry.
+    """
+    terms = [_whole_group(g)]
+    while True:
+        cur = terms[-1].members
+        comms = _commutators_of(g, cur, cur)
+        nxt = normal_closure(g, comms.tolist())
+        if nxt.members == cur:
+            return terms
+        terms.append(nxt)
+
+
+def lower_central_series(g: FiniteGroup) -> list[SubgroupSet]:
+    """gamma_1 = G, gamma_{k+1} = <[gamma_k, G]> (normal closure), until stable."""
+    terms = [_whole_group(g)]
+    everything = range(g.order)
+    while True:
+        cur = terms[-1].members
+        comms = _commutators_of(g, cur, everything)
+        nxt = normal_closure(g, comms.tolist())
+        if nxt.members == cur:
+            return terms
+        terms.append(nxt)
+
+
+def nilpotency_class(g: FiniteGroup) -> int | None:
+    """n with gamma_{n+1} = {1}, or None if the series stabilizes above {1}."""
+    series = lower_central_series(g)
+    if series[-1].members == {g.identity}:
+        return len(series) - 1
+    return None
+
+
+def derived_subgroup(g: FiniteGroup) -> SubgroupSet:
+    series = derived_series(g)
+    return series[1] if len(series) > 1 else series[0]
+
+
+def is_metabelian(g: FiniteGroup) -> bool:
+    """True iff the second derived group is trivial."""
+    series = derived_series(g)
+    return len(series) <= 3 and series[-1].members == {g.identity}
+
+
+def has_exponent_2(s: SubgroupSet) -> bool:
+    """True iff every member squares to the identity."""
+    g = s.owner
+    return all(int(g.mul[x, x]) == g.identity for x in s.members)
+
+
+# ---------------------------------------------------------------------------
+# constructors
+# ---------------------------------------------------------------------------
+
+
+def _check_budget(order: int, budget: int, what: str) -> None:
+    if order > budget:
+        raise ValueError(f"{what} has order {order}, exceeding the order budget {budget}")
+
+
+def _power_name(letter: str, e: int) -> str:
+    if e == 0:
+        return ""
+    if e == 1:
+        return letter
+    return f"{letter}{e}"
+
+
+def make_cyclic(n: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteGroup:
+    """Cyclic group of order n with names 1, a, a2, ..."""
+    if n < 1:
+        raise ValueError("cyclic group order must be at least 1")
+    _check_budget(n, order_budget, "cyclic group")
+    idx = np.arange(n, dtype=np.int64)
+    mul = (idx[:, None] + idx[None, :]) % n
+    names = ["1"] + [_power_name("a", i) for i in range(1, n)]
+    return FiniteGroup(mul, names, label=f"cyclic:{n}")
+
+
+def make_metacyclic(m: int, n: int, r: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteGroup:
+    """Group of order m*n on elements a^i b^j with b a b^-1 = a^r.
+
+    The product is (i, j)(k, l) = (i + k*r^j mod m, j + l mod n); elements are
+    indexed j*m + i so the names run 1, a, ..., a^{m-1}, b, ab, ...
+    """
+    if m < 1 or n < 1:
+        raise ValueError("metacyclic parameters m, n must be at least 1")
+    r %= m
+    if math.gcd(r, m) != 1:
+        raise ValueError(f"metacyclic twist r={r} must be a unit mod m={m}")
+    rn = pow(r, n, m)
+    if rn != 1 % m:
+        raise ValueError(
+            f"metacyclic parameters need r^n = 1 (mod m); got {r}^{n} = {rn} (mod {m})"
+        )
+    order = m * n
+    _check_budget(order, order_budget, "metacyclic group")
+    idx = np.arange(order, dtype=np.int64)
+    i, j = idx % m, idx // m
+    rpow = np.array([pow(r, int(e), m) for e in range(n)], dtype=np.int64)
+    ii = (i[:, None] + i[None, :] * rpow[j][:, None]) % m
+    jj = (j[:, None] + j[None, :]) % n
+    mul = jj * m + ii
+    names = []
+    for e in idx:
+        s = _power_name("a", int(i[e])) + _power_name("b", int(j[e]))
+        names.append(s if s else "1")
+    return FiniteGroup(mul, names, label=f"metacyclic:{m},{n},{r}")
+
+
+def make_dihedral(m: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteGroup:
+    """Dihedral group of order 2m, as the metacyclic group with b a b^-1 = a^{m-1}."""
+    if m < 1:
+        raise ValueError("dihedral parameter must be at least 1")
+    g = make_metacyclic(m, 2, m - 1 if m > 1 else 0, order_budget)
+    g.label = f"dihedral:{m}"
+    return g
+
+
+def _is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    for d in range(2, int(math.isqrt(p)) + 1):
+        if p % d == 0:
+            return False
+    return True
+
+
+def make_heisenberg(p: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteGroup:
+    """Nonabelian group of order p^3 on triples with a shear in the last slot.
+
+    (x1,y1,z1)(x2,y2,z2) = (x1+x2, y1+y2, z1+z2+x1*y2), all mod p.
+    """
+    if not _is_prime(p):
+        raise ValueError(f"heisenberg parameter must be prime, got {p}")
+    order = p**3
+    _check_budget(order, order_budget, "heisenberg group")
+    idx = np.arange(order, dtype=np.int64)
+    x, y, z = idx // (p * p), (idx // p) % p, idx % p
+    xx = (x[:, None] + x[None, :]) % p
+    yy = (y[:, None] + y[None, :]) % p
+    zz = (z[:, None] + z[None, :] + x[:, None] * y[None, :]) % p
+    mul = (xx * p + yy) * p + zz
+    names = ["1"] + [f"({int(x[e])},{int(y[e])},{int(z[e])})" for e in idx[1:]]
+    return FiniteGroup(mul, names, label=f"heisenberg:{p}")
+
+
+def perm_from_cycles(cycles, k: int | None = None) -> tuple[int, ...]:
+    """Build a permutation of {1..k} (as a 1-based image tuple) from disjoint cycles."""
+    points = [p for c in cycles for p in c]
+    if any(not isinstance(p, int) or p < 1 for p in points):
+        raise ValueError("cycle points must be positive integers")
+    if len(points) != len(set(points)):
+        raise ValueError("cycles must be disjoint (a point repeats)")
+    size = max(points, default=0)
+    if k is None:
+        k = size
+    elif k < size:
+        raise ValueError(f"cycle point {size} exceeds domain size {k}")
+    images = list(range(1, k + 1))
+    for c in cycles:
+        for a, b in zip(c, list(c[1:]) + [c[0]]):
+            images[a - 1] = b
+    return tuple(images)
+
+
+def _cycle_name(images0: tuple[int, ...]) -> str:
+    """Canonical cycle notation (1-based, fixed points omitted); identity is '1'."""
+    seen = [False] * len(images0)
+    cycles = []
+    for start in range(len(images0)):
+        if seen[start]:
+            continue
+        cur, cycle = start, []
+        while not seen[cur]:
+            seen[cur] = True
+            cycle.append(cur)
+            cur = images0[cur]
+        if len(cycle) > 1:
+            cycles.append(cycle)
+    if not cycles:
+        return "1"
+    return "".join("(" + " ".join(str(p + 1) for p in c) + ")" for c in cycles)
+
+
+def make_from_permutations(generators, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteGroup:
+    """Closure of the given permutations under composition.
+
+    Each generator is a 1-based image tuple over {1..k} (see perm_from_cycles).
+    Products compose as functions, (p*q)(i) = p(q(i)); element 0 is the
+    identity and names are cycle notations.
+    """
+    gens = []
+    k = 0
+    for g in generators:
+        g = tuple(int(v) for v in g)
+        if sorted(g) != list(range(1, len(g) + 1)):
+            raise ValueError(f"malformed permutation {g}: not a bijection on 1..{len(g)}")
+        k = max(k, len(g))
+        gens.append(g)
+    gens = [tuple(v - 1 for v in g) + tuple(range(len(g), k)) for g in gens]
+    identity = tuple(range(k))
+    elements = [identity]
+    index = {identity: 0}
+    cursor = 0
+    while cursor < len(elements):
+        cur = elements[cursor]
+        cursor += 1
+        for g in gens:
+            prod = tuple(cur[g[i]] for i in range(k)) if k else ()
+            if prod not in index:
+                if len(elements) >= order_budget:
+                    raise ValueError(
+                        f"permutation closure exceeds order budget {order_budget} "
+                        f"(partial size {len(elements) + 1})"
+                    )
+                index[prod] = len(elements)
+                elements.append(prod)
+    n = len(elements)
+    mul = np.empty((n, n), dtype=np.int32)
+    for a, pa in enumerate(elements):
+        for b, pb in enumerate(elements):
+            mul[a, b] = index[tuple(pa[pb[i]] for i in range(k)) if k else ()]
+    names = [_cycle_name(p) for p in elements]
+    return FiniteGroup(mul, names, label="perm-closure")
+
+
+def direct_product(g: FiniteGroup, h: FiniteGroup, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteGroup:
+    """Componentwise product on pairs, indexed g*|H| + h."""
+    order = g.order * h.order
+    _check_budget(order, order_budget, "direct product")
+    idx = np.arange(order, dtype=np.int64)
+    a, b = idx // h.order, idx % h.order
+    mul = g.mul[a[:, None], a[None, :]].astype(np.int64) * h.order + h.mul[b[:, None], b[None, :]]
+    names = ["1"] + [f"({g.names[int(a[e])]},{h.names[int(b[e])]})" for e in idx[1:]]
+    return FiniteGroup(mul, names, label=f"product:{g.label},{h.label}")
+
+
+# ---------------------------------------------------------------------------
+# specification mini-syntax
+# ---------------------------------------------------------------------------
+#
+#   cyclic:n | dihedral:m | metacyclic:m,n,r | heisenberg:p
+#   perm:(1 2),(1 2 3 4)          cycles juxtaposed within one generator,
+#                                 generators separated by commas
+#   product:<spec>,<spec>
+
+
+class _Cursor:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expect(self, ch: str):
+        if self.peek() != ch:
+            raise SpecError(f"expected '{ch}' at position {self.pos} in {self.text!r}")
+        self.pos += 1
+
+    def word(self) -> str:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isalpha():
+            self.pos += 1
+        if self.pos == start:
+            raise SpecError(f"expected a name at position {start} in {self.text!r}")
+        return self.text[start : self.pos]
+
+    def number(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start:
+            raise SpecError(f"expected a number at position {start} in {self.text!r}")
+        return int(self.text[start : self.pos])
+
+
+def _parse_perm_generators(cur: _Cursor) -> list[tuple[int, ...]]:
+    generators = []
+    while cur.peek() == "(":
+        cycles = []
+        while cur.peek() == "(":
+            cur.expect("(")
+            cycle = [cur.number()]
+            while cur.peek() not in (")", ""):
+                cycle.append(cur.number())
+            cur.expect(")")
+            cycles.append(cycle)
+        generators.append(cycles)
+        # a comma continues with the next generator only if one follows
+        mark = cur.pos
+        if cur.peek() == ",":
+            cur.expect(",")
+            if cur.peek() != "(":
+                cur.pos = mark
+                break
+        else:
+            break
+    k = max((p for cycles in generators for c in cycles for p in c), default=0)
+    return [perm_from_cycles(cycles, k) for cycles in generators]
+
+
+def _parse_spec(cur: _Cursor, order_budget: int) -> FiniteGroup:
+    head = cur.word()
+    cur.expect(":")
+    if head == "cyclic":
+        return make_cyclic(cur.number(), order_budget)
+    if head == "dihedral":
+        return make_dihedral(cur.number(), order_budget)
+    if head == "metacyclic":
+        m = cur.number()
+        cur.expect(",")
+        n = cur.number()
+        cur.expect(",")
+        r = cur.number()
+        return make_metacyclic(m, n, r, order_budget)
+    if head == "heisenberg":
+        return make_heisenberg(cur.number(), order_budget)
+    if head == "perm":
+        try:
+            g = make_from_permutations(_parse_perm_generators(cur), order_budget)
+        except ValueError as e:
+            raise SpecError(str(e)) from None
+        return g
+    if head == "product":
+        left = _parse_spec(cur, order_budget)
+        cur.expect(",")
+        right = _parse_spec(cur, order_budget)
+        return direct_product(left, right, order_budget)
+    raise SpecError(
+        f"unknown group spec '{head}' "
+        "(expected cyclic, dihedral, metacyclic, heisenberg, perm, or product)"
+    )
+
+
+def parse_group_spec(spec: str, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteGroup:
+    """Build a group from its mini-syntax string, e.g. 'dihedral:8'."""
+    cur = _Cursor(spec)
+    try:
+        g = _parse_spec(cur, order_budget)
+    except ValueError as e:
+        if isinstance(e, SpecError):
+            raise
+        raise SpecError(f"{spec!r}: {e}") from None
+    cur.skip_ws()
+    if cur.pos != len(cur.text):
+        raise SpecError(f"trailing input at position {cur.pos} in {spec!r}")
+    g.label = spec.strip()
+    return g

@@ -1,0 +1,277 @@
+"""Magmas and double magmas as bare operation tables, plus their predicates.
+
+Nothing here ever looks at the group or ring a table came from: every verdict
+is a genuine brute-force statement about the table itself, which is what makes
+the law-level vs table-level cross-checks in the verification suite two-sided.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import re
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import BudgetExceededError
+from .tables import (
+    as_table,
+    first_associativity_failure,
+    first_commutativity_failure,
+    first_mismatch,
+    row_block,
+    two_sided_identity,
+    two_sided_zero,
+)
+from .words import COUNTEREXAMPLE, DEFAULT_EVAL_BUDGET, HOLDS_EXHAUSTIVE, Verdict
+
+
+class Magma:
+    """A set with one binary operation table and display names. No axioms assumed."""
+
+    def __init__(self, op, names, symbol: str = "*"):
+        self.op = as_table(op)
+        self.order = self.op.shape[0]
+        self.names = tuple(str(s) for s in names)
+        if len(self.names) != self.order:
+            raise ValueError(f"got {len(self.names)} names for order {self.order}")
+        if len(set(self.names)) != self.order:
+            raise ValueError("element names must be pairwise distinct")
+        self.symbol = symbol
+
+    def __repr__(self):
+        return f"Magma(order={self.order}, symbol={self.symbol!r})"
+
+
+class DoubleMagma:
+    """One carrier, two operation tables (star and bullet) sharing the names."""
+
+    def __init__(self, star: Magma, bullet: Magma, label: str = ""):
+        if star.order != bullet.order or star.names != bullet.names:
+            raise ValueError("star and bullet must share carrier size and names")
+        self.star = star
+        self.bullet = bullet
+        self.order = star.order
+        self.names = star.names
+        self.label = label
+
+    def __repr__(self):
+        return f"DoubleMagma({self.label!r}, order={self.order})"
+
+
+def _pair_witness(names, xy) -> dict[str, str]:
+    x, y = xy
+    return {"x": names[x], "y": names[y]}
+
+
+def is_commutative(m: Magma) -> Verdict:
+    """Scan all pairs; the witness is the smallest failing (x, y)."""
+    bad = first_commutativity_failure(m.op)
+    if bad is None:
+        return Verdict(HOLDS_EXHAUSTIVE, evaluations=m.order**2)
+    x, y = bad
+    return Verdict(COUNTEREXAMPLE, evaluations=x * m.order + y + 1,
+                   witness=_pair_witness(m.names, bad))
+
+
+def is_associative(m: Magma) -> Verdict:
+    """Scan all triples; the witness is the smallest failing (x, y, z)."""
+    bad = first_associativity_failure(m.op)
+    if bad is None:
+        return Verdict(HOLDS_EXHAUSTIVE, evaluations=m.order**3)
+    x, y, z = bad
+    n = m.order
+    return Verdict(
+        COUNTEREXAMPLE,
+        evaluations=(x * n + y) * n + z + 1,
+        witness={"x": m.names[x], "y": m.names[y], "z": m.names[z]},
+    )
+
+
+def satisfies_interchange(d: DoubleMagma, budget: int = DEFAULT_EVAL_BUDGET) -> Verdict:
+    """Scan (w*x)•(y*z) = (w•y)*(x•z) over all quadruples in lexicographic order."""
+    n = d.order
+    total = n**4
+    if total > budget:
+        raise BudgetExceededError(
+            f"interchange scan on order {n} needs {total} checks (budget {budget})"
+        )
+    s, b = d.star.op, d.bullet.op
+    blk = max(1, row_block(n) // max(n, 1))
+    for w0 in range(0, n, blk):
+        sw = s[w0 : w0 + blk]  # [w, x] -> w*x
+        bw = b[w0 : w0 + blk]  # [w, y] -> w•y
+        lhs = b[sw[:, :, None, None], s[None, None, :, :]]
+        rhs = s[bw[:, None, :, None], b[None, :, None, :]]
+        neq = lhs != rhs
+        if neq.any():
+            flat = int(np.argmax(neq))
+            wloc, rest = divmod(flat, n**3)
+            x, rest = divmod(rest, n * n)
+            y, z = divmod(rest, n)
+            w = w0 + wloc
+            return Verdict(
+                COUNTEREXAMPLE,
+                evaluations=((w * n + x) * n + y) * n + z + 1,
+                witness={"w": d.names[w], "x": d.names[x], "y": d.names[y], "z": d.names[z]},
+            )
+    return Verdict(HOLDS_EXHAUSTIVE, evaluations=total)
+
+
+def find_identity(m: Magma) -> int | None:
+    """The unique two-sided identity, if one exists."""
+    return two_sided_identity(m.op)
+
+
+def find_zero(m: Magma) -> int | None:
+    """An element z with z*x = x*z = z for all x, if any."""
+    return two_sided_zero(m.op)
+
+
+def is_proper(d: DoubleMagma) -> tuple[bool, tuple[int, int] | None]:
+    """(operations differ somewhere, smallest differing cell or None)."""
+    diff = first_mismatch(d.star.op, d.bullet.op)
+    return (diff is not None, diff)
+
+
+@dataclass
+class EckmannHiltonReport:
+    """Audit of the 'unitary double magma' collapse, run as a falsifiable check.
+
+    When both operations have identities and interchange holds, the four
+    classical conclusions are verified on the tables; any failure there is a
+    fatal inconsistency rather than an assumption.
+    """
+
+    star_identity: str | None
+    bullet_identity: str | None
+    interchange: Verdict
+    hypotheses_hold: bool
+    failed_hypotheses: tuple[str, ...]
+    conclusions: dict[str, bool] = field(default_factory=dict)
+
+    @property
+    def consistent(self) -> bool:
+        return all(self.conclusions.values()) if self.hypotheses_hold else True
+
+    def summary(self) -> str:
+        if not self.hypotheses_hold:
+            return "hypotheses fail (" + "; ".join(self.failed_hypotheses) + "); nothing asserted"
+        if self.consistent:
+            return "hypotheses hold; all conclusions verified: " + ", ".join(sorted(self.conclusions))
+        bad = sorted(k for k, v in self.conclusions.items() if not v)
+        return "FATAL INCONSISTENCY: hypotheses hold but conclusions fail: " + ", ".join(bad)
+
+
+def eckmann_hilton_audit(d: DoubleMagma, budget: int = DEFAULT_EVAL_BUDGET) -> EckmannHiltonReport:
+    star_id = find_identity(d.star)
+    bullet_id = find_identity(d.bullet)
+    inter = satisfies_interchange(d, budget)
+    failed = []
+    if star_id is None:
+        failed.append("star has no identity")
+    if bullet_id is None:
+        failed.append("bullet has no identity")
+    if not inter.holds:
+        failed.append("interchange fails")
+    report = EckmannHiltonReport(
+        star_identity=None if star_id is None else d.names[star_id],
+        bullet_identity=None if bullet_id is None else d.names[bullet_id],
+        interchange=inter,
+        hypotheses_hold=not failed,
+        failed_hypotheses=tuple(failed),
+    )
+    if report.hypotheses_hold:
+        proper, _ = is_proper(d)
+        report.conclusions = {
+            "identities-coincide": star_id == bullet_id,
+            "operations-identical": not proper,
+            "star-commutative": is_commutative(d.star).holds,
+            "bullet-commutative": is_commutative(d.bullet).holds,
+            "star-associative": is_associative(d.star).holds,
+            "bullet-associative": is_associative(d.bullet).holds,
+        }
+    return report
+
+
+# ---------------------------------------------------------------------------
+# table export
+# ---------------------------------------------------------------------------
+
+_SUPERSCRIPTS = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+_POWER_RUN = re.compile(r"(?<=[A-Za-z])[0-9]+")
+
+
+def superscript_names(names) -> list[str]:
+    """Rewrite exponent digit runs as unicode superscripts, e.g. a6b -> a⁶b.
+
+    Only digits directly following a letter are touched, so names like "1"
+    or "(1,0,2)" come through unchanged.
+    """
+    return [
+        _POWER_RUN.sub(lambda m: m.group(0).translate(_SUPERSCRIPTS), str(s))
+        for s in names
+    ]
+
+
+def _display_names(m: Magma, superscripts: bool) -> list[str]:
+    return superscript_names(m.names) if superscripts else list(m.names)
+
+
+def render_text(m: Magma, superscripts: bool = False) -> str:
+    """Aligned grid with the operation symbol in the corner and names on both edges."""
+    names = _display_names(m, superscripts)
+    rows = [[m.symbol] + names]
+    for x in range(m.order):
+        rows.append([names[x]] + [names[int(v)] for v in m.op[x]])
+    widths = [max(len(r[c]) for r in rows) for c in range(m.order + 1)]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in rows)
+
+
+def render_csv(m: Magma, superscripts: bool = False) -> str:
+    """CSV with a header row and column of element names."""
+    names = _display_names(m, superscripts)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([m.symbol] + names)
+    for x in range(m.order):
+        writer.writerow([names[x]] + [names[int(v)] for v in m.op[x]])
+    return buf.getvalue()
+
+
+def parse_csv_table(text: str) -> tuple[list[str], np.ndarray]:
+    """Inverse of render_csv: recover (names, index table) from its output."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows:
+        raise ValueError("empty CSV table")
+    names = rows[0][1:]
+    index = {s: i for i, s in enumerate(names)}
+    n = len(names)
+    if len(rows) != n + 1:
+        raise ValueError(f"CSV table has {len(rows) - 1} rows for {n} columns")
+    op = np.empty((n, n), dtype=np.int32)
+    for x, row in enumerate(rows[1:]):
+        if row[0] != names[x] or len(row) != n + 1:
+            raise ValueError(f"malformed CSV row {x + 1}")
+        for y, cell in enumerate(row[1:]):
+            op[x, y] = index[cell]
+    return names, op
+
+
+def structured_double(d: DoubleMagma) -> dict:
+    """One document holding both operation tables of a double magma."""
+    return {
+        "names": list(d.names),
+        "star": d.star.op.tolist(),
+        "bullet": d.bullet.op.tolist(),
+    }
+
+
+def structured_magma(m: Magma) -> dict:
+    return {"names": list(m.names), "op": m.op.tolist()}
+
+
+def render_structured(obj: dict) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

@@ -1,0 +1,320 @@
+"""Finite rings as paired addition/multiplication tables, with Lie-bracket laws.
+
+The bracket <x,y> = xy - yx drives everything here. The four bracket laws the
+workbench needs form a fixed registry of vectorized scans rather than a second
+parsed language; iterated brackets nest to the left, <x,y,z> = <<x,y>,z>,
+mirroring the group-side convention.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import SpecError
+from .tables import as_table, first_associativity_failure, is_latin, row_block
+from .words import (
+    COUNTEREXAMPLE,
+    DEFAULT_EVAL_BUDGET,
+    HOLDS_EXHAUSTIVE,
+    HOLDS_SAMPLED,
+    Verdict,
+)
+
+DEFAULT_ORDER_BUDGET = 1024
+_DEFAULT_SAMPLES = 10**6
+
+RING_LAWS = ("RCI", "ALT3M", "DOUBLE2", "NILP2", "PROPER_WITNESS")
+
+
+class FiniteRing:
+    """A finite (not necessarily unital) ring given by dense add and mul tables."""
+
+    def __init__(self, add, mul, names, label: str | None = None):
+        add = as_table(add)
+        n = add.shape[0]
+        mul = as_table(mul, n)
+        names = tuple(str(s) for s in names)
+        if len(names) != n or len(set(names)) != n:
+            raise ValueError("need pairwise distinct names, one per element")
+        if not is_latin(add):
+            raise ValueError("addition table is not a Latin square")
+        if not np.array_equal(add, add.T):
+            raise ValueError("addition must be commutative")
+        if first_associativity_failure(add) is not None:
+            raise ValueError("addition must be associative")
+        idx = np.arange(n, dtype=add.dtype)
+        zero_rows = np.all(add == idx[None, :], axis=1)
+        if not zero_rows.any():
+            raise ValueError("addition has no zero element")
+        zero = int(np.argmax(zero_rows))
+        neg = np.argmax(add == zero, axis=1).astype(np.int32)
+        neg.setflags(write=False)
+        bad = first_associativity_failure(mul)
+        if bad is not None:
+            raise ValueError(f"multiplication is not associative at {bad}")
+        self.order = n
+        self.add = add
+        self.mul = mul
+        self.neg = neg
+        self.zero = zero
+        self.names = names
+        self.label = label if label is not None else f"ring-of-order-{n}"
+        self._check_distributive()
+
+    def _check_distributive(self):
+        a, m, n = self.add, self.mul, self.order
+        blk = row_block(n)
+        for x0 in range(0, n, blk):
+            mx = m[x0 : x0 + blk]  # [x, ·] -> x*·
+            # x*(y+z) == x*y + x*z
+            if not np.array_equal(mx[:, a], a[mx[:, :, None], mx[:, None, :]]):
+                raise ValueError("multiplication does not left-distribute over addition")
+            # (y+z)*x == y*x + z*x
+            cols = m[:, x0 : x0 + blk]  # [y, x] -> y*x
+            left = cols[a]  # [y, z, x] -> (y+z)*x
+            right = a[cols[:, None, :], cols[None, :, :]]
+            if not np.array_equal(left, right):
+                raise ValueError("multiplication does not right-distribute over addition")
+
+    def __repr__(self):
+        return f"FiniteRing({self.label!r}, order={self.order})"
+
+    def name(self, x: int) -> str:
+        return self.names[x]
+
+    def bracket_table(self) -> np.ndarray:
+        """Table of <x,y> = xy - yx."""
+        return self.add[self.mul, self.neg[self.mul.T]]
+
+    def double_table(self) -> np.ndarray:
+        """x -> x + x, as a lookup vector."""
+        idx = np.arange(self.order)
+        return self.add[idx, idx]
+
+
+def lie_bracket(r: FiniteRing, x: int, y: int) -> int:
+    """<x,y> = xy - yx via table lookups."""
+    return int(r.add[r.mul[x, y], r.neg[r.mul[y, x]]])
+
+
+# ---------------------------------------------------------------------------
+# constructors
+# ---------------------------------------------------------------------------
+
+
+def _check_budget(order: int, budget: int, what: str) -> None:
+    if order > budget:
+        raise ValueError(f"{what} has order {order}, exceeding the order budget {budget}")
+
+
+def make_zmod(n: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteRing:
+    """Integers mod n with the usual tables."""
+    if n < 1:
+        raise ValueError("modulus must be at least 1")
+    _check_budget(n, order_budget, "zmod ring")
+    idx = np.arange(n, dtype=np.int64)
+    add = (idx[:, None] + idx[None, :]) % n
+    mul = (idx[:, None] * idx[None, :]) % n
+    return FiniteRing(add, mul, [str(i) for i in range(n)], label=f"zmod:{n}")
+
+
+def _matrix_ring_from_entries(k: int, n: int, positions: list[tuple[int, int]], label: str,
+                              order_budget: int) -> FiniteRing:
+    """Ring of k x k matrices mod n supported on `positions` (row-major digits)."""
+    d = len(positions)
+    order = n**d
+    _check_budget(order, order_budget, label)
+    idx = np.arange(order, dtype=np.int64)
+    mats = np.zeros((order, k, k), dtype=np.int64)
+    rest = idx.copy()
+    for slot in range(d - 1, -1, -1):
+        i, j = positions[slot]
+        mats[:, i, j] = rest % n
+        rest //= n
+    weights = np.zeros((k, k), dtype=np.int64)
+    for slot, (i, j) in enumerate(positions):
+        weights[i, j] = n ** (d - 1 - slot)
+
+    def encode(ms: np.ndarray) -> np.ndarray:
+        return np.tensordot(ms % n, weights, axes=([-2, -1], [0, 1]))
+
+    add = encode(mats[:, None] + mats[None, :])
+    mul = encode(np.einsum("aij,bjk->abik", mats, mats))
+    names = []
+    for e in range(order):
+        rows = [",".join(str(int(v)) for v in mats[e, i]) for i in range(k)]
+        names.append("[" + ";".join(rows) + "]")
+    return FiniteRing(add, mul, names, label=label)
+
+
+def make_matrix_ring(k: int, n: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteRing:
+    """Full ring of k x k matrices over the integers mod n."""
+    if k < 1 or n < 1:
+        raise ValueError("matrix ring needs k >= 1 and n >= 1")
+    positions = [(i, j) for i in range(k) for j in range(k)]
+    return _matrix_ring_from_entries(k, n, positions, f"matrix:{k},{n}", order_budget)
+
+
+def make_upper_triangular(k: int, n: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteRing:
+    """Subring of upper-triangular k x k matrices over the integers mod n."""
+    if k < 1 or n < 1:
+        raise ValueError("upper-triangular ring needs k >= 1 and n >= 1")
+    positions = [(i, j) for i in range(k) for j in range(i, k)]
+    return _matrix_ring_from_entries(k, n, positions, f"uppertri:{k},{n}", order_budget)
+
+
+def parse_ring_spec(spec: str, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteRing:
+    """Build a ring from its mini-syntax: zmod:n | matrix:k,n | uppertri:k,n."""
+    text = spec.strip()
+    head, sep, args = text.partition(":")
+    if not sep:
+        raise SpecError(f"ring spec {spec!r} needs the form name:args")
+    try:
+        numbers = [int(a) for a in args.split(",")] if args else []
+    except ValueError:
+        raise SpecError(f"ring spec {spec!r}: arguments must be integers") from None
+    try:
+        if head == "zmod" and len(numbers) == 1:
+            return make_zmod(numbers[0], order_budget)
+        if head == "matrix" and len(numbers) == 2:
+            return make_matrix_ring(*numbers, order_budget=order_budget)
+        if head == "uppertri" and len(numbers) == 2:
+            return make_upper_triangular(*numbers, order_budget=order_budget)
+    except ValueError as e:
+        raise SpecError(f"{spec!r}: {e}") from None
+    raise SpecError(
+        f"unknown ring spec {spec!r} (expected zmod:n, matrix:k,n, or uppertri:k,n)"
+    )
+
+
+# ---------------------------------------------------------------------------
+# bracket laws
+# ---------------------------------------------------------------------------
+
+
+def _rci_diff(r: FiniteRing, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left - right, so that the law left == right becomes a zero test."""
+    return r.add[left, r.neg[right]]
+
+
+def _scan_3var(r: FiniteRing, grid_fn) -> Verdict:
+    """Exhaustive scan of grid_fn(x0, x1)[x-x0, y, z] == zero over all triples."""
+    n = r.order
+    blk = row_block(n)
+    for x0 in range(0, n, blk):
+        neq = grid_fn(x0, min(x0 + blk, n)) != r.zero
+        if neq.any():
+            flat = int(np.argmax(neq))
+            b, rest = divmod(flat, n * n)
+            y, z = divmod(rest, n)
+            x = x0 + b
+            return Verdict(
+                COUNTEREXAMPLE,
+                evaluations=(x * n + y) * n + z + 1,
+                witness={"x": r.names[x], "y": r.names[y], "z": r.names[z]},
+            )
+    return Verdict(HOLDS_EXHAUSTIVE, evaluations=n**3)
+
+
+def _scan_4var(r: FiniteRing, grid_fn, flat_fn, budget: int, sample_count: int,
+               seed: int) -> Verdict:
+    """Scan a 4-variable zero test; falls back to seeded sampling past the budget."""
+    n = r.order
+    total = n**4
+    if total <= budget:
+        blk = max(1, row_block(n) // max(n, 1))
+        for w0 in range(0, n, blk):
+            neq = grid_fn(w0, min(w0 + blk, n)) != r.zero
+            if neq.any():
+                flat = int(np.argmax(neq))
+                wloc, rest = divmod(flat, n**3)
+                x, rest = divmod(rest, n * n)
+                y, z = divmod(rest, n)
+                w = w0 + wloc
+                return Verdict(
+                    COUNTEREXAMPLE,
+                    evaluations=((w * n + x) * n + y) * n + z + 1,
+                    witness={"w": r.names[w], "x": r.names[x],
+                             "y": r.names[y], "z": r.names[z]},
+                )
+        return Verdict(HOLDS_EXHAUSTIVE, evaluations=total)
+    rng = np.random.default_rng(seed)
+    done = 0
+    chunk = 1 << 20
+    while done < sample_count:
+        size = min(chunk, sample_count - done)
+        sample = rng.integers(0, n, size=(size, 4), dtype=np.int64)
+        vals = flat_fn(sample[:, 0], sample[:, 1], sample[:, 2], sample[:, 3])
+        neq = vals != r.zero
+        if neq.any():
+            hit = int(np.argmax(neq))
+            w, x, y, z = (int(v) for v in sample[hit])
+            return Verdict(
+                COUNTEREXAMPLE,
+                evaluations=done + hit + 1,
+                witness={"w": r.names[w], "x": r.names[x], "y": r.names[y], "z": r.names[z]},
+                sample_count=sample_count,
+                seed=seed,
+            )
+        done += size
+    return Verdict(HOLDS_SAMPLED, evaluations=sample_count, sample_count=sample_count, seed=seed)
+
+
+def check_ring_law(
+    r: FiniteRing,
+    name: str,
+    budget: int = DEFAULT_EVAL_BUDGET,
+    sample_count: int = _DEFAULT_SAMPLES,
+    seed: int = 1,
+) -> Verdict:
+    """Decide one of the registry laws on the ring by brute force.
+
+    RCI    : <w,x;y,z> = <w,y;x,z>
+    ALT3M  : <x,y;x,z> = 0
+    DOUBLE2: 2<w,x;y,z> = 0
+    NILP2  : <x,y,z> = 0
+    PROPER_WITNESS scans the law 2<x,y> = 0; a counterexample is exactly a
+    pair witnessing that the commutation double magma on R is proper.
+    """
+    bk = r.bracket_table()
+    dbl = r.double_table()
+    n = r.order
+
+    if name == "ALT3M":
+        # [x, y, z] -> <<x,y>, <x,z>>
+        return _scan_3var(r, lambda x0, x1: bk[bk[x0:x1, :, None], bk[x0:x1, None, :]])
+    if name == "NILP2":
+        # [x, y, z] -> <<x,y>, z>
+        return _scan_3var(r, lambda x0, x1: bk[bk[x0:x1]])
+    if name == "PROPER_WITNESS":
+        neq = dbl[bk] != r.zero
+        if neq.any():
+            flat = int(np.argmax(neq))
+            x, y = divmod(flat, n)
+            return Verdict(COUNTEREXAMPLE, evaluations=flat + 1,
+                           witness={"x": r.names[x], "y": r.names[y]})
+        return Verdict(HOLDS_EXHAUSTIVE, evaluations=n * n)
+    if name == "RCI":
+
+        def grid_fn(w0, w1):
+            bkw = bk[w0:w1]
+            left = bk[bkw[:, :, None, None], bk[None, None, :, :]]
+            right = bk[bkw[:, None, :, None], bk[None, :, None, :]]
+            return _rci_diff(r, left, right)
+
+        def flat_fn(w, x, y, z):
+            return _rci_diff(r, bk[bk[w, x], bk[y, z]], bk[bk[w, y], bk[x, z]])
+
+        return _scan_4var(r, grid_fn, flat_fn, budget, sample_count, seed)
+    if name == "DOUBLE2":
+
+        def grid_fn(w0, w1):
+            bkw = bk[w0:w1]
+            return dbl[bk[bkw[:, :, None, None], bk[None, None, :, :]]]
+
+        def flat_fn(w, x, y, z):
+            return dbl[bk[bk[w, x], bk[y, z]]]
+
+        return _scan_4var(r, grid_fn, flat_fn, budget, sample_count, seed)
+    known = ", ".join(RING_LAWS)
+    raise SpecError(f"unknown ring law {name!r}; known laws: {known}")

@@ -1,0 +1,105 @@
+"""Low-level chunked scans over dense operation tables.
+
+Everything here works on plain ``n x n`` integer arrays whose entries are
+element indices, so the same scans back groups, rings and bare magmas.
+Scans enumerate tuples in lexicographic order and report the first failure,
+which keeps witnesses deterministic regardless of block size.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+# Rough cap on the number of cells materialized per scan block.
+BLOCK_CELLS = 1 << 22
+
+
+def as_table(op, order: int | None = None) -> np.ndarray:
+    """Coerce to a read-only square int32 table and range-check entries."""
+    table = np.ascontiguousarray(np.asarray(op, dtype=np.int32))
+    if table.ndim != 2 or table.shape[0] != table.shape[1]:
+        raise ValueError(f"operation table must be square, got shape {table.shape}")
+    n = table.shape[0]
+    if order is not None and n != order:
+        raise ValueError(f"table has order {n}, expected {order}")
+    if n == 0:
+        raise ValueError("empty carrier")
+    if table.min() < 0 or table.max() >= n:
+        raise ValueError("table entries must be element indices in [0, order)")
+    table.setflags(write=False)
+    return table
+
+
+def row_block(n: int, target: int = BLOCK_CELLS) -> int:
+    """Rows per block so one block of n*n-cell slabs stays near `target`."""
+    return max(1, target // max(n * n, 1))
+
+
+def is_latin(table: np.ndarray) -> bool:
+    """True iff every row and every column is a permutation of 0..n-1."""
+    n = table.shape[0]
+    idx = np.arange(n, dtype=table.dtype)
+    return bool(
+        np.all(np.sort(table, axis=1) == idx[None, :])
+        and np.all(np.sort(table, axis=0) == idx[:, None])
+    )
+
+
+def first_commutativity_failure(table: np.ndarray) -> tuple[int, int] | None:
+    """First (x, y), lexicographic, with table[x,y] != table[y,x]."""
+    neq = table != table.T
+    if not neq.any():
+        return None
+    flat = int(np.argmax(neq))
+    n = table.shape[0]
+    return divmod(flat, n)
+
+
+def first_associativity_failure(table: np.ndarray) -> tuple[int, int, int] | None:
+    """First (x, y, z), lexicographic, with (xy)z != x(yz)."""
+    n = table.shape[0]
+    blk = row_block(n)
+    for x0 in range(0, n, blk):
+        rows = table[x0 : x0 + blk]
+        lhs = table[rows]  # [x, y, z] -> table[table[x, y], z]
+        rhs = rows[:, table]  # [x, y, z] -> table[x, table[y, z]]
+        neq = lhs != rhs
+        if neq.any():
+            flat = int(np.argmax(neq))
+            b, rest = divmod(flat, n * n)
+            y, z = divmod(rest, n)
+            return (x0 + b, y, z)
+    return None
+
+
+def first_mismatch(a: np.ndarray, b: np.ndarray) -> tuple[int, int] | None:
+    """First (x, y), lexicographic, where the two tables differ."""
+    neq = a != b
+    if not neq.any():
+        return None
+    flat = int(np.argmax(neq))
+    return divmod(flat, a.shape[0])
+
+
+def two_sided_identity(table: np.ndarray) -> int | None:
+    """The unique two-sided identity element, if one exists."""
+    n = table.shape[0]
+    idx = np.arange(n, dtype=table.dtype)
+    rows_ok = np.all(table == idx[None, :], axis=1)  # row e is 0..n-1
+    cols_ok = np.all(table == idx[:, None], axis=0)  # column e is 0..n-1
+    both = rows_ok & cols_ok
+    if not both.any():
+        return None
+    return int(np.argmax(both))
+
+
+def two_sided_zero(table: np.ndarray) -> int | None:
+    """The first element z with z*x = x*z = z for all x, if any."""
+    n = table.shape[0]
+    idx = np.arange(n, dtype=table.dtype)
+    rows_const = np.all(table == idx[:, None], axis=1)  # row z is all z
+    cols_const = np.all(table == idx[None, :], axis=0)  # column z is all z
+    both = rows_const & cols_const
+    if not both.any():
+        return None
+    return int(np.argmax(both))

@@ -1,0 +1,571 @@
+"""Commutator-word language: syntax trees, parsing, evaluation, law checking.
+
+Grammar (tightest binding last):
+
+    law     := term "=" term
+    term    := product
+    product := factor { ("*")? factor }            left-associative
+    factor  := primary [ "^" (signedInt | primary) ]
+    primary := ident | "1" | "(" term ")"
+             | "[" term {"," term} [";" term {"," term}] "]"
+
+After "^" an integer always wins the tie, so a^-1 is inversion and a^b is
+conjugation. Comma lists inside brackets nest to the left, [x,y,z] = [[x,y],z],
+and the semicolon form is [u...; v...] = [leftnest(u), leftnest(v)]. The only
+constant is "1", the identity.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Mapping
+
+import numpy as np
+
+from .errors import BudgetExceededError, ParseError, SpecError, UnboundVariableError
+from .groups import FiniteGroup
+
+DEFAULT_EVAL_BUDGET = 10**8
+MAX_EXPONENT = 32
+_CHUNK = 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# abstract syntax
+# ---------------------------------------------------------------------------
+
+
+class Term:
+    """Base class for word syntax nodes. Nodes are frozen and compare structurally."""
+
+    __slots__ = ()
+
+
+@dataclass(frozen=True)
+class Variable(Term):
+    name: str
+
+
+@dataclass(frozen=True)
+class IdentityLiteral(Term):
+    pass
+
+
+@dataclass(frozen=True)
+class Inverse(Term):
+    base: Term
+
+
+@dataclass(frozen=True)
+class Product(Term):
+    left: Term
+    right: Term
+
+
+@dataclass(frozen=True)
+class IntPower(Term):
+    base: Term
+    exponent: int
+
+
+@dataclass(frozen=True)
+class Conjugate(Term):
+    base: Term
+    by: Term
+
+
+@dataclass(frozen=True)
+class Bracket(Term):
+    left: Term
+    right: Term
+
+
+def free_variables(term: Term) -> list[str]:
+    """Free variable names in first-appearance (depth-first, left-first) order."""
+    out: list[str] = []
+
+    def walk(t: Term):
+        if isinstance(t, Variable):
+            if t.name not in out:
+                out.append(t.name)
+        elif isinstance(t, (Inverse, IntPower)):
+            walk(t.base)
+        elif isinstance(t, (Product, Bracket)):
+            walk(t.left)
+            walk(t.right)
+        elif isinstance(t, Conjugate):
+            walk(t.base)
+            walk(t.by)
+
+    walk(term)
+    return out
+
+
+@dataclass(frozen=True)
+class Law:
+    """An equation between two terms, quantified over all assignments."""
+
+    lhs: Term
+    rhs: Term
+    variables: tuple[str, ...]
+
+    def __str__(self):
+        return f"{to_string(self.lhs)}={to_string(self.rhs)}"
+
+
+def make_law(lhs: Term, rhs: Term) -> Law:
+    seen = free_variables(lhs)
+    for v in free_variables(rhs):
+        if v not in seen:
+            seen.append(v)
+    return Law(lhs, rhs, tuple(seen))
+
+
+# ---------------------------------------------------------------------------
+# tokenizer / parser
+# ---------------------------------------------------------------------------
+
+_SYMBOLS = set("*^()[],;=-+")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c in " \t":
+            i += 1
+            continue
+        if c.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], i))
+            i = j
+        elif c.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("int", text[i:j], i))
+            i = j
+        elif c in _SYMBOLS:
+            tokens.append(("sym", c, i))
+            i += 1
+        else:
+            raise ParseError(f"unexpected character {c!r}", i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.i = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
+
+    def advance(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_sym(self, sym: str):
+        kind, val, pos = self.peek()
+        if kind != "sym" or val != sym:
+            raise ParseError(f"expected {sym!r}, found {val or 'end of input'!r}", pos)
+        self.advance()
+
+    def at_primary(self) -> bool:
+        kind, val, _ = self.peek()
+        return kind in ("ident", "int") or (kind == "sym" and val in "([")
+
+    def term(self) -> Term:
+        t = self.factor()
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "sym" and val == "*":
+                self.advance()
+                t = Product(t, self.factor())
+            elif self.at_primary():
+                t = Product(t, self.factor())
+            else:
+                return t
+
+    def factor(self) -> Term:
+        base = self.primary()
+        kind, val, _ = self.peek()
+        if kind == "sym" and val == "^":
+            self.advance()
+            return self.exponent(base)
+        return base
+
+    def exponent(self, base: Term) -> Term:
+        kind, val, pos = self.peek()
+        sign = 1
+        if kind == "sym" and val in "+-":
+            sign = -1 if val == "-" else 1
+            self.advance()
+            kind, val, pos = self.peek()
+            if kind != "int":
+                raise ParseError("expected an integer exponent after the sign", pos)
+        if kind == "int":
+            self.advance()
+            k = sign * int(val)
+            if abs(k) > MAX_EXPONENT:
+                raise ParseError(f"power exponent {k} out of range +-{MAX_EXPONENT}", pos)
+            if k == -1:
+                return Inverse(base)
+            return IntPower(base, k)
+        if self.at_primary():
+            return Conjugate(base, self.primary())
+        raise ParseError("expected an integer or a primary term after '^'", pos)
+
+    def primary(self) -> Term:
+        kind, val, pos = self.advance()
+        if kind == "ident":
+            return Variable(val)
+        if kind == "int":
+            if val == "1":
+                return IdentityLiteral()
+            raise ParseError(f"'{val}' is not a term; the only constant is the identity '1'", pos)
+        if kind == "sym" and val == "(":
+            t = self.term()
+            self.expect_sym(")")
+            return t
+        if kind == "sym" and val == "[":
+            return self.bracket(pos)
+        raise ParseError(f"expected a term, found {val or 'end of input'!r}", pos)
+
+    def bracket(self, open_pos: int) -> Term:
+        left = [self.term()]
+        while self.peek()[:2] == ("sym", ","):
+            self.advance()
+            left.append(self.term())
+        right: list[Term] | None = None
+        if self.peek()[:2] == ("sym", ";"):
+            self.advance()
+            right = [self.term()]
+            while self.peek()[:2] == ("sym", ","):
+                self.advance()
+                right.append(self.term())
+        self.expect_sym("]")
+        if right is None:
+            if len(left) < 2:
+                raise ParseError("a bracket needs at least two comma-separated terms", open_pos)
+            return _left_nest(left)
+        return Bracket(_left_nest(left), _left_nest(right))
+
+
+def _left_nest(terms: list[Term]) -> Term:
+    t = terms[0]
+    for u in terms[1:]:
+        t = Bracket(t, u)
+    return t
+
+
+def parse_term(text: str) -> Term:
+    """Parse a single word; raises ParseError with a position on bad input."""
+    if not text.strip():
+        raise ParseError("empty input")
+    p = _Parser(text)
+    t = p.term()
+    kind, val, pos = p.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {val!r}", pos)
+    return t
+
+
+def parse_law(text: str) -> Law:
+    """Parse 'lhs = rhs' into a Law; exactly one top-level '=' is required."""
+    if not text.strip():
+        raise ParseError("empty input")
+    p = _Parser(text)
+    lhs = p.term()
+    kind, val, pos = p.peek()
+    if kind != "sym" or val != "=":
+        raise ParseError("a law needs '=' between two terms", pos)
+    p.advance()
+    rhs = p.term()
+    kind, val, pos = p.peek()
+    if kind == "sym" and val == "=":
+        raise ParseError("a law must contain exactly one '='", pos)
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {val!r}", pos)
+    return make_law(lhs, rhs)
+
+
+# ---------------------------------------------------------------------------
+# printing
+# ---------------------------------------------------------------------------
+
+
+def to_string(term: Term) -> str:
+    """Render a term so that parsing the output rebuilds the identical tree."""
+    return _s_term(term)
+
+
+def _s_term(t: Term) -> str:
+    if isinstance(t, Product):
+        return f"{_s_term(t.left)}*{_s_factor(t.right)}"
+    return _s_factor(t)
+
+
+def _s_factor(t: Term) -> str:
+    if isinstance(t, Inverse):
+        return f"{_s_primary(t.base)}^-1"
+    if isinstance(t, IntPower):
+        return f"{_s_primary(t.base)}^{t.exponent}"
+    if isinstance(t, Conjugate):
+        # parenthesize an identity conjugator: bare "1" after ^ would reparse
+        # as the integer exponent 1
+        by = "(1)" if isinstance(t.by, IdentityLiteral) else _s_primary(t.by)
+        return f"{_s_primary(t.base)}^{by}"
+    return _s_primary(t)
+
+
+def _s_primary(t: Term) -> str:
+    if isinstance(t, Variable):
+        return t.name
+    if isinstance(t, IdentityLiteral):
+        return "1"
+    if isinstance(t, Bracket):
+        return f"[{_s_term(t.left)},{_s_term(t.right)}]"
+    return f"({_s_term(t)})"
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+# ---------------------------------------------------------------------------
+
+
+def evaluate(term: Term, group: FiniteGroup, assignment: Mapping[str, int]) -> int:
+    """Evaluate one assignment with scalar table lookups."""
+    mul, inv = group.mul, group.inv
+    if isinstance(term, Variable):
+        try:
+            return int(assignment[term.name])
+        except KeyError:
+            raise UnboundVariableError(term.name) from None
+    if isinstance(term, IdentityLiteral):
+        return group.identity
+    if isinstance(term, Inverse):
+        return int(inv[evaluate(term.base, group, assignment)])
+    if isinstance(term, Product):
+        return int(mul[evaluate(term.left, group, assignment), evaluate(term.right, group, assignment)])
+    if isinstance(term, Conjugate):
+        x = evaluate(term.base, group, assignment)
+        y = evaluate(term.by, group, assignment)
+        return int(mul[mul[inv[y], x], y])
+    if isinstance(term, Bracket):
+        x = evaluate(term.left, group, assignment)
+        y = evaluate(term.right, group, assignment)
+        return int(mul[mul[inv[x], inv[y]], mul[x, y]])
+    if isinstance(term, IntPower):
+        return group.power(evaluate(term.base, group, assignment), term.exponent)
+    raise TypeError(f"not a term: {term!r}")
+
+
+def _eval_batch(term: Term, group: FiniteGroup, env: dict[str, np.ndarray], size: int) -> np.ndarray:
+    """Evaluate a term over a batch of assignments (one index array per variable)."""
+    mul, inv = group.mul, group.inv
+    if isinstance(term, Variable):
+        try:
+            return env[term.name]
+        except KeyError:
+            raise UnboundVariableError(term.name) from None
+    if isinstance(term, IdentityLiteral):
+        return np.zeros(size, dtype=np.int32)
+    if isinstance(term, Inverse):
+        return inv[_eval_batch(term.base, group, env, size)]
+    if isinstance(term, Product):
+        return mul[
+            _eval_batch(term.left, group, env, size),
+            _eval_batch(term.right, group, env, size),
+        ]
+    if isinstance(term, Conjugate):
+        x = _eval_batch(term.base, group, env, size)
+        y = _eval_batch(term.by, group, env, size)
+        return mul[mul[inv[y], x], y]
+    if isinstance(term, Bracket):
+        x = _eval_batch(term.left, group, env, size)
+        y = _eval_batch(term.right, group, env, size)
+        return mul[mul[inv[x], inv[y]], mul[x, y]]
+    if isinstance(term, IntPower):
+        k = term.exponent
+        if k == 0:
+            return np.zeros(size, dtype=np.int32)
+        base = _eval_batch(term.base, group, env, size)
+        if k < 0:
+            base, k = inv[base], -k
+        acc = np.zeros(size, dtype=np.int32)
+        cur = base
+        while k:
+            if k & 1:
+                acc = mul[acc, cur]
+            k >>= 1
+            if k:
+                cur = mul[cur, cur]
+        return acc
+    raise TypeError(f"not a term: {term!r}")
+
+
+# ---------------------------------------------------------------------------
+# verdicts and law checking
+# ---------------------------------------------------------------------------
+
+HOLDS_EXHAUSTIVE = "holds-exhaustive"
+HOLDS_SAMPLED = "holds-sampled"
+COUNTEREXAMPLE = "counterexample"
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of a universally quantified check.
+
+    For counterexamples found by exhaustive scans the witness is the
+    lexicographically smallest failing assignment and `evaluations` is its
+    1-based position in lexicographic order (deterministic regardless of
+    internal chunking); for clean exhaustive passes it is the full count.
+    """
+
+    status: str
+    evaluations: int
+    witness: dict[str, str] | None = None
+    sample_count: int | None = None
+    seed: int | None = None
+
+    @property
+    def holds(self) -> bool:
+        return self.status != COUNTEREXAMPLE
+
+    def to_dict(self) -> dict:
+        out: dict = {"status": self.status, "evaluations": self.evaluations}
+        if self.witness is not None:
+            out["witness"] = dict(self.witness)
+        if self.sample_count is not None:
+            out["sample_count"] = self.sample_count
+        if self.seed is not None:
+            out["seed"] = self.seed
+        return out
+
+    def describe(self) -> str:
+        if self.status == COUNTEREXAMPLE:
+            bindings = ", ".join(f"{k}={v}" for k, v in self.witness.items())
+            mode = f" (sampled, seed={self.seed})" if self.seed is not None else ""
+            return f"counterexample{mode} after {self.evaluations} evaluations: {bindings}"
+        if self.status == HOLDS_SAMPLED:
+            return f"holds-sampled (count={self.sample_count}, seed={self.seed}; not a proof)"
+        return f"holds-exhaustive ({self.evaluations} evaluations)"
+
+
+def _witness_dict(variables: tuple[str, ...], digits, names) -> dict[str, str]:
+    return {v: names[int(d)] for v, d in zip(variables, digits)}
+
+
+def check_law_exhaustive(
+    group: FiniteGroup,
+    law: Law,
+    budget: int = DEFAULT_EVAL_BUDGET,
+    chunk_size: int = _CHUNK,
+) -> Verdict:
+    """Scan every assignment in lexicographic element order.
+
+    The first variable is the most significant digit, so flat chunk indices
+    enumerate assignments in exactly the order the witness contract needs.
+    """
+    n = group.order
+    k = len(law.variables)
+    total = n**k
+    if total > budget:
+        raise BudgetExceededError(
+            f"law {law} over order {n} needs {total} evaluations "
+            f"(budget {budget}); use check_law_sampled"
+        )
+    weights = [n ** (k - 1 - i) for i in range(k)]
+    for start in range(0, total, chunk_size):
+        stop = min(start + chunk_size, total)
+        flat = np.arange(start, stop, dtype=np.int64)
+        env = {
+            v: ((flat // w) % n).astype(np.int32)
+            for v, w in zip(law.variables, weights)
+        }
+        size = stop - start
+        neq = _eval_batch(law.lhs, group, env, size) != _eval_batch(law.rhs, group, env, size)
+        if neq.any():
+            hit = int(np.argmax(neq))
+            digits = [(start + hit) // w % n for w in weights]
+            return Verdict(
+                COUNTEREXAMPLE,
+                evaluations=start + hit + 1,
+                witness=_witness_dict(law.variables, digits, group.names),
+            )
+    return Verdict(HOLDS_EXHAUSTIVE, evaluations=total)
+
+
+def check_law_sampled(
+    group: FiniteGroup,
+    law: Law,
+    count: int,
+    seed: int,
+    chunk_size: int = _CHUNK,
+) -> Verdict:
+    """Check `count` seeded pseudo-random assignments.
+
+    A found counterexample is definitive; a clean pass is evidence, not proof.
+    The stream of assignments is fully determined by (seed, count).
+    """
+    if count < 1:
+        raise ValueError("sample count must be at least 1")
+    n = group.order
+    k = len(law.variables)
+    rng = np.random.default_rng(seed)
+    done = 0
+    while done < count:
+        size = min(chunk_size, count - done)
+        sample = rng.integers(0, n, size=(size, k), dtype=np.int64)
+        env = {v: sample[:, i].astype(np.int32) for i, v in enumerate(law.variables)}
+        neq = _eval_batch(law.lhs, group, env, size) != _eval_batch(law.rhs, group, env, size)
+        if neq.any():
+            hit = int(np.argmax(neq))
+            return Verdict(
+                COUNTEREXAMPLE,
+                evaluations=done + hit + 1,
+                witness=_witness_dict(law.variables, sample[hit], group.names),
+                sample_count=count,
+                seed=seed,
+            )
+        done += size
+    return Verdict(HOLDS_SAMPLED, evaluations=count, sample_count=count, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# built-in laws
+# ---------------------------------------------------------------------------
+
+BUILTIN_LAWS: dict[str, str] = {
+    "3M_I": "[x,y;x,z]=1",
+    "3M_II": "[x,y;y,z]=1",
+    "3M_III": "[x,y;[x,z]^u]=1",
+    "L1": "[x,y,z;x,u]=1",
+    "L2": "[x,y;x,u,v]=1",
+    "L3": "[x,y,z;x,u,v]=1",
+    "CI": "[w,x;y,z]=[w,y;x,z]",
+    "PAIR": "[w,x;y,z][w,y;x,z]=1",
+    "SQUARE": "[w,x;y,z]^2=1",
+    "JACOBI": "[x,y,z][y,z,x][z,x,y]=1",
+    "ASSOC_COMM": "[x,y,z][y,z,x]=1",
+    "COMM_SQ": "[x,y]^2=1",
+    "CLASS2": "[x,y,z]=1",
+}
+
+
+@lru_cache(maxsize=None)
+def builtin_law(name: str) -> Law:
+    """Look up a named law from the registry."""
+    try:
+        return parse_law(BUILTIN_LAWS[name])
+    except KeyError:
+        known = ", ".join(sorted(BUILTIN_LAWS))
+        raise SpecError(f"unknown law name {name!r}; known laws: {known}") from None
