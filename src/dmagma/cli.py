@@ -2,7 +2,8 @@
 
 Exit codes are a stable scripting contract: 0 when the run succeeds or the
 queried property holds, 1 when a property fails or a counterexample is found,
-2 on usage or input errors.
+2 on usage or input errors. Any other failure also exits 2 with a one-line
+message, so exit 1 always means a verdict.
 """
 
 from __future__ import annotations
@@ -284,6 +285,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ParseError, SpecError, BudgetExceededError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return USAGE_ERROR
+    except Exception as e:  # never let a crash read as exit 1, "property fails"
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -253,9 +253,11 @@ def parse_csv_table(text: str) -> tuple[list[str], np.ndarray]:
         raise ValueError(f"CSV table has {len(rows) - 1} rows for {n} columns")
     op = np.empty((n, n), dtype=np.int32)
     for x, row in enumerate(rows[1:]):
-        if row[0] != names[x] or len(row) != n + 1:
+        if not row or row[0] != names[x] or len(row) != n + 1:
             raise ValueError(f"malformed CSV row {x + 1}")
         for y, cell in enumerate(row[1:]):
+            if cell not in index:
+                raise ValueError(f"CSV row {x + 1} has unknown element {cell!r}")
             op[x, y] = index[cell]
     return names, op
 

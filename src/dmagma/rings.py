@@ -11,7 +11,16 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SpecError
-from .tables import as_table, first_associativity_failure, is_latin, row_block
+from .tables import (
+    DEFAULT_ORDER_BUDGET,
+    as_table,
+    check_order_budget,
+    first_associativity_failure,
+    is_latin,
+    light_associative,
+    magma_generators,
+    row_block,
+)
 from .words import (
     COUNTEREXAMPLE,
     DEFAULT_EVAL_BUDGET,
@@ -20,14 +29,41 @@ from .words import (
     Verdict,
 )
 
-DEFAULT_ORDER_BUDGET = 1024
 _DEFAULT_SAMPLES = 10**6
 
 RING_LAWS = ("RCI", "ALT3M", "DOUBLE2", "NILP2", "PROPER_WITNESS")
 
 
+def _generator_checks_pass(add: np.ndarray, mul: np.ndarray) -> bool:
+    """Ring axioms past the Latin and commutativity checks, in O(|A| n^2).
+
+    A generates (R,+). Addition is associative by Light's test over A. A map f
+    with f(y+a) = f(y) + f(a) for all y and every a in A is additive, which
+    gives both distributive laws from their instances at the generators; the
+    associator is then additive in each argument, so A^3 decides
+    associativity of the product.
+    """
+    gens = magma_generators(add)
+    if not light_associative(add, gens):
+        return False
+    for a in gens:
+        if not np.array_equal(mul[:, add[:, a]], add[mul, mul[:, a][:, None]]):  # x(y+a) = xy + xa
+            return False
+        if not np.array_equal(mul[add[:, a]], add[mul, mul[a][None, :]]):  # (y+a)x = yx + ax
+            return False
+    g = np.asarray(gens)
+    ab = mul[np.ix_(g, g)]
+    return np.array_equal(mul[ab][:, :, g], mul[g][:, ab])  # (ab)c = a(bc)
+
+
 class FiniteRing:
-    """A finite (not necessarily unital) ring given by dense add and mul tables."""
+    """A finite (not necessarily unital) ring given by dense add and mul tables.
+
+    Tables are validated in O(|A| n^2) for a generating set A of (R,+). A
+    table that fails is rescanned in full, so the error names the first
+    failing axiom in the fixed order below and, for the product, the first
+    non-associative triple.
+    """
 
     def __init__(self, add, mul, names, label: str | None = None):
         add = as_table(add)
@@ -40,7 +76,8 @@ class FiniteRing:
             raise ValueError("addition table is not a Latin square")
         if not np.array_equal(add, add.T):
             raise ValueError("addition must be commutative")
-        if first_associativity_failure(add) is not None:
+        valid = _generator_checks_pass(add, mul)
+        if not valid and first_associativity_failure(add) is not None:
             raise ValueError("addition must be associative")
         idx = np.arange(n, dtype=add.dtype)
         zero_rows = np.all(add == idx[None, :], axis=1)
@@ -49,9 +86,10 @@ class FiniteRing:
         zero = int(np.argmax(zero_rows))
         neg = np.argmax(add == zero, axis=1).astype(np.int32)
         neg.setflags(write=False)
-        bad = first_associativity_failure(mul)
-        if bad is not None:
-            raise ValueError(f"multiplication is not associative at {bad}")
+        if not valid:
+            bad = first_associativity_failure(mul)
+            if bad is not None:
+                raise ValueError(f"multiplication is not associative at {bad}")
         self.order = n
         self.add = add
         self.mul = mul
@@ -59,7 +97,8 @@ class FiniteRing:
         self.zero = zero
         self.names = names
         self.label = label if label is not None else f"ring-of-order-{n}"
-        self._check_distributive()
+        if not valid:
+            self._check_distributive()
 
     def _check_distributive(self):
         a, m, n = self.add, self.mul, self.order
@@ -102,16 +141,11 @@ def lie_bracket(r: FiniteRing, x: int, y: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_budget(order: int, budget: int, what: str) -> None:
-    if order > budget:
-        raise ValueError(f"{what} has order {order}, exceeding the order budget {budget}")
-
-
 def make_zmod(n: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteRing:
     """Integers mod n with the usual tables."""
     if n < 1:
         raise ValueError("modulus must be at least 1")
-    _check_budget(n, order_budget, "zmod ring")
+    check_order_budget(n, order_budget, "zmod ring")
     idx = np.arange(n, dtype=np.int64)
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n
@@ -123,7 +157,7 @@ def _matrix_ring_from_entries(k: int, n: int, positions: list[tuple[int, int]], 
     """Ring of k x k matrices mod n supported on `positions` (row-major digits)."""
     d = len(positions)
     order = n**d
-    _check_budget(order, order_budget, label)
+    check_order_budget(order, order_budget, label)
     idx = np.arange(order, dtype=np.int64)
     mats = np.zeros((order, k, k), dtype=np.int64)
     rest = idx.copy()

@@ -12,7 +12,8 @@ Grammar (tightest binding last):
 After "^" an integer always wins the tie, so a^-1 is inversion and a^b is
 conjugation. Comma lists inside brackets nest to the left, [x,y,z] = [[x,y],z],
 and the semicolon form is [u...; v...] = [leftnest(u), leftnest(v)]. The only
-constant is "1", the identity.
+constant is "1", the identity. Syntax trees deeper than MAX_DEPTH are a
+ParseError.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ from .groups import FiniteGroup
 
 DEFAULT_EVAL_BUDGET = 10**8
 MAX_EXPONENT = 32
+# Deepest syntax tree a law may have; evaluating and printing terms recurses
+# once per level, so this keeps every consumer far from Python's stack limit.
+MAX_DEPTH = 100
 _CHUNK = 1 << 20
 
 
@@ -81,22 +85,35 @@ class Bracket(Term):
     right: Term
 
 
+def _children(t: Term) -> tuple[Term, ...]:
+    if isinstance(t, (Inverse, IntPower)):
+        return (t.base,)
+    if isinstance(t, (Product, Bracket)):
+        return (t.left, t.right)
+    if isinstance(t, Conjugate):
+        return (t.base, t.by)
+    return ()
+
+
+def _term_depth(term: Term) -> int:
+    """Height of the syntax tree (a variable has depth 1), without recursion."""
+    deepest, stack = 0, [(term, 1)]
+    while stack:
+        t, d = stack.pop()
+        deepest = max(deepest, d)
+        stack.extend((c, d + 1) for c in _children(t))
+    return deepest
+
+
 def free_variables(term: Term) -> list[str]:
     """Free variable names in first-appearance (depth-first, left-first) order."""
     out: list[str] = []
 
     def walk(t: Term):
-        if isinstance(t, Variable):
-            if t.name not in out:
-                out.append(t.name)
-        elif isinstance(t, (Inverse, IntPower)):
-            walk(t.base)
-        elif isinstance(t, (Product, Bracket)):
-            walk(t.left)
-            walk(t.right)
-        elif isinstance(t, Conjugate):
-            walk(t.base)
-            walk(t.by)
+        if isinstance(t, Variable) and t.name not in out:
+            out.append(t.name)
+        for c in _children(t):
+            walk(c)
 
     walk(term)
     return out
@@ -162,6 +179,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0  # open "(" and "[" groups, which the parser recurses on
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -230,13 +248,26 @@ class _Parser:
             if val == "1":
                 return IdentityLiteral()
             raise ParseError(f"'{val}' is not a term; the only constant is the identity '1'", pos)
-        if kind == "sym" and val == "(":
-            t = self.term()
-            self.expect_sym(")")
+        if kind == "sym" and val in "([":
+            self.nesting += 1
+            if self.nesting > MAX_DEPTH:
+                raise ParseError(f"terms nest deeper than {MAX_DEPTH} levels", pos)
+            if val == "(":
+                t = self.term()
+                self.expect_sym(")")
+            else:
+                t = self.bracket(pos)
+            self.nesting -= 1
             return t
-        if kind == "sym" and val == "[":
-            return self.bracket(pos)
         raise ParseError(f"expected a term, found {val or 'end of input'!r}", pos)
+
+    def whole_term(self) -> Term:
+        """A term whose syntax tree is at most MAX_DEPTH deep."""
+        pos = self.peek()[2]
+        t = self.term()
+        if _term_depth(t) > MAX_DEPTH:
+            raise ParseError(f"term nests deeper than {MAX_DEPTH} levels", pos)
+        return t
 
     def bracket(self, open_pos: int) -> Term:
         left = [self.term()]
@@ -270,7 +301,7 @@ def parse_term(text: str) -> Term:
     if not text.strip():
         raise ParseError("empty input")
     p = _Parser(text)
-    t = p.term()
+    t = p.whole_term()
     kind, val, pos = p.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing input {val!r}", pos)
@@ -282,12 +313,12 @@ def parse_law(text: str) -> Law:
     if not text.strip():
         raise ParseError("empty input")
     p = _Parser(text)
-    lhs = p.term()
+    lhs = p.whole_term()
     kind, val, pos = p.peek()
     if kind != "sym" or val != "=":
         raise ParseError("a law needs '=' between two terms", pos)
     p.advance()
-    rhs = p.term()
+    rhs = p.whole_term()
     kind, val, pos = p.peek()
     if kind == "sym" and val == "=":
         raise ParseError("a law must contain exactly one '='", pos)

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 
+import dmagma.cli
 from dmagma.cli import main
 from dmagma.fixtures import D8_NAMES, D8_STAR_ROWS
 from dmagma.magmas import parse_csv_table
@@ -78,6 +79,23 @@ def test_law_sampled_mode(capsys):
 def test_law_parse_error_exit_2(capsys):
     rc, _, err = run(capsys, "law", "cyclic:3", "[x=1")
     assert rc == 2
+
+
+def test_law_nested_too_deep_exit_2(capsys):
+    deep = "(" * 3000 + "x" + ")" * 3000 + "=1"
+    rc, out, err = run(capsys, "law", "cyclic:3", deep)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "deeper than" in err
+
+
+def test_unexpected_error_never_exits_1(capsys, monkeypatch):
+    def broken(spec):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(dmagma.cli, "parse_group_spec", broken)
+    rc, _, err = run(capsys, "group", "cyclic:3")
+    assert rc == 2
+    assert err == "error: internal error: RuntimeError: boom\n"
 
 
 def test_law_budget_error_exit_2(capsys):

@@ -6,10 +6,12 @@ code paths under test.
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 
+import dmagma.groups
 from dmagma.errors import SpecError
 from dmagma.groups import (
     FiniteGroup,
@@ -30,6 +32,8 @@ from dmagma.groups import (
     perm_from_cycles,
     subgroup_closure,
 )
+from dmagma.rings import parse_ring_spec
+from dmagma.tables import first_associativity_failure, is_latin
 
 
 def raw_commutator(mul, x, y):
@@ -423,3 +427,117 @@ def test_parse_group_spec_errors():
     for bad in ("nope:3", "cyclic", "cyclic:x", "cyclic:3trailing", "cyclic:0", "product:cyclic:2"):
         with pytest.raises(SpecError):
             parse_group_spec(bad)
+
+
+# --- fast table validation against the full scans --------------------------------
+
+
+def full_scan_group_error(mul) -> str | None:
+    """The message of the O(n^3) check sequence FiniteGroup used to run, or None."""
+    t = np.asarray(mul, dtype=np.int32)
+    if not is_latin(t):
+        return "multiplication table is not a Latin square"
+    idx = np.arange(len(t))
+    if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
+        return "element 0 is not a two-sided identity"
+    bad = first_associativity_failure(t)
+    return None if bad is None else f"multiplication is not associative at {bad}"
+
+
+def assert_group_validation_matches(mul):
+    want = full_scan_group_error(mul)
+    names = ["1"] + [f"g{i}" for i in range(1, len(mul))]
+    if want is None:
+        FiniteGroup(mul, names)
+    else:
+        with pytest.raises(ValueError) as err:
+            FiniteGroup(mul, names)
+        assert str(err.value) == want
+    return want
+
+
+def random_reduced_latin_square(n: int, rng: random.Random) -> np.ndarray:
+    """A random Latin square whose row 0 and column 0 are 0..n-1 (a loop)."""
+    t = np.full((n, n), -1)
+    t[0], t[:, 0] = np.arange(n), np.arange(n)
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k: int) -> bool:
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        free = sorted(set(range(n)) - set(t[i, :j].tolist()) - set(t[:i, j].tolist()))
+        rng.shuffle(free)
+        for v in free:
+            t[i, j] = v
+            if fill(k + 1):
+                return True
+        t[i, j] = -1
+        return False
+
+    assert fill(0)
+    return t
+
+
+def perturbations(table: np.ndarray, rng: random.Random, count: int):
+    """`count` one-cell and `count` two-cell random edits of a table."""
+    n = len(table)
+    for cells in (1, 2):
+        for _ in range(count):
+            t = table.copy()
+            for _ in range(cells):
+                x, y = rng.randrange(n), rng.randrange(n)
+                t[x, y] = (t[x, y] + rng.randrange(1, n)) % n
+            yield t
+
+
+def intercalate_switches(table: np.ndarray):
+    """Latin-preserving edits: swap a and b in each 2x2 subsquare [[a, b], [b, a]]."""
+    n = len(table)
+    for x1, x2 in itertools.combinations(range(n), 2):
+        for y1, y2 in itertools.combinations(range(n), 2):
+            a, b = table[x1, y1], table[x1, y2]
+            if table[x2, y1] == b and table[x2, y2] == a:
+                t = table.copy()
+                t[x1, y1] = t[x2, y2] = b
+                t[x1, y2] = t[x2, y1] = a
+                yield t
+
+
+def test_fast_validation_on_random_loops():
+    rng = random.Random(5)
+    outcomes = set()
+    for n in (5, 6, 7):
+        for _ in range(40):
+            want = assert_group_validation_matches(random_reduced_latin_square(n, rng))
+            outcomes.add(want is None)
+    assert outcomes == {True, False}  # both groups and non-associative loops occur
+
+
+@pytest.mark.parametrize("spec", ["zmod:8", "zmod:12", "matrix:2,2", "uppertri:2,3"])
+def test_fast_validation_on_perturbed_tables(spec):
+    rng = random.Random(spec)
+    add = np.array(parse_ring_spec(spec).add)
+    for t in perturbations(add, rng, 30):
+        assert_group_validation_matches(t)
+    errors = {assert_group_validation_matches(t) for t in intercalate_switches(add)}
+    if len(add) % 2 == 0:  # a group of odd order has no 2x2 subsquares
+        # switches away from row and column 0 keep a loop that is not a group
+        assert any(e and "associative at" in e for e in errors)
+
+
+def test_fast_validation_on_every_constructor(corpus_groups):
+    specs = [spec for spec, _ in corpus_groups] + [
+        "metacyclic:9,3,4", "heisenberg:5", "product:dihedral:4,cyclic:3",
+        "perm:(1 2 3),(3 4 5)",
+    ]
+    for spec in specs:
+        assert full_scan_group_error(parse_group_spec(spec).mul) is None, spec
+
+
+def test_valid_group_tables_skip_the_cubic_scan(monkeypatch):
+    def cubic_scan(table):
+        raise AssertionError("valid table reached the O(n^3) associativity scan")
+
+    monkeypatch.setattr(dmagma.groups, "first_associativity_failure", cubic_scan)
+    assert parse_group_spec("product:dihedral:8,cyclic:4").order == 64

@@ -26,6 +26,7 @@ from dmagma.magmas import (
     structured_magma,
     superscript_names,
 )
+from dmagma.tables import first_associativity_failure, light_associative, magma_generators
 
 
 def group_double(g):
@@ -195,6 +196,37 @@ def test_parse_csv_rejects_malformed():
         parse_csv_table("")
     with pytest.raises(ValueError):
         parse_csv_table("*,a,b\na,a,a\n")  # missing row
+
+
+def test_parse_csv_rejects_unknown_cell():
+    with pytest.raises(ValueError, match="unknown element 'c'"):
+        parse_csv_table(",a,b\na,a,c\nb,b,a\n")
+
+
+def test_parse_csv_rejects_blank_row():
+    with pytest.raises(ValueError, match="malformed CSV row 2"):
+        parse_csv_table(",a,b\na,a,b\n\n")
+
+
+def test_light_test_agrees_with_full_scan_on_small_magmas():
+    tables = [np.array(t).reshape(2, 2) for t in itertools.product(range(2), repeat=4)]
+    rng = np.random.default_rng(0)
+    tables += list(rng.integers(0, 3, size=(3000, 3, 3)))
+    assoc = 0
+    for t in tables:
+        t = t.astype(np.int32)
+        gens = magma_generators(t)
+        reached = set(gens)
+        while True:  # products of generators, independently of magma_generators
+            more = reached | {int(t[a, b]) for a in reached for b in reached}
+            if more == reached:
+                break
+            reached = more
+        assert reached == set(range(len(t)))
+        expected = first_associativity_failure(t) is None
+        assert light_associative(t, gens) == expected
+        assoc += expected
+    assert assoc >= 10  # semigroups occur among these tables, not only failures
 
 
 def test_structured_contains_both_operations():

@@ -1,8 +1,11 @@
 """Finite ring constructors, the Lie bracket, and the bracket-law registry."""
 
+import random
+
 import numpy as np
 import pytest
 
+import dmagma.rings
 from dmagma.errors import SpecError
 from dmagma.rings import (
     FiniteRing,
@@ -13,6 +16,7 @@ from dmagma.rings import (
     make_zmod,
     parse_ring_spec,
 )
+from dmagma.tables import first_associativity_failure, is_latin
 
 
 def decode_matrix(r, index, k, n, upper=False):
@@ -201,3 +205,138 @@ def test_sampled_fallback_past_budget():
 def test_unknown_ring_law():
     with pytest.raises(SpecError, match="RCI"):
         check_ring_law(make_zmod(2), "NOPE")
+
+
+# --- fast table validation against the full scans --------------------------------
+
+
+def full_scan_ring_error(add, mul) -> str | None:
+    """The message of the O(n^3) check sequence FiniteRing used to run, or None.
+
+    The two distributive scans run over all x at once; FiniteRing scans them in
+    row blocks, which covers every x in one block for the orders used here.
+    """
+    add, mul = np.asarray(add, dtype=np.int32), np.asarray(mul, dtype=np.int32)
+    if not is_latin(add):
+        return "addition table is not a Latin square"
+    if not np.array_equal(add, add.T):
+        return "addition must be commutative"
+    if first_associativity_failure(add) is not None:
+        return "addition must be associative"
+    if not np.all(add == np.arange(len(add))[None, :], axis=1).any():
+        return "addition has no zero element"
+    bad = first_associativity_failure(mul)
+    if bad is not None:
+        return f"multiplication is not associative at {bad}"
+    # [x, y, z]: x(y+z) against xy + xz
+    if not np.array_equal(mul[:, add], add[mul[:, :, None], mul[:, None, :]]):
+        return "multiplication does not left-distribute over addition"
+    # [y, z, x]: (y+z)x against yx + zx
+    if not np.array_equal(mul[add], add[mul[:, None, :], mul[None, :, :]]):
+        return "multiplication does not right-distribute over addition"
+    return None
+
+
+def assert_ring_validation_matches(add, mul):
+    want = full_scan_ring_error(add, mul)
+    names = [str(i) for i in range(len(add))]
+    if want is None:
+        FiniteRing(add, mul, names)
+    else:
+        with pytest.raises(ValueError) as err:
+            FiniteRing(add, mul, names)
+        assert str(err.value) == want
+    return want
+
+
+def random_commutative_loop(n: int, rng: random.Random) -> np.ndarray:
+    """A random symmetric Latin square whose row and column 0 are 0..n-1."""
+    t = np.full((n, n), -1)
+    t[0], t[:, 0] = np.arange(n), np.arange(n)
+    cells = [(i, j) for i in range(1, n) for j in range(i, n)]
+
+    def fill(k: int) -> bool:
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        free = sorted(set(range(n)) - set(t[i].tolist()) - set(t[j].tolist()))
+        rng.shuffle(free)
+        for v in free:
+            t[i, j] = t[j, i] = v
+            if fill(k + 1):
+                return True
+        t[i, j] = t[j, i] = -1
+        return False
+
+    assert fill(0)
+    return t
+
+
+def perturbations(table: np.ndarray, rng: random.Random, count: int):
+    """`count` one-cell and `count` two-cell random edits of a table."""
+    n = len(table)
+    for cells in (1, 2):
+        for _ in range(count):
+            t = table.copy()
+            for _ in range(cells):
+                x, y = rng.randrange(n), rng.randrange(n)
+                t[x, y] = (t[x, y] + rng.randrange(1, n)) % n
+            yield t
+
+
+@pytest.mark.parametrize("spec", ["zmod:8", "zmod:12", "matrix:2,2", "uppertri:2,3"])
+def test_fast_validation_on_perturbed_tables(spec):
+    r = parse_ring_spec(spec)
+    add, mul = np.array(r.add), np.array(r.mul)
+    rng = random.Random(spec)
+    errors = set()
+    for t in perturbations(mul, rng, 30):
+        errors.add(assert_ring_validation_matches(add, t))
+    for t in perturbations(add, rng, 30):
+        assert_ring_validation_matches(t, mul)
+    assert None not in errors
+
+
+def test_fast_validation_on_random_commutative_loops():
+    rng = random.Random(11)
+    errors = set()
+    for n, count in ((5, 30), (6, 30), (7, 5)):  # order 7 backtracks much longer
+        for _ in range(count):
+            add = random_commutative_loop(n, rng)
+            errors.add(assert_ring_validation_matches(add, np.zeros_like(add)))
+    assert errors == {None, "addition must be associative"}
+
+
+@pytest.mark.parametrize("spec", ["zmod:6", "matrix:2,2", "uppertri:2,3"])
+def test_fast_validation_on_structured_products(spec):
+    r = parse_ring_spec(spec)
+    n = r.order
+    rows, cols = np.indices((n, n))
+    # the bracket is bilinear but not associative; projections fail one distributive law
+    for mul, fails in (
+        (r.bracket_table(), "associative at" if spec != "zmod:6" else None),
+        (rows, "left-distribute"),
+        (cols, "right-distribute"),
+    ):
+        err = assert_ring_validation_matches(r.add, mul)
+        assert err is None if fails is None else fails in err
+
+
+def test_fast_validation_on_every_constructor(corpus_rings):
+    rings = [r for _, r in corpus_rings] + [
+        make_zmod(1), make_zmod(9), make_matrix_ring(1, 5), make_upper_triangular(3, 2),
+    ]
+    for r in rings:
+        assert full_scan_ring_error(r.add, r.mul) is None, r.label
+
+
+def test_valid_ring_tables_skip_the_cubic_scans(monkeypatch):
+    def cubic_scan(table):
+        raise AssertionError("valid table reached the O(n^3) associativity scan")
+
+    def distributive_scan(self):
+        raise AssertionError("valid table reached the O(n^3) distributive scans")
+
+    monkeypatch.setattr(dmagma.rings, "first_associativity_failure", cubic_scan)
+    monkeypatch.setattr(FiniteRing, "_check_distributive", distributive_scan)
+    assert parse_ring_spec("matrix:2,3").order == 81

@@ -17,6 +17,7 @@ from dmagma.errors import (
 from dmagma.groups import make_cyclic, make_dihedral, make_metacyclic, parse_group_spec
 from dmagma.words import (
     BUILTIN_LAWS,
+    MAX_DEPTH,
     Bracket,
     Conjugate,
     IdentityLiteral,
@@ -206,6 +207,19 @@ def test_chunked_scan_is_deterministic():
     assert len(verdicts) == 1
 
 
+def test_sampled_stream_does_not_depend_on_chunk_size():
+    cases = [
+        ("dihedral:8", "[x,y,z]=1"),  # first witness after 11 samples, past a chunk of 7
+        ("heisenberg:3", "[x,y]^2=1"),
+        ("heisenberg:3", "[x,y,z]=1"),  # holds: every chunk is scanned to the end
+        ("perm:(1 2),(1 2 3 4)", "x y z=z y x"),
+    ]
+    for spec, text in cases:
+        g, law = parse_group_spec(spec), parse_law(text)
+        verdicts = [check_law_sampled(g, law, 3000, 4, chunk_size=c) for c in (1, 7, 1000, 1 << 20)]
+        assert all(v == verdicts[0] for v in verdicts), (spec, text)
+
+
 def test_d8_three_metabelian_law_counts():
     g = make_dihedral(8)
     v = check_law_exhaustive(g, builtin_law("3M_I"))
@@ -295,3 +309,35 @@ def test_verdict_witness_is_lexicographically_smallest():
     want = naive_check(g, law)
     assert got.witness == want.witness
     assert got.evaluations == want.evaluations
+
+
+# --- nesting depth ----------------------------------------------------------------
+
+
+def test_deep_parentheses_are_a_parse_error():
+    deep = "(" * 3000 + "x" + ")" * 3000 + "=1"
+    with pytest.raises(ParseError, match="deeper than"):
+        parse_law(deep)
+    with pytest.raises(ParseError, match="deeper than"):
+        parse_term("[" * 3000 + "x,y" + "]" * 3000)
+
+
+def test_long_chains_are_a_parse_error():
+    # a long product or comma list nests the syntax tree without any parentheses
+    with pytest.raises(ParseError, match="deeper than"):
+        parse_law(" ".join(["x"] * 3000) + "=1")
+    with pytest.raises(ParseError, match="deeper than"):
+        parse_term("[" + ",".join(["x"] * 3000) + "]")
+
+
+def test_terms_at_the_depth_limit_still_work():
+    g = make_cyclic(3)
+    left = parse_term(" ".join(["x"] * MAX_DEPTH))  # MAX_DEPTH - 1 products over x
+    right = parse_term("(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1))
+    assert parse_term(to_string(left)) == left
+    assert evaluate(left, g, {"x": 1}) == MAX_DEPTH % 3
+    assert evaluate(right, g, {"x": 2}) == 2
+    v = check_law_exhaustive(g, parse_law(to_string(left) + "=1"))
+    assert (v.status, v.evaluations, v.witness) == ("counterexample", 2, {"x": "a"})
+    with pytest.raises(ParseError):
+        parse_term(" ".join(["x"] * (MAX_DEPTH + 1)))
