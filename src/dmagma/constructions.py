@@ -54,9 +54,9 @@ def word_double(g: FiniteGroup, word: WordPair | Term | str) -> DoubleMagma:
     elif isinstance(word, Term):
         word = WordPair(word)
     n = g.order
-    idx = np.arange(n, dtype=np.int32)
-    env = {"a": np.repeat(idx, n), "b": np.tile(idx, n)}
-    star = _eval_batch(word.term, g, env, n * n).reshape(n, n)
+    idx = np.arange(n)
+    env = {"a": idx[:, None], "b": idx[None, :]}  # one broadcast axis per variable
+    star = np.broadcast_to(_eval_batch(word.term, g, env, ()), (n, n))
     return _double(star, g.names, label=f"word({g.label})")
 
 

@@ -249,6 +249,9 @@ def parse_csv_table(text: str) -> tuple[list[str], np.ndarray]:
     names = rows[0][1:]
     index = {s: i for i, s in enumerate(names)}
     n = len(names)
+    if len(index) != n:
+        dup = next(s for s in names if names.count(s) > 1)
+        raise ValueError(f"CSV header repeats element {dup!r}")
     if len(rows) != n + 1:
         raise ValueError(f"CSV table has {len(rows) - 1} rows for {n} columns")
     op = np.empty((n, n), dtype=np.int32)

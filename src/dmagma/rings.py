@@ -12,10 +12,12 @@ import numpy as np
 
 from .errors import SpecError
 from .tables import (
+    BLOCK_CELLS,
     DEFAULT_ORDER_BUDGET,
     as_table,
     check_order_budget,
     first_associativity_failure,
+    gather,
     is_latin,
     light_associative,
     magma_generators,
@@ -24,9 +26,9 @@ from .tables import (
 from .words import (
     COUNTEREXAMPLE,
     DEFAULT_EVAL_BUDGET,
-    HOLDS_EXHAUSTIVE,
     HOLDS_SAMPLED,
     Verdict,
+    scan_lexicographic,
 )
 
 _DEFAULT_SAMPLES = 10**6
@@ -231,62 +233,23 @@ def _rci_diff(r: FiniteRing, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return r.add[left, r.neg[right]]
 
 
-def _scan_3var(r: FiniteRing, grid_fn) -> Verdict:
-    """Exhaustive scan of grid_fn(x0, x1)[x-x0, y, z] == zero over all triples."""
+def _sampled_scan(r: FiniteRing, variables: tuple[str, ...], value, sample_count: int,
+                  seed: int) -> Verdict:
+    """Zero test of `value` on `sample_count` seeded pseudo-random assignments."""
     n = r.order
-    blk = row_block(n)
-    for x0 in range(0, n, blk):
-        neq = grid_fn(x0, min(x0 + blk, n)) != r.zero
-        if neq.any():
-            flat = int(np.argmax(neq))
-            b, rest = divmod(flat, n * n)
-            y, z = divmod(rest, n)
-            x = x0 + b
-            return Verdict(
-                COUNTEREXAMPLE,
-                evaluations=(x * n + y) * n + z + 1,
-                witness={"x": r.names[x], "y": r.names[y], "z": r.names[z]},
-            )
-    return Verdict(HOLDS_EXHAUSTIVE, evaluations=n**3)
-
-
-def _scan_4var(r: FiniteRing, grid_fn, flat_fn, budget: int, sample_count: int,
-               seed: int) -> Verdict:
-    """Scan a 4-variable zero test; falls back to seeded sampling past the budget."""
-    n = r.order
-    total = n**4
-    if total <= budget:
-        blk = max(1, row_block(n) // max(n, 1))
-        for w0 in range(0, n, blk):
-            neq = grid_fn(w0, min(w0 + blk, n)) != r.zero
-            if neq.any():
-                flat = int(np.argmax(neq))
-                wloc, rest = divmod(flat, n**3)
-                x, rest = divmod(rest, n * n)
-                y, z = divmod(rest, n)
-                w = w0 + wloc
-                return Verdict(
-                    COUNTEREXAMPLE,
-                    evaluations=((w * n + x) * n + y) * n + z + 1,
-                    witness={"w": r.names[w], "x": r.names[x],
-                             "y": r.names[y], "z": r.names[z]},
-                )
-        return Verdict(HOLDS_EXHAUSTIVE, evaluations=total)
     rng = np.random.default_rng(seed)
     done = 0
     chunk = 1 << 20
     while done < sample_count:
         size = min(chunk, sample_count - done)
-        sample = rng.integers(0, n, size=(size, 4), dtype=np.int64)
-        vals = flat_fn(sample[:, 0], sample[:, 1], sample[:, 2], sample[:, 3])
-        neq = vals != r.zero
+        sample = rng.integers(0, n, size=(size, len(variables)), dtype=np.int64)
+        neq = value(*sample.T) != r.zero
         if neq.any():
             hit = int(np.argmax(neq))
-            w, x, y, z = (int(v) for v in sample[hit])
             return Verdict(
                 COUNTEREXAMPLE,
                 evaluations=done + hit + 1,
-                witness={"w": r.names[w], "x": r.names[x], "y": r.names[y], "z": r.names[z]},
+                witness={v: r.names[int(i)] for v, i in zip(variables, sample[hit])},
                 sample_count=sample_count,
                 seed=seed,
             )
@@ -310,45 +273,25 @@ def check_ring_law(
     PROPER_WITNESS scans the law 2<x,y> = 0; a counterexample is exactly a
     pair witnessing that the commutation double magma on R is proper.
     """
+    if sample_count < 1:
+        raise ValueError("sample count must be at least 1")
     bk = r.bracket_table()
     dbl = r.double_table()
-    n = r.order
-
-    if name == "ALT3M":
-        # [x, y, z] -> <<x,y>, <x,z>>
-        return _scan_3var(r, lambda x0, x1: bk[bk[x0:x1, :, None], bk[x0:x1, None, :]])
-    if name == "NILP2":
-        # [x, y, z] -> <<x,y>, z>
-        return _scan_3var(r, lambda x0, x1: bk[bk[x0:x1]])
-    if name == "PROPER_WITNESS":
-        neq = dbl[bk] != r.zero
-        if neq.any():
-            flat = int(np.argmax(neq))
-            x, y = divmod(flat, n)
-            return Verdict(COUNTEREXAMPLE, evaluations=flat + 1,
-                           witness={"x": r.names[x], "y": r.names[y]})
-        return Verdict(HOLDS_EXHAUSTIVE, evaluations=n * n)
-    if name == "RCI":
-
-        def grid_fn(w0, w1):
-            bkw = bk[w0:w1]
-            left = bk[bkw[:, :, None, None], bk[None, None, :, :]]
-            right = bk[bkw[:, None, :, None], bk[None, :, None, :]]
-            return _rci_diff(r, left, right)
-
-        def flat_fn(w, x, y, z):
-            return _rci_diff(r, bk[bk[w, x], bk[y, z]], bk[bk[w, y], bk[x, z]])
-
-        return _scan_4var(r, grid_fn, flat_fn, budget, sample_count, seed)
-    if name == "DOUBLE2":
-
-        def grid_fn(w0, w1):
-            bkw = bk[w0:w1]
-            return dbl[bk[bkw[:, :, None, None], bk[None, None, :, :]]]
-
-        def flat_fn(w, x, y, z):
-            return dbl[bk[bk[w, x], bk[y, z]]]
-
-        return _scan_4var(r, grid_fn, flat_fn, budget, sample_count, seed)
-    known = ", ".join(RING_LAWS)
-    raise SpecError(f"unknown ring law {name!r}; known laws: {known}")
+    laws = {  # variables, and the value the law says is zero
+        "RCI": (("w", "x", "y", "z"),
+                lambda w, x, y, z: _rci_diff(r, bk[bk[w, x], bk[y, z]], bk[bk[w, y], bk[x, z]])),
+        "ALT3M": (("x", "y", "z"), lambda x, y, z: bk[bk[x, y], bk[x, z]]),
+        "DOUBLE2": (("w", "x", "y", "z"), lambda w, x, y, z: dbl[bk[bk[w, x], bk[y, z]]]),
+        "NILP2": (("x", "y", "z"), lambda x, y, z: gather(bk, bk[x, y], z)),
+        "PROPER_WITNESS": (("x", "y"), lambda x, y: dbl[gather(bk, x, y)]),
+    }
+    if name not in laws:
+        known = ", ".join(RING_LAWS)
+        raise SpecError(f"unknown ring law {name!r}; known laws: {known}")
+    variables, value = laws[name]
+    # only the four-variable laws fall back to sampling past the budget
+    if len(variables) == 4 and r.order**4 > budget:
+        return _sampled_scan(r, variables, value, sample_count, seed)
+    return scan_lexicographic(
+        r.order, variables, r.names, lambda axes: value(*axes) != r.zero, BLOCK_CELLS
+    )

@@ -18,6 +18,7 @@ ParseError.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -398,8 +399,14 @@ def evaluate(term: Term, group: FiniteGroup, assignment: Mapping[str, int]) -> i
     raise TypeError(f"not a term: {term!r}")
 
 
-def _eval_batch(term: Term, group: FiniteGroup, env: dict[str, np.ndarray], size: int) -> np.ndarray:
-    """Evaluate a term over a batch of assignments (one index array per variable)."""
+def _eval_batch(
+    term: Term, group: FiniteGroup, env: dict[str, np.ndarray], size: int | tuple[int, ...]
+) -> np.ndarray:
+    """Evaluate a term over a batch of assignments (one index array per variable).
+
+    The arrays broadcast against each other. With one axis per variable and
+    size=() each subterm is computed on the grid of its own variables only.
+    """
     mul, inv = group.mul, group.inv
     if isinstance(term, Variable):
         try:
@@ -495,6 +502,45 @@ def _witness_dict(variables: tuple[str, ...], digits, names) -> dict[str, str]:
     return {v: names[int(d)] for v, d in zip(variables, digits)}
 
 
+def scan_lexicographic(n: int, variables: tuple[str, ...], names, failing, cells: int) -> Verdict:
+    """Exhaustive scan of range(n)^k in lexicographic order for the first failure.
+
+    `failing(axes)` gets one index array per variable and returns a boolean
+    array, broadcastable to the grid they span, that is true where the law
+    fails. The trailing variables get one full axis each, so a subterm costs
+    the product of its own variables' ranges; the leading variables are fixed
+    as scalars, most significant first, and the one just before the full axes
+    is cut into a block, so that one slice holds at most `cells` assignments.
+    Slices are visited in lexicographic order, and the first true cell of the
+    C-order ravel of the first failing slice is the smallest witness.
+    """
+    k = len(variables)
+    if k == 0:
+        if np.any(failing([])):
+            return Verdict(COUNTEREXAMPLE, evaluations=1, witness={})
+        return Verdict(HOLDS_EXHAUSTIVE, evaluations=1)
+    free, trail = 0, 1  # full trailing axes, and the assignments they span
+    while free < k - 1 and trail * n <= cells:
+        free, trail = free + 1, trail * n
+    width = max(1, min(n, cells // trail))
+    tail = [np.arange(n).reshape((n,) + (1,) * (free - 1 - i)) for i in range(free)]
+    for p, prefix in enumerate(itertools.product(range(n), repeat=k - 1 - free)):
+        for lo in range(0, n, width):
+            hi = min(lo + width, n)
+            block = np.arange(lo, hi).reshape((hi - lo,) + (1,) * free)
+            bad = failing([*prefix, block, *tail])
+            if np.any(bad):
+                hit = int(np.argmax(np.broadcast_to(bad, (hi - lo,) + (n,) * free)))
+                pos = (p * n + lo) * trail + hit
+                digits = [pos // n ** (k - 1 - i) % n for i in range(k)]
+                return Verdict(
+                    COUNTEREXAMPLE,
+                    evaluations=pos + 1,
+                    witness=_witness_dict(variables, digits, names),
+                )
+    return Verdict(HOLDS_EXHAUSTIVE, evaluations=n**k)
+
+
 def check_law_exhaustive(
     group: FiniteGroup,
     law: Law,
@@ -503,36 +549,23 @@ def check_law_exhaustive(
 ) -> Verdict:
     """Scan every assignment in lexicographic element order.
 
-    The first variable is the most significant digit, so flat chunk indices
-    enumerate assignments in exactly the order the witness contract needs.
+    The first variable is the most significant digit. Each variable has its
+    own broadcast axis (`scan_lexicographic`), so a subterm is computed only
+    on the grid of its own free variables.
     """
     n = group.order
-    k = len(law.variables)
-    total = n**k
+    total = n ** len(law.variables)
     if total > budget:
         raise BudgetExceededError(
             f"law {law} over order {n} needs {total} evaluations "
             f"(budget {budget}); use check_law_sampled"
         )
-    weights = [n ** (k - 1 - i) for i in range(k)]
-    for start in range(0, total, chunk_size):
-        stop = min(start + chunk_size, total)
-        flat = np.arange(start, stop, dtype=np.int64)
-        env = {
-            v: ((flat // w) % n).astype(np.int32)
-            for v, w in zip(law.variables, weights)
-        }
-        size = stop - start
-        neq = _eval_batch(law.lhs, group, env, size) != _eval_batch(law.rhs, group, env, size)
-        if neq.any():
-            hit = int(np.argmax(neq))
-            digits = [(start + hit) // w % n for w in weights]
-            return Verdict(
-                COUNTEREXAMPLE,
-                evaluations=start + hit + 1,
-                witness=_witness_dict(law.variables, digits, group.names),
-            )
-    return Verdict(HOLDS_EXHAUSTIVE, evaluations=total)
+
+    def failing(axes):
+        env = dict(zip(law.variables, axes))
+        return _eval_batch(law.lhs, group, env, ()) != _eval_batch(law.rhs, group, env, ())
+
+    return scan_lexicographic(n, law.variables, group.names, failing, chunk_size)
 
 
 def check_law_sampled(

@@ -212,6 +212,14 @@ def test_ring_law_checks(capsys):
     assert rc == 2
 
 
+def test_ring_law_rejects_non_positive_samples(capsys):
+    for count in ("-1", "0"):
+        rc, out, err = run(capsys, "ring", "zmod:3", "--law", "RCI", "--samples", count,
+                           "--budget", "1")
+        assert rc == 2 and out == ""
+        assert "sample count must be at least 1" in err
+
+
 # --- suite ----------------------------------------------------------------------
 
 

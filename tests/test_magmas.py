@@ -26,7 +26,12 @@ from dmagma.magmas import (
     structured_magma,
     superscript_names,
 )
-from dmagma.tables import first_associativity_failure, light_associative, magma_generators
+from dmagma.tables import (
+    first_associativity_failure,
+    gather,
+    light_associative,
+    magma_generators,
+)
 
 
 def group_double(g):
@@ -208,6 +213,11 @@ def test_parse_csv_rejects_blank_row():
         parse_csv_table(",a,b\na,a,b\n\n")
 
 
+def test_parse_csv_rejects_duplicate_header_names():
+    with pytest.raises(ValueError, match="repeats element 'a'"):
+        parse_csv_table(",a,a\na,a,a\na,a,a\n")
+
+
 def test_light_test_agrees_with_full_scan_on_small_magmas():
     tables = [np.array(t).reshape(2, 2) for t in itertools.product(range(2), repeat=4)]
     rng = np.random.default_rng(0)
@@ -246,3 +256,19 @@ def test_superscript_names():
         "a¹²",
         "(1,0,2)",
     ]
+
+
+def test_gather_matches_fancy_indexing():
+    rng = np.random.default_rng(5)
+    table = rng.integers(0, 6, size=(6, 6))
+    full = np.arange(6)
+    cases = [
+        (rng.integers(0, 6, size=(3, 4, 1)), full),  # whole rows
+        (np.int64(2), full),  # one whole row
+        (rng.integers(0, 6, size=(4, 1)), full[::-1].copy()),  # all columns, not in order
+        (rng.integers(0, 6, size=(3, 6)), full),  # a varies along the last axis
+        (rng.integers(0, 6, size=(5, 1)), rng.integers(0, 6, size=(1, 6))),
+        (rng.integers(0, 6, size=7), rng.integers(0, 6, size=7)),
+    ]
+    for a, b in cases:
+        assert np.array_equal(gather(table, a, b), table[a, b])

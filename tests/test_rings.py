@@ -1,11 +1,13 @@
 """Finite ring constructors, the Lie bracket, and the bracket-law registry."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 import dmagma.rings
+import dmagma.words
 from dmagma.errors import SpecError
 from dmagma.rings import (
     FiniteRing,
@@ -190,6 +192,40 @@ def test_law_witnesses_verify_by_scalar_recomputation():
     assert v.status == "counterexample"
     x, y, z = (r.names.index(v.witness[k]) for k in ("x", "y", "z"))
     assert lie_bracket(r, lie_bracket(r, x, y), z) != r.zero
+
+
+def _scalar_ring_law(r, name):
+    """Variables and zero-tested value of a registry law, by scalar lie_bracket."""
+    b = lambda x, y: lie_bracket(r, x, y)  # noqa: E731
+    twice = lambda v: int(r.add[v, v])  # noqa: E731
+    return {
+        "RCI": ("wxyz", lambda w, x, y, z: int(
+            r.add[b(b(w, x), b(y, z)), r.neg[b(b(w, y), b(x, z))]])),
+        "ALT3M": ("xyz", lambda x, y, z: b(b(x, y), b(x, z))),
+        "DOUBLE2": ("wxyz", lambda w, x, y, z: twice(b(b(w, x), b(y, z)))),
+        "NILP2": ("xyz", lambda x, y, z: b(b(x, y), z)),
+        "PROPER_WITNESS": ("xy", lambda x, y: twice(b(x, y))),
+    }[name]
+
+
+@pytest.mark.parametrize("spec", ["zmod:6", "uppertri:2,2", "matrix:2,2", "matrix:2,3"])
+def test_ring_scans_match_scalar_nested_loops(spec):
+    r = parse_ring_spec(spec)
+    scanned = []
+    for name in dmagma.rings.RING_LAWS:
+        variables, value = _scalar_ring_law(r, name)
+        total = r.order ** len(variables)
+        if total > 7000:  # keeps the scalar loops quick
+            continue
+        want = dmagma.words.Verdict("holds-exhaustive", total)
+        for pos, combo in enumerate(itertools.product(range(r.order), repeat=len(variables))):
+            if value(*combo) != r.zero:
+                witness = {v: r.names[i] for v, i in zip(variables, combo)}
+                want = dmagma.words.Verdict("counterexample", pos + 1, witness)
+                break
+        assert check_ring_law(r, name) == want, name
+        scanned.append(name)
+    assert "PROPER_WITNESS" in scanned
 
 
 def test_sampled_fallback_past_budget():

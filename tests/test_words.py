@@ -4,9 +4,13 @@ The law checker is cross-validated against a naive nested-loop oracle that
 shares nothing with the vectorized scan path.
 """
 
+import dataclasses
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmagma.errors import (
     BudgetExceededError,
@@ -15,8 +19,11 @@ from dmagma.errors import (
     UnboundVariableError,
 )
 from dmagma.groups import make_cyclic, make_dihedral, make_metacyclic, parse_group_spec
+from dmagma.suite import DEFAULT_GROUPS, IDENTITY_LAWS
 from dmagma.words import (
     BUILTIN_LAWS,
+    COUNTEREXAMPLE,
+    HOLDS_EXHAUSTIVE,
     MAX_DEPTH,
     Bracket,
     Conjugate,
@@ -24,17 +31,22 @@ from dmagma.words import (
     IntPower,
     Inverse,
     Product,
+    Term,
     Variable,
     Verdict,
+    _eval_batch,
     builtin_law,
     check_law_exhaustive,
     check_law_sampled,
     evaluate,
     free_variables,
+    make_law,
     parse_law,
     parse_term,
+    scan_lexicographic,
     to_string,
 )
+from test_properties import GROUPS, terms
 
 X, Y, Z, U = Variable("x"), Variable("y"), Variable("z"), Variable("u")
 
@@ -198,6 +210,121 @@ def test_checker_matches_naive_oracle(spec, law_text):
     got = check_law_exhaustive(g, law)
     want = naive_check(g, law)
     assert got == want
+
+
+def flat_index_scan(group, law):
+    """Oracle: the scan the broadcast grid replaced.
+
+    Every chunk of assignments is a flat int64 index range; each variable is
+    decoded from it with // and %, and every subterm is evaluated at full
+    chunk size.
+    """
+    n, k = group.order, len(law.variables)
+    total = n**k
+    weights = [n ** (k - 1 - i) for i in range(k)]
+    chunk = 1 << 20
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        flat = np.arange(start, stop, dtype=np.int64)
+        env = {v: ((flat // w) % n).astype(np.int32) for v, w in zip(law.variables, weights)}
+        size = stop - start
+        neq = _eval_batch(law.lhs, group, env, size) != _eval_batch(law.rhs, group, env, size)
+        if neq.any():
+            pos = start + int(np.argmax(neq))
+            witness = {v: group.names[pos // w % n] for v, w in zip(law.variables, weights)}
+            return Verdict(COUNTEREXAMPLE, evaluations=pos + 1, witness=witness)
+    return Verdict(HOLDS_EXHAUSTIVE, evaluations=total)
+
+
+EDGE_LAWS = ("1=1", "x=1", "x^0=1", "[1,x]=1", "[x,y]^-3=[y,x]^3")
+DIFFERENTIAL_LAWS = (
+    *BUILTIN_LAWS.values(), *(text for _, text in IDENTITY_LAWS), *EDGE_LAWS
+)
+# Largest assignment count the differential sweep scans, and the most slices
+# one small-chunk scan may take (each slice evaluates the whole law once).
+DIFFERENTIAL_TOTAL = 2 * 10**6
+DIFFERENTIAL_SLICES = 3000
+
+
+@pytest.mark.parametrize("spec", DEFAULT_GROUPS)
+def test_broadcast_scan_matches_flat_index_scan(spec):
+    g = parse_group_spec(spec)
+    n = g.order
+    scanned = 0
+    for text in DIFFERENTIAL_LAWS:
+        law = parse_law(text)
+        total = n ** len(law.variables)
+        if total > DIFFERENTIAL_TOTAL:
+            continue
+        want = flat_index_scan(g, law)
+        for chunk in (1, 7, n, 1 << 20):
+            if total > chunk * DIFFERENTIAL_SLICES:
+                continue
+            assert check_law_exhaustive(g, law, chunk_size=chunk) == want, (text, chunk)
+            scanned += 1
+    assert scanned >= len(DIFFERENTIAL_LAWS) // 2
+
+
+def test_broadcast_scan_edge_laws():
+    g = make_dihedral(4)
+    got = {text: check_law_exhaustive(g, parse_law(text)) for text in EDGE_LAWS}
+    assert got["1=1"] == Verdict(HOLDS_EXHAUSTIVE, 1)
+    assert got["x=1"] == Verdict(COUNTEREXAMPLE, 2, {"x": g.names[1]})
+    assert got["x^0=1"] == Verdict(HOLDS_EXHAUSTIVE, 8)
+    assert got["[1,x]=1"] == Verdict(HOLDS_EXHAUSTIVE, 8)
+    assert got["[x,y]^-3=[y,x]^3"] == Verdict(HOLDS_EXHAUSTIVE, 64)
+
+
+@pytest.mark.parametrize(
+    "n,k,cells", [(3, 4, 1), (3, 4, 7), (5, 3, 30), (4, 2, 100), (2, 5, 3), (7, 1, 4)]
+)
+def test_scan_slices_tile_the_grid_in_lexicographic_order(n, k, cells):
+    variables = tuple("abcde"[:k])
+    names = [f"e{i}" for i in range(n)]
+    seen = []
+
+    def record(axes):
+        shape = np.broadcast_shapes(*(np.shape(a) for a in axes))
+        assert 1 <= np.prod(shape) <= cells
+        flat = sum(a * n ** (k - 1 - i) for i, a in enumerate(axes))
+        seen.extend(np.broadcast_to(flat, shape).ravel().tolist())
+        return np.zeros(shape, dtype=bool)
+
+    assert scan_lexicographic(n, variables, names, record, cells) == Verdict(HOLDS_EXHAUSTIVE, n**k)
+    assert seen == list(range(n**k))
+    for target in (0, 1, n**k // 2 + 1, n**k - 1):
+        def fails_at(axes):
+            flat = sum(a * n ** (k - 1 - i) for i, a in enumerate(axes))
+            return np.asarray(flat) >= target  # every later assignment fails too
+        got = scan_lexicographic(n, variables, names, fails_at, cells)
+        witness = {v: names[target // n ** (k - 1 - i) % n] for i, v in enumerate(variables)}
+        assert got == Verdict(COUNTEREXAMPLE, target + 1, witness)
+
+
+_FOLD_NAMES = ("x", "y", "z")
+
+
+def _fold_variables(t: Term, keep: int) -> Term:
+    """Rename variables onto the first `keep` of x, y, z, keeping the tree shape."""
+    if isinstance(t, Variable):
+        return Variable(_FOLD_NAMES[sum(map(ord, t.name)) % keep])
+    fields = {
+        f.name: _fold_variables(getattr(t, f.name), keep)
+        for f in dataclasses.fields(t)
+        if isinstance(getattr(t, f.name), Term)
+    }
+    return dataclasses.replace(t, **fields)
+
+
+@given(terms, terms, st.integers(0, len(GROUPS) - 1))
+@settings(max_examples=60, deadline=None)
+def test_broadcast_scan_matches_naive_oracle_on_random_laws(lhs, rhs, pick):
+    g = GROUPS[pick]
+    keep = max(k for k in (1, 2, 3) if g.order**k <= 512)  # keeps the scalar oracle quick
+    law = make_law(_fold_variables(lhs, keep), _fold_variables(rhs, keep))
+    want = naive_check(g, law)
+    for chunk in (1, 7, 1 << 20):
+        assert check_law_exhaustive(g, law, chunk_size=chunk) == want
 
 
 def test_chunked_scan_is_deterministic():
