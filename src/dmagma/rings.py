@@ -23,13 +23,7 @@ from .tables import (
     magma_generators,
     row_block,
 )
-from .words import (
-    COUNTEREXAMPLE,
-    DEFAULT_EVAL_BUDGET,
-    HOLDS_SAMPLED,
-    Verdict,
-    scan_lexicographic,
-)
+from .words import DEFAULT_EVAL_BUDGET, Verdict, scan_lexicographic, scan_sampled
 
 _DEFAULT_SAMPLES = 10**6
 
@@ -233,30 +227,6 @@ def _rci_diff(r: FiniteRing, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return r.add[left, r.neg[right]]
 
 
-def _sampled_scan(r: FiniteRing, variables: tuple[str, ...], value, sample_count: int,
-                  seed: int) -> Verdict:
-    """Zero test of `value` on `sample_count` seeded pseudo-random assignments."""
-    n = r.order
-    rng = np.random.default_rng(seed)
-    done = 0
-    chunk = 1 << 20
-    while done < sample_count:
-        size = min(chunk, sample_count - done)
-        sample = rng.integers(0, n, size=(size, len(variables)), dtype=np.int64)
-        neq = value(*sample.T) != r.zero
-        if neq.any():
-            hit = int(np.argmax(neq))
-            return Verdict(
-                COUNTEREXAMPLE,
-                evaluations=done + hit + 1,
-                witness={v: r.names[int(i)] for v, i in zip(variables, sample[hit])},
-                sample_count=sample_count,
-                seed=seed,
-            )
-        done += size
-    return Verdict(HOLDS_SAMPLED, evaluations=sample_count, sample_count=sample_count, seed=seed)
-
-
 def check_ring_law(
     r: FiniteRing,
     name: str,
@@ -289,9 +259,11 @@ def check_ring_law(
         known = ", ".join(RING_LAWS)
         raise SpecError(f"unknown ring law {name!r}; known laws: {known}")
     variables, value = laws[name]
+
+    def failing(axes):
+        return value(*axes) != r.zero
+
     # only the four-variable laws fall back to sampling past the budget
     if len(variables) == 4 and r.order**4 > budget:
-        return _sampled_scan(r, variables, value, sample_count, seed)
-    return scan_lexicographic(
-        r.order, variables, r.names, lambda axes: value(*axes) != r.zero, BLOCK_CELLS
-    )
+        return scan_sampled(r.order, variables, r.names, failing, sample_count, seed)
+    return scan_lexicographic(r.order, variables, r.names, failing, BLOCK_CELLS)

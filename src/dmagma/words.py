@@ -33,7 +33,7 @@ MAX_EXPONENT = 32
 # Deepest syntax tree a law may have; evaluating and printing terms recurses
 # once per level, so this keeps every consumer far from Python's stack limit.
 MAX_DEPTH = 100
-_CHUNK = 1 << 20
+_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -399,14 +399,47 @@ def evaluate(term: Term, group: FiniteGroup, assignment: Mapping[str, int]) -> i
     raise TypeError(f"not a term: {term!r}")
 
 
+def _word_tables(group: FiniteGroup, *terms: Term) -> dict[type, np.ndarray]:
+    """The n x n tables comm[x,y] = [x,y] and conj[x,y] = x^y = y^-1 x y.
+
+    They are keyed by node type, and a table is built only if `terms` hold a
+    node of its type, so that `_eval_batch` evaluates every bracket and
+    conjugate as one gather. They come from `group.mul` and `group.inv` alone:
+    the table-level route (`constructions.commutator_double`) builds its own
+    commutator table, so that the two routes stay independent.
+    """
+    kinds, stack = set(), list(terms)
+    while stack:
+        t = stack.pop()
+        kinds.add(type(t))
+        stack.extend(_children(t))
+    mul, inv = group.mul, group.inv
+    x = np.arange(group.order)[:, None]
+    y = x.T
+    tables = {}
+    if Bracket in kinds:
+        tables[Bracket] = mul[mul[inv[x], inv[y]], mul]
+    if Conjugate in kinds:
+        tables[Conjugate] = mul[mul[inv[y], x], y]
+    return tables
+
+
 def _eval_batch(
-    term: Term, group: FiniteGroup, env: dict[str, np.ndarray], size: int | tuple[int, ...]
+    term: Term,
+    group: FiniteGroup,
+    env: dict[str, np.ndarray],
+    size: int | tuple[int, ...],
+    tables: dict[type, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Evaluate a term over a batch of assignments (one index array per variable).
 
     The arrays broadcast against each other. With one axis per variable and
     size=() each subterm is computed on the grid of its own variables only.
+    `tables` are the `_word_tables` of the term or of a term containing it;
+    they are built here when not given.
     """
+    if tables is None:
+        tables = _word_tables(group, term)
     mul, inv = group.mul, group.inv
     if isinstance(term, Variable):
         try:
@@ -416,25 +449,27 @@ def _eval_batch(
     if isinstance(term, IdentityLiteral):
         return np.zeros(size, dtype=np.int32)
     if isinstance(term, Inverse):
-        return inv[_eval_batch(term.base, group, env, size)]
+        return inv[_eval_batch(term.base, group, env, size, tables)]
     if isinstance(term, Product):
         return mul[
-            _eval_batch(term.left, group, env, size),
-            _eval_batch(term.right, group, env, size),
+            _eval_batch(term.left, group, env, size, tables),
+            _eval_batch(term.right, group, env, size, tables),
         ]
     if isinstance(term, Conjugate):
-        x = _eval_batch(term.base, group, env, size)
-        y = _eval_batch(term.by, group, env, size)
-        return mul[mul[inv[y], x], y]
+        return tables[Conjugate][
+            _eval_batch(term.base, group, env, size, tables),
+            _eval_batch(term.by, group, env, size, tables),
+        ]
     if isinstance(term, Bracket):
-        x = _eval_batch(term.left, group, env, size)
-        y = _eval_batch(term.right, group, env, size)
-        return mul[mul[inv[x], inv[y]], mul[x, y]]
+        return tables[Bracket][
+            _eval_batch(term.left, group, env, size, tables),
+            _eval_batch(term.right, group, env, size, tables),
+        ]
     if isinstance(term, IntPower):
         k = term.exponent
         if k == 0:
             return np.zeros(size, dtype=np.int32)
-        base = _eval_batch(term.base, group, env, size)
+        base = _eval_batch(term.base, group, env, size, tables)
         if k < 0:
             base, k = inv[base], -k
         acc = np.zeros(size, dtype=np.int32)
@@ -541,6 +576,53 @@ def scan_lexicographic(n: int, variables: tuple[str, ...], names, failing, cells
     return Verdict(HOLDS_EXHAUSTIVE, evaluations=n**k)
 
 
+def scan_sampled(
+    n: int, variables: tuple[str, ...], names, failing, count: int, seed: int, chunk: int = _CHUNK
+) -> Verdict:
+    """Scan `count` seeded pseudo-random assignments of range(n)^k for a failure.
+
+    `failing(columns)` gets one index array per variable, all of one length,
+    and returns a boolean array, broadcastable to that length, that is true
+    where the law fails. Assignments are the rows of `rng.integers` draws of at
+    most `chunk` rows each; the generator yields the same rows however the
+    draws are cut, so the witness and the evaluation count depend on (seed,
+    count) only. A found counterexample is definitive; a clean pass is
+    evidence, not proof.
+    """
+    if count < 1:
+        raise ValueError("sample count must be at least 1")
+    rng = np.random.default_rng(seed)
+    done = 0
+    while done < count:
+        size = min(chunk, count - done)
+        sample = rng.integers(0, n, size=(size, len(variables)), dtype=np.int64)
+        bad = np.broadcast_to(failing(list(sample.T)), (size,))
+        if bad.any():
+            hit = int(np.argmax(bad))
+            return Verdict(
+                COUNTEREXAMPLE,
+                evaluations=done + hit + 1,
+                witness=_witness_dict(variables, sample[hit], names),
+                sample_count=count,
+                seed=seed,
+            )
+        done += size
+    return Verdict(HOLDS_SAMPLED, evaluations=count, sample_count=count, seed=seed)
+
+
+def _law_failing(group: FiniteGroup, law: Law):
+    """The `failing` callback of both scans: lhs != rhs on broadcast index arrays."""
+    tables = _word_tables(group, law.lhs, law.rhs)
+
+    def failing(axes):
+        env = dict(zip(law.variables, axes))
+        return _eval_batch(law.lhs, group, env, (), tables) != _eval_batch(
+            law.rhs, group, env, (), tables
+        )
+
+    return failing
+
+
 def check_law_exhaustive(
     group: FiniteGroup,
     law: Law,
@@ -560,12 +642,7 @@ def check_law_exhaustive(
             f"law {law} over order {n} needs {total} evaluations "
             f"(budget {budget}); use check_law_sampled"
         )
-
-    def failing(axes):
-        env = dict(zip(law.variables, axes))
-        return _eval_batch(law.lhs, group, env, ()) != _eval_batch(law.rhs, group, env, ())
-
-    return scan_lexicographic(n, law.variables, group.names, failing, chunk_size)
+    return scan_lexicographic(n, law.variables, group.names, _law_failing(group, law), chunk_size)
 
 
 def check_law_sampled(
@@ -575,33 +652,14 @@ def check_law_sampled(
     seed: int,
     chunk_size: int = _CHUNK,
 ) -> Verdict:
-    """Check `count` seeded pseudo-random assignments.
+    """Check `count` seeded pseudo-random assignments (`scan_sampled`).
 
     A found counterexample is definitive; a clean pass is evidence, not proof.
     The stream of assignments is fully determined by (seed, count).
     """
-    if count < 1:
-        raise ValueError("sample count must be at least 1")
-    n = group.order
-    k = len(law.variables)
-    rng = np.random.default_rng(seed)
-    done = 0
-    while done < count:
-        size = min(chunk_size, count - done)
-        sample = rng.integers(0, n, size=(size, k), dtype=np.int64)
-        env = {v: sample[:, i].astype(np.int32) for i, v in enumerate(law.variables)}
-        neq = _eval_batch(law.lhs, group, env, size) != _eval_batch(law.rhs, group, env, size)
-        if neq.any():
-            hit = int(np.argmax(neq))
-            return Verdict(
-                COUNTEREXAMPLE,
-                evaluations=done + hit + 1,
-                witness=_witness_dict(law.variables, sample[hit], group.names),
-                sample_count=count,
-                seed=seed,
-            )
-        done += size
-    return Verdict(HOLDS_SAMPLED, evaluations=count, sample_count=count, seed=seed)
+    return scan_sampled(
+        group.order, law.variables, group.names, _law_failing(group, law), count, seed, chunk_size
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,19 @@ def test_sampled_fallback_past_budget():
     assert v.status == "counterexample"
 
 
+def test_sampled_ring_scan_matches_a_scalar_walk_of_the_stream():
+    r = make_matrix_ring(2, 3)  # RCI fails
+    v = check_ring_law(r, "RCI", budget=100, sample_count=100_000, seed=3)
+    rows = np.random.default_rng(3).integers(0, r.order, size=(100_000, 4), dtype=np.int64)
+
+    def b(x, y):
+        return lie_bracket(r, int(x), int(y))
+
+    pos = next(i for i, (w, x, y, z) in enumerate(rows) if b(b(w, x), b(y, z)) != b(b(w, y), b(x, z)))
+    assert v.status == "counterexample" and v.evaluations == pos + 1
+    assert v.witness == {name: r.names[i] for name, i in zip("wxyz", rows[pos])}
+
+
 def test_unknown_ring_law():
     with pytest.raises(SpecError, match="RCI"):
         check_ring_law(make_zmod(2), "NOPE")

@@ -1,5 +1,6 @@
 """The verification suite: individual checks, the corpus runner, and reports."""
 
+import hashlib
 import json
 
 import pytest
@@ -186,6 +187,17 @@ def test_reports_are_byte_identical_across_runs():
         sample_count=5_000,
     )
     assert run_corpus(config).to_json() == run_corpus(config).to_json()
+
+
+# sha256 of run_corpus(CorpusConfig()).to_json(). Speed-ups must leave it as it
+# is; it may change only in a change that deliberately changes a verdict and
+# logs that change in CHANGES.md.
+DEFAULT_REPORT_SHA256 = "9cf3796f3f3f6accc9fc301872aea121743827583de93e6f4385ca588baaca48"
+
+
+def test_default_corpus_report_is_pinned():
+    text = run_corpus(CorpusConfig()).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 
 
 def test_report_shape_and_text():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmagma.constructions import commutator_double
 from dmagma.errors import (
     BudgetExceededError,
     ParseError,
@@ -24,6 +25,7 @@ from dmagma.words import (
     BUILTIN_LAWS,
     COUNTEREXAMPLE,
     HOLDS_EXHAUSTIVE,
+    HOLDS_SAMPLED,
     MAX_DEPTH,
     Bracket,
     Conjugate,
@@ -34,7 +36,7 @@ from dmagma.words import (
     Term,
     Variable,
     Verdict,
-    _eval_batch,
+    _word_tables,
     builtin_law,
     check_law_exhaustive,
     check_law_sampled,
@@ -212,12 +214,46 @@ def test_checker_matches_naive_oracle(spec, law_text):
     assert got == want
 
 
+def formula_eval(term, group, env, size):
+    """Oracle: batch evaluation straight from mul and inv, with no derived tables.
+
+    Brackets and conjugates use the products that define them, and a power
+    multiplies its base |k| times.
+    """
+    mul, inv = group.mul, group.inv
+
+    def ev(t):
+        if isinstance(t, Variable):
+            return env[t.name]
+        if isinstance(t, IdentityLiteral):
+            return np.zeros(size, dtype=np.int32)
+        if isinstance(t, Inverse):
+            return inv[ev(t.base)]
+        if isinstance(t, Product):
+            return mul[ev(t.left), ev(t.right)]
+        if isinstance(t, Conjugate):
+            x, y = ev(t.base), ev(t.by)
+            return mul[mul[inv[y], x], y]
+        if isinstance(t, Bracket):
+            x, y = ev(t.left), ev(t.right)
+            return mul[mul[inv[x], inv[y]], mul[x, y]]
+        if isinstance(t, IntPower):
+            base = ev(t.base) if t.exponent >= 0 else inv[ev(t.base)]
+            acc = np.zeros(size, dtype=np.int32)
+            for _ in range(abs(t.exponent)):
+                acc = mul[acc, base]
+            return acc
+        raise TypeError(t)
+
+    return ev(term)
+
+
 def flat_index_scan(group, law):
     """Oracle: the scan the broadcast grid replaced.
 
     Every chunk of assignments is a flat int64 index range; each variable is
     decoded from it with // and %, and every subterm is evaluated at full
-    chunk size.
+    chunk size by `formula_eval`.
     """
     n, k = group.order, len(law.variables)
     total = n**k
@@ -228,7 +264,7 @@ def flat_index_scan(group, law):
         flat = np.arange(start, stop, dtype=np.int64)
         env = {v: ((flat // w) % n).astype(np.int32) for v, w in zip(law.variables, weights)}
         size = stop - start
-        neq = _eval_batch(law.lhs, group, env, size) != _eval_batch(law.rhs, group, env, size)
+        neq = formula_eval(law.lhs, group, env, size) != formula_eval(law.rhs, group, env, size)
         if neq.any():
             pos = start + int(np.argmax(neq))
             witness = {v: group.names[pos // w % n] for v, w in zip(law.variables, weights)}
@@ -325,6 +361,45 @@ def test_broadcast_scan_matches_naive_oracle_on_random_laws(lhs, rhs, pick):
     want = naive_check(g, law)
     for chunk in (1, 7, 1 << 20):
         assert check_law_exhaustive(g, law, chunk_size=chunk) == want
+
+
+@given(terms, terms, st.integers(0, len(GROUPS) - 1), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sampled_verdict_never_contradicts_exhaustive(lhs, rhs, pick, seed):
+    g = GROUPS[pick]
+    law = make_law(_fold_variables(lhs, 3), _fold_variables(rhs, 3))
+    exhaustive = check_law_exhaustive(g, law)
+    sampled = check_law_sampled(g, law, 200, seed)
+    if exhaustive.holds:
+        assert sampled.status == HOLDS_SAMPLED
+    if sampled.status == COUNTEREXAMPLE:
+        env = {v: g.index_of(name) for v, name in sampled.witness.items()}
+        assert evaluate(law.lhs, g, env) != evaluate(law.rhs, g, env)
+
+
+def test_word_tables_match_scalar_commutator_and_conjugate(corpus_groups):
+    for spec, g in corpus_groups:
+        tables = _word_tables(g, parse_term("[x,y]*x^y"))
+        cells = list(itertools.product(g.elements(), repeat=2))
+        assert [tables[Bracket][x, y] for x, y in cells] == [g.commutator(x, y) for x, y in cells]
+        assert [tables[Conjugate][x, y] for x, y in cells] == [g.conjugate(x, y) for x, y in cells]
+
+
+def test_word_tables_are_built_only_for_the_nodes_a_law_uses():
+    g = make_dihedral(4)
+    assert _word_tables(g, parse_term("x*y^-1"), parse_term("(x y)^3")) == {}
+    assert set(_word_tables(g, parse_term("[x,y]"), parse_term("1"))) == {Bracket}
+    assert set(_word_tables(g, parse_term("x"), parse_term("y^x"))) == {Conjugate}
+
+
+def test_word_tables_share_no_memory_with_the_table_route(corpus_groups):
+    # the law route and commutator_double must stay two independent computations
+    for spec, g in corpus_groups:
+        star = commutator_double(g).star.op
+        tables = _word_tables(g, parse_term("[x,y]^z"))
+        assert np.array_equal(tables[Bracket], star), spec
+        for table in tables.values():
+            assert not np.shares_memory(table, star), spec
 
 
 def test_chunked_scan_is_deterministic():
