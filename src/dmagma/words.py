@@ -27,13 +27,14 @@ import numpy as np
 
 from .errors import BudgetExceededError, ParseError, SpecError, UnboundVariableError
 from .groups import FiniteGroup
+from .tables import SCAN_CELLS
 
 DEFAULT_EVAL_BUDGET = 10**8
 MAX_EXPONENT = 32
 # Deepest syntax tree a law may have; evaluating and printing terms recurses
 # once per level, so this keeps every consumer far from Python's stack limit.
 MAX_DEPTH = 100
-_CHUNK = 1 << 16
+_CHUNK = SCAN_CELLS
 
 
 # ---------------------------------------------------------------------------

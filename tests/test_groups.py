@@ -33,7 +33,8 @@ from dmagma.groups import (
     subgroup_closure,
 )
 from dmagma.rings import parse_ring_spec
-from dmagma.tables import first_associativity_failure, is_latin
+from dmagma.tables import is_latin
+from table_oracles import cubic_associativity_scan
 
 
 def raw_commutator(mul, x, y):
@@ -440,7 +441,7 @@ def full_scan_group_error(mul) -> str | None:
     idx = np.arange(len(t))
     if not (np.array_equal(t[0], idx) and np.array_equal(t[:, 0], idx)):
         return "element 0 is not a two-sided identity"
-    bad = first_associativity_failure(t)
+    bad = cubic_associativity_scan(t)
     return None if bad is None else f"multiplication is not associative at {bad}"
 
 

@@ -26,12 +26,8 @@ from dmagma.magmas import (
     structured_magma,
     superscript_names,
 )
-from dmagma.tables import (
-    first_associativity_failure,
-    gather,
-    light_associative,
-    magma_generators,
-)
+from dmagma.tables import gather, light_associative, magma_generators
+from table_oracles import cubic_associativity_scan
 
 
 def group_double(g):
@@ -233,7 +229,7 @@ def test_light_test_agrees_with_full_scan_on_small_magmas():
                 break
             reached = more
         assert reached == set(range(len(t)))
-        expected = first_associativity_failure(t) is None
+        expected = cubic_associativity_scan(t) is None
         assert light_associative(t, gens) == expected
         assoc += expected
     assert assoc >= 10  # semigroups occur among these tables, not only failures

@@ -54,6 +54,32 @@ terms = st.recursive(
 )
 
 
+def cycle_notation(images) -> str:
+    """A permutation of 1..k, given as its image list, as cycles that list every point."""
+    seen, cycles = set(), []
+    for start in range(1, len(images) + 1):
+        point, cycle = start, []
+        while point not in seen:
+            seen.add(point)
+            cycle.append(point)
+            point = images[point - 1]
+        if cycle:
+            cycles.append("(" + " ".join(map(str, cycle)) + ")")
+    return "".join(cycles)
+
+
+def perm_spec(gens) -> str:
+    return "perm:" + ",".join(cycle_notation(g) for g in gens)
+
+
+# One or two random permutations of 1..k, k <= 5, as image lists.
+perm_generators = st.integers(1, 5).flatmap(
+    lambda k: st.lists(st.permutations(range(1, k + 1)), min_size=1, max_size=2)
+)
+# The groups they generate, built from their `perm:` spec.
+perm_groups = perm_generators.map(lambda gens: parse_group_spec(perm_spec(gens)))
+
+
 @given(terms)
 def test_print_parse_round_trip(term):
     assert parse_term(to_string(term)) == term
@@ -107,3 +133,15 @@ def test_cyclic_tables_are_latin_with_pinned_identity(n):
     assert np.array_equal(np.sort(g.mul, axis=1), np.tile(idx, (n, 1)))
     assert np.array_equal(g.mul[0], idx)
     assert np.all(g.mul[idx, g.inv] == 0)
+
+
+@given(perm_generators)
+@settings(max_examples=30, deadline=None)
+def test_perm_specs_build_the_closure_of_their_generators(gens):
+    closure = {tuple(range(1, len(gens[0]) + 1))}
+    while True:
+        more = closure | {tuple(p[q - 1] for q in g) for p in closure for g in gens}
+        if more == closure:
+            break
+        closure = more
+    assert parse_group_spec(perm_spec(gens)).order == len(closure)

@@ -18,7 +18,8 @@ from dmagma.rings import (
     make_zmod,
     parse_ring_spec,
 )
-from dmagma.tables import first_associativity_failure, is_latin
+from dmagma.tables import is_latin
+from table_oracles import cubic_associativity_scan
 
 
 def decode_matrix(r, index, k, n, upper=False):
@@ -270,11 +271,11 @@ def full_scan_ring_error(add, mul) -> str | None:
         return "addition table is not a Latin square"
     if not np.array_equal(add, add.T):
         return "addition must be commutative"
-    if first_associativity_failure(add) is not None:
+    if cubic_associativity_scan(add) is not None:
         return "addition must be associative"
     if not np.all(add == np.arange(len(add))[None, :], axis=1).any():
         return "addition has no zero element"
-    bad = first_associativity_failure(mul)
+    bad = cubic_associativity_scan(mul)
     if bad is not None:
         return f"multiplication is not associative at {bad}"
     # [x, y, z]: x(y+z) against xy + xz

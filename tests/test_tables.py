@@ -1,0 +1,303 @@
+"""Representative table scans against the plain full scans.
+
+`first_associativity_failure` and `first_interchange_failure` visit one element
+per class of indistinguishable lines. The oracles in `table_oracles` visit
+every triple or quadruple; both must report the same first failure, so the
+verdicts agree in status, evaluations and witness.
+"""
+
+import itertools
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+import dmagma.tables
+from dmagma.constructions import commutator_double, ring_commutator_double, word_double
+from dmagma.groups import FiniteGroup, parse_group_spec
+from dmagma.magmas import DoubleMagma, Magma, is_associative, satisfies_interchange
+from dmagma.rings import FiniteRing, parse_ring_spec
+from dmagma.tables import (
+    SCAN_CELLS,
+    distinct_lines,
+    first_associativity_failure,
+    first_failure,
+    first_interchange_failure,
+)
+from table_oracles import cubic_associativity_scan, quartic_interchange_scan, scan_verdict
+from test_properties import perm_groups
+
+
+def double(s, b, names=None) -> DoubleMagma:
+    names = names or [f"e{i}" for i in range(len(s))]
+    return DoubleMagma(Magma(s, names, "*"), Magma(b, names, "•"))
+
+
+def assert_scans_match(d: DoubleMagma, interchange: bool = True):
+    for m in (d.star, d.bullet):
+        want = scan_verdict(cubic_associativity_scan(m.op), "xyz", d.names)
+        assert is_associative(m).to_dict() == want
+    if interchange:
+        want = scan_verdict(quartic_interchange_scan(d.star.op, d.bullet.op), "wxyz", d.names)
+        assert satisfies_interchange(d).to_dict() == want
+
+
+def test_distinct_lines_keeps_the_first_element_of_each_class():
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        n = int(rng.integers(1, 9))
+        a, b = rng.integers(0, 2, size=(2, n, n))
+        for lines in ((a,), (a, b.T), (a.T, b)):
+            first = {}
+            for i in range(n):
+                first.setdefault(tuple(np.concatenate([t[i] for t in lines])), i)
+            assert distinct_lines(*lines).tolist() == sorted(first.values())
+
+
+ORDER_TWO = [
+    np.array(t, dtype=np.int32).reshape(2, 2) for t in itertools.product(range(2), repeat=4)
+]
+
+
+def test_order_two_tables_and_pairs():
+    for s, b in itertools.product(ORDER_TWO, repeat=2):
+        assert first_interchange_failure(s, b) == quartic_interchange_scan(s, b)
+    for t in ORDER_TWO:
+        assert_scans_match(double(t, t))
+
+
+def inflate(base: np.ndarray, row_classes, col_classes, lift) -> np.ndarray:
+    """t[i, j] = lift[base[row_classes[i], col_classes[j]]].
+
+    Elements with one row class share their row, elements with one column
+    class share their column.
+    """
+    r, c = np.asarray(row_classes), np.asarray(col_classes)
+    return np.asarray(lift, dtype=np.int32)[base[r[:, None], c[None, :]]]
+
+
+def random_inflated(rng: random.Random, n: int, maps) -> np.ndarray:
+    k = max(max(m) for m in maps) + 1
+    base = np.array([[rng.randrange(k) for _ in range(k)] for _ in range(k)])
+    return inflate(base, *maps, [rng.randrange(n) for _ in range(k)])
+
+
+def perturb(t: np.ndarray, rng: random.Random) -> np.ndarray:
+    t = t.copy()
+    n = len(t)
+    t[rng.randrange(n), rng.randrange(n)] = rng.randrange(n)
+    return t
+
+
+def test_inflated_tables_with_and_without_a_perturbed_cell():
+    rng = random.Random(7)
+    outcomes, reduced = set(), 0
+    for _ in range(150):
+        n = rng.randint(2, 12)
+        # class maps with 1 to n classes; s and b share some or none of them
+        maps = [[rng.randrange(k) for _ in range(n)] for k in rng.choices(range(1, n + 1), k=4)]
+        s_maps = maps[:2]
+        b_maps = rng.choice([maps[:2], maps[2:], maps[1::-1]])
+        s, b = random_inflated(rng, n, s_maps), random_inflated(rng, n, b_maps)
+        for pair in ((s, b), (perturb(s, rng), b), (s, perturb(b, rng))):
+            d = double(*pair)
+            assert_scans_match(d)
+            outcomes.add(satisfies_interchange(d).holds)
+            outcomes.add(is_associative(d.star).holds)
+            reduced += len(distinct_lines(pair[0])) < n
+    assert outcomes == {True, False}
+    assert reduced > 150  # most cases really skip elements
+
+
+def test_zero_bands_hold_with_one_representative_per_side():
+    for n in (1, 2, 5, 12):
+        rows, cols = (t.astype(np.int32) for t in np.indices((n, n)))  # xy = x, xy = y
+        assert_scans_match(double(rows, cols))
+        assert len(distinct_lines(rows.T)) == len(distinct_lines(cols)) == 1
+        assert is_associative(Magma(rows, range(n))).holds
+
+
+# Pairs (star, bullet) of order 4 whose first interchange failure has, in the
+# named variable, an element that shares the named line with an earlier element
+# but not its other line: a scan that classed that variable by the one line
+# alone would skip the witness.
+LINE_CASES = {
+    ("w", "star row"): ([[0, 0, 0, 0], [0, 0, 0, 0], [1, 3, 0, 0], [0, 0, 0, 0]],
+                        [[0, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 2], [3, 2, 0, 2]]),
+    ("w", "bullet row"): ([[0, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0], [0, 2, 0, 2]],
+                          [[0, 0, 0, 1], [0, 0, 0, 1], [1, 0, 0, 0], [1, 0, 0, 0]]),
+    ("x", "star column"): ([[0, 0, 0, 3], [0, 1, 0, 0], [0, 0, 0, 2], [3, 1, 3, 0]],
+                           [[0, 0, 0, 0], [0, 0, 1, 2], [3, 3, 0, 0], [2, 3, 0, 2]]),
+    ("x", "bullet row"): ([[0, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, 1], [0, 1, 0, 0]],
+                          [[0, 0, 0, 0], [2, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0]]),
+    ("y", "star row"): ([[0, 0, 1, 0], [1, 1, 1, 1], [0, 0, 1, 0], [0, 0, 0, 1]],
+                        [[1, 1, 0, 1], [0, 1, 0, 0], [0, 1, 1, 0], [0, 1, 1, 1]]),
+    ("y", "bullet column"): ([[0, 1, 0, 0], [0, 0, 3, 0], [2, 0, 0, 1], [0, 3, 2, 2]],
+                             [[0, 0, 0, 2], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 2]]),
+    ("z", "star column"): ([[1, 0, 1, 0], [1, 0, 1, 1], [1, 0, 1, 1], [1, 0, 1, 1]],
+                           [[0, 0, 1, 0], [1, 1, 1, 1], [0, 0, 0, 1], [0, 0, 0, 0]]),
+    ("z", "bullet column"): ([[0, 0, 0, 3], [0, 0, 0, 0], [0, 3, 3, 0], [0, 1, 0, 0]],
+                             [[0, 1, 0, 1], [0, 0, 0, 0], [1, 1, 0, 1], [1, 0, 1, 0]]),
+}
+
+
+def line(s, b, name):
+    table = s if name.startswith("star") else b
+    return table if name.endswith("row") else table.T
+
+
+@pytest.mark.parametrize("variable,shared", LINE_CASES, ids="-".join)
+def test_interchange_witness_needs_both_lines_of_its_variable(variable, shared):
+    s, b = (np.array(t, dtype=np.int32) for t in LINE_CASES[variable, shared])
+    want = quartic_interchange_scan(s, b)
+    assert first_interchange_failure(s, b) == want
+    names = ("star row", "bullet row", "star column", "bullet column")
+    lines_of = {"w": names[:2], "x": names[1:3], "y": (names[0], names[3]), "z": names[2:]}
+    other = next(m for m in lines_of[variable] if m != shared)
+    e = want["wxyz".index(variable)]
+    a, o = line(s, b, shared), line(s, b, other)
+    assert any(np.array_equal(a[f], a[e]) and not np.array_equal(o[f], o[e]) for f in range(e))
+
+
+@pytest.mark.parametrize(
+    "table,shared",
+    [
+        ([[0, 0, 0, 0], [0, 0, 0, 0], [0, 2, 2, 0], [3, 0, 0, 0]], "row"),
+        ([[0, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 0], [0, 3, 1, 0]], "column"),
+    ],
+)
+def test_associativity_witness_needs_both_lines_of_y(table, shared):
+    t = np.array(table, dtype=np.int32)
+    want = cubic_associativity_scan(t)
+    assert first_associativity_failure(t) == want
+    a, o = (t, t.T) if shared == "row" else (t.T, t)
+    y = want[1]
+    assert any(np.array_equal(a[f], a[y]) and not np.array_equal(o[f], o[y]) for f in range(y))
+
+
+WORDS = ("a*b^-1", "[a,b;a]")
+
+
+def test_commutator_and_word_doubles_of_every_default_group(corpus_groups):
+    for spec, g in corpus_groups:
+        for d in (commutator_double(g), *(word_double(g, w) for w in WORDS)):
+            assert_scans_match(d)
+
+
+def test_commutator_doubles_of_every_default_ring(corpus_rings):
+    for spec, r in corpus_rings:
+        assert_scans_match(ring_commutator_double(r))
+
+
+@given(perm_groups)
+@settings(max_examples=25, deadline=None)
+def test_commutator_doubles_of_random_permutation_groups(g):
+    assert_scans_match(commutator_double(g), interchange=g.order**4 <= 10**6)
+
+
+def test_witness_in_the_last_cell():
+    t = np.array([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 2]], dtype=np.int32)
+    assert cubic_associativity_scan(t) == first_associativity_failure(t) == (3, 3, 3)
+    assert is_associative(Magma(t, "abcd")).evaluations == 4**3
+    s = np.array([[0, 0, 0], [1, 0, 1], [0, 0, 1]], dtype=np.int32)
+    b = np.array([[0, 0, 0], [0, 0, 0], [0, 0, 2]], dtype=np.int32)
+    assert quartic_interchange_scan(s, b) == first_interchange_failure(s, b) == (2, 2, 2, 2)
+    assert satisfies_interchange(double(s, b)).evaluations == 3**4
+
+
+@pytest.mark.parametrize(
+    "sizes,cells", [((3, 3, 3), 1), ((2, 5, 3), 7), ((4, 1, 6), 30), ((5, 2), 100), ((3,), 2)]
+)
+def test_slices_tile_the_representative_grid_in_lexicographic_order(sizes, cells):
+    rng = np.random.default_rng(len(sizes) * cells)
+    reps = [np.sort(rng.choice(9, size=m, replace=False)) for m in sizes]
+    grid = list(itertools.product(*(r.tolist() for r in reps)))
+    seen = []
+
+    def record(axes):
+        shape = np.broadcast_shapes(*(np.shape(a) for a in axes))
+        assert 1 <= np.prod(shape) <= cells
+        cols = [np.broadcast_to(a, shape).ravel().tolist() for a in axes]
+        seen.extend(zip(*cols))
+        return np.zeros(shape, dtype=bool)
+
+    assert first_failure(reps, record, cells) is None
+    assert seen == grid
+    for target in (grid[0], grid[len(grid) // 2], grid[-1]):
+        def fails_from(axes):
+            shape = np.broadcast_shapes(*(np.shape(a) for a in axes))
+            key = np.zeros(shape, dtype=np.int64)
+            for a in axes:
+                key = key * 9 + a
+            return key >= sum(d * 9 ** (len(target) - 1 - i) for i, d in enumerate(target))
+
+        assert first_failure(reps, fails_from, cells) == target
+
+
+def test_no_table_scan_slice_exceeds_the_cell_cap(monkeypatch):
+    sizes = []
+
+    def recording_first_failure(reps, failing, cells=SCAN_CELLS):
+        def wrapped(axes):
+            sizes.append(int(np.prod(np.broadcast_shapes(*(np.shape(a) for a in axes)))))
+            return failing(axes)
+
+        return first_failure(reps, wrapped, cells)
+
+    monkeypatch.setattr(dmagma.tables, "first_failure", recording_first_failure)
+    g = parse_group_spec("cyclic:42")
+    assert first_associativity_failure(g.mul) is None  # 42^3 > SCAN_CELLS
+    assert first_interchange_failure(g.mul, g.mul) is None
+    assert sum(sizes) == 42**3 + 42**4
+    assert max(sizes) <= SCAN_CELLS
+
+
+# --- large verdicts, pinned to the values of the full scans ---------------------------
+
+
+def test_large_associativity_verdicts_are_pinned():
+    for spec, order in (("product:cyclic:16,cyclic:16", 256), ("heisenberg:7", 343)):
+        star = commutator_double(parse_group_spec(spec)).star
+        assert is_associative(star).to_dict() == {
+            "status": "holds-exhaustive", "evaluations": order**3
+        }, spec
+    star = commutator_double(parse_group_spec("dihedral:256")).star
+    assert is_associative(star).to_dict() == {
+        "status": "counterexample", "evaluations": 393473,
+        "witness": {"x": "a", "y": "b", "z": "b"},
+    }
+
+
+def test_large_interchange_verdict_is_pinned():
+    d = commutator_double(parse_group_spec("dihedral:32"))
+    assert satisfies_interchange(d).to_dict() == {
+        "status": "holds-exhaustive", "evaluations": 64**4
+    }
+
+
+@pytest.mark.parametrize(
+    "spec,square,triple",
+    [
+        ("dihedral:32", (47, 63, 47, 63), (1, 46, 47)),
+        ("product:cyclic:8,cyclic:8", (59, 63, 59, 63), (1, 58, 59)),
+    ],
+)
+def test_rejected_group_table_keeps_its_error_text(spec, square, triple):
+    g = parse_group_spec(spec)
+    t = np.array(g.mul)
+    x1, x2, y1, y2 = square
+    a, b = t[x1, y1], t[x1, y2]
+    assert t[x2, y1] == b and t[x2, y2] == a  # a 2x2 subsquare [[a, b], [b, a]]
+    t[x1, y1] = t[x2, y2] = b
+    t[x1, y2] = t[x2, y1] = a  # still a loop with identity 0, no longer a group
+    with pytest.raises(ValueError) as err:
+        FiniteGroup(t, g.names)
+    assert str(err.value) == f"multiplication is not associative at {triple}"
+
+
+def test_rejected_ring_table_keeps_its_error_text():
+    r = parse_ring_spec("matrix:2,3")
+    with pytest.raises(ValueError) as err:
+        FiniteRing(r.add, r.bracket_table(), r.names)
+    assert str(err.value) == "multiplication is not associative at (1, 1, 3)"

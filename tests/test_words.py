@@ -48,7 +48,7 @@ from dmagma.words import (
     scan_lexicographic,
     to_string,
 )
-from test_properties import GROUPS, terms
+from test_properties import GROUPS, perm_groups, terms
 
 X, Y, Z, U = Variable("x"), Variable("y"), Variable("z"), Variable("u")
 
@@ -352,10 +352,9 @@ def _fold_variables(t: Term, keep: int) -> Term:
     return dataclasses.replace(t, **fields)
 
 
-@given(terms, terms, st.integers(0, len(GROUPS) - 1))
+@given(terms, terms, st.one_of(st.sampled_from(GROUPS), perm_groups))
 @settings(max_examples=60, deadline=None)
-def test_broadcast_scan_matches_naive_oracle_on_random_laws(lhs, rhs, pick):
-    g = GROUPS[pick]
+def test_broadcast_scan_matches_naive_oracle_on_random_laws(lhs, rhs, g):
     keep = max(k for k in (1, 2, 3) if g.order**k <= 512)  # keeps the scalar oracle quick
     law = make_law(_fold_variables(lhs, keep), _fold_variables(rhs, keep))
     want = naive_check(g, law)
