@@ -34,7 +34,7 @@ from .tables import (
     two_sided_identity,
     two_sided_zero,
 )
-from .words import COUNTEREXAMPLE, DEFAULT_EVAL_BUDGET, HOLDS_EXHAUSTIVE, Verdict
+from .words import DEFAULT_EVAL_BUDGET, Verdict, exhaustive_verdict
 
 
 class Magma:
@@ -70,29 +70,14 @@ class DoubleMagma:
         return f"DoubleMagma({self.label!r}, order={self.order})"
 
 
-def _scan_verdict(bad, variables: str, names) -> Verdict:
-    """Verdict of a lexicographic scan over names^k that first failed at `bad`, or never."""
-    n = len(names)
-    if bad is None:
-        return Verdict(HOLDS_EXHAUSTIVE, evaluations=n ** len(variables))
-    pos = 0
-    for d in bad:
-        pos = pos * n + d
-    return Verdict(
-        COUNTEREXAMPLE,
-        evaluations=pos + 1,
-        witness={v: names[d] for v, d in zip(variables, bad)},
-    )
-
-
 def is_commutative(m: Magma) -> Verdict:
     """Scan all pairs; the witness is the smallest failing (x, y)."""
-    return _scan_verdict(first_commutativity_failure(m.op), "xy", m.names)
+    return exhaustive_verdict(first_commutativity_failure(m.op), "xy", m.names)
 
 
 def is_associative(m: Magma) -> Verdict:
     """Scan all triples; the witness is the smallest failing (x, y, z)."""
-    return _scan_verdict(first_associativity_failure(m.op), "xyz", m.names)
+    return exhaustive_verdict(first_associativity_failure(m.op), "xyz", m.names)
 
 
 def satisfies_interchange(d: DoubleMagma, budget: int = DEFAULT_EVAL_BUDGET) -> Verdict:
@@ -103,7 +88,7 @@ def satisfies_interchange(d: DoubleMagma, budget: int = DEFAULT_EVAL_BUDGET) -> 
         raise BudgetExceededError(
             f"interchange scan on order {n} needs {total} checks (budget {budget})"
         )
-    return _scan_verdict(first_interchange_failure(d.star.op, d.bullet.op), "wxyz", d.names)
+    return exhaustive_verdict(first_interchange_failure(d.star.op, d.bullet.op), "wxyz", d.names)
 
 
 def find_identity(m: Magma) -> int | None:

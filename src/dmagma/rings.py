@@ -12,18 +12,17 @@ import numpy as np
 
 from .errors import SpecError
 from .tables import (
-    BLOCK_CELLS,
     DEFAULT_ORDER_BUDGET,
     as_table,
     check_order_budget,
     first_associativity_failure,
+    first_failure,
     gather,
     is_latin,
     light_associative,
     magma_generators,
-    row_block,
 )
-from .words import DEFAULT_EVAL_BUDGET, Verdict, scan_lexicographic, scan_sampled
+from .words import DEFAULT_EVAL_BUDGET, Verdict, exhaustive_verdict, scan_sampled
 
 _DEFAULT_SAMPLES = 10**6
 
@@ -97,19 +96,21 @@ class FiniteRing:
             self._check_distributive()
 
     def _check_distributive(self):
-        a, m, n = self.add, self.mul, self.order
-        blk = row_block(n)
-        for x0 in range(0, n, blk):
-            mx = m[x0 : x0 + blk]  # [x, ·] -> x*·
-            # x*(y+z) == x*y + x*z
-            if not np.array_equal(mx[:, a], a[mx[:, :, None], mx[:, None, :]]):
-                raise ValueError("multiplication does not left-distribute over addition")
-            # (y+z)*x == y*x + z*x
-            cols = m[:, x0 : x0 + blk]  # [y, x] -> y*x
-            left = cols[a]  # [y, z, x] -> (y+z)*x
-            right = a[cols[:, None, :], cols[None, :, :]]
-            if not np.array_equal(left, right):
-                raise ValueError("multiplication does not right-distribute over addition")
+        a, m = self.add, self.mul
+        reps = [np.arange(self.order)] * 3
+
+        def left(axes):  # x*(y+z) == x*y + x*z
+            x, y, z = axes
+            return m[x, a[y, z]] != a[m[x, y], gather(m, x, z)]
+
+        def right(axes):  # (x+y)*z == x*z + y*z
+            x, y, z = axes
+            return gather(m, a[x, y], z) != a[gather(m, x, z), gather(m, y, z)]
+
+        if first_failure(reps, left) is not None:
+            raise ValueError("multiplication does not left-distribute over addition")
+        if first_failure(reps, right) is not None:
+            raise ValueError("multiplication does not right-distribute over addition")
 
     def __repr__(self):
         return f"FiniteRing({self.label!r}, order={self.order})"
@@ -266,4 +267,5 @@ def check_ring_law(
     # only the four-variable laws fall back to sampling past the budget
     if len(variables) == 4 and r.order**4 > budget:
         return scan_sampled(r.order, variables, r.names, failing, sample_count, seed)
-    return scan_lexicographic(r.order, variables, r.names, failing, BLOCK_CELLS)
+    bad = first_failure([np.arange(r.order)] * len(variables), failing)
+    return exhaustive_verdict(bad, variables, r.names)

@@ -29,12 +29,9 @@ import itertools
 
 import numpy as np
 
-# Rough cap on the number of cells materialized per scan block.
-BLOCK_CELLS = 1 << 22
-
-# Most tuples one slice of a lexicographic scan holds. Slices of 2^16 int32
-# cells stay in the CPU caches; larger ones measured slower. Group-law scans
-# (`words._CHUNK`) take the same cap.
+# Most tuples one slice of a lexicographic scan (`first_failure`) holds.
+# Slices of 2^16 int32 cells stay in the CPU caches; larger ones measured
+# slower. Table scans, ring laws and group laws (by default) all take it.
 SCAN_CELLS = 1 << 16
 
 # Largest carrier the group and ring constructors build by default.
@@ -60,11 +57,6 @@ def as_table(op, order: int | None = None) -> np.ndarray:
         raise ValueError("table entries must be element indices in [0, order)")
     table.setflags(write=False)
     return table
-
-
-def row_block(n: int, target: int = BLOCK_CELLS) -> int:
-    """Rows per block so one block of n*n-cell slabs stays near `target`."""
-    return max(1, target // max(n * n, 1))
 
 
 def gather(table: np.ndarray, a, b) -> np.ndarray:
@@ -117,14 +109,20 @@ def distinct_lines(*lines: np.ndarray) -> np.ndarray:
 def first_failure(reps, failing, cells: int = SCAN_CELLS) -> tuple[int, ...] | None:
     """Lexicographically first tuple of reps[0] x ... x reps[k-1] where `failing` holds.
 
-    `reps` holds one ascending index array per variable (k >= 1).
-    `failing(axes)` gets one broadcastable index array per variable and
-    returns a boolean array over the grid they span. The trailing variables
-    get one full axis each, the leading ones are fixed as scalars, and the
-    one in between is cut into blocks, so one slice holds at most `cells`
-    tuples; slices are visited in lexicographic order.
+    `reps` holds one ascending index array per variable. `failing(axes)` gets
+    one broadcastable index array per variable and returns a boolean array,
+    broadcastable to the grid they span, that is true where the check fails.
+    The trailing variables get one full axis each, so a subterm costs the
+    product of its own variables' ranges; the leading ones are fixed as
+    scalars, and the one in between is cut into blocks, so one slice holds at
+    most `cells` tuples. Slices are visited in lexicographic order, and the
+    first true cell of the C-order ravel of the first failing slice is the
+    answer. With no variables, `failing([])` is called once and the empty
+    tuple is the only candidate.
     """
     k = len(reps)
+    if k == 0:
+        return () if np.any(failing([])) else None
     free, trail = 0, 1  # full trailing axes, and the tuples they span
     while free < k - 1 and trail * len(reps[k - 1 - free]) <= cells:
         free, trail = free + 1, trail * len(reps[k - 1 - free])

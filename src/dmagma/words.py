@@ -18,7 +18,6 @@ ParseError.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -27,14 +26,13 @@ import numpy as np
 
 from .errors import BudgetExceededError, ParseError, SpecError, UnboundVariableError
 from .groups import FiniteGroup
-from .tables import SCAN_CELLS
+from .tables import SCAN_CELLS, first_failure
 
 DEFAULT_EVAL_BUDGET = 10**8
 MAX_EXPONENT = 32
 # Deepest syntax tree a law may have; evaluating and printing terms recurses
 # once per level, so this keeps every consumer far from Python's stack limit.
 MAX_DEPTH = 100
-_CHUNK = SCAN_CELLS
 
 
 # ---------------------------------------------------------------------------
@@ -538,47 +536,26 @@ def _witness_dict(variables: tuple[str, ...], digits, names) -> dict[str, str]:
     return {v: names[int(d)] for v, d in zip(variables, digits)}
 
 
-def scan_lexicographic(n: int, variables: tuple[str, ...], names, failing, cells: int) -> Verdict:
-    """Exhaustive scan of range(n)^k in lexicographic order for the first failure.
+def exhaustive_verdict(bad, variables, names) -> Verdict:
+    """Verdict of a lexicographic scan over names^k that first failed at `bad`, or never.
 
-    `failing(axes)` gets one index array per variable and returns a boolean
-    array, broadcastable to the grid they span, that is true where the law
-    fails. The trailing variables get one full axis each, so a subterm costs
-    the product of its own variables' ranges; the leading variables are fixed
-    as scalars, most significant first, and the one just before the full axes
-    is cut into a block, so that one slice holds at most `cells` assignments.
-    Slices are visited in lexicographic order, and the first true cell of the
-    C-order ravel of the first failing slice is the smallest witness.
+    `bad` is a tuple of element indices, one per variable, or None
+    (`tables.first_failure`); `evaluations` is its 1-based position in the
+    full grid, or the size of the grid when nothing failed.
     """
-    k = len(variables)
-    if k == 0:
-        if np.any(failing([])):
-            return Verdict(COUNTEREXAMPLE, evaluations=1, witness={})
-        return Verdict(HOLDS_EXHAUSTIVE, evaluations=1)
-    free, trail = 0, 1  # full trailing axes, and the assignments they span
-    while free < k - 1 and trail * n <= cells:
-        free, trail = free + 1, trail * n
-    width = max(1, min(n, cells // trail))
-    tail = [np.arange(n).reshape((n,) + (1,) * (free - 1 - i)) for i in range(free)]
-    for p, prefix in enumerate(itertools.product(range(n), repeat=k - 1 - free)):
-        for lo in range(0, n, width):
-            hi = min(lo + width, n)
-            block = np.arange(lo, hi).reshape((hi - lo,) + (1,) * free)
-            bad = failing([*prefix, block, *tail])
-            if np.any(bad):
-                hit = int(np.argmax(np.broadcast_to(bad, (hi - lo,) + (n,) * free)))
-                pos = (p * n + lo) * trail + hit
-                digits = [pos // n ** (k - 1 - i) % n for i in range(k)]
-                return Verdict(
-                    COUNTEREXAMPLE,
-                    evaluations=pos + 1,
-                    witness=_witness_dict(variables, digits, names),
-                )
-    return Verdict(HOLDS_EXHAUSTIVE, evaluations=n**k)
+    n = len(names)
+    if bad is None:
+        return Verdict(HOLDS_EXHAUSTIVE, evaluations=n ** len(variables))
+    pos = 0
+    for d in bad:
+        pos = pos * n + d
+    witness = _witness_dict(variables, bad, names)
+    return Verdict(COUNTEREXAMPLE, evaluations=pos + 1, witness=witness)
 
 
 def scan_sampled(
-    n: int, variables: tuple[str, ...], names, failing, count: int, seed: int, chunk: int = _CHUNK
+    n: int, variables: tuple[str, ...], names, failing, count: int, seed: int,
+    chunk: int = SCAN_CELLS,
 ) -> Verdict:
     """Scan `count` seeded pseudo-random assignments of range(n)^k for a failure.
 
@@ -628,13 +605,14 @@ def check_law_exhaustive(
     group: FiniteGroup,
     law: Law,
     budget: int = DEFAULT_EVAL_BUDGET,
-    chunk_size: int = _CHUNK,
+    chunk_size: int = SCAN_CELLS,
 ) -> Verdict:
     """Scan every assignment in lexicographic element order.
 
     The first variable is the most significant digit. Each variable has its
-    own broadcast axis (`scan_lexicographic`), so a subterm is computed only
-    on the grid of its own free variables.
+    own broadcast axis (`tables.first_failure`), so a subterm is computed only
+    on the grid of its own free variables; one slice holds at most
+    `chunk_size` assignments.
     """
     n = group.order
     total = n ** len(law.variables)
@@ -643,7 +621,9 @@ def check_law_exhaustive(
             f"law {law} over order {n} needs {total} evaluations "
             f"(budget {budget}); use check_law_sampled"
         )
-    return scan_lexicographic(n, law.variables, group.names, _law_failing(group, law), chunk_size)
+    reps = [np.arange(n)] * len(law.variables)
+    bad = first_failure(reps, _law_failing(group, law), chunk_size)
+    return exhaustive_verdict(bad, law.variables, group.names)
 
 
 def check_law_sampled(
@@ -651,7 +631,7 @@ def check_law_sampled(
     law: Law,
     count: int,
     seed: int,
-    chunk_size: int = _CHUNK,
+    chunk_size: int = SCAN_CELLS,
 ) -> Verdict:
     """Check `count` seeded pseudo-random assignments (`scan_sampled`).
 

@@ -1,0 +1,49 @@
+"""The scalar and full-scan oracles share no code with the scans they check.
+
+Every exhaustive scan runs through one walker (`tables.first_failure`) and one
+verdict builder (`words.exhaustive_verdict`). A bug there would show in every
+verdict at once, so the oracles that cross-check those verdicts must reach
+their answers without them, or through the law checkers that call them.
+"""
+
+import ast
+import inspect
+import textwrap
+
+import pytest
+
+import table_oracles
+import test_rings
+import test_words
+
+SHARED_SCAN_PATH = {"first_failure", "exhaustive_verdict", "check_law_exhaustive", "check_ring_law"}
+
+ORACLES = (
+    table_oracles,
+    test_words.naive_check,
+    test_words.formula_eval,
+    test_words.flat_index_scan,
+    test_rings._scalar_ring_law,
+    test_rings._scalar_ring_scan,
+)
+
+
+def referenced_names(obj) -> set[str]:
+    """Every identifier, attribute, imported name and string constant in the source of obj."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(obj)))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+@pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: o.__name__)
+def test_oracle_does_not_use_the_scan_path_it_checks(oracle):
+    assert not referenced_names(oracle) & SHARED_SCAN_PATH

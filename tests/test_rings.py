@@ -9,6 +9,7 @@ import pytest
 import dmagma.rings
 import dmagma.words
 from dmagma.errors import SpecError
+from dmagma.groups import parse_group_spec
 from dmagma.rings import (
     FiniteRing,
     check_ring_law,
@@ -18,7 +19,8 @@ from dmagma.rings import (
     make_zmod,
     parse_ring_spec,
 )
-from dmagma.tables import is_latin
+from dmagma.tables import SCAN_CELLS, first_failure, is_latin
+from dmagma.words import builtin_law, check_law_exhaustive
 from table_oracles import cubic_associativity_scan
 
 
@@ -209,24 +211,77 @@ def _scalar_ring_law(r, name):
     }[name]
 
 
+def _scalar_ring_scan(r, name):
+    """Oracle: plain nested loops in lexicographic order over every assignment."""
+    variables, value = _scalar_ring_law(r, name)
+    combos = itertools.product(range(r.order), repeat=len(variables))
+    for pos, combo in enumerate(combos):
+        if value(*combo) != r.zero:
+            witness = {v: r.names[i] for v, i in zip(variables, combo)}
+            return dmagma.words.Verdict("counterexample", pos + 1, witness)
+    return dmagma.words.Verdict("holds-exhaustive", r.order ** len(variables))
+
+
 @pytest.mark.parametrize("spec", ["zmod:6", "uppertri:2,2", "matrix:2,2", "matrix:2,3"])
 def test_ring_scans_match_scalar_nested_loops(spec):
     r = parse_ring_spec(spec)
     scanned = []
     for name in dmagma.rings.RING_LAWS:
-        variables, value = _scalar_ring_law(r, name)
-        total = r.order ** len(variables)
-        if total > 7000:  # keeps the scalar loops quick
+        variables, _ = _scalar_ring_law(r, name)
+        if r.order ** len(variables) > 7000:  # keeps the scalar loops quick
             continue
-        want = dmagma.words.Verdict("holds-exhaustive", total)
-        for pos, combo in enumerate(itertools.product(range(r.order), repeat=len(variables))):
-            if value(*combo) != r.zero:
-                witness = {v: r.names[i] for v, i in zip(variables, combo)}
-                want = dmagma.words.Verdict("counterexample", pos + 1, witness)
-                break
-        assert check_ring_law(r, name) == want, name
+        assert check_ring_law(r, name) == _scalar_ring_scan(r, name), name
         scanned.append(name)
     assert "PROPER_WITNESS" in scanned
+
+
+# Verdicts of scans that span many slices of SCAN_CELLS = 2^16 assignments, read
+# from the full scans before ring laws shared the table-scan walker.
+MULTI_SLICE_RING_VERDICTS = (
+    ("uppertri:2,4", "ALT3M", "holds-exhaustive", 64**3, None),
+    ("uppertri:2,5", "ALT3M", "holds-exhaustive", 125**3, None),
+    ("uppertri:2,4", "DOUBLE2", "holds-exhaustive", 64**4, None),
+    ("matrix:2,4", "ALT3M", "counterexample", 66577,
+     {"x": "[0,0;0,1]", "y": "[0,0;1,0]", "z": "[0,1;0,0]"}),
+    ("uppertri:3,2", "RCI", "counterexample", 270609,
+     {"w": "[0,0,0;0,0,0;0,0,1]", "x": "[0,0,0;0,0,1;0,0,0]",
+      "y": "[0,0,0;0,1,0;0,0,0]", "z": "[0,1,0;0,0,0;0,0,0]"}),
+    ("matrix:2,3", "RCI", "counterexample", 538255,
+     {"w": "[0,0;0,1]", "x": "[0,0;0,1]", "y": "[0,0;1,0]", "z": "[0,1;0,0]"}),
+)
+
+
+@pytest.mark.parametrize("spec,name,status,evaluations,witness", MULTI_SLICE_RING_VERDICTS)
+def test_multi_slice_ring_verdicts_are_pinned(spec, name, status, evaluations, witness):
+    want = dmagma.words.Verdict(status, evaluations, witness)
+    assert check_ring_law(parse_ring_spec(spec), name) == want
+
+
+def test_no_law_scan_slice_exceeds_the_cell_cap(monkeypatch):
+    sizes = []
+
+    def recording_first_failure(reps, failing, cells=SCAN_CELLS):
+        def wrapped(axes):
+            sizes.append((cells, int(np.prod(np.broadcast_shapes(*(np.shape(a) for a in axes))))))
+            return failing(axes)
+
+        return first_failure(reps, wrapped, cells)
+
+    monkeypatch.setattr(dmagma.rings, "first_failure", recording_first_failure)
+    monkeypatch.setattr(dmagma.words, "first_failure", recording_first_failure)
+    r = parse_ring_spec("uppertri:2,4")
+    for name in ("ALT3M", "DOUBLE2"):  # both hold, so every slice is visited
+        sizes.clear()
+        assert check_ring_law(r, name).evaluations == sum(size for _, size in sizes)
+        assert {cap for cap, _ in sizes} == {SCAN_CELLS}
+        assert max(size for _, size in sizes) <= SCAN_CELLS < sum(size for _, size in sizes)
+    for spec, chunk in (("dihedral:16", SCAN_CELLS), ("dihedral:16", 1000), ("dihedral:4", 7)):
+        g = parse_group_spec(spec)
+        sizes.clear()
+        verdict = check_law_exhaustive(g, builtin_law("CI"), chunk_size=chunk)  # CI holds
+        assert verdict.evaluations == g.order**4 == sum(size for _, size in sizes)
+        assert {cap for cap, _ in sizes} == {chunk}
+        assert max(size for _, size in sizes) <= chunk
 
 
 def test_sampled_fallback_past_budget():
@@ -263,8 +318,8 @@ def test_unknown_ring_law():
 def full_scan_ring_error(add, mul) -> str | None:
     """The message of the O(n^3) check sequence FiniteRing used to run, or None.
 
-    The two distributive scans run over all x at once; FiniteRing scans them in
-    row blocks, which covers every x in one block for the orders used here.
+    Each distributive law is checked over every (x, y, z) at once, left before
+    right, so a table failing both is always reported as not left-distributive.
     """
     add, mul = np.asarray(add, dtype=np.int32), np.asarray(mul, dtype=np.int32)
     if not is_latin(add):
@@ -370,6 +425,18 @@ def test_fast_validation_on_structured_products(spec):
     ):
         err = assert_ring_validation_matches(r.add, mul)
         assert err is None if fails is None else fails in err
+
+
+def test_left_distributivity_is_named_first_on_large_tables():
+    # mul[x, y] = f(x) with f(n-1) = n-1 and f = 0 elsewhere is associative, fails
+    # left-distributivity only at x = n-1, and fails right-distributivity everywhere
+    n = 200
+    add = np.add.outer(np.arange(n), np.arange(n)) % n
+    mul = np.zeros((n, n), dtype=np.int32)
+    mul[n - 1] = n - 1
+    assert assert_ring_validation_matches(add, mul) == (
+        "multiplication does not left-distribute over addition"
+    )
 
 
 def test_fast_validation_on_every_constructor(corpus_rings):

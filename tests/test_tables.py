@@ -207,7 +207,8 @@ def test_witness_in_the_last_cell():
 
 
 @pytest.mark.parametrize(
-    "sizes,cells", [((3, 3, 3), 1), ((2, 5, 3), 7), ((4, 1, 6), 30), ((5, 2), 100), ((3,), 2)]
+    "sizes,cells",
+    [((3, 3, 3), 1), ((2, 5, 3), 7), ((4, 1, 6), 30), ((5, 2), 100), ((3,), 2), ((), 1)],
 )
 def test_slices_tile_the_representative_grid_in_lexicographic_order(sizes, cells):
     rng = np.random.default_rng(len(sizes) * cells)
@@ -218,8 +219,8 @@ def test_slices_tile_the_representative_grid_in_lexicographic_order(sizes, cells
     def record(axes):
         shape = np.broadcast_shapes(*(np.shape(a) for a in axes))
         assert 1 <= np.prod(shape) <= cells
-        cols = [np.broadcast_to(a, shape).ravel().tolist() for a in axes]
-        seen.extend(zip(*cols))
+        cols = [np.broadcast_to(a, shape) for a in axes]
+        seen.extend(tuple(int(c[i]) for c in cols) for i in np.ndindex(shape))
         return np.zeros(shape, dtype=bool)
 
     assert first_failure(reps, record, cells) is None

@@ -21,6 +21,7 @@ from dmagma.errors import (
 )
 from dmagma.groups import make_cyclic, make_dihedral, make_metacyclic, parse_group_spec
 from dmagma.suite import DEFAULT_GROUPS, IDENTITY_LAWS
+from dmagma.tables import first_failure
 from dmagma.words import (
     BUILTIN_LAWS,
     COUNTEREXAMPLE,
@@ -41,11 +42,11 @@ from dmagma.words import (
     check_law_exhaustive,
     check_law_sampled,
     evaluate,
+    exhaustive_verdict,
     free_variables,
     make_law,
     parse_law,
     parse_term,
-    scan_lexicographic,
     to_string,
 )
 from test_properties import GROUPS, perm_groups, terms
@@ -311,8 +312,14 @@ def test_broadcast_scan_edge_laws():
     assert got["[x,y]^-3=[y,x]^3"] == Verdict(HOLDS_EXHAUSTIVE, 64)
 
 
+def lexicographic_scan(n, variables, names, failing, cells):
+    """The exhaustive scan behind every law check: the walker, then the verdict."""
+    bad = first_failure([np.arange(n)] * len(variables), failing, cells)
+    return exhaustive_verdict(bad, variables, names)
+
+
 @pytest.mark.parametrize(
-    "n,k,cells", [(3, 4, 1), (3, 4, 7), (5, 3, 30), (4, 2, 100), (2, 5, 3), (7, 1, 4)]
+    "n,k,cells", [(3, 4, 1), (3, 4, 7), (5, 3, 30), (4, 2, 100), (2, 5, 3), (7, 1, 4), (3, 0, 1)]
 )
 def test_scan_slices_tile_the_grid_in_lexicographic_order(n, k, cells):
     variables = tuple("abcde"[:k])
@@ -326,13 +333,15 @@ def test_scan_slices_tile_the_grid_in_lexicographic_order(n, k, cells):
         seen.extend(np.broadcast_to(flat, shape).ravel().tolist())
         return np.zeros(shape, dtype=bool)
 
-    assert scan_lexicographic(n, variables, names, record, cells) == Verdict(HOLDS_EXHAUSTIVE, n**k)
+    assert lexicographic_scan(n, variables, names, record, cells) == Verdict(HOLDS_EXHAUSTIVE, n**k)
     assert seen == list(range(n**k))
     for target in (0, 1, n**k // 2 + 1, n**k - 1):
+        if target >= n**k:
+            continue
         def fails_at(axes):
             flat = sum(a * n ** (k - 1 - i) for i, a in enumerate(axes))
             return np.asarray(flat) >= target  # every later assignment fails too
-        got = scan_lexicographic(n, variables, names, fails_at, cells)
+        got = lexicographic_scan(n, variables, names, fails_at, cells)
         witness = {v: names[target // n ** (k - 1 - i) % n] for i, v in enumerate(variables)}
         assert got == Verdict(COUNTEREXAMPLE, target + 1, witness)
 
