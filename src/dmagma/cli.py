@@ -9,6 +9,7 @@ message, so exit 1 always means a verdict.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
@@ -188,17 +189,7 @@ def cmd_suite(args) -> int:
         overrides["sample_count"] = args.samples
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if overrides:
-        base = config.to_dict()
-        base.update(overrides)
-        config = CorpusConfig(
-            groups=tuple(base["groups"]),
-            rings=tuple(base["rings"]),
-            checks=tuple(base["checks"]),
-            budget=base["budget"],
-            sample_count=base["sample_count"],
-            seed=base["seed"],
-        )
+    config = dataclasses.replace(config, **overrides)  # validates the overrides too
     start = time.perf_counter()
     report = run_corpus(config)
     elapsed = time.perf_counter() - start

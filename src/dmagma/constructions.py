@@ -56,7 +56,7 @@ def word_double(g: FiniteGroup, word: WordPair | Term | str) -> DoubleMagma:
     n = g.order
     idx = np.arange(n)
     env = {"a": idx[:, None], "b": idx[None, :]}  # one broadcast axis per variable
-    star = np.broadcast_to(_eval_batch(word.term, g, env, ()), (n, n))
+    star = np.broadcast_to(_eval_batch(word.term, g, env), (n, n))
     return _double(star, g.names, label=f"word({g.label})")
 
 

@@ -185,6 +185,17 @@ def _commutators_of(g: FiniteGroup, left, right) -> np.ndarray:
     return np.unique(comm)
 
 
+def _commutator_series(g: FiniteGroup, right) -> list[SubgroupSet]:
+    """[G, H_1, H_2, ...] with H_{k+1} the normal closure of [H_k, right(H_k)], until stable."""
+    terms = [_whole_group(g)]
+    while True:
+        cur = terms[-1].members
+        nxt = normal_closure(g, _commutators_of(g, cur, right(cur)).tolist())
+        if nxt.members == cur:
+            return terms
+        terms.append(nxt)
+
+
 def derived_series(g: FiniteGroup) -> list[SubgroupSet]:
     """[G, G', G'', ...] until stabilization.
 
@@ -192,27 +203,12 @@ def derived_series(g: FiniteGroup) -> list[SubgroupSet]:
     previous term; for metabelian groups the series ends [..., {1}] at or
     before the third entry.
     """
-    terms = [_whole_group(g)]
-    while True:
-        cur = terms[-1].members
-        comms = _commutators_of(g, cur, cur)
-        nxt = normal_closure(g, comms.tolist())
-        if nxt.members == cur:
-            return terms
-        terms.append(nxt)
+    return _commutator_series(g, lambda cur: cur)
 
 
 def lower_central_series(g: FiniteGroup) -> list[SubgroupSet]:
     """gamma_1 = G, gamma_{k+1} = <[gamma_k, G]> (normal closure), until stable."""
-    terms = [_whole_group(g)]
-    everything = range(g.order)
-    while True:
-        cur = terms[-1].members
-        comms = _commutators_of(g, cur, everything)
-        nxt = normal_closure(g, comms.tolist())
-        if nxt.members == cur:
-            return terms
-        terms.append(nxt)
+    return _commutator_series(g, lambda cur: range(g.order))
 
 
 def nilpotency_class(g: FiniteGroup) -> int | None:

@@ -28,7 +28,6 @@ from .errors import BudgetExceededError
 from .tables import (
     as_table,
     first_associativity_failure,
-    first_commutativity_failure,
     first_interchange_failure,
     first_mismatch,
     two_sided_identity,
@@ -72,7 +71,7 @@ class DoubleMagma:
 
 def is_commutative(m: Magma) -> Verdict:
     """Scan all pairs; the witness is the smallest failing (x, y)."""
-    return exhaustive_verdict(first_commutativity_failure(m.op), "xy", m.names)
+    return exhaustive_verdict(first_mismatch(m.op, m.op.T), "xy", m.names)
 
 
 def is_associative(m: Magma) -> Verdict:

@@ -1,12 +1,15 @@
 """Finite rings as paired addition/multiplication tables, with Lie-bracket laws.
 
-The bracket <x,y> = xy - yx drives everything here. The four bracket laws the
-workbench needs form a fixed registry of vectorized scans rather than a second
-parsed language; iterated brackets nest to the left, <x,y,z> = <<x,y>,z>,
-mirroring the group-side convention.
+The bracket <x,y> = xy - yx drives everything here. The registry's bracket
+laws are builtin commutator laws of `words` read in the Lie ring: (R,+)
+stands for the group, with <x,y> in place of [x,y], so the one word-law
+evaluator decides them. Iterated brackets nest to the left,
+<x,y,z> = <<x,y>,z>, as on the group side.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,11 +25,28 @@ from .tables import (
     light_associative,
     magma_generators,
 )
-from .words import DEFAULT_EVAL_BUDGET, Verdict, exhaustive_verdict, scan_sampled
+from .words import (
+    DEFAULT_EVAL_BUDGET,
+    Bracket,
+    IntPower,
+    Verdict,
+    _law_failing,
+    builtin_law,
+    exhaustive_verdict,
+    scan_sampled,
+)
 
 _DEFAULT_SAMPLES = 10**6
 
-RING_LAWS = ("RCI", "ALT3M", "DOUBLE2", "NILP2", "PROPER_WITNESS")
+# Each ring law is a builtin commutator law read in the Lie ring: <x,y> for [x,y].
+RING_WORD_LAWS = {
+    "RCI": "CI",
+    "ALT3M": "3M_I",
+    "DOUBLE2": "SQUARE",
+    "NILP2": "CLASS2",
+    "PROPER_WITNESS": "COMM_SQ",
+}
+RING_LAWS = tuple(RING_WORD_LAWS)
 
 
 def _generator_checks_pass(add: np.ndarray, mul: np.ndarray) -> bool:
@@ -121,11 +141,6 @@ class FiniteRing:
     def bracket_table(self) -> np.ndarray:
         """Table of <x,y> = xy - yx."""
         return self.add[self.mul, self.neg[self.mul.T]]
-
-    def double_table(self) -> np.ndarray:
-        """x -> x + x, as a lookup vector."""
-        idx = np.arange(self.order)
-        return self.add[idx, idx]
 
 
 def lie_bracket(r: FiniteRing, x: int, y: int) -> int:
@@ -223,11 +238,6 @@ def parse_ring_spec(spec: str, order_budget: int = DEFAULT_ORDER_BUDGET) -> Fini
 # ---------------------------------------------------------------------------
 
 
-def _rci_diff(r: FiniteRing, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left - right, so that the law left == right becomes a zero test."""
-    return r.add[left, r.neg[right]]
-
-
 def check_ring_law(
     r: FiniteRing,
     name: str,
@@ -237,35 +247,28 @@ def check_ring_law(
 ) -> Verdict:
     """Decide one of the registry laws on the ring by brute force.
 
-    RCI    : <w,x;y,z> = <w,y;x,z>
-    ALT3M  : <x,y;x,z> = 0
-    DOUBLE2: 2<w,x;y,z> = 0
-    NILP2  : <x,y,z> = 0
-    PROPER_WITNESS scans the law 2<x,y> = 0; a counterexample is exactly a
-    pair witnessing that the commutation double magma on R is proper.
+    RCI    : <w,x;y,z> = <w,y;x,z>   (CI)
+    ALT3M  : <x,y;x,z> = 0           (3M_I)
+    DOUBLE2: 2<w,x;y,z> = 0          (SQUARE)
+    NILP2  : <x,y,z> = 0             (CLASS2)
+    PROPER_WITNESS scans the law 2<x,y> = 0 (COMM_SQ); a counterexample is
+    exactly a pair witnessing that the commutation double magma on R is proper.
+
+    Each is the builtin word law named in parentheses (`RING_WORD_LAWS`),
+    read in (R,+) with the Lie bracket as its commutator and decided by the
+    word-law evaluator (`words._law_failing`).
     """
     if sample_count < 1:
         raise ValueError("sample count must be at least 1")
-    bk = r.bracket_table()
-    dbl = r.double_table()
-    laws = {  # variables, and the value the law says is zero
-        "RCI": (("w", "x", "y", "z"),
-                lambda w, x, y, z: _rci_diff(r, bk[bk[w, x], bk[y, z]], bk[bk[w, y], bk[x, z]])),
-        "ALT3M": (("x", "y", "z"), lambda x, y, z: bk[bk[x, y], bk[x, z]]),
-        "DOUBLE2": (("w", "x", "y", "z"), lambda w, x, y, z: dbl[bk[bk[w, x], bk[y, z]]]),
-        "NILP2": (("x", "y", "z"), lambda x, y, z: gather(bk, bk[x, y], z)),
-        "PROPER_WITNESS": (("x", "y"), lambda x, y: dbl[gather(bk, x, y)]),
-    }
-    if name not in laws:
+    if name not in RING_WORD_LAWS:
         known = ", ".join(RING_LAWS)
         raise SpecError(f"unknown ring law {name!r}; known laws: {known}")
-    variables, value = laws[name]
-
-    def failing(axes):
-        return value(*axes) != r.zero
-
+    law = builtin_law(RING_WORD_LAWS[name])
+    plus = SimpleNamespace(mul=r.add, inv=r.neg, identity=r.zero)
+    tables = {Bracket: r.bracket_table(), IntPower: r.add.diagonal()}
+    failing = _law_failing(plus, law, tables)
     # only the four-variable laws fall back to sampling past the budget
-    if len(variables) == 4 and r.order**4 > budget:
-        return scan_sampled(r.order, variables, r.names, failing, sample_count, seed)
-    bad = first_failure([np.arange(r.order)] * len(variables), failing)
-    return exhaustive_verdict(bad, variables, r.names)
+    if len(law.variables) == 4 and r.order**4 > budget:
+        return scan_sampled(r.order, law.variables, r.names, failing, sample_count, seed)
+    bad = first_failure([np.arange(r.order)] * len(law.variables), failing)
+    return exhaustive_verdict(bad, law.variables, r.names)

@@ -11,7 +11,7 @@ force lands.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import fixtures
 from .constructions import commutator_double, ring_commutator_double, word_double
@@ -113,7 +113,7 @@ class CorpusConfig:
                 raise SpecError(f"malformed config {path}: {e}") from None
         if not isinstance(raw, dict):
             raise SpecError(f"malformed config {path}: expected a JSON object")
-        known = {"groups", "rings", "checks", "budget", "sample_count", "seed"}
+        known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise SpecError(f"unknown config keys {sorted(unknown)}; known: {sorted(known)}")

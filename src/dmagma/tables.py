@@ -83,16 +83,6 @@ def is_latin(table: np.ndarray) -> bool:
     )
 
 
-def first_commutativity_failure(table: np.ndarray) -> tuple[int, int] | None:
-    """First (x, y), lexicographic, with table[x,y] != table[y,x]."""
-    neq = table != table.T
-    if not neq.any():
-        return None
-    flat = int(np.argmax(neq))
-    n = table.shape[0]
-    return divmod(flat, n)
-
-
 def distinct_lines(*lines: np.ndarray) -> np.ndarray:
     """Ascending indices i that no j < i matches: lines[k][j] == lines[k][i] for every k.
 

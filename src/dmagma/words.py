@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ParseError, SpecError, UnboundVariableError
 from .groups import FiniteGroup
-from .tables import SCAN_CELLS, first_failure
+from .tables import SCAN_CELLS, first_failure, gather
 
 DEFAULT_EVAL_BUDGET = 10**8
 MAX_EXPONENT = 32
@@ -399,13 +399,15 @@ def evaluate(term: Term, group: FiniteGroup, assignment: Mapping[str, int]) -> i
 
 
 def _word_tables(group: FiniteGroup, *terms: Term) -> dict[type, np.ndarray]:
-    """The n x n tables comm[x,y] = [x,y] and conj[x,y] = x^y = y^-1 x y.
+    """The lookups of a law's nodes: comm[x,y] = [x,y], conj[x,y] = x^y = y^-1 x y
+    and sq[x] = x*x.
 
     They are keyed by node type, and a table is built only if `terms` hold a
     node of its type, so that `_eval_batch` evaluates every bracket and
-    conjugate as one gather. They come from `group.mul` and `group.inv` alone:
-    the table-level route (`constructions.commutator_double`) builds its own
-    commutator table, so that the two routes stay independent.
+    conjugate as one gather and every squaring of a power as a 1-D lookup.
+    They come from `group.mul` and `group.inv` alone: the table-level route
+    (`constructions.commutator_double`) builds its own commutator table, so
+    that the two routes stay independent.
     """
     kinds, stack = set(), list(terms)
     while stack:
@@ -420,6 +422,8 @@ def _word_tables(group: FiniteGroup, *terms: Term) -> dict[type, np.ndarray]:
         tables[Bracket] = mul[mul[inv[x], inv[y]], mul]
     if Conjugate in kinds:
         tables[Conjugate] = mul[mul[inv[y], x], y]
+    if IntPower in kinds:
+        tables[IntPower] = mul.diagonal()
     return tables
 
 
@@ -427,15 +431,16 @@ def _eval_batch(
     term: Term,
     group: FiniteGroup,
     env: dict[str, np.ndarray],
-    size: int | tuple[int, ...],
     tables: dict[type, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Evaluate a term over a batch of assignments (one index array per variable).
 
-    The arrays broadcast against each other. With one axis per variable and
-    size=() each subterm is computed on the grid of its own variables only.
-    `tables` are the `_word_tables` of the term or of a term containing it;
-    they are built here when not given.
+    The arrays broadcast against each other; with one axis per variable each
+    subterm is computed on the grid of its own variables only, and a subterm
+    without variables is a 0-d array. `group` needs only `mul`, `inv` and
+    `identity`: a ring law reads (R,+) this way, with the Lie bracket table as
+    `tables[Bracket]`. `tables` are the `_word_tables` of the term or of a term
+    containing it; they are built here when not given.
     """
     if tables is None:
         tables = _word_tables(group, term)
@@ -446,40 +451,31 @@ def _eval_batch(
         except KeyError:
             raise UnboundVariableError(term.name) from None
     if isinstance(term, IdentityLiteral):
-        return np.zeros(size, dtype=np.int32)
+        return np.asarray(group.identity, dtype=np.int32)
     if isinstance(term, Inverse):
-        return inv[_eval_batch(term.base, group, env, size, tables)]
+        return inv[_eval_batch(term.base, group, env, tables)]
     if isinstance(term, Product):
-        return mul[
-            _eval_batch(term.left, group, env, size, tables),
-            _eval_batch(term.right, group, env, size, tables),
-        ]
-    if isinstance(term, Conjugate):
-        return tables[Conjugate][
-            _eval_batch(term.base, group, env, size, tables),
-            _eval_batch(term.by, group, env, size, tables),
-        ]
-    if isinstance(term, Bracket):
-        return tables[Bracket][
-            _eval_batch(term.left, group, env, size, tables),
-            _eval_batch(term.right, group, env, size, tables),
-        ]
+        return gather(mul, _eval_batch(term.left, group, env, tables),
+                      _eval_batch(term.right, group, env, tables))
+    if isinstance(term, (Conjugate, Bracket)):
+        left, right = _children(term)
+        return gather(tables[type(term)], _eval_batch(left, group, env, tables),
+                      _eval_batch(right, group, env, tables))
     if isinstance(term, IntPower):
         k = term.exponent
         if k == 0:
-            return np.zeros(size, dtype=np.int32)
-        base = _eval_batch(term.base, group, env, size, tables)
+            return np.asarray(group.identity, dtype=np.int32)
+        cur = _eval_batch(term.base, group, env, tables)
         if k < 0:
-            base, k = inv[base], -k
-        acc = np.zeros(size, dtype=np.int32)
-        cur = base
-        while k:
+            cur, k = inv[cur], -k
+        acc = None  # square and multiply; no factor taken before k's lowest set bit
+        while True:
             if k & 1:
-                acc = mul[acc, cur]
+                acc = cur if acc is None else mul[acc, cur]
             k >>= 1
-            if k:
-                cur = mul[cur, cur]
-        return acc
+            if not k:
+                return acc
+            cur = tables[IntPower][cur]  # the next square, one lookup
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -588,15 +584,18 @@ def scan_sampled(
     return Verdict(HOLDS_SAMPLED, evaluations=count, sample_count=count, seed=seed)
 
 
-def _law_failing(group: FiniteGroup, law: Law):
-    """The `failing` callback of both scans: lhs != rhs on broadcast index arrays."""
-    tables = _word_tables(group, law.lhs, law.rhs)
+def _law_failing(group: FiniteGroup, law: Law, tables: dict[type, np.ndarray] | None = None):
+    """The `failing` callback of every law scan: lhs != rhs on broadcast index arrays.
+
+    `group` and `tables` are read as in `_eval_batch`; the tables default to
+    the law's `_word_tables`.
+    """
+    if tables is None:
+        tables = _word_tables(group, law.lhs, law.rhs)
 
     def failing(axes):
         env = dict(zip(law.variables, axes))
-        return _eval_batch(law.lhs, group, env, (), tables) != _eval_batch(
-            law.rhs, group, env, (), tables
-        )
+        return _eval_batch(law.lhs, group, env, tables) != _eval_batch(law.rhs, group, env, tables)
 
     return failing
 

@@ -280,3 +280,14 @@ def test_suite_bad_entry_exits_1(tmp_path, capsys):
 def test_suite_missing_config_exits_2(tmp_path, capsys):
     rc, _, err = run(capsys, "suite", str(tmp_path / "absent.json"))
     assert rc == 2
+
+
+def test_suite_overrides_are_validated(tmp_path, capsys):
+    for flag in ("--budget", "--samples"):
+        rc, out, err = run(
+            capsys, "suite", flag, "0",
+            "--text", str(tmp_path / "r.txt"), "--json", str(tmp_path / "r.json"),
+        )
+        assert rc == 2 and out == ""
+        assert "must be positive" in err
+        assert not (tmp_path / "r.json").exists()

@@ -1,9 +1,11 @@
 """The scalar and full-scan oracles share no code with the scans they check.
 
 Every exhaustive scan runs through one walker (`tables.first_failure`) and one
-verdict builder (`words.exhaustive_verdict`). A bug there would show in every
-verdict at once, so the oracles that cross-check those verdicts must reach
-their answers without them, or through the law checkers that call them.
+verdict builder (`words.exhaustive_verdict`), and every group or ring law is
+evaluated by one word-law evaluator from one registry of builtin laws. A bug
+there would show in every verdict at once, so the oracles that cross-check
+those verdicts must reach their answers without them, or through the law
+checkers that call them.
 """
 
 import ast
@@ -16,7 +18,12 @@ import table_oracles
 import test_rings
 import test_words
 
-SHARED_SCAN_PATH = {"first_failure", "exhaustive_verdict", "check_law_exhaustive", "check_ring_law"}
+SHARED_SCAN_PATH = {
+    "first_failure", "exhaustive_verdict", "check_law_exhaustive", "check_ring_law",
+    # the word-law evaluator and law registry, which ring laws read as well
+    "_eval_batch", "_law_failing", "_word_tables", "scan_sampled", "builtin_law", "BUILTIN_LAWS",
+    "RING_WORD_LAWS",
+}
 
 ORACLES = (
     table_oracles,

@@ -94,7 +94,7 @@ def test_scalar_and_batch_evaluation_agree(term, pick):
     assignment = {v: int(rng.integers(0, g.order)) for v in names}
     scalar = evaluate(term, g, assignment)
     env = {v: np.array([i], dtype=np.int32) for v, i in assignment.items()}
-    batch = int(_eval_batch(term, g, env, 1)[0])
+    batch = int(np.broadcast_to(_eval_batch(term, g, env), (1,))[0])
     assert scalar == batch
 
 

@@ -222,9 +222,21 @@ def _scalar_ring_scan(r, name):
     return dmagma.words.Verdict("holds-exhaustive", r.order ** len(variables))
 
 
-@pytest.mark.parametrize("spec", ["zmod:6", "uppertri:2,2", "matrix:2,2", "matrix:2,3"])
+def reversed_labels(r):
+    """The same ring with element i relabelled n-1-i, which moves zero off index 0."""
+    rev = np.arange(r.order)[::-1]
+    cells = np.ix_(rev, rev)
+    return FiniteRing(rev[r.add[cells]], rev[r.mul[cells]], r.names[::-1], f"reversed:{r.label}")
+
+
+@pytest.mark.parametrize("spec", [
+    "zmod:6", "uppertri:2,2", "matrix:2,2", "matrix:2,3", "reversed:zmod:6", "reversed:uppertri:2,2",
+])
 def test_ring_scans_match_scalar_nested_loops(spec):
-    r = parse_ring_spec(spec)
+    r = parse_ring_spec(spec.removeprefix("reversed:"))
+    if spec.startswith("reversed:"):
+        r = reversed_labels(r)
+        assert r.zero == r.order - 1
     scanned = []
     for name in dmagma.rings.RING_LAWS:
         variables, _ = _scalar_ring_law(r, name)
@@ -305,6 +317,21 @@ def test_sampled_ring_scan_matches_a_scalar_walk_of_the_stream():
     pos = next(i for i, (w, x, y, z) in enumerate(rows) if b(b(w, x), b(y, z)) != b(b(w, y), b(x, z)))
     assert v.status == "counterexample" and v.evaluations == pos + 1
     assert v.witness == {name: r.names[i] for name, i in zip("wxyz", rows[pos])}
+
+
+@pytest.mark.parametrize("name,status", [("RCI", "counterexample"), ("DOUBLE2", "holds-sampled")])
+def test_sampled_scan_of_a_relabelled_ring_matches_a_scalar_walk_of_the_stream(name, status):
+    r = reversed_labels(make_upper_triangular(3, 2))  # zero is element 63
+    v = check_ring_law(r, name, budget=1, sample_count=20_000, seed=2)
+    assert v.status == status
+    rows = np.random.default_rng(2).integers(0, r.order, size=(20_000, 4), dtype=np.int64)
+    variables, value = _scalar_ring_law(r, name)
+    pos = next((i for i, row in enumerate(rows) if value(*(int(a) for a in row)) != r.zero), None)
+    if pos is None:
+        assert v == dmagma.words.Verdict("holds-sampled", 20_000, None, 20_000, 2)
+    else:
+        witness = {var: r.names[i] for var, i in zip(variables, rows[pos])}
+        assert v == dmagma.words.Verdict("counterexample", pos + 1, witness, 20_000, 2)
 
 
 def test_unknown_ring_law():

@@ -387,15 +387,17 @@ def test_sampled_verdict_never_contradicts_exhaustive(lhs, rhs, pick, seed):
 
 def test_word_tables_match_scalar_commutator_and_conjugate(corpus_groups):
     for spec, g in corpus_groups:
-        tables = _word_tables(g, parse_term("[x,y]*x^y"))
+        tables = _word_tables(g, parse_term("[x,y]*x^y*x^3"))
         cells = list(itertools.product(g.elements(), repeat=2))
         assert [tables[Bracket][x, y] for x, y in cells] == [g.commutator(x, y) for x, y in cells]
         assert [tables[Conjugate][x, y] for x, y in cells] == [g.conjugate(x, y) for x, y in cells]
+        assert list(tables[IntPower]) == [g.product(x, x) for x in g.elements()]
 
 
 def test_word_tables_are_built_only_for_the_nodes_a_law_uses():
     g = make_dihedral(4)
-    assert _word_tables(g, parse_term("x*y^-1"), parse_term("(x y)^3")) == {}
+    assert _word_tables(g, parse_term("x*y^-1"), parse_term("x y")) == {}
+    assert set(_word_tables(g, parse_term("x*y^-1"), parse_term("(x y)^3"))) == {IntPower}
     assert set(_word_tables(g, parse_term("[x,y]"), parse_term("1"))) == {Bracket}
     assert set(_word_tables(g, parse_term("x"), parse_term("y^x"))) == {Conjugate}
 
