@@ -16,6 +16,7 @@ import numpy as np
 from .errors import SpecError
 from .tables import (
     DEFAULT_ORDER_BUDGET,
+    SCAN_CELLS,
     as_table,
     check_order_budget,
     first_associativity_failure,
@@ -30,6 +31,7 @@ from .words import (
     Bracket,
     IntPower,
     Verdict,
+    _class_reps,
     _law_failing,
     builtin_law,
     exhaustive_verdict,
@@ -256,7 +258,9 @@ def check_ring_law(
 
     Each is the builtin word law named in parentheses (`RING_WORD_LAWS`),
     read in (R,+) with the Lie bracket as its commutator and decided by the
-    word-law evaluator (`words._law_failing`).
+    word-law evaluator (`words._law_failing`). An exhaustive scan visits one
+    representative per class of elements with equal bracket rows and columns
+    (`words._class_reps`).
     """
     if sample_count < 1:
         raise ValueError("sample count must be at least 1")
@@ -270,5 +274,5 @@ def check_ring_law(
     # only the four-variable laws fall back to sampling past the budget
     if len(law.variables) == 4 and r.order**4 > budget:
         return scan_sampled(r.order, law.variables, r.names, failing, sample_count, seed)
-    bad = first_failure([np.arange(r.order)] * len(law.variables), failing)
+    bad = first_failure(_class_reps(law, tables, r.order, SCAN_CELLS), failing)
     return exhaustive_verdict(bad, law.variables, r.names)

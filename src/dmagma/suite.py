@@ -120,7 +120,11 @@ class CorpusConfig:
         kwargs = {}
         for key in ("groups", "rings", "checks"):
             if key in raw:
-                kwargs[key] = tuple(str(s) for s in raw[key])
+                if not isinstance(raw[key], list) or not all(isinstance(s, str) for s in raw[key]):
+                    raise SpecError(
+                        f"malformed config {path}: {key!r} must be a JSON list of strings"
+                    )
+                kwargs[key] = tuple(raw[key])
         for key in ("budget", "sample_count", "seed"):
             if key in raw:
                 kwargs[key] = int(raw[key])

@@ -21,6 +21,12 @@ first failure lies on the grid of representatives, and scanning that grid in
 lexicographic order (`first_failure`) returns it. The verdict remains a
 brute-force statement about the table alone; only checks that repeat an
 earlier one are skipped.
+
+Group and ring laws are scanned the same way (`words._class_reps`): a law
+reads a variable that is an argument of a bracket or conjugate through that
+table's row or column, so the same argument makes the first failure a tuple
+of representatives. `evaluations` stays the witness's position in the full
+n^k grid, or n^k when the law holds, as if every tuple had been visited.
 """
 
 from __future__ import annotations
@@ -83,17 +89,28 @@ def is_latin(table: np.ndarray) -> bool:
     )
 
 
+def line_keys(lines: np.ndarray) -> list[bytes]:
+    """Row i of an n x m array as bytes, for each i: rows are equal iff their keys are."""
+    rows = np.ascontiguousarray(lines)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+
+
+def distinct_keys(*keys) -> np.ndarray:
+    """Ascending indices i that no j < i matches: keys[k][j] == keys[k][i] for every k."""
+    first: dict = {}
+    for i, key in enumerate(keys[0] if len(keys) == 1 else zip(*keys)):
+        first.setdefault(key, i)
+    return np.fromiter(first.values(), np.intp, len(first))
+
+
 def distinct_lines(*lines: np.ndarray) -> np.ndarray:
     """Ascending indices i that no j < i matches: lines[k][j] == lines[k][i] for every k.
 
     Each argument is an n x m array whose row i is a line of element i (pass
-    ``table`` for rows, ``table.T`` for columns). Classes come exactly from
-    sorting the rows of the concatenated lines as raw bytes.
+    ``table`` for rows, ``table.T`` for columns). Lines are compared exactly,
+    as raw bytes (`line_keys`).
     """
-    keys = np.ascontiguousarray(np.concatenate(lines, axis=1))
-    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-    _, first = np.unique(rows, return_index=True)
-    return np.sort(first)
+    return distinct_keys(*map(line_keys, lines))
 
 
 def first_failure(reps, failing, cells: int = SCAN_CELLS) -> tuple[int, ...] | None:
@@ -137,7 +154,8 @@ def first_associativity_failure(table: np.ndarray) -> tuple[int, int, int] | Non
         x, y, z = axes
         return gather(table, table[x, y], z) != table[x, gather(table, y, z)]
 
-    reps = (distinct_lines(table), distinct_lines(table, table.T), distinct_lines(table.T))
+    rows, cols = line_keys(table), line_keys(table.T)
+    reps = (distinct_keys(rows), distinct_keys(rows, cols), distinct_keys(cols))
     return first_failure(reps, failing)
 
 
@@ -151,11 +169,12 @@ def first_interchange_failure(s: np.ndarray, b: np.ndarray) -> tuple[int, ...] |
         w, x, y, z = axes
         return b[s[w, x], s[y, z]] != s[b[w, y], b[x, z]]
 
+    s_rows, s_cols, b_rows, b_cols = map(line_keys, (s, s.T, b, b.T))
     reps = (
-        distinct_lines(s, b),
-        distinct_lines(s.T, b),
-        distinct_lines(s, b.T),
-        distinct_lines(s.T, b.T),
+        distinct_keys(s_rows, b_rows),
+        distinct_keys(s_cols, b_rows),
+        distinct_keys(s_rows, b_cols),
+        distinct_keys(s_cols, b_cols),
     )
     return first_failure(reps, failing)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, ParseError, SpecError, UnboundVariableError
 from .groups import FiniteGroup
-from .tables import SCAN_CELLS, first_failure, gather
+from .tables import SCAN_CELLS, distinct_lines, first_failure, gather
 
 DEFAULT_EVAL_BUDGET = 10**8
 MAX_EXPONENT = 32
@@ -600,6 +600,55 @@ def _law_failing(group: FiniteGroup, law: Law, tables: dict[type, np.ndarray] | 
     return failing
 
 
+def _law_lines(law: Law) -> dict[str, frozenset | None]:
+    """The table lines through which `law` reads each of its variables.
+
+    An argument of a bracket or a conjugate is read through that node's table
+    (`_word_tables`): its row when it is the left argument (axis 0), its
+    column when it is the right one (axis 1). Each variable maps to the set
+    of its (node type, axis) lines, or to None when some occurrence is read
+    whole: under a product, an inverse or a power, or as a side of the law.
+    """
+    lines: dict[str, set | None] = {v: set() for v in law.variables}
+    stack = [(law.lhs, None), (law.rhs, None)]
+    while stack:
+        t, line = stack.pop()
+        if isinstance(t, Variable):
+            if line is None:
+                lines[t.name] = None
+            elif lines[t.name] is not None:
+                lines[t.name].add(line)
+            continue
+        read = isinstance(t, (Bracket, Conjugate))
+        stack.extend((c, (type(t), axis) if read else None) for axis, c in enumerate(_children(t)))
+    return {v: None if ls is None else frozenset(ls) for v, ls in lines.items()}
+
+
+def _class_reps(law: Law, tables: dict[type, np.ndarray], n: int, cells: int) -> list[np.ndarray]:
+    """One ascending array of representatives per variable of `law`, for `first_failure`.
+
+    Elements whose lines (`_law_lines`) all agree give equal law values, so
+    each variable scans the smallest element of each class
+    (`tables.distinct_lines` over `tables`, the law's bracket and conjugate
+    tables). The lexicographically first failure is a tuple of
+    representatives (see `tables`), so `exhaustive_verdict` reads the same
+    witness and position as from the full grid. When that grid fits in one
+    slice of `cells`, the classes would save nothing and are not computed.
+    """
+    full = np.arange(n)
+    if n ** len(law.variables) <= cells:
+        return [full] * len(law.variables)
+    found: dict[frozenset | None, np.ndarray] = {None: full}
+    reps = []
+    for key in _law_lines(law).values():
+        if key not in found:
+            lines = [tables[kind] if axis == 0 else tables[kind].T for kind, axis in key]
+            # a variable read through no line (a line map with one dropped) is one class
+            found[key] = distinct_lines(*lines) if lines else full[:1]
+        reps.append(found[key])
+    return reps
+
+
 def check_law_exhaustive(
     group: FiniteGroup,
     law: Law,
@@ -611,7 +660,9 @@ def check_law_exhaustive(
     The first variable is the most significant digit. Each variable has its
     own broadcast axis (`tables.first_failure`), so a subterm is computed only
     on the grid of its own free variables; one slice holds at most
-    `chunk_size` assignments.
+    `chunk_size` assignments. Only one representative per class of elements
+    the law cannot tell apart is visited (`_class_reps`); the witness and
+    `evaluations` are those of the full n^k scan.
     """
     n = group.order
     total = n ** len(law.variables)
@@ -620,8 +671,9 @@ def check_law_exhaustive(
             f"law {law} over order {n} needs {total} evaluations "
             f"(budget {budget}); use check_law_sampled"
         )
-    reps = [np.arange(n)] * len(law.variables)
-    bad = first_failure(reps, _law_failing(group, law), chunk_size)
+    tables = _word_tables(group, law.lhs, law.rhs)
+    reps = _class_reps(law, tables, n, chunk_size)
+    bad = first_failure(reps, _law_failing(group, law, tables), chunk_size)
     return exhaustive_verdict(bad, law.variables, group.names)
 
 

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import dmagma.cli
 from dmagma.cli import main
@@ -275,6 +276,22 @@ def test_suite_bad_entry_exits_1(tmp_path, capsys):
     )
     assert rc == 1
     assert "ERROR cyclic:zzz" in out
+
+
+@pytest.mark.parametrize("key,value", [("groups", "cyclic:3"), ("rings", {"zmod:4": 1}),
+                                       ("checks", "prop_1_1"), ("groups", ["cyclic:3", 3])])
+def test_suite_config_lists_must_be_json_lists_of_strings(tmp_path, capsys, key, value):
+    raw = {"groups": ["cyclic:3"], "rings": [], "checks": ["prop_1_1"]}
+    raw[key] = value
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(raw))
+    rc, out, err = run(
+        capsys, "suite", str(config),
+        "--text", str(tmp_path / "r.txt"), "--json", str(tmp_path / "r.json"),
+    )
+    assert rc == 2 and out == ""
+    assert f"{key!r} must be a JSON list of strings" in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_suite_missing_config_exits_2(tmp_path, capsys):

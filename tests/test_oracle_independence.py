@@ -16,20 +16,22 @@ import pytest
 
 import table_oracles
 import test_rings
-import test_words
+import word_oracles
 
 SHARED_SCAN_PATH = {
     "first_failure", "exhaustive_verdict", "check_law_exhaustive", "check_ring_law",
     # the word-law evaluator and law registry, which ring laws read as well
     "_eval_batch", "_law_failing", "_word_tables", "scan_sampled", "builtin_law", "BUILTIN_LAWS",
     "RING_WORD_LAWS",
+    # the class derivation that picks which assignments a law scan visits
+    "_class_reps", "_law_lines", "distinct_lines", "distinct_keys", "line_keys",
 }
 
 ORACLES = (
     table_oracles,
-    test_words.naive_check,
-    test_words.formula_eval,
-    test_words.flat_index_scan,
+    word_oracles.naive_check,
+    word_oracles.formula_eval,
+    word_oracles.flat_index_scan,
     test_rings._scalar_ring_law,
     test_rings._scalar_ring_scan,
 )

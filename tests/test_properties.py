@@ -3,7 +3,7 @@
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from dmagma.constructions import commutator_double
 from dmagma.groups import (
@@ -22,11 +22,14 @@ from dmagma.words import (
     Product,
     Variable,
     _eval_batch,
+    check_law_exhaustive,
     evaluate,
     free_variables,
+    make_law,
     parse_term,
     to_string,
 )
+from word_oracles import flat_index_scan, naive_check
 
 GROUPS = [
     make_cyclic(6),
@@ -145,3 +148,15 @@ def test_perm_specs_build_the_closure_of_their_generators(gens):
             break
         closure = more
     assert parse_group_spec(perm_spec(gens)).order == len(closure)
+
+
+@given(perm_groups, terms, terms, st.sampled_from([1, 7, 64]))
+@settings(max_examples=60, deadline=None)
+def test_class_representative_scan_matches_the_full_scan_oracles(g, lhs, rhs, chunk):
+    law = make_law(lhs, rhs)
+    total = g.order ** len(law.variables)
+    assume(chunk < total <= 5000)  # the classes are computed, and the oracles stay quick
+    got = check_law_exhaustive(g, law, chunk_size=chunk)
+    assert got == flat_index_scan(g, law)
+    if total <= 500:
+        assert got == naive_check(g, law)

@@ -269,6 +269,31 @@ def test_multi_slice_ring_verdicts_are_pinned(spec, name, status, evaluations, w
     assert check_ring_law(parse_ring_spec(spec), name) == want
 
 
+@pytest.mark.parametrize(
+    "spec,name,status,evaluations,witness",
+    [case for case in MULTI_SLICE_RING_VERDICTS if case[2] == "counterexample"],
+)
+def test_dropping_a_line_of_a_ring_law_derivation_is_caught(
+    monkeypatch, spec, name, status, evaluations, witness
+):
+    r = parse_ring_spec(spec)
+    want = dmagma.words.Verdict(status, evaluations, witness)
+    law = builtin_law(dmagma.rings.RING_WORD_LAWS[name])
+    lines = dmagma.words._law_lines(law)
+    for v, ls in lines.items():
+        for line in ls:
+            mutant = {**lines, v: ls - {line}}
+            monkeypatch.setattr(dmagma.words, "_law_lines", lambda _: mutant)
+            # <x,y> = -<y,x>, so bracket rows and columns split R alike: dropping
+            # one of a variable's two lines changes nothing, dropping its only one does
+            assert (check_ring_law(r, name) != want) == (len(ls) == 1), (v, line)
+
+
+def line_class_counts(table) -> tuple[int, int]:
+    """Numbers of distinct rows and of distinct columns of a table."""
+    return len(np.unique(table, axis=0)), np.unique(table, axis=1).shape[1]
+
+
 def test_no_law_scan_slice_exceeds_the_cell_cap(monkeypatch):
     sizes = []
 
@@ -281,19 +306,30 @@ def test_no_law_scan_slice_exceeds_the_cell_cap(monkeypatch):
 
     monkeypatch.setattr(dmagma.rings, "first_failure", recording_first_failure)
     monkeypatch.setattr(dmagma.words, "first_failure", recording_first_failure)
+    # Both hold, so every slice of the grid of class representatives is visited:
+    # ALT3M <x,y;x,z> reads x by its bracket row and y, z by their columns,
+    # DOUBLE2 2<w,x;y,z> reads w, y by their rows and x, z by their columns.
     r = parse_ring_spec("uppertri:2,4")
-    for name in ("ALT3M", "DOUBLE2"):  # both hold, so every slice is visited
+    rows, cols = line_class_counts(r.bracket_table())
+    for name, classes, k in (("ALT3M", rows * cols**2, 3), ("DOUBLE2", (rows * cols) ** 2, 4)):
         sizes.clear()
-        assert check_ring_law(r, name).evaluations == sum(size for _, size in sizes)
+        assert check_ring_law(r, name).evaluations == r.order**k
+        assert sum(size for _, size in sizes) == classes < r.order**k
         assert {cap for cap, _ in sizes} == {SCAN_CELLS}
-        assert max(size for _, size in sizes) <= SCAN_CELLS < sum(size for _, size in sizes)
+        assert max(size for _, size in sizes) <= SCAN_CELLS
+    # CI [w,x;y,z] = [w,y;x,z] reads w, x, y and z by commutator rows or columns
     for spec, chunk in (("dihedral:16", SCAN_CELLS), ("dihedral:16", 1000), ("dihedral:4", 7)):
         g = parse_group_spec(spec)
+        comm = np.array([[g.commutator(x, y) for y in range(g.order)] for x in range(g.order)])
+        rows, cols = line_class_counts(comm)
         sizes.clear()
         verdict = check_law_exhaustive(g, builtin_law("CI"), chunk_size=chunk)  # CI holds
-        assert verdict.evaluations == g.order**4 == sum(size for _, size in sizes)
+        assert verdict.evaluations == g.order**4
+        assert sum(size for _, size in sizes) == (rows * cols) ** 2 < g.order**4
         assert {cap for cap, _ in sizes} == {chunk}
         assert max(size for _, size in sizes) <= chunk
+        if chunk < SCAN_CELLS:
+            assert sum(size for _, size in sizes) > chunk
 
 
 def test_sampled_fallback_past_budget():
@@ -317,6 +353,28 @@ def test_sampled_ring_scan_matches_a_scalar_walk_of_the_stream():
     pos = next(i for i, (w, x, y, z) in enumerate(rows) if b(b(w, x), b(y, z)) != b(b(w, y), b(x, z)))
     assert v.status == "counterexample" and v.evaluations == pos + 1
     assert v.witness == {name: r.names[i] for name, i in zip("wxyz", rows[pos])}
+
+
+# (ring, law, seed, 1-based stream position of the first counterexample): the
+# fallback must report the first failing drawn row, not merely a failing one.
+LATE_SAMPLED_COUNTEREXAMPLES = (
+    ("matrix:2,3", "RCI", 5, 3),
+    ("matrix:2,3", "DOUBLE2", 34, 4),
+    ("uppertri:3,2", "RCI", 7, 7),
+    ("uppertri:3,2", "RCI", 22, 9),
+)
+
+
+@pytest.mark.parametrize("spec,name,seed,position", LATE_SAMPLED_COUNTEREXAMPLES)
+def test_sampled_fallback_reports_the_first_failing_row_of_the_stream(spec, name, seed, position):
+    r = parse_ring_spec(spec)
+    v = check_ring_law(r, name, budget=100, sample_count=100_000, seed=seed)
+    rows = np.random.default_rng(seed).integers(0, r.order, size=(100_000, 4), dtype=np.int64)
+    variables, value = _scalar_ring_law(r, name)
+    pos = next(i for i, row in enumerate(rows) if value(*(int(a) for a in row)) != r.zero)
+    assert pos + 1 == position
+    witness = {var: r.names[i] for var, i in zip(variables, rows[pos])}
+    assert v == dmagma.words.Verdict("counterexample", position, witness, 100_000, seed)
 
 
 @pytest.mark.parametrize("name,status", [("RCI", "counterexample"), ("DOUBLE2", "holds-sampled")])

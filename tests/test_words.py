@@ -1,7 +1,7 @@
 """Word language: parsing, printing, evaluation, and the law checker.
 
-The law checker is cross-validated against a naive nested-loop oracle that
-shares nothing with the vectorized scan path.
+The law checker is cross-validated against the oracles in `word_oracles`,
+which share nothing with the vectorized scan path.
 """
 
 import dataclasses
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dmagma.words
 from dmagma.constructions import commutator_double
 from dmagma.errors import (
     BudgetExceededError,
@@ -50,6 +51,7 @@ from dmagma.words import (
     to_string,
 )
 from test_properties import GROUPS, perm_groups, terms
+from word_oracles import flat_index_scan, naive_check
 
 X, Y, Z, U = Variable("x"), Variable("y"), Variable("z"), Variable("u")
 
@@ -185,17 +187,6 @@ def test_evaluate_unbound_variable_names_it():
 # --- law checking ----------------------------------------------------------------
 
 
-def naive_check(group, law):
-    """Oracle: plain nested loops in lexicographic order, scalar evaluation."""
-    k = len(law.variables)
-    for pos, combo in enumerate(itertools.product(range(group.order), repeat=k)):
-        env = dict(zip(law.variables, combo))
-        if evaluate(law.lhs, group, env) != evaluate(law.rhs, group, env):
-            witness = {v: group.names[i] for v, i in env.items()}
-            return Verdict("counterexample", evaluations=pos + 1, witness=witness)
-    return Verdict("holds-exhaustive", evaluations=group.order**k)
-
-
 @pytest.mark.parametrize(
     "spec,law_text",
     [
@@ -213,64 +204,6 @@ def test_checker_matches_naive_oracle(spec, law_text):
     got = check_law_exhaustive(g, law)
     want = naive_check(g, law)
     assert got == want
-
-
-def formula_eval(term, group, env, size):
-    """Oracle: batch evaluation straight from mul and inv, with no derived tables.
-
-    Brackets and conjugates use the products that define them, and a power
-    multiplies its base |k| times.
-    """
-    mul, inv = group.mul, group.inv
-
-    def ev(t):
-        if isinstance(t, Variable):
-            return env[t.name]
-        if isinstance(t, IdentityLiteral):
-            return np.zeros(size, dtype=np.int32)
-        if isinstance(t, Inverse):
-            return inv[ev(t.base)]
-        if isinstance(t, Product):
-            return mul[ev(t.left), ev(t.right)]
-        if isinstance(t, Conjugate):
-            x, y = ev(t.base), ev(t.by)
-            return mul[mul[inv[y], x], y]
-        if isinstance(t, Bracket):
-            x, y = ev(t.left), ev(t.right)
-            return mul[mul[inv[x], inv[y]], mul[x, y]]
-        if isinstance(t, IntPower):
-            base = ev(t.base) if t.exponent >= 0 else inv[ev(t.base)]
-            acc = np.zeros(size, dtype=np.int32)
-            for _ in range(abs(t.exponent)):
-                acc = mul[acc, base]
-            return acc
-        raise TypeError(t)
-
-    return ev(term)
-
-
-def flat_index_scan(group, law):
-    """Oracle: the scan the broadcast grid replaced.
-
-    Every chunk of assignments is a flat int64 index range; each variable is
-    decoded from it with // and %, and every subterm is evaluated at full
-    chunk size by `formula_eval`.
-    """
-    n, k = group.order, len(law.variables)
-    total = n**k
-    weights = [n ** (k - 1 - i) for i in range(k)]
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        flat = np.arange(start, stop, dtype=np.int64)
-        env = {v: ((flat // w) % n).astype(np.int32) for v, w in zip(law.variables, weights)}
-        size = stop - start
-        neq = formula_eval(law.lhs, group, env, size) != formula_eval(law.rhs, group, env, size)
-        if neq.any():
-            pos = start + int(np.argmax(neq))
-            witness = {v: group.names[pos // w % n] for v, w in zip(law.variables, weights)}
-            return Verdict(COUNTEREXAMPLE, evaluations=pos + 1, witness=witness)
-    return Verdict(HOLDS_EXHAUSTIVE, evaluations=total)
 
 
 EDGE_LAWS = ("1=1", "x=1", "x^0=1", "[1,x]=1", "[x,y]^-3=[y,x]^3")
@@ -300,6 +233,38 @@ def test_broadcast_scan_matches_flat_index_scan(spec):
             assert check_law_exhaustive(g, law, chunk_size=chunk) == want, (text, chunk)
             scanned += 1
     assert scanned >= len(DIFFERENTIAL_LAWS) // 2
+
+
+# (group, law, variable, dropped line): dropping that (node type, axis) line
+# from the variable's class derivation merges elements the law tells apart
+# before the first failure, so the scan must then disagree with the oracle.
+# Together they drop a bracket row and column, a conjugate row and column, a
+# repeated line and one of a variable's two lines.
+S4 = "perm:(1 2),(1 2 3 4)"
+LINE_DROPS = (
+    (S4, "[x,y;x,z]=1", "x", Bracket, 0),
+    (S4, "[x,y;x,z]=1", "y", Bracket, 1),
+    (S4, "[x,y;x,z]=1", "z", Bracket, 1),
+    ("dihedral:8", "[x,y,z]=1", "x", Bracket, 0),
+    ("dihedral:8", "[x,y,z]=1", "z", Bracket, 1),
+    ("dihedral:4", "x^y=x", "y", Conjugate, 1),
+    ("dihedral:4", "[x^y,z]=1", "x", Conjugate, 0),
+    ("dihedral:4", "[x,y^x]=1", "y", Conjugate, 0),
+    ("heisenberg:3", "[x,y]=x^z", "x", Conjugate, 0),
+)
+
+
+@pytest.mark.parametrize("spec,text,variable,kind,axis", LINE_DROPS)
+def test_dropping_a_line_of_the_class_derivation_is_caught(monkeypatch, spec, text, variable, kind,
+                                                           axis):
+    g, law = parse_group_spec(spec), parse_law(text)
+    want = flat_index_scan(g, law)
+    assert check_law_exhaustive(g, law, chunk_size=7) == want
+    lines = dmagma.words._law_lines(law)
+    mutant = {**lines, variable: lines[variable] - {(kind, axis)}}
+    assert mutant != lines
+    monkeypatch.setattr(dmagma.words, "_law_lines", lambda _: mutant)
+    assert check_law_exhaustive(g, law, chunk_size=7) != want
 
 
 def test_broadcast_scan_edge_laws():
