@@ -260,7 +260,9 @@ def check_ring_law(
     read in (R,+) with the Lie bracket as its commutator and decided by the
     word-law evaluator (`words._law_failing`). An exhaustive scan visits one
     representative per class of elements with equal bracket rows and columns
-    (`words._class_reps`).
+    (`words._class_reps`). Past the budget, the four-variable laws are
+    sampled (`words.scan_sampled`), which settles a `holds-sampled` verdict
+    on that grid of representatives when it is small enough.
     """
     if sample_count < 1:
         raise ValueError("sample count must be at least 1")
@@ -271,8 +273,9 @@ def check_ring_law(
     plus = SimpleNamespace(mul=r.add, inv=r.neg, identity=r.zero)
     tables = {Bracket: r.bracket_table(), IntPower: r.add.diagonal()}
     failing = _law_failing(plus, law, tables)
+    reps = _class_reps(law, tables, r.order, SCAN_CELLS)
     # only the four-variable laws fall back to sampling past the budget
     if len(law.variables) == 4 and r.order**4 > budget:
-        return scan_sampled(r.order, law.variables, r.names, failing, sample_count, seed)
-    bad = first_failure(_class_reps(law, tables, r.order, SCAN_CELLS), failing)
+        return scan_sampled(r.order, law.variables, r.names, failing, sample_count, seed, reps)
+    bad = first_failure(reps, failing)
     return exhaustive_verdict(bad, law.variables, r.names)

@@ -127,7 +127,9 @@ class CorpusConfig:
                 kwargs[key] = tuple(raw[key])
         for key in ("budget", "sample_count", "seed"):
             if key in raw:
-                kwargs[key] = int(raw[key])
+                if not isinstance(raw[key], int) or isinstance(raw[key], bool):
+                    raise SpecError(f"malformed config {path}: {key!r} must be a JSON integer")
+                kwargs[key] = raw[key]
         return cls(**kwargs)
 
     def to_dict(self) -> dict:

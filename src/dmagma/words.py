@@ -18,6 +18,7 @@ ParseError.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -33,6 +34,13 @@ MAX_EXPONENT = 32
 # Deepest syntax tree a law may have; evaluating and printing terms recurses
 # once per level, so this keeps every consumer far from Python's stack limit.
 MAX_DEPTH = 100
+# A sampled law scan first scans the grid of class representatives when that
+# grid has at most this many tuples per requested sample (`scan_sampled`).
+# Measured on 2 vCPUs of an Intel Xeon (Python 3.11, numpy 2.4): the grid
+# costs 7-11 ns per tuple (metacyclic:7,3,2 L3: 21^5 tuples in 31 ms) and a
+# drawn row 66-102 ns (10^6 rows of L2 in 66 ms, of L3 in 94-102 ms), so a
+# clean grid scan costs no more than the sampling it replaces.
+_GRID_PER_SAMPLE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -550,21 +558,31 @@ def exhaustive_verdict(bad, variables, names) -> Verdict:
 
 
 def scan_sampled(
-    n: int, variables: tuple[str, ...], names, failing, count: int, seed: int,
+    n: int, variables: tuple[str, ...], names, failing, count: int, seed: int, reps,
     chunk: int = SCAN_CELLS,
 ) -> Verdict:
     """Scan `count` seeded pseudo-random assignments of range(n)^k for a failure.
 
-    `failing(columns)` gets one index array per variable, all of one length,
-    and returns a boolean array, broadcastable to that length, that is true
-    where the law fails. Assignments are the rows of `rng.integers` draws of at
-    most `chunk` rows each; the generator yields the same rows however the
-    draws are cut, so the witness and the evaluation count depend on (seed,
-    count) only. A found counterexample is definitive; a clean pass is
-    evidence, not proof.
+    `failing(axes)` gets one index array per variable and returns a boolean
+    array, broadcastable to the shape they span, that is true where the law
+    fails. Assignments are the rows of `rng.integers` draws of at most `chunk`
+    rows each; the generator yields the same rows however the draws are cut,
+    so the witness and the evaluation count depend on (seed, count) only. A
+    found counterexample is definitive; a clean pass is evidence, not proof.
+
+    `reps` holds the law's class representatives, one array per variable
+    (`_class_reps`). When their grid has at most `_GRID_PER_SAMPLE` * count
+    tuples, it is scanned first (`tables.first_failure`): if none fails, no
+    tuple of range(n)^k fails, so no drawn row could, and the verdict the
+    stream would give is returned without drawing it. Otherwise, or when the
+    grid has a failure, the stream is drawn and scanned in order.
     """
     if count < 1:
         raise ValueError("sample count must be at least 1")
+    passed = Verdict(HOLDS_SAMPLED, evaluations=count, sample_count=count, seed=seed)
+    small = math.prod(map(len, reps)) <= _GRID_PER_SAMPLE * count
+    if small and first_failure(reps, failing, chunk) is None:
+        return passed
     rng = np.random.default_rng(seed)
     done = 0
     while done < count:
@@ -581,7 +599,7 @@ def scan_sampled(
                 seed=seed,
             )
         done += size
-    return Verdict(HOLDS_SAMPLED, evaluations=count, sample_count=count, seed=seed)
+    return passed
 
 
 def _law_failing(group: FiniteGroup, law: Law, tables: dict[type, np.ndarray] | None = None):
@@ -687,10 +705,16 @@ def check_law_sampled(
     """Check `count` seeded pseudo-random assignments (`scan_sampled`).
 
     A found counterexample is definitive; a clean pass is evidence, not proof.
-    The stream of assignments is fully determined by (seed, count).
+    The stream of assignments is fully determined by (seed, count). A
+    `holds-sampled` verdict may be settled on the grid of class
+    representatives (`_class_reps`) without drawing the stream; it still
+    means that the `count` seeded rows all hold, and nothing more.
     """
+    tables = _word_tables(group, law.lhs, law.rhs)
+    reps = _class_reps(law, tables, group.order, chunk_size)
     return scan_sampled(
-        group.order, law.variables, group.names, _law_failing(group, law), count, seed, chunk_size
+        group.order, law.variables, group.names, _law_failing(group, law, tables), count, seed,
+        reps, chunk_size,
     )
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from dmagma.groups import parse_group_spec
@@ -14,3 +15,26 @@ def corpus_groups():
 @pytest.fixture(scope="session")
 def corpus_rings():
     return [(spec, parse_ring_spec(spec)) for spec in DEFAULT_RINGS]
+
+
+@pytest.fixture
+def drawn_seeds(monkeypatch):
+    """The seed of every sample stream (`np.random.default_rng`) created during the test."""
+    seeds, real = [], np.random.default_rng
+
+    def default_rng(seed):
+        seeds.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    return seeds
+
+
+@pytest.fixture
+def no_sample_stream(monkeypatch):
+    """Fail the test if it creates a sample stream (`np.random.default_rng`)."""
+
+    def default_rng(seed):
+        raise AssertionError(f"drew the sample stream of seed {seed}")
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)

@@ -294,6 +294,21 @@ def test_suite_config_lists_must_be_json_lists_of_strings(tmp_path, capsys, key,
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("key,value", [("seed", 2.9), ("budget", True), ("sample_count", "10"),
+                                       ("seed", None), ("budget", 100.0)])
+def test_suite_config_numbers_must_be_json_integers(tmp_path, capsys, key, value):
+    raw = {"groups": ["dihedral:4"], "rings": [], "checks": ["prop_1_1"], key: value}
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(raw))
+    rc, out, err = run(
+        capsys, "suite", str(config),
+        "--text", str(tmp_path / "r.txt"), "--json", str(tmp_path / "r.json"),
+    )
+    assert rc == 2 and out == ""
+    assert f"{key!r} must be a JSON integer" in err
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.txt").exists()
+
+
 def test_suite_missing_config_exits_2(tmp_path, capsys):
     rc, _, err = run(capsys, "suite", str(tmp_path / "absent.json"))
     assert rc == 2

@@ -19,7 +19,8 @@ import test_rings
 import word_oracles
 
 SHARED_SCAN_PATH = {
-    "first_failure", "exhaustive_verdict", "check_law_exhaustive", "check_ring_law",
+    "first_failure", "exhaustive_verdict", "check_law_exhaustive", "check_law_sampled",
+    "check_ring_law",
     # the word-law evaluator and law registry, which ring laws read as well
     "_eval_batch", "_law_failing", "_word_tables", "scan_sampled", "builtin_law", "BUILTIN_LAWS",
     "RING_WORD_LAWS",
@@ -32,8 +33,10 @@ ORACLES = (
     word_oracles.naive_check,
     word_oracles.formula_eval,
     word_oracles.flat_index_scan,
+    word_oracles.stream_scan,
     test_rings._scalar_ring_law,
     test_rings._scalar_ring_scan,
+    test_rings._scalar_ring_stream,
 )
 
 

@@ -1,5 +1,8 @@
 """Property-based tests for the structural invariants."""
 
+from collections import Counter
+from unittest import mock
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -23,13 +26,14 @@ from dmagma.words import (
     Variable,
     _eval_batch,
     check_law_exhaustive,
+    check_law_sampled,
     evaluate,
     free_variables,
     make_law,
     parse_term,
     to_string,
 )
-from word_oracles import flat_index_scan, naive_check
+from word_oracles import flat_index_scan, naive_check, stream_scan
 
 GROUPS = [
     make_cyclic(6),
@@ -160,3 +164,22 @@ def test_class_representative_scan_matches_the_full_scan_oracles(g, lhs, rhs, ch
     assert got == flat_index_scan(g, law)
     if total <= 500:
         assert got == naive_check(g, law)
+
+
+def test_sampled_scan_matches_a_scalar_walk_of_the_stream():
+    # A clean class grid settles holds-sampled without drawing; every other
+    # case draws the stream. Both must give the stream's verdict.
+    routes = Counter()
+
+    @given(perm_groups, terms, terms, st.integers(1, 300), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def matches(g, lhs, rhs, count, seed):
+        law = make_law(lhs, rhs)
+        want = stream_scan(g, law, count, seed)
+        with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as rng:
+            got = check_law_sampled(g, law, count, seed)
+        assert got == want
+        routes["stream" if rng.called else "grid"] += 1
+
+    matches()
+    assert routes["grid"] >= 10 and routes["stream"] >= 10, routes

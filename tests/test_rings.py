@@ -222,6 +222,18 @@ def _scalar_ring_scan(r, name):
     return dmagma.words.Verdict("holds-exhaustive", r.order ** len(variables))
 
 
+def _scalar_ring_stream(r, name, count, seed):
+    """Oracle: the seeded rows of the sampled fallback, walked with scalar lie_bracket."""
+    variables, value = _scalar_ring_law(r, name)
+    rows = np.random.default_rng(seed).integers(0, r.order, size=(count, len(variables)),
+                                                dtype=np.int64)
+    for pos, row in enumerate(rows):
+        if value(*(int(a) for a in row)) != r.zero:
+            witness = {v: r.names[i] for v, i in zip(variables, row)}
+            return dmagma.words.Verdict("counterexample", pos + 1, witness, count, seed)
+    return dmagma.words.Verdict("holds-sampled", count, None, count, seed)
+
+
 def reversed_labels(r):
     """The same ring with element i relabelled n-1-i, which moves zero off index 0."""
     rev = np.arange(r.order)[::-1]
@@ -390,6 +402,39 @@ def test_sampled_scan_of_a_relabelled_ring_matches_a_scalar_walk_of_the_stream(n
     else:
         witness = {var: r.names[i] for var, i in zip(variables, rows[pos])}
         assert v == dmagma.words.Verdict("counterexample", pos + 1, witness, 20_000, 2)
+
+
+# (ring, law, sample count, seed, whether the stream is drawn): a commutative
+# ring's bracket is zero, so its class grid is one tuple; uppertri:3,2 and
+# matrix:2,3 have 32^4 = 8 * 131072 and 27^4 class tuples, and RCI fails on both.
+SAMPLED_FALLBACKS = (
+    ("zmod:125", "RCI", 5000, 2, False),
+    ("zmod:125", "DOUBLE2", 5000, 7, False),
+    ("reversed:uppertri:3,2", "DOUBLE2", 5000, 2, True),
+    ("reversed:uppertri:3,2", "DOUBLE2", 131_072, 7, False),
+    ("reversed:uppertri:3,2", "RCI", 131_072, 2, True),
+    ("matrix:2,3", "RCI", 5000, 7, True),
+    ("matrix:2,3", "DOUBLE2", 5000, 2, True),
+)
+
+
+@pytest.mark.parametrize("spec,name,count,seed,drawn", SAMPLED_FALLBACKS)
+def test_sampled_fallback_matches_a_scalar_walk_of_the_stream(drawn_seeds, spec, name, count, seed,
+                                                              drawn):
+    r = parse_ring_spec(spec.removeprefix("reversed:"))
+    if spec.startswith("reversed:"):
+        r = reversed_labels(r)
+    want = _scalar_ring_stream(r, name, count, seed)
+    drawn_seeds.clear()
+    assert check_ring_law(r, name, budget=1, sample_count=count, seed=seed) == want
+    assert drawn_seeds == ([seed] if drawn else [])
+
+
+@pytest.mark.parametrize("name", ["RCI", "DOUBLE2"])
+def test_a_clean_class_grid_settles_the_sampled_fallback_without_drawing(no_sample_stream, name):
+    r = make_zmod(125)
+    want = dmagma.words.Verdict("holds-sampled", 10**6, None, 10**6, 1)
+    assert check_ring_law(r, name, budget=1) == want
 
 
 def test_unknown_ring_law():

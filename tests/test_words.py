@@ -51,7 +51,8 @@ from dmagma.words import (
     to_string,
 )
 from test_properties import GROUPS, perm_groups, terms
-from word_oracles import flat_index_scan, naive_check
+from test_rings import line_class_counts
+from word_oracles import flat_index_scan, naive_check, stream_scan
 
 X, Y, Z, U = Variable("x"), Variable("y"), Variable("z"), Variable("u")
 
@@ -388,13 +389,68 @@ def test_sampled_stream_does_not_depend_on_chunk_size():
     cases = [
         ("dihedral:8", "[x,y,z]=1"),  # first witness after 11 samples, past a chunk of 7
         ("heisenberg:3", "[x,y]^2=1"),
-        ("heisenberg:3", "[x,y,z]=1"),  # holds: every chunk is scanned to the end
+        ("heisenberg:3", "[x,y,z]=1"),  # holds, settled on its 27^3 <= 8 * 3000 class tuples
+        # holds, with 16^5 > 8 * 3000 class tuples: every chunk is scanned to the end
+        ("dihedral:16", "[x,y,z;x,u,v]=1"),
         ("perm:(1 2),(1 2 3 4)", "x y z=z y x"),
     ]
     for spec, text in cases:
         g, law = parse_group_spec(spec), parse_law(text)
         verdicts = [check_law_sampled(g, law, 3000, 4, chunk_size=c) for c in (1, 7, 1000, 1 << 20)]
         assert all(v == verdicts[0] for v in verdicts), (spec, text)
+
+
+def test_a_clean_class_grid_settles_a_sampled_check_without_drawing(no_sample_stream):
+    g = parse_group_spec("dihedral:16")
+    for seed in (1, 3):
+        got = check_law_sampled(g, builtin_law("L3"), 10**6, seed)
+        assert got == Verdict(HOLDS_SAMPLED, 10**6, None, 10**6, seed)
+
+
+@pytest.mark.parametrize("count,drawn", [(131_072, False), (131_071, True)])
+def test_the_class_grid_is_scanned_up_to_eight_tuples_per_sample(drawn_seeds, count, drawn):
+    # L3 [x,y,z;x,u,v] reads x by its commutator row and y, z, u, v by their columns
+    g = parse_group_spec("dihedral:16")
+    rows, cols = line_class_counts([[g.commutator(x, y) for y in g.elements()] for x in g.elements()])
+    assert rows * cols**4 == 8 * 131_072
+    got = check_law_sampled(g, builtin_law("L3"), count, 5)
+    assert got == Verdict(HOLDS_SAMPLED, count, None, count, 5)
+    assert drawn_seeds == ([5] if drawn else [])
+
+
+@pytest.mark.parametrize("name,seed,row", [("CI", 3, 1), ("L3", 1, 3)])
+def test_a_failing_sampled_check_still_draws_the_stream(drawn_seeds, name, seed, row):
+    # S4's class grids (24^4 and 24^5 tuples) fit 8 * 10^6 and hold a failure,
+    # so they are scanned, and then the stream reports its own first failing row
+    g, law = parse_group_spec(S4), builtin_law(name)
+    want = dataclasses.replace(stream_scan(g, law, row, seed), sample_count=10**6)
+    drawn_seeds.clear()
+    got = check_law_sampled(g, law, 10**6, seed)
+    assert got == want and got.status == COUNTEREXAMPLE and got.evaluations == row
+    assert drawn_seeds == [seed]
+
+
+@pytest.mark.parametrize("text,variable,kind,axis", [
+    ("[w,x;y,z]=[w,y;x,z]", "w", Bracket, 0),
+    ("[w,x;y,z]=[w,y;x,z]", "z", Bracket, 1),
+    ("[x,y;x,u,v]=1", "x", Bracket, 0),
+    ("[x,y;x,u,v]=1", "v", Bracket, 1),
+    ("[x^y,z,u]=1", "x", Conjugate, 0),
+])
+def test_dropping_a_line_misleads_the_sampled_grid_check(monkeypatch, text, variable, kind, axis):
+    # In S4 the classes are computed (24^4 > SCAN_CELLS), their grid is scanned
+    # (24^4 <= 8 * count) and holds a failure; dropping the variable's only
+    # line leaves it one class, whose grid then holds no failure at all.
+    g, law = parse_group_spec(S4), parse_law(text)
+    count = 10**5
+    want = check_law_sampled(g, law, count, 3)
+    assert want == dataclasses.replace(stream_scan(g, law, want.evaluations, 3), sample_count=count)
+    assert want.status == COUNTEREXAMPLE
+    lines = dmagma.words._law_lines(law)
+    mutant = {**lines, variable: lines[variable] - {(kind, axis)}}
+    assert mutant != lines
+    monkeypatch.setattr(dmagma.words, "_law_lines", lambda _: mutant)
+    assert check_law_sampled(g, law, count, 3) != want
 
 
 def test_d8_three_metabelian_law_counts():

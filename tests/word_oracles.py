@@ -4,6 +4,8 @@
 `flat_index_scan` is the scan the broadcast grid replaced, with brackets,
 conjugates and powers written out from `mul` and `inv`. Both visit the full
 n^k grid in lexicographic order and share no code with the scans they check.
+`stream_scan` walks the seeded sample stream of `check_law_sampled` row by
+row with the scalar `evaluate`.
 """
 
 import itertools
@@ -13,6 +15,7 @@ import numpy as np
 from dmagma.words import (
     COUNTEREXAMPLE,
     HOLDS_EXHAUSTIVE,
+    HOLDS_SAMPLED,
     Bracket,
     Conjugate,
     IdentityLiteral,
@@ -92,3 +95,19 @@ def flat_index_scan(group, law):
             witness = {v: group.names[pos // w % n] for v, w in zip(law.variables, weights)}
             return Verdict(COUNTEREXAMPLE, evaluations=pos + 1, witness=witness)
     return Verdict(HOLDS_EXHAUSTIVE, evaluations=total)
+
+
+def stream_scan(group, law, count, seed):
+    """Oracle: draw the seeded rows of a sampled check and evaluate each with scalar lookups.
+
+    All `count` rows come from one `rng.integers` draw; the sampled check
+    draws them in slices, which yields the same rows.
+    """
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, group.order, size=(count, len(law.variables)), dtype=np.int64)
+    for pos, row in enumerate(rows):
+        env = {v: int(i) for v, i in zip(law.variables, row)}
+        if evaluate(law.lhs, group, env) != evaluate(law.rhs, group, env):
+            witness = {v: group.names[i] for v, i in env.items()}
+            return Verdict(COUNTEREXAMPLE, pos + 1, witness, count, seed)
+    return Verdict(HOLDS_SAMPLED, count, None, count, seed)
