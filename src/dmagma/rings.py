@@ -112,6 +112,8 @@ class FiniteRing:
         self.mul = mul
         self.neg = neg
         self.zero = zero
+        self._bracket = add[mul, neg[mul.T]]
+        self._bracket.setflags(write=False)
         self.names = names
         self.label = label if label is not None else f"ring-of-order-{n}"
         if not valid:
@@ -141,8 +143,8 @@ class FiniteRing:
         return self.names[x]
 
     def bracket_table(self) -> np.ndarray:
-        """Table of <x,y> = xy - yx."""
-        return self.add[self.mul, self.neg[self.mul.T]]
+        """Read-only table of <x,y> = xy - yx, computed once per ring."""
+        return self._bracket
 
 
 def lie_bracket(r: FiniteRing, x: int, y: int) -> int:

@@ -21,6 +21,7 @@ from dmagma.magmas import find_identity, is_associative, is_proper, satisfies_in
 from dmagma.rings import check_ring_law, parse_ring_spec
 from dmagma.suite import (
     CorpusConfig,
+    GroupFacts,
     DEFAULT_RINGS,
     check_cor_1_7,
     check_cor_1_8,
@@ -98,7 +99,7 @@ def test_criterion_04_theorem_1_6_equivalence(corpus_groups, capsys):
     assert orders["perm:(1 2),(1 2 3 4)"] == 24
     with timer() as t:
         for spec, g in corpus_groups:
-            result = check_theorem_1_6(g, spec)
+            result = check_theorem_1_6(GroupFacts(g), spec)
             assert result.passed, (spec, result.details)
             assert result.details["law_table_agreement"] is True, spec
     with capsys.disabled():
@@ -109,8 +110,8 @@ def test_criterion_04_theorem_1_6_equivalence(corpus_groups, capsys):
 def test_criterion_05_proposition_equivalences(corpus_groups, capsys):
     with timer() as t:
         for spec, g in corpus_groups:
-            assert check_prop_1_1(g, spec).passed, spec
-            assert check_prop_1_2(g, spec).passed, spec
+            assert check_prop_1_1(GroupFacts(g), spec).passed, spec
+            assert check_prop_1_2(GroupFacts(g), spec).passed, spec
     with capsys.disabled():
         report(5, t.elapsed, 30.0, "prop_1_1 and prop_1_2 agree four- and three-way on every group")
 
@@ -119,9 +120,9 @@ def test_criterion_06_lemmas(corpus_groups, capsys):
     seed = CorpusConfig().seed
     with timer() as t:
         for spec, g in corpus_groups:
-            assert check_lemma_1_3(g, spec).passed, spec
-            assert check_lemma_1_4(g, spec, seed=seed).passed, spec
-            assert check_lemma_1_5(g, spec).passed, spec
+            assert check_lemma_1_3(GroupFacts(g), spec).passed, spec
+            assert check_lemma_1_4(GroupFacts(g, seed=seed), spec).passed, spec
+            assert check_lemma_1_5(GroupFacts(g), spec).passed, spec
     with capsys.disabled():
         report(6, t.elapsed, 120.0, "lemma_1_3 equivalences and lemma_1_4/1_5 implications hold")
 
@@ -129,12 +130,12 @@ def test_criterion_06_lemmas(corpus_groups, capsys):
 def test_criterion_07_corollary_1_7(capsys):
     with timer() as t:
         d3 = parse_group_spec("dihedral:3")
-        r3 = check_cor_1_7(d3, "dihedral:3")
+        r3 = check_cor_1_7(GroupFacts(d3), "dihedral:3")
         assert r3.passed
         assert r3.details["lhs_proper_double_magma"] is True
         assert r3.details["rhs_structural_conditions"] is True
         d4 = parse_group_spec("dihedral:4")
-        r4 = check_cor_1_7(d4, "dihedral:4")
+        r4 = check_cor_1_7(GroupFacts(d4), "dihedral:4")
         assert r4.passed
         assert r4.details["lhs_proper_double_magma"] is False
         assert r4.details["rhs_structural_conditions"] is False
@@ -146,14 +147,14 @@ def test_criterion_07_corollary_1_7(capsys):
 def test_criterion_08_corollary_1_8(capsys):
     with timer() as t:
         h = parse_group_spec("heisenberg:3")
-        rh = check_cor_1_8(h, "heisenberg:3")
+        rh = check_cor_1_8(GroupFacts(h), "heisenberg:3")
         assert rh.passed
         assert rh.details["proper_double_semigroup"] is True
         assert rh.details["nilpotency_class"] == 2
         assert len(derived_subgroup(h)) == 3
 
         d8 = parse_group_spec("dihedral:8")
-        r8 = check_cor_1_8(d8, "dihedral:8")
+        r8 = check_cor_1_8(GroupFacts(d8), "dihedral:8")
         # internal consistency is the criterion: the associativity scans and
         # the class computation must land on the same side of the equivalence
         assert r8.details["equivalence_i"] is True
@@ -174,7 +175,7 @@ def test_criterion_08_corollary_1_8(capsys):
 def test_criterion_09_identities(corpus_groups, capsys):
     with timer() as t:
         for spec, g in corpus_groups:
-            assert check_identities(g, spec).passed, spec
+            assert check_identities(GroupFacts(g), spec).passed, spec
     with capsys.disabled():
         report(9, t.elapsed, 30.0, "identities (I i)-(I v) hold exhaustively on every group")
 

@@ -309,6 +309,21 @@ def test_suite_config_numbers_must_be_json_integers(tmp_path, capsys, key, value
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.txt").exists()
 
 
+def test_suite_budget_refusal_exits_2_without_a_report(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(
+        {"groups": ["dihedral:4", "heisenberg:3"], "rings": ["zmod:6"], "sample_count": 1000}
+    ))
+    rc, out, err = run(
+        capsys, "suite", str(config), "--budget", "100",
+        "--text", str(tmp_path / "r.txt"), "--json", str(tmp_path / "r.json"),
+    )
+    assert rc == 2 and out == ""
+    assert err == ("error: law [[x,y],z]*[[y,z],x]=1 over order 8 needs 512 evaluations "
+                   "(budget 100); use check_law_sampled\n")
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.txt").exists()
+
+
 def test_suite_missing_config_exits_2(tmp_path, capsys):
     rc, _, err = run(capsys, "suite", str(tmp_path / "absent.json"))
     assert rc == 2

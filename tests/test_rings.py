@@ -138,6 +138,16 @@ def test_bracket_antisymmetry(corpus_rings):
         assert np.array_equal(bk, r.neg[bk.T]), spec
 
 
+def test_bracket_table_is_built_once_and_read_only():
+    r = make_upper_triangular(2, 3)
+    bk = r.bracket_table()
+    assert r.bracket_table() is bk
+    with pytest.raises(ValueError):
+        bk[0, 0] = 1
+    pairs = itertools.product(range(r.order), repeat=2)
+    assert all(bk[x, y] == lie_bracket(r, x, y) for x, y in pairs)
+
+
 def test_bracket_jacobi_identity():
     for r in (make_zmod(4), make_upper_triangular(2, 2), make_matrix_ring(2, 2)):
         bk = r.bracket_table()

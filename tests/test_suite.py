@@ -2,15 +2,22 @@
 
 import hashlib
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from dmagma.errors import SpecError
+import dmagma.constructions
+import dmagma.suite
+from dmagma.errors import BudgetExceededError, SpecError
 from dmagma.groups import make_cyclic, make_dihedral, make_heisenberg, parse_group_spec
 from dmagma.rings import parse_ring_spec
 from dmagma.suite import (
     ALL_CHECKS,
+    FIXTURE_CHECKS,
+    RING_CHECKS,
     CorpusConfig,
+    GroupFacts,
     check_cor_1_7,
     check_cor_1_8,
     check_identities,
@@ -34,74 +41,76 @@ Q8 = "perm:(1 2 3 4)(5 6 7 8),(1 5 3 7)(2 8 4 6)"
 
 
 def test_prop_1_1_cases():
-    r = check_prop_1_1(parse_group_spec(Q8), Q8)
+    r = check_prop_1_1(GroupFacts(parse_group_spec(Q8)), Q8)
     assert r.passed and r.details["operations_identical"] is True
-    r = check_prop_1_1(make_dihedral(3), "dihedral:3")
+    r = check_prop_1_1(GroupFacts(make_dihedral(3)), "dihedral:3")
     assert r.passed and r.details["operations_identical"] is False
     assert r.details["law_COMM_SQ"]["status"] == "counterexample"
-    assert check_prop_1_1(make_cyclic(6), "cyclic:6").passed
+    assert check_prop_1_1(GroupFacts(make_cyclic(6)), "cyclic:6").passed
 
 
 def test_prop_1_2_cases():
-    assert check_prop_1_2(make_heisenberg(3), "heisenberg:3").passed
-    r = check_prop_1_2(make_dihedral(3), "dihedral:3")
+    assert check_prop_1_2(GroupFacts(make_heisenberg(3)), "heisenberg:3").passed
+    r = check_prop_1_2(GroupFacts(make_dihedral(3)), "dihedral:3")
     assert r.passed
     assert r.details["star_associative"]["status"] == "counterexample"
     assert r.details["law_ASSOC_COMM"]["status"] == "counterexample"
 
 
 def test_lemma_1_3_cases():
-    r = check_lemma_1_3(make_dihedral(8), "dihedral:8")
+    r = check_lemma_1_3(GroupFacts(make_dihedral(8)), "dihedral:8")
     assert r.passed
     assert all(r.details[k]["status"] == "holds-exhaustive" for k in ("3M_I", "3M_II", "3M_III"))
-    r = check_lemma_1_3(parse_group_spec(S4), S4)
+    r = check_lemma_1_3(GroupFacts(parse_group_spec(S4)), S4)
     assert r.passed
     assert all(r.details[k]["status"] == "counterexample" for k in ("3M_I", "3M_II", "3M_III"))
 
 
 def test_lemma_1_4_modes_and_vacuity():
-    r = check_lemma_1_4(make_dihedral(8), "dihedral:8", seed=5)
+    r = check_lemma_1_4(GroupFacts(make_dihedral(8), seed=5), "dihedral:8")
     assert r.passed
     assert r.details["L2"]["status"] == "holds-exhaustive"  # order 16 stays exact
-    r = check_lemma_1_4(make_heisenberg(3), "heisenberg:3", sample_count=20_000, seed=5)
+    facts = GroupFacts(make_heisenberg(3), sample_count=20_000, seed=5)
+    r = check_lemma_1_4(facts, "heisenberg:3")
     assert r.passed
     assert r.details["L2"]["status"] == "holds-sampled"
     assert r.details["L3"]["status"] == "holds-sampled"
     assert r.details["L1"]["status"] == "holds-exhaustive"
-    r = check_lemma_1_4(parse_group_spec(S4), S4)
+    r = check_lemma_1_4(GroupFacts(parse_group_spec(S4)), S4)
     assert r.passed and "vacuous" in r.notes[0]
     assert "L1" not in r.details
 
 
 def test_lemma_1_5_cases():
-    assert check_lemma_1_5(parse_group_spec("metacyclic:7,3,2"), "metacyclic:7,3,2").passed
-    r = check_lemma_1_5(make_dihedral(8), "dihedral:8")
+    meta = GroupFacts(parse_group_spec("metacyclic:7,3,2"))
+    assert check_lemma_1_5(meta, "metacyclic:7,3,2").passed
+    r = check_lemma_1_5(GroupFacts(make_dihedral(8)), "dihedral:8")
     assert r.passed and r.details["PAIR"]["evaluations"] == 65536
 
 
 def test_theorem_1_6_cases():
-    r = check_theorem_1_6(make_dihedral(8), "dihedral:8")
+    r = check_theorem_1_6(GroupFacts(make_dihedral(8)), "dihedral:8")
     assert r.passed and r.details["law_CI"]["status"] == "holds-exhaustive"
-    r = check_theorem_1_6(parse_group_spec(S4), S4)
+    r = check_theorem_1_6(GroupFacts(parse_group_spec(S4)), S4)
     assert r.passed
     assert r.details["law_CI"]["status"] == "counterexample"
     assert r.details["table_interchange"]["status"] == "counterexample"
     assert r.details["law_table_agreement"] is True
-    assert check_theorem_1_6(make_cyclic(12), "cyclic:12").passed
+    assert check_theorem_1_6(GroupFacts(make_cyclic(12)), "cyclic:12").passed
 
 
 def test_cor_1_7_cases():
-    r = check_cor_1_7(make_dihedral(3), "dihedral:3")
+    r = check_cor_1_7(GroupFacts(make_dihedral(3)), "dihedral:3")
     assert r.passed and r.details["lhs_proper_double_magma"] is True
-    r = check_cor_1_7(make_dihedral(4), "dihedral:4")
+    r = check_cor_1_7(GroupFacts(make_dihedral(4)), "dihedral:4")
     assert r.passed and r.details["lhs_proper_double_magma"] is False
     assert r.details["derived_subgroup_exponent_2"] is True
-    r = check_cor_1_7(make_cyclic(5), "cyclic:5")
+    r = check_cor_1_7(GroupFacts(make_cyclic(5)), "cyclic:5")
     assert r.passed and r.details["rhs_structural_conditions"] is False
 
 
 def test_cor_1_8_heisenberg_proper_double_semigroup():
-    r = check_cor_1_8(make_heisenberg(3), "heisenberg:3")
+    r = check_cor_1_8(GroupFacts(make_heisenberg(3)), "heisenberg:3")
     assert r.passed
     assert r.details["proper_double_semigroup"] is True
     assert r.details["nilpotency_class"] == 2
@@ -109,7 +118,7 @@ def test_cor_1_8_heisenberg_proper_double_semigroup():
 
 
 def test_cor_1_8_dihedral_8_reports_claim_mismatch():
-    r = check_cor_1_8(make_dihedral(8), "dihedral:8")
+    r = check_cor_1_8(GroupFacts(make_dihedral(8)), "dihedral:8")
     assert r.passed  # internal consistency only
     assert r.details["equivalence_i"] and r.details["equivalence_ii"]
     assert r.details["nilpotency_class"] == 3
@@ -120,8 +129,8 @@ def test_cor_1_8_dihedral_8_reports_claim_mismatch():
 
 
 def test_identities_check_and_spot_value():
-    assert check_identities(make_cyclic(1), "cyclic:1").passed
-    r = check_identities(make_dihedral(8), "dihedral:8")
+    assert check_identities(GroupFacts(make_cyclic(1)), "cyclic:1").passed
+    r = check_identities(GroupFacts(make_dihedral(8)), "dihedral:8")
     assert r.passed
     # spot check (I iv) at a, b, ab: [xy, z] = [x,z]^y [y,z]
     g = make_dihedral(8)
@@ -133,7 +142,7 @@ def test_identities_check_and_spot_value():
 
 def test_identities_hold_on_whole_corpus(corpus_groups):
     for spec, g in corpus_groups:
-        assert check_identities(g, spec).passed, spec
+        assert check_identities(GroupFacts(g), spec).passed, spec
 
 
 def test_golden_and_audit_checks_pass():
@@ -250,6 +259,73 @@ def test_default_corpus_covers_every_structure_class(corpus_groups):
     assert any(not f["three_m"] for f in facts.values())
 
 
+# --- facts shared by the group checks -----------------------------------------------
+
+
+def count_calls(monkeypatch, module, name, key, counter):
+    real = getattr(module, name)
+
+    def counted(*args):
+        counter[(name, key(*args))] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_each_group_fact_is_computed_once_per_run(monkeypatch):
+    calls = Counter()
+    count_calls(monkeypatch, dmagma.suite, "check_law_exhaustive",
+                lambda g, law, budget: (g.label, str(law)), calls)
+    count_calls(monkeypatch, dmagma.suite, "commutator_double", lambda g: g.label, calls)
+    count_calls(monkeypatch, dmagma.suite, "satisfies_interchange",
+                lambda dm, budget: dm.label, calls)
+    count_calls(monkeypatch, dmagma.suite, "is_associative", lambda m: "", calls)
+    group_checks = tuple(c for c in ALL_CHECKS if c not in FIXTURE_CHECKS + RING_CHECKS)
+    config = CorpusConfig(groups=("dihedral:4", "heisenberg:3"), rings=(), checks=group_checks)
+    for _ in range(2):  # the facts live for one run: a second run computes them again
+        calls.clear()
+        assert run_corpus(config).passed
+        scans = [n for (name, _), n in calls.items() if name == "check_law_exhaustive"]
+        assert scans and all(n == 1 for n in scans)
+        assert calls[("check_law_exhaustive", ("dihedral:4", "[[x,y],[x,z]]=1"))] == 1  # 3M_I
+        for g in ("dihedral:4", "heisenberg:3"):
+            assert calls[("commutator_double", g)] == 1
+            assert calls[("satisfies_interchange", f"commutator({g})")] == 1
+        assert calls[("is_associative", "")] == 4
+
+
+def test_law_facts_never_build_the_double(monkeypatch):
+    def refuse(g):
+        raise AssertionError("a law fact built the commutator double")
+
+    monkeypatch.setattr(dmagma.suite, "commutator_double", refuse)
+    monkeypatch.setattr(dmagma.constructions, "commutator_double", refuse)
+    facts = GroupFacts(make_dihedral(4))
+    assert facts.law("CI").holds and facts.law("3M_I").holds
+
+
+# The first scan past the budget, in the order the checks first ask for it.
+BUDGET_REFUSALS = [
+    (100, "law [[x,y],z]*[[y,z],x]=1 over order 8 needs 512 evaluations (budget 100); "
+          "use check_law_sampled"),
+    (600, "law [[x,y],[x,z]^u]=1 over order 8 needs 4096 evaluations (budget 600); "
+          "use check_law_sampled"),
+    (5000, "law [[[x,y],z],[[x,u],v]]=1 over order 8 needs 32768 evaluations (budget 5000); "
+           "use check_law_sampled"),
+    (70000, "law [[x,y],[x,z]^u]=1 over order 27 needs 531441 evaluations (budget 70000); "
+            "use check_law_sampled"),
+]
+
+
+@pytest.mark.parametrize("budget,text", BUDGET_REFUSALS)
+def test_budget_refusals_name_the_first_scan_past_the_budget(budget, text):
+    config = CorpusConfig(groups=("dihedral:4", "heisenberg:3"), rings=("zmod:6",),
+                          sample_count=1000, budget=budget)
+    with pytest.raises(BudgetExceededError) as e:
+        run_corpus(config)
+    assert str(e.value) == text
+
+
 # --- configuration ------------------------------------------------------------------
 
 
@@ -265,6 +341,11 @@ def test_config_from_file(tmp_path):
     assert config.seed == 9
     assert config.budget == 10**8  # defaults fill the gaps
     assert run_corpus(config).passed
+
+
+def test_default_config_file_mirrors_the_defaults():
+    path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+    assert CorpusConfig.from_file(path) == CorpusConfig()
 
 
 def test_config_rejects_unknown_keys_and_checks(tmp_path):
