@@ -166,7 +166,8 @@ def cmd_ring(args) -> int:
     print(f"law: {args.law}")
     if args.law == "PROPER_WITNESS":
         if verdict.holds:
-            print("witness: none (2<x,y> = 0 for every pair)")
+            scope = "every pair" if verdict.seed is None else "every sampled pair; not a proof"
+            print(f"witness: none (2<x,y> = 0 for {scope})")
             return PROPERTY_FAILS
         pair = ", ".join(f"{k}={v}" for k, v in verdict.witness.items())
         print(f"witness: {pair}")

@@ -15,7 +15,7 @@ import numpy as np
 from .groups import FiniteGroup
 from .magmas import DoubleMagma, Magma
 from .rings import FiniteRing
-from .words import Term, _eval_batch, free_variables, parse_term
+from .words import Term, _word_tables, free_variables, lower, parse_term, run_ops
 
 WORD_VARIABLES = ("a", "b")
 
@@ -55,8 +55,10 @@ def word_double(g: FiniteGroup, word: WordPair | Term | str) -> DoubleMagma:
         word = WordPair(word)
     n = g.order
     idx = np.arange(n)
-    env = {"a": idx[:, None], "b": idx[None, :]}  # one broadcast axis per variable
-    star = np.broadcast_to(_eval_batch(word.term, g, env), (n, n))
+    axes = {"a": idx[:, None], "b": idx[None, :]}  # one broadcast axis per variable
+    low = lower(word.term)
+    star = run_ops(low, g, _word_tables(g, low.kinds), [axes[v] for v in low.variables])[0]
+    star = np.broadcast_to(star, (n, n))
     return _double(star, g.names, label=f"word({g.label})")
 
 

@@ -31,8 +31,7 @@ from .words import (
     Bracket,
     IntPower,
     Verdict,
-    _class_reps,
-    _law_failing,
+    _law_scan,
     builtin_law,
     exhaustive_verdict,
     scan_sampled,
@@ -259,12 +258,10 @@ def check_ring_law(
     exactly a pair witnessing that the commutation double magma on R is proper.
 
     Each is the builtin word law named in parentheses (`RING_WORD_LAWS`),
-    read in (R,+) with the Lie bracket as its commutator and decided by the
-    word-law evaluator (`words._law_failing`). An exhaustive scan visits one
+    read in (R,+) with the Lie bracket as its commutator, and scanned on one
     representative per class of elements with equal bracket rows and columns
-    (`words._class_reps`). Past the budget, the four-variable laws are
-    sampled (`words.scan_sampled`), which settles a `holds-sampled` verdict
-    on that grid of representatives when it is small enough.
+    (`words._law_scan`). A law of k variables with n^k > budget is sampled
+    instead (`words.scan_sampled`).
     """
     if sample_count < 1:
         raise ValueError("sample count must be at least 1")
@@ -272,12 +269,9 @@ def check_ring_law(
         known = ", ".join(RING_LAWS)
         raise SpecError(f"unknown ring law {name!r}; known laws: {known}")
     law = builtin_law(RING_WORD_LAWS[name])
-    plus = SimpleNamespace(mul=r.add, inv=r.neg, identity=r.zero)
+    plus = SimpleNamespace(order=r.order, mul=r.add, inv=r.neg, identity=r.zero)
     tables = {Bracket: r.bracket_table(), IntPower: r.add.diagonal()}
-    failing = _law_failing(plus, law, tables)
-    reps = _class_reps(law, tables, r.order, SCAN_CELLS)
-    # only the four-variable laws fall back to sampling past the budget
-    if len(law.variables) == 4 and r.order**4 > budget:
-        return scan_sampled(r.order, law.variables, r.names, failing, sample_count, seed, reps)
-    bad = first_failure(reps, failing)
-    return exhaustive_verdict(bad, law.variables, r.names)
+    reps, failing = _law_scan(plus, law, SCAN_CELLS, tables)
+    if r.order ** len(law.variables) > budget:
+        return scan_sampled(law.variables, r.names, failing, sample_count, seed, reps)
+    return exhaustive_verdict(first_failure(reps, failing), law.variables, r.names)

@@ -332,7 +332,7 @@ def check_identities(facts: GroupFacts, label: str) -> CheckResult:
     """Exhaustively verify the commutator identities used by every derivation."""
     details = {}
     failed = []
-    for name, law_text in IDENTITY_LAWS:
+    for name, law_text in IDENTITY_LAWS:  # parse_law parses and lowers each once
         verdict = check_law_exhaustive(facts.g, parse_law(law_text), facts.budget)
         details[name] = verdict.to_dict()
         if not verdict.holds:

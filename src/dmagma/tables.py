@@ -22,11 +22,11 @@ lexicographic order (`first_failure`) returns it. The verdict remains a
 brute-force statement about the table alone; only checks that repeat an
 earlier one are skipped.
 
-Group and ring laws are scanned the same way (`words._class_reps`): a law
-reads a variable that is an argument of a bracket or conjugate through that
-table's row or column, so the same argument makes the first failure a tuple
-of representatives. `evaluations` stays the witness's position in the full
-n^k grid, or n^k when the law holds, as if every tuple had been visited.
+Group and ring laws are scanned the same way (`words._law_scan`): a law reads
+a variable that is an argument of a bracket or conjugate through that table's
+row or column (`words.Lowering.lines`), so the same argument makes the first
+failure a tuple of representatives. `evaluations` stays the witness's position
+in the full n^k grid, or n^k when the law holds, as if every tuple was visited.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ import numpy as np
 # Slices of 2^16 int32 cells stay in the CPU caches; larger ones measured
 # slower. Table scans, ring laws and group laws (by default) all take it.
 SCAN_CELLS = 1 << 16
+
+# Most full trailing axes a `first_failure` slice spans (numpy allows 64).
+MAX_AXES = 32
 
 # Largest carrier the group and ring constructors build by default.
 DEFAULT_ORDER_BUDGET = 1024
@@ -119,19 +122,19 @@ def first_failure(reps, failing, cells: int = SCAN_CELLS) -> tuple[int, ...] | N
     `reps` holds one ascending index array per variable. `failing(axes)` gets
     one broadcastable index array per variable and returns a boolean array,
     broadcastable to the grid they span, that is true where the check fails.
-    The trailing variables get one full axis each, so a subterm costs the
-    product of its own variables' ranges; the leading ones are fixed as
-    scalars, and the one in between is cut into blocks, so one slice holds at
-    most `cells` tuples. Slices are visited in lexicographic order, and the
-    first true cell of the C-order ravel of the first failing slice is the
-    answer. With no variables, `failing([])` is called once and the empty
-    tuple is the only candidate.
+    The trailing variables (at most `MAX_AXES`) get one full axis each, so a
+    subterm costs the product of its own variables' ranges; the leading ones
+    are fixed as scalars, and the one in between is cut into blocks, so one
+    slice holds at most `cells` tuples. Slices are visited in lexicographic
+    order, and the first true cell of the C-order ravel of the first failing
+    slice is the answer. With no variables, `failing([])` is called once and
+    the empty tuple is the only candidate.
     """
     k = len(reps)
     if k == 0:
         return () if np.any(failing([])) else None
     free, trail = 0, 1  # full trailing axes, and the tuples they span
-    while free < k - 1 and trail * len(reps[k - 1 - free]) <= cells:
+    while free < min(k - 1, MAX_AXES) and trail * len(reps[k - 1 - free]) <= cells:
         free, trail = free + 1, trail * len(reps[k - 1 - free])
     lead = k - 1 - free
     width = max(1, cells // trail)

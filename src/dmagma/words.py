@@ -19,7 +19,7 @@ ParseError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
 
@@ -41,6 +41,8 @@ MAX_DEPTH = 100
 # drawn row 66-102 ns (10^6 rows of L2 in 66 ms, of L3 in 94-102 ms), so a
 # clean grid scan costs no more than the sampling it replaces.
 _GRID_PER_SAMPLE = 8
+# Rows of a sampled scan's first draw; each later one doubles (`scan_sampled`).
+_FIRST_DRAW = 64
 
 
 # ---------------------------------------------------------------------------
@@ -115,36 +117,114 @@ def _term_depth(term: Term) -> int:
 
 def free_variables(term: Term) -> list[str]:
     """Free variable names in first-appearance (depth-first, left-first) order."""
-    out: list[str] = []
-
-    def walk(t: Term):
-        if isinstance(t, Variable) and t.name not in out:
-            out.append(t.name)
-        for c in _children(t):
-            walk(c)
-
-    walk(term)
-    return out
+    return list(lower(term).variables)
 
 
 @dataclass(frozen=True)
 class Law:
-    """An equation between two terms, quantified over all assignments."""
+    """An equation between two terms, quantified over all assignments.
+
+    Its variables and its `lowering` are computed once, from the two terms.
+    """
 
     lhs: Term
     rhs: Term
-    variables: tuple[str, ...]
+    variables: tuple[str, ...] = field(init=False)
+    lowering: Lowering = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        low = lower(self.lhs, self.rhs)
+        object.__setattr__(self, "variables", low.variables)
+        object.__setattr__(self, "lowering", low)
 
     def __str__(self):
         return f"{to_string(self.lhs)}={to_string(self.rhs)}"
 
 
-def make_law(lhs: Term, rhs: Term) -> Law:
-    seen = free_variables(lhs)
-    for v in free_variables(rhs):
-        if v not in seen:
-            seen.append(v)
-    return Law(lhs, rhs, tuple(seen))
+# ---------------------------------------------------------------------------
+# lowering
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Lowering:
+    """Terms lowered to one op list in evaluation order (`lower`).
+
+    Op i = (kind, a, b) fills slot i: variable a, the identity, the inverse or
+    square (IntPower) of slot a, or slots a and b combined. `kinds` are the
+    node types whose tables the ops read. `lines` maps each variable to the
+    (node type, axis) lines it is read through, a bracket's or conjugate's row
+    (axis 0) or column (axis 1), or to None when some op or root reads it whole.
+    """
+
+    variables: tuple[str, ...]
+    ops: tuple[tuple, ...]
+    roots: tuple[int, ...]
+    kinds: frozenset
+    lines: Mapping[str, frozenset | None]
+
+
+def lower(*terms: Term) -> Lowering:
+    """Lower `terms` into one op list, without recursion.
+
+    Variables are numbered in first-appearance (depth-first, left-first) order.
+    Equal ops, compared as tuples of slots and never as trees, share one slot.
+    """
+    names: dict[str, int] = {}
+    slots: dict[tuple, int] = {}  # op -> its slot, in evaluation order
+
+    def emit(op: tuple) -> int:
+        return slots.setdefault(op, len(slots))
+
+    roots, done = [], []  # done: the slots of the finished subterms, left to right
+    for term in terms:
+        # root, right, left preorder, reversed: children before parents, left first
+        order, stack = [], [term]
+        while stack:
+            t = stack.pop()
+            order.append(t)
+            stack.extend(_children(t))
+        for t in reversed(order):
+            if isinstance(t, Variable):
+                op = (Variable, names.setdefault(t.name, len(names)), None)
+            elif isinstance(t, IdentityLiteral):
+                op = (IdentityLiteral, None, None)
+            elif isinstance(t, (Product, Bracket, Conjugate)):
+                b = done.pop()
+                op = (type(t), done.pop(), b)
+            elif isinstance(t, Inverse):
+                op = (Inverse, done.pop(), None)
+            elif isinstance(t, IntPower):
+                k, cur, acc = t.exponent, done.pop(), None
+                if k < 0:
+                    cur, k = emit((Inverse, cur, None)), -k
+                while k:  # square and multiply; a negative power inverts first, x^0 is 1
+                    if k & 1:
+                        acc = cur if acc is None else emit((Product, acc, cur))
+                    k >>= 1
+                    if k:
+                        cur = emit((IntPower, cur, None))
+                done.append(emit((IdentityLiteral, None, None)) if acc is None else acc)
+                continue
+            else:
+                raise TypeError(f"not a term: {t!r}")
+            done.append(emit(op))
+        roots.append(done.pop())
+
+    variables, ops = tuple(names), tuple(slots)
+    reads = [(r, None) for r in roots]  # (slot, line) of every argument and root
+    for kind, a, b in ops:
+        if kind in (Bracket, Conjugate):
+            reads += [(a, (kind, 0)), (b, (kind, 1))]
+        elif kind not in (Variable, IdentityLiteral):
+            reads += [(s, None) for s in (a, b) if s is not None]
+    lines = dict.fromkeys(variables, frozenset())
+    for s, line in reads:
+        if ops[s][0] is Variable:
+            v = variables[ops[s][1]]
+            lines[v] = None if line is None or lines[v] is None else lines[v] | {line}
+    kinds = frozenset(op[0] for op in ops) & {Bracket, Conjugate, IntPower}
+    return Lowering(variables, ops, tuple(roots), kinds, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +396,13 @@ def parse_term(text: str) -> Term:
     return t
 
 
+@lru_cache(maxsize=256)
 def parse_law(text: str) -> Law:
-    """Parse 'lhs = rhs' into a Law; exactly one top-level '=' is required."""
+    """Parse 'lhs = rhs' into a Law; exactly one top-level '=' is required.
+
+    Laws are immutable, so a text parsed again returns the same Law, with the
+    lowering it already holds (`Law.lowering`).
+    """
     if not text.strip():
         raise ParseError("empty input")
     p = _Parser(text)
@@ -332,7 +417,7 @@ def parse_law(text: str) -> Law:
         raise ParseError("a law must contain exactly one '='", pos)
     if kind != "end":
         raise ParseError(f"unexpected trailing input {val!r}", pos)
-    return make_law(lhs, rhs)
+    return Law(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -406,22 +491,13 @@ def evaluate(term: Term, group: FiniteGroup, assignment: Mapping[str, int]) -> i
     raise TypeError(f"not a term: {term!r}")
 
 
-def _word_tables(group: FiniteGroup, *terms: Term) -> dict[type, np.ndarray]:
-    """The lookups of a law's nodes: comm[x,y] = [x,y], conj[x,y] = x^y = y^-1 x y
-    and sq[x] = x*x.
-
-    They are keyed by node type, and a table is built only if `terms` hold a
-    node of its type, so that `_eval_batch` evaluates every bracket and
-    conjugate as one gather and every squaring of a power as a 1-D lookup.
-    They come from `group.mul` and `group.inv` alone: the table-level route
+def _word_tables(group: FiniteGroup, kinds) -> dict[type, np.ndarray]:
+    """comm[x,y] = [x,y], conj[x,y] = x^y = y^-1 x y and sq[x] = x*x, keyed by
+    node type, each built only if its type is in `kinds` (`Lowering.kinds`),
+    from `group.mul` and `group.inv` alone: the table-level route
     (`constructions.commutator_double`) builds its own commutator table, so
     that the two routes stay independent.
     """
-    kinds, stack = set(), list(terms)
-    while stack:
-        t = stack.pop()
-        kinds.add(type(t))
-        stack.extend(_children(t))
     mul, inv = group.mul, group.inv
     x = np.arange(group.order)[:, None]
     y = x.T
@@ -435,56 +511,24 @@ def _word_tables(group: FiniteGroup, *terms: Term) -> dict[type, np.ndarray]:
     return tables
 
 
-def _eval_batch(
-    term: Term,
-    group: FiniteGroup,
-    env: dict[str, np.ndarray],
-    tables: dict[type, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Evaluate a term over a batch of assignments (one index array per variable).
+def run_ops(low: Lowering, group, tables: dict[type, np.ndarray], axes) -> list[np.ndarray]:
+    """Evaluate lowered terms on broadcast index arrays, one per variable.
 
-    The arrays broadcast against each other; with one axis per variable each
-    subterm is computed on the grid of its own variables only, and a subterm
-    without variables is a 0-d array. `group` needs only `mul`, `inv` and
-    `identity`: a ring law reads (R,+) this way, with the Lie bracket table as
-    `tables[Bracket]`. `tables` are the `_word_tables` of the term or of a term
-    containing it; they are built here when not given.
+    Returns one array per root. `group` needs only `mul`, `inv` and `identity`,
+    and `tables` the lookups of `low.kinds`: a ring law reads (R,+) this way,
+    with the Lie bracket table as `tables[Bracket]`.
     """
-    if tables is None:
-        tables = _word_tables(group, term)
-    mul, inv = group.mul, group.inv
-    if isinstance(term, Variable):
-        try:
-            return env[term.name]
-        except KeyError:
-            raise UnboundVariableError(term.name) from None
-    if isinstance(term, IdentityLiteral):
-        return np.asarray(group.identity, dtype=np.int32)
-    if isinstance(term, Inverse):
-        return inv[_eval_batch(term.base, group, env, tables)]
-    if isinstance(term, Product):
-        return gather(mul, _eval_batch(term.left, group, env, tables),
-                      _eval_batch(term.right, group, env, tables))
-    if isinstance(term, (Conjugate, Bracket)):
-        left, right = _children(term)
-        return gather(tables[type(term)], _eval_batch(left, group, env, tables),
-                      _eval_batch(right, group, env, tables))
-    if isinstance(term, IntPower):
-        k = term.exponent
-        if k == 0:
-            return np.asarray(group.identity, dtype=np.int32)
-        cur = _eval_batch(term.base, group, env, tables)
-        if k < 0:
-            cur, k = inv[cur], -k
-        acc = None  # square and multiply; no factor taken before k's lowest set bit
-        while True:
-            if k & 1:
-                acc = cur if acc is None else mul[acc, cur]
-            k >>= 1
-            if not k:
-                return acc
-            cur = tables[IntPower][cur]  # the next square, one lookup
-    raise TypeError(f"not a term: {term!r}")
+    vals = []
+    for kind, a, b in low.ops:
+        if kind is Variable:
+            vals.append(axes[a])
+        elif kind is IdentityLiteral:
+            vals.append(np.asarray(group.identity, dtype=np.int32))
+        elif b is None:  # an inverse or a square, one lookup
+            vals.append((group.inv if kind is Inverse else tables[IntPower])[vals[a]])
+        else:
+            vals.append(gather(group.mul if kind is Product else tables[kind], vals[a], vals[b]))
+    return [vals[r] for r in low.roots]
 
 
 # ---------------------------------------------------------------------------
@@ -558,24 +602,22 @@ def exhaustive_verdict(bad, variables, names) -> Verdict:
 
 
 def scan_sampled(
-    n: int, variables: tuple[str, ...], names, failing, count: int, seed: int, reps,
-    chunk: int = SCAN_CELLS,
+    variables: tuple[str, ...], names, failing, count: int, seed: int, reps, chunk: int = SCAN_CELLS
 ) -> Verdict:
-    """Scan `count` seeded pseudo-random assignments of range(n)^k for a failure.
+    """Scan `count` seeded pseudo-random assignments of range(n)^k for a failure, n = len(names).
 
     `failing(axes)` gets one index array per variable and returns a boolean
     array, broadcastable to the shape they span, that is true where the law
-    fails. Assignments are the rows of `rng.integers` draws of at most `chunk`
-    rows each; the generator yields the same rows however the draws are cut,
-    so the witness and the evaluation count depend on (seed, count) only. A
-    found counterexample is definitive; a clean pass is evidence, not proof.
+    fails. Assignments are the rows of `rng.integers` draws of `_FIRST_DRAW`
+    rows, then twice as many each time up to `chunk`, so an early failure
+    costs a short draw; the rows do not depend on the cuts, so the witness
+    and the evaluation count depend on (seed, count) only. A found
+    counterexample is definitive; a clean pass is evidence, not proof.
 
-    `reps` holds the law's class representatives, one array per variable
-    (`_class_reps`). When their grid has at most `_GRID_PER_SAMPLE` * count
-    tuples, it is scanned first (`tables.first_failure`): if none fails, no
-    tuple of range(n)^k fails, so no drawn row could, and the verdict the
-    stream would give is returned without drawing it. Otherwise, or when the
-    grid has a failure, the stream is drawn and scanned in order.
+    `reps` holds the law's class representatives (`_law_scan`). When their
+    grid has at most `_GRID_PER_SAMPLE` * count tuples, it is scanned first:
+    if none fails, no tuple of range(n)^k fails, so no drawn row could, and
+    the verdict the stream would give is returned without drawing it.
     """
     if count < 1:
         raise ValueError("sample count must be at least 1")
@@ -584,87 +626,50 @@ def scan_sampled(
     if small and first_failure(reps, failing, chunk) is None:
         return passed
     rng = np.random.default_rng(seed)
-    done = 0
+    done, step = 0, min(_FIRST_DRAW, chunk)
     while done < count:
-        size = min(chunk, count - done)
-        sample = rng.integers(0, n, size=(size, len(variables)), dtype=np.int64)
+        size = min(step, count - done)
+        step = min(2 * step, chunk)
+        sample = rng.integers(0, len(names), size=(size, len(variables)), dtype=np.int64)
         bad = np.broadcast_to(failing(list(sample.T)), (size,))
         if bad.any():
             hit = int(np.argmax(bad))
-            return Verdict(
-                COUNTEREXAMPLE,
-                evaluations=done + hit + 1,
-                witness=_witness_dict(variables, sample[hit], names),
-                sample_count=count,
-                seed=seed,
-            )
+            witness = _witness_dict(variables, sample[hit], names)
+            return Verdict(COUNTEREXAMPLE, done + hit + 1, witness, count, seed)
         done += size
     return passed
 
 
-def _law_failing(group: FiniteGroup, law: Law, tables: dict[type, np.ndarray] | None = None):
-    """The `failing` callback of every law scan: lhs != rhs on broadcast index arrays.
+def _law_scan(group, law: Law, cells: int, tables: dict[type, np.ndarray] | None = None):
+    """Class representatives and the `failing` callback of every law scan.
 
-    `group` and `tables` are read as in `_eval_batch`; the tables default to
-    the law's `_word_tables`.
+    `failing(axes)` is lhs != rhs (`run_ops`, whose `group` and `tables` these
+    are; the tables default to the group's). Elements whose lines
+    (`Lowering.lines`) all agree give equal law values, so each variable scans
+    the smallest element of each class (`tables.distinct_lines`). The first
+    failure is a tuple of representatives (see `tables`), so the witness and
+    position are those of the full grid. When that grid fits in one slice of
+    `cells`, the classes would save nothing and are not computed.
     """
+    low = law.lowering
     if tables is None:
-        tables = _word_tables(group, law.lhs, law.rhs)
+        tables = _word_tables(group, low.kinds)
+    full = np.arange(group.order)
+    reps = [full] * len(low.variables)
+    if group.order ** len(low.variables) > cells:
+        found: dict[frozenset | None, np.ndarray] = {None: full}
+        for key in low.lines.values():
+            if key not in found:
+                lines = [tables[kind] if axis == 0 else tables[kind].T for kind, axis in key]
+                # a variable read through no line (x in x^0, say) is one class
+                found[key] = distinct_lines(*lines) if lines else full[:1]
+        reps = [found[key] for key in low.lines.values()]
 
     def failing(axes):
-        env = dict(zip(law.variables, axes))
-        return _eval_batch(law.lhs, group, env, tables) != _eval_batch(law.rhs, group, env, tables)
+        lhs, rhs = run_ops(low, group, tables, axes)
+        return lhs != rhs
 
-    return failing
-
-
-def _law_lines(law: Law) -> dict[str, frozenset | None]:
-    """The table lines through which `law` reads each of its variables.
-
-    An argument of a bracket or a conjugate is read through that node's table
-    (`_word_tables`): its row when it is the left argument (axis 0), its
-    column when it is the right one (axis 1). Each variable maps to the set
-    of its (node type, axis) lines, or to None when some occurrence is read
-    whole: under a product, an inverse or a power, or as a side of the law.
-    """
-    lines: dict[str, set | None] = {v: set() for v in law.variables}
-    stack = [(law.lhs, None), (law.rhs, None)]
-    while stack:
-        t, line = stack.pop()
-        if isinstance(t, Variable):
-            if line is None:
-                lines[t.name] = None
-            elif lines[t.name] is not None:
-                lines[t.name].add(line)
-            continue
-        read = isinstance(t, (Bracket, Conjugate))
-        stack.extend((c, (type(t), axis) if read else None) for axis, c in enumerate(_children(t)))
-    return {v: None if ls is None else frozenset(ls) for v, ls in lines.items()}
-
-
-def _class_reps(law: Law, tables: dict[type, np.ndarray], n: int, cells: int) -> list[np.ndarray]:
-    """One ascending array of representatives per variable of `law`, for `first_failure`.
-
-    Elements whose lines (`_law_lines`) all agree give equal law values, so
-    each variable scans the smallest element of each class
-    (`tables.distinct_lines` over `tables`, the law's bracket and conjugate
-    tables). The lexicographically first failure is a tuple of
-    representatives (see `tables`), so `exhaustive_verdict` reads the same
-    witness and position as from the full grid. When that grid fits in one
-    slice of `cells`, the classes would save nothing and are not computed.
-    """
-    full = np.arange(n)
-    if n ** len(law.variables) <= cells:
-        return [full] * len(law.variables)
-    found: dict[frozenset | None, np.ndarray] = {None: full}
-    reps = []
-    for key in _law_lines(law).values():
-        if key not in found:
-            lines = [tables[kind] if axis == 0 else tables[kind].T for kind, axis in key]
-            # a variable read through no line (a line map with one dropped) is one class
-            found[key] = distinct_lines(*lines) if lines else full[:1]
-        reps.append(found[key])
-    return reps
+    return reps, failing
 
 
 def check_law_exhaustive(
@@ -673,14 +678,12 @@ def check_law_exhaustive(
     budget: int = DEFAULT_EVAL_BUDGET,
     chunk_size: int = SCAN_CELLS,
 ) -> Verdict:
-    """Scan every assignment in lexicographic element order.
+    """Scan every assignment in lexicographic element order, first variable
+    most significant, in slices of at most `chunk_size` (`tables.first_failure`).
 
-    The first variable is the most significant digit. Each variable has its
-    own broadcast axis (`tables.first_failure`), so a subterm is computed only
-    on the grid of its own free variables; one slice holds at most
-    `chunk_size` assignments. Only one representative per class of elements
-    the law cannot tell apart is visited (`_class_reps`); the witness and
-    `evaluations` are those of the full n^k scan.
+    Only one representative per class of elements the law cannot tell apart
+    is visited (`_law_scan`); the witness and `evaluations` are those of the
+    full n^k scan.
     """
     n = group.order
     total = n ** len(law.variables)
@@ -689,10 +692,8 @@ def check_law_exhaustive(
             f"law {law} over order {n} needs {total} evaluations "
             f"(budget {budget}); use check_law_sampled"
         )
-    tables = _word_tables(group, law.lhs, law.rhs)
-    reps = _class_reps(law, tables, n, chunk_size)
-    bad = first_failure(reps, _law_failing(group, law, tables), chunk_size)
-    return exhaustive_verdict(bad, law.variables, group.names)
+    reps, failing = _law_scan(group, law, chunk_size)
+    return exhaustive_verdict(first_failure(reps, failing, chunk_size), law.variables, group.names)
 
 
 def check_law_sampled(
@@ -705,17 +706,12 @@ def check_law_sampled(
     """Check `count` seeded pseudo-random assignments (`scan_sampled`).
 
     A found counterexample is definitive; a clean pass is evidence, not proof.
-    The stream of assignments is fully determined by (seed, count). A
-    `holds-sampled` verdict may be settled on the grid of class
-    representatives (`_class_reps`) without drawing the stream; it still
-    means that the `count` seeded rows all hold, and nothing more.
+    A `holds-sampled` verdict may be settled on the grid of class
+    representatives without drawing the stream; it still means that the
+    `count` seeded rows all hold, and nothing more.
     """
-    tables = _word_tables(group, law.lhs, law.rhs)
-    reps = _class_reps(law, tables, group.order, chunk_size)
-    return scan_sampled(
-        group.order, law.variables, group.names, _law_failing(group, law, tables), count, seed,
-        reps, chunk_size,
-    )
+    reps, failing = _law_scan(group, law, chunk_size)
+    return scan_sampled(law.variables, group.names, failing, count, seed, reps, chunk_size)
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,17 @@ def test_ring_law_checks(capsys):
     assert rc == 2
 
 
+def test_ring_budget_bounds_every_law(capsys):
+    rc, out, _ = run(capsys, "ring", "zmod:6", "--law", "ALT3M", "--budget", "1")
+    assert rc == 0 and "holds-sampled" in out
+    rc, out, _ = run(capsys, "ring", "matrix:2,2", "--law", "PROPER_WITNESS", "--budget", "1",
+                     "--samples", "100")
+    assert rc == 1 and "witness: none (2<x,y> = 0 for every sampled pair; not a proof)" in out
+    assert "every pair" not in out
+    rc, out, _ = run(capsys, "ring", "matrix:2,3", "--law", "PROPER_WITNESS", "--budget", "1")
+    assert rc == 0 and "witness: x=" in out
+
+
 def test_ring_law_rejects_non_positive_samples(capsys):
     for count in ("-1", "0"):
         rc, out, err = run(capsys, "ring", "zmod:3", "--law", "RCI", "--samples", count,

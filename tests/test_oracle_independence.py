@@ -2,9 +2,10 @@
 
 Every exhaustive scan runs through one walker (`tables.first_failure`) and one
 verdict builder (`words.exhaustive_verdict`), and every group or ring law is
-evaluated by one word-law evaluator from one registry of builtin laws. A bug
-there would show in every verdict at once, so the oracles that cross-check
-those verdicts must reach their answers without them, or through the law
+evaluated by one runner of its lowered op list (`words.lower`, `words.run_ops`)
+from one registry of builtin laws. A bug there would show in every verdict at
+once, so the oracles that cross-check those verdicts, the scalar `evaluate`
+among them, must reach their answers without them, or through the law
 checkers that call them.
 """
 
@@ -14,6 +15,7 @@ import textwrap
 
 import pytest
 
+import dmagma.words
 import table_oracles
 import test_rings
 import word_oracles
@@ -21,14 +23,16 @@ import word_oracles
 SHARED_SCAN_PATH = {
     "first_failure", "exhaustive_verdict", "check_law_exhaustive", "check_law_sampled",
     "check_ring_law",
-    # the word-law evaluator and law registry, which ring laws read as well
-    "_eval_batch", "_law_failing", "_word_tables", "scan_sampled", "builtin_law", "BUILTIN_LAWS",
-    "RING_WORD_LAWS",
+    # the law lowering, its op-list runner, the scan helper and the law registry,
+    # which ring laws and word doubles read as well
+    "lower", "Lowering", "lowering", "run_ops", "_law_scan", "_word_tables", "scan_sampled",
+    "builtin_law", "BUILTIN_LAWS", "RING_WORD_LAWS",
     # the class derivation that picks which assignments a law scan visits
-    "_class_reps", "_law_lines", "distinct_lines", "distinct_keys", "line_keys",
+    "lines", "distinct_lines", "distinct_keys", "line_keys",
 }
 
 ORACLES = (
+    dmagma.words.evaluate,
     table_oracles,
     word_oracles.naive_check,
     word_oracles.formula_eval,

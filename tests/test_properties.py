@@ -22,15 +22,17 @@ from dmagma.words import (
     IdentityLiteral,
     IntPower,
     Inverse,
+    Law,
     Product,
     Variable,
-    _eval_batch,
+    _word_tables,
     check_law_exhaustive,
     check_law_sampled,
     evaluate,
     free_variables,
-    make_law,
+    lower,
     parse_term,
+    run_ops,
     to_string,
 )
 from word_oracles import flat_index_scan, naive_check, stream_scan
@@ -100,8 +102,10 @@ def test_scalar_and_batch_evaluation_agree(term, pick):
     names = free_variables(term)
     assignment = {v: int(rng.integers(0, g.order)) for v in names}
     scalar = evaluate(term, g, assignment)
-    env = {v: np.array([i], dtype=np.int32) for v, i in assignment.items()}
-    batch = int(np.broadcast_to(_eval_batch(term, g, env), (1,))[0])
+    low = lower(term)
+    axes = [np.array([assignment[v]], dtype=np.int32) for v in low.variables]
+    (value,) = run_ops(low, g, _word_tables(g, low.kinds), axes)
+    batch = int(np.broadcast_to(value, (1,))[0])
     assert scalar == batch
 
 
@@ -157,7 +161,7 @@ def test_perm_specs_build_the_closure_of_their_generators(gens):
 @given(perm_groups, terms, terms, st.sampled_from([1, 7, 64]))
 @settings(max_examples=60, deadline=None)
 def test_class_representative_scan_matches_the_full_scan_oracles(g, lhs, rhs, chunk):
-    law = make_law(lhs, rhs)
+    law = Law(lhs, rhs)
     total = g.order ** len(law.variables)
     assume(chunk < total <= 5000)  # the classes are computed, and the oracles stay quick
     got = check_law_exhaustive(g, law, chunk_size=chunk)
@@ -174,7 +178,7 @@ def test_sampled_scan_matches_a_scalar_walk_of_the_stream():
     @given(perm_groups, terms, terms, st.integers(1, 300), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def matches(g, lhs, rhs, count, seed):
-        law = make_law(lhs, rhs)
+        law = Law(lhs, rhs)
         want = stream_scan(g, law, count, seed)
         with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as rng:
             got = check_law_sampled(g, law, count, seed)

@@ -1,5 +1,6 @@
 """Finite ring constructors, the Lie bracket, and the bracket-law registry."""
 
+import dataclasses
 import itertools
 import random
 
@@ -11,6 +12,7 @@ import dmagma.words
 from dmagma.errors import SpecError
 from dmagma.groups import parse_group_spec
 from dmagma.rings import (
+    RING_LAWS,
     FiniteRing,
     check_ring_law,
     lie_bracket,
@@ -301,14 +303,22 @@ def test_dropping_a_line_of_a_ring_law_derivation_is_caught(
     r = parse_ring_spec(spec)
     want = dmagma.words.Verdict(status, evaluations, witness)
     law = builtin_law(dmagma.rings.RING_WORD_LAWS[name])
-    lines = dmagma.words._law_lines(law)
+    lines = law.lowering.lines
     for v, ls in lines.items():
         for line in ls:
-            mutant = {**lines, v: ls - {line}}
-            monkeypatch.setattr(dmagma.words, "_law_lines", lambda _: mutant)
-            # <x,y> = -<y,x>, so bracket rows and columns split R alike: dropping
-            # one of a variable's two lines changes nothing, dropping its only one does
-            assert (check_ring_law(r, name) != want) == (len(ls) == 1), (v, line)
+            with monkeypatch.context() as m:
+                drop_line(m, law, v, line)
+                # <x,y> = -<y,x>, so bracket rows and columns split R alike: dropping
+                # one of a variable's two lines changes nothing, dropping its only one does
+                assert (check_ring_law(r, name) != want) == (len(ls) == 1), (v, line)
+
+
+def drop_line(monkeypatch, law, variable, line):
+    """Make `law`'s lowering forget that it reads `variable` through `line`."""
+    low = law.lowering
+    mutant = {**low.lines, variable: low.lines[variable] - {line}}
+    assert mutant != low.lines
+    monkeypatch.setitem(law.__dict__, "lowering", dataclasses.replace(low, lines=mutant))
 
 
 def line_class_counts(table) -> tuple[int, int]:
@@ -417,6 +427,9 @@ def test_sampled_scan_of_a_relabelled_ring_matches_a_scalar_walk_of_the_stream(n
 # (ring, law, sample count, seed, whether the stream is drawn): a commutative
 # ring's bracket is zero, so its class grid is one tuple; uppertri:3,2 and
 # matrix:2,3 have 32^4 = 8 * 131072 and 27^4 class tuples, and RCI fails on both.
+# The three- and two-variable laws fall back to sampling past the budget too:
+# ALT3M and NILP2 fail on both, PROPER_WITNESS fails on matrix:2,3 and holds
+# on matrix:2,2, whose 16^2 pairs fit one slice and are scanned whole.
 SAMPLED_FALLBACKS = (
     ("zmod:125", "RCI", 5000, 2, False),
     ("zmod:125", "DOUBLE2", 5000, 7, False),
@@ -425,6 +438,12 @@ SAMPLED_FALLBACKS = (
     ("reversed:uppertri:3,2", "RCI", 131_072, 2, True),
     ("matrix:2,3", "RCI", 5000, 7, True),
     ("matrix:2,3", "DOUBLE2", 5000, 2, True),
+    ("zmod:125", "ALT3M", 5000, 3, False),
+    ("zmod:125", "NILP2", 5000, 3, False),
+    ("matrix:2,3", "ALT3M", 5000, 4, True),
+    ("reversed:uppertri:3,2", "NILP2", 5000, 5, True),
+    ("matrix:2,2", "PROPER_WITNESS", 5000, 6, False),
+    ("matrix:2,3", "PROPER_WITNESS", 100, 8, True),
 )
 
 
@@ -438,6 +457,15 @@ def test_sampled_fallback_matches_a_scalar_walk_of_the_stream(drawn_seeds, spec,
     drawn_seeds.clear()
     assert check_ring_law(r, name, budget=1, sample_count=count, seed=seed) == want
     assert drawn_seeds == ([seed] if drawn else [])
+
+
+@pytest.mark.parametrize("name", RING_LAWS)
+def test_every_ring_law_samples_exactly_past_its_budget(name):
+    r = make_zmod(6)
+    k = len(builtin_law(dmagma.rings.RING_WORD_LAWS[name]).variables)
+    assert check_ring_law(r, name, budget=6**k) == dmagma.words.Verdict("holds-exhaustive", 6**k)
+    got = check_ring_law(r, name, budget=6**k - 1, sample_count=50, seed=4)
+    assert got == dmagma.words.Verdict("holds-sampled", 50, None, 50, 4)
 
 
 @pytest.mark.parametrize("name", ["RCI", "DOUBLE2"])

@@ -9,6 +9,7 @@ import pytest
 
 import dmagma.constructions
 import dmagma.suite
+import dmagma.words
 from dmagma.errors import BudgetExceededError, SpecError
 from dmagma.groups import make_cyclic, make_dihedral, make_heisenberg, parse_group_spec
 from dmagma.rings import parse_ring_spec
@@ -143,6 +144,15 @@ def test_identities_check_and_spot_value():
 def test_identities_hold_on_whole_corpus(corpus_groups):
     for spec, g in corpus_groups:
         assert check_identities(GroupFacts(g), spec).passed, spec
+
+
+def test_identity_laws_are_parsed_and_lowered_once_per_process(monkeypatch):
+    check_identities(GroupFacts(make_cyclic(3)), "cyclic:3")
+    lowered, real = [], dmagma.words.lower
+    monkeypatch.setattr(dmagma.words, "lower", lambda *terms: lowered.append(terms) or real(*terms))
+    for g in (make_dihedral(4), make_heisenberg(3)):
+        assert check_identities(GroupFacts(g), g.label).passed
+    assert lowered == []
 
 
 def test_golden_and_audit_checks_pass():

@@ -25,6 +25,13 @@ from dmagma.tables import (
     first_failure,
     first_interchange_failure,
 )
+from dmagma.words import (
+    COUNTEREXAMPLE,
+    HOLDS_EXHAUSTIVE,
+    Verdict,
+    check_law_exhaustive,
+    parse_law,
+)
 from table_oracles import cubic_associativity_scan, quartic_interchange_scan, scan_verdict
 from test_properties import perm_groups
 
@@ -252,6 +259,16 @@ def test_no_table_scan_slice_exceeds_the_cell_cap(monkeypatch):
     assert first_interchange_failure(g.mul, g.mul) is None
     assert sum(sizes) == 42**3 + 42**4
     assert max(sizes) <= SCAN_CELLS
+
+
+def test_laws_with_more_variables_than_numpy_has_dimensions():
+    # a slice spans at most MAX_AXES full trailing axes; the rest are scalars
+    product = lambda k: parse_law("*".join(f"x{i}" for i in range(k)) + "=1")  # noqa: E731
+    assert check_law_exhaustive(parse_group_spec("cyclic:1"), product(70)) == Verdict(
+        HOLDS_EXHAUSTIVE, 1
+    )
+    got = check_law_exhaustive(parse_group_spec("cyclic:2"), product(40), budget=2**40)
+    assert got == Verdict(COUNTEREXAMPLE, 2, {f"x{i}": "1" for i in range(39)} | {"x39": "a"})
 
 
 # --- large verdicts, pinned to the values of the full scans ---------------------------

@@ -22,7 +22,7 @@ from dmagma.errors import (
 )
 from dmagma.groups import make_cyclic, make_dihedral, make_metacyclic, parse_group_spec
 from dmagma.suite import DEFAULT_GROUPS, IDENTITY_LAWS
-from dmagma.tables import first_failure
+from dmagma.tables import SCAN_CELLS, first_failure
 from dmagma.words import (
     BUILTIN_LAWS,
     COUNTEREXAMPLE,
@@ -34,6 +34,7 @@ from dmagma.words import (
     IdentityLiteral,
     IntPower,
     Inverse,
+    Law,
     Product,
     Term,
     Variable,
@@ -45,13 +46,13 @@ from dmagma.words import (
     evaluate,
     exhaustive_verdict,
     free_variables,
-    make_law,
+    lower,
     parse_law,
     parse_term,
     to_string,
 )
 from test_properties import GROUPS, perm_groups, terms
-from test_rings import line_class_counts
+from test_rings import drop_line, line_class_counts
 from word_oracles import flat_index_scan, naive_check, stream_scan
 
 X, Y, Z, U = Variable("x"), Variable("y"), Variable("z"), Variable("u")
@@ -132,6 +133,39 @@ def test_parse_law_equals_sign_errors():
 def test_free_variable_order():
     assert free_variables(parse_term("[w,x;y,z]")) == ["w", "x", "y", "z"]
     assert free_variables(parse_term("[z,y]*[y,z]")) == ["z", "y"]
+
+
+def test_lowering_numbers_variables_and_merges_equal_subterms():
+    low = lower(parse_term("[x,y]*[x,y]^2"), parse_term("[z,y]^-1"))
+    assert low.variables == ("x", "y", "z")
+    xy = low.ops.index((Bracket, 0, 1))
+    # [x,y] is one slot; its square and the product reuse it
+    assert low.ops.count((Bracket, 0, 1)) == 1
+    assert (IntPower, xy, None) in low.ops
+    assert low.kinds == {Bracket, IntPower}
+    assert low.lines == {"x": {(Bracket, 0)}, "y": {(Bracket, 1)}, "z": {(Bracket, 0)}}
+    assert len(low.roots) == 2
+    # a variable read whole anywhere keeps every element; one read nowhere is one class
+    assert lower(parse_term("[x,y]*x")).lines == {"x": None, "y": {(Bracket, 1)}}
+    assert lower(parse_term("x^0*y")).lines == {"x": frozenset(), "y": None}
+
+
+def test_a_law_is_lowered_once_however_often_it_is_checked(monkeypatch):
+    lowered = []
+    real = dmagma.words.lower
+    monkeypatch.setattr(dmagma.words, "lower", lambda *terms: lowered.append(terms) or real(*terms))
+    g = parse_group_spec(S4)
+    law = Law(parse_term("[x,y;x,z]"), parse_term("[x,z;x,y]"))
+    assert check_law_exhaustive(g, law) == check_law_exhaustive(g, law)
+    check_law_sampled(g, law, 1000, 3)
+    assert lowered == [(law.lhs, law.rhs)]
+    # a text parsed again is the same law, lowered already
+    assert parse_law("[x,y;x,z]=[x,z;x,y]") is parse_law("[x,y;x,z]=[x,z;x,y]")
+    assert len(lowered) == 2
+    # the cached lowering changes neither the law's fields nor its equality
+    again = parse_law("[x,y;x,z]=[x,z;x,y]")
+    assert again == law and hash(again) == hash(law)
+    assert str(law) == "[[x,y],[x,z]]=[[x,z],[x,y]]" and law.variables == ("x", "y", "z")
 
 
 def test_round_trip_examples():
@@ -261,10 +295,7 @@ def test_dropping_a_line_of_the_class_derivation_is_caught(monkeypatch, spec, te
     g, law = parse_group_spec(spec), parse_law(text)
     want = flat_index_scan(g, law)
     assert check_law_exhaustive(g, law, chunk_size=7) == want
-    lines = dmagma.words._law_lines(law)
-    mutant = {**lines, variable: lines[variable] - {(kind, axis)}}
-    assert mutant != lines
-    monkeypatch.setattr(dmagma.words, "_law_lines", lambda _: mutant)
+    drop_line(monkeypatch, law, variable, (kind, axis))
     assert check_law_exhaustive(g, law, chunk_size=7) != want
 
 
@@ -331,7 +362,7 @@ def _fold_variables(t: Term, keep: int) -> Term:
 @settings(max_examples=60, deadline=None)
 def test_broadcast_scan_matches_naive_oracle_on_random_laws(lhs, rhs, g):
     keep = max(k for k in (1, 2, 3) if g.order**k <= 512)  # keeps the scalar oracle quick
-    law = make_law(_fold_variables(lhs, keep), _fold_variables(rhs, keep))
+    law = Law(_fold_variables(lhs, keep), _fold_variables(rhs, keep))
     want = naive_check(g, law)
     for chunk in (1, 7, 1 << 20):
         assert check_law_exhaustive(g, law, chunk_size=chunk) == want
@@ -341,7 +372,7 @@ def test_broadcast_scan_matches_naive_oracle_on_random_laws(lhs, rhs, g):
 @settings(max_examples=60, deadline=None)
 def test_sampled_verdict_never_contradicts_exhaustive(lhs, rhs, pick, seed):
     g = GROUPS[pick]
-    law = make_law(_fold_variables(lhs, 3), _fold_variables(rhs, 3))
+    law = Law(_fold_variables(lhs, 3), _fold_variables(rhs, 3))
     exhaustive = check_law_exhaustive(g, law)
     sampled = check_law_sampled(g, law, 200, seed)
     if exhaustive.holds:
@@ -353,7 +384,7 @@ def test_sampled_verdict_never_contradicts_exhaustive(lhs, rhs, pick, seed):
 
 def test_word_tables_match_scalar_commutator_and_conjugate(corpus_groups):
     for spec, g in corpus_groups:
-        tables = _word_tables(g, parse_term("[x,y]*x^y*x^3"))
+        tables = _word_tables(g, lower(parse_term("[x,y]*x^y*x^3")).kinds)
         cells = list(itertools.product(g.elements(), repeat=2))
         assert [tables[Bracket][x, y] for x, y in cells] == [g.commutator(x, y) for x, y in cells]
         assert [tables[Conjugate][x, y] for x, y in cells] == [g.conjugate(x, y) for x, y in cells]
@@ -362,17 +393,20 @@ def test_word_tables_match_scalar_commutator_and_conjugate(corpus_groups):
 
 def test_word_tables_are_built_only_for_the_nodes_a_law_uses():
     g = make_dihedral(4)
-    assert _word_tables(g, parse_term("x*y^-1"), parse_term("x y")) == {}
-    assert set(_word_tables(g, parse_term("x*y^-1"), parse_term("(x y)^3"))) == {IntPower}
-    assert set(_word_tables(g, parse_term("[x,y]"), parse_term("1"))) == {Bracket}
-    assert set(_word_tables(g, parse_term("x"), parse_term("y^x"))) == {Conjugate}
+    def tables(*texts):
+        return _word_tables(g, lower(*map(parse_term, texts)).kinds)
+
+    assert tables("x*y^-1", "x y") == {}
+    assert set(tables("x*y^-1", "(x y)^3")) == {IntPower}
+    assert set(tables("[x,y]", "1")) == {Bracket}
+    assert set(tables("x", "y^x")) == {Conjugate}
 
 
 def test_word_tables_share_no_memory_with_the_table_route(corpus_groups):
     # the law route and commutator_double must stay two independent computations
     for spec, g in corpus_groups:
         star = commutator_double(g).star.op
-        tables = _word_tables(g, parse_term("[x,y]^z"))
+        tables = _word_tables(g, lower(parse_term("[x,y]^z")).kinds)
         assert np.array_equal(tables[Bracket], star), spec
         for table in tables.values():
             assert not np.shares_memory(table, star), spec
@@ -446,11 +480,37 @@ def test_dropping_a_line_misleads_the_sampled_grid_check(monkeypatch, text, vari
     want = check_law_sampled(g, law, count, 3)
     assert want == dataclasses.replace(stream_scan(g, law, want.evaluations, 3), sample_count=count)
     assert want.status == COUNTEREXAMPLE
-    lines = dmagma.words._law_lines(law)
-    mutant = {**lines, variable: lines[variable] - {(kind, axis)}}
-    assert mutant != lines
-    monkeypatch.setattr(dmagma.words, "_law_lines", lambda _: mutant)
+    drop_line(monkeypatch, law, variable, (kind, axis))
     assert check_law_sampled(g, law, count, 3) != want
+
+
+def test_a_sampled_scan_draws_a_short_first_slice(monkeypatch):
+    sizes = []
+    real = dmagma.words.scan_sampled
+
+    def recording_scan_sampled(variables, names, failing, count, seed, reps, chunk=SCAN_CELLS):
+        def wrapped(axes):
+            sizes.append(int(np.prod(np.broadcast_shapes(*(np.shape(a) for a in axes)))))
+            return failing(axes)
+
+        return real(variables, names, wrapped, count, seed, reps, chunk)
+
+    monkeypatch.setattr(dmagma.words, "scan_sampled", recording_scan_sampled)
+    # S4's L3 grid (24^5 tuples) is larger than 8 * 10^5, so the stream is drawn
+    # at once, and its row 3 fails
+    g, law = parse_group_spec(S4), builtin_law("L3")
+    got = check_law_sampled(g, law, 10**5, 1)
+    assert got == dataclasses.replace(stream_scan(g, law, 3, 1), sample_count=10**5)
+    assert sizes == [64] and sum(sizes) < SCAN_CELLS
+    # a clean stream is drawn in doubling slices up to the chunk, and to the end
+    g = parse_group_spec("dihedral:16")
+    cases = ((1 << 20, [64, 128, 256, 512, 1024, 1016]), (300, [64, 128, 256, 300, 300, 52]))
+    for chunk, want in cases:
+        sizes.clear()
+        count = sum(want)
+        got = check_law_sampled(g, builtin_law("L3"), count, 4, chunk_size=chunk)
+        assert got == Verdict(HOLDS_SAMPLED, count, None, count, 4)
+        assert sizes == want
 
 
 def test_d8_three_metabelian_law_counts():
