@@ -6,6 +6,13 @@ eagerly: Latin square and identity by full O(n^2) scans, associativity by
 Light's test over a small generating set S in O(|S| n^2). Only a rejected
 table pays for the O(n^3) scan that names the first failing (x, y, z).
 Downstream brute-force scans can then trust the tables blindly.
+
+Each constructor checks its order against the order budget before it builds
+anything. Tables are built by array arithmetic; a permutation group's table
+follows from its breadth-first closure by the column recurrence
+mul[:, b] = R_g[mul[:, parent(b)]] (see `_permutation_group`). The subgroup
+series and closures read only `mul` and `inv`, and collect members in boolean
+membership masks.
 """
 
 from __future__ import annotations
@@ -129,12 +136,11 @@ class SubgroupSet:
         g = self.owner
         if g.identity not in self.members:
             raise ValueError("subgroup must contain the identity")
-        idx = np.fromiter(sorted(self.members), dtype=np.int64)
-        if len(idx) and (idx.min() < 0 or idx.max() >= g.order):
+        idx = np.fromiter(self.members, dtype=np.int64, count=len(self.members))
+        if idx.min() < 0 or idx.max() >= g.order:
             raise ValueError("subgroup members out of range")
-        prods = set(g.mul[np.ix_(idx, idx)].ravel().tolist())
-        invs = set(g.inv[idx].tolist())
-        if not (prods <= self.members and invs <= self.members):
+        mask = _mask(g, idx)
+        if not (mask[_product(g, idx[:, None], idx)].all() and mask[g.inv[idx]].all()):
             raise ValueError("member set is not closed under product and inverse")
 
     def __len__(self):
@@ -147,19 +153,52 @@ class SubgroupSet:
         return sorted(self.members)
 
 
+def _product(g: FiniteGroup, x, y) -> np.ndarray:
+    """g.mul[x, y] for broadcastable index arrays, as one take from the flat table."""
+    return np.take(g.mul.ravel(), x * g.order + y)
+
+
+def _mask(g: FiniteGroup, idx) -> np.ndarray:
+    """Membership mask over the elements of g, True at each index in `idx`."""
+    mask = np.zeros(g.order, dtype=bool)
+    mask[idx] = True
+    return mask
+
+
 def _whole_group(g: FiniteGroup) -> SubgroupSet:
     return SubgroupSet(frozenset(range(g.order)), g)
 
 
+def _closure(g: FiniteGroup, mask: np.ndarray) -> SubgroupSet:
+    """The subgroup generated by the members of `mask` and the identity."""
+    mask[g.identity] = True
+    cur = np.flatnonzero(mask)
+    while True:
+        mask[_product(g, cur[:, None], cur)] = True
+        mask[g.inv[cur]] = True
+        nxt = np.flatnonzero(mask)
+        if len(nxt) == len(cur):
+            return SubgroupSet(frozenset(cur.tolist()), g)
+        cur = nxt
+
+
+def _seed_indices(g: FiniteGroup, seed) -> np.ndarray:
+    idx = np.fromiter(seed, dtype=np.int64)
+    if len(idx) and (idx.min() < 0 or idx.max() >= g.order):
+        raise ValueError("subgroup members out of range")
+    return idx
+
+
 def subgroup_closure(g: FiniteGroup, seed) -> SubgroupSet:
     """Smallest subgroup containing `seed` (always includes the identity)."""
-    cur = np.unique(np.fromiter(list(seed) + [g.identity], dtype=np.int64))
-    while True:
-        prods = g.mul[np.ix_(cur, cur)].ravel()
-        nxt = np.unique(np.concatenate([cur, prods, g.inv[cur]]))
-        if len(nxt) == len(cur):
-            return SubgroupSet(frozenset(int(x) for x in cur), g)
-        cur = nxt
+    return _closure(g, _mask(g, _seed_indices(g, seed)))
+
+
+def _normal_closure(g: FiniteGroup, s: np.ndarray) -> SubgroupSet:
+    """Normal closure of the index array `s`: the subgroup its G-conjugates generate."""
+    cols = np.arange(g.order, dtype=np.int64)[:, None]
+    conj = _product(g, _product(g, g.inv[cols], s), cols)  # [y, i] -> y^-1 s_i y
+    return _closure(g, _mask(g, conj))
 
 
 def normal_closure(g: FiniteGroup, seed) -> SubgroupSet:
@@ -168,32 +207,26 @@ def normal_closure(g: FiniteGroup, seed) -> SubgroupSet:
     Closing the seed under conjugation by all of G yields a conjugation-stable
     set, whose generated subgroup is automatically normal.
     """
-    seed = sorted(set(seed))
-    if not seed:
-        return SubgroupSet(frozenset({g.identity}), g)
-    s = np.asarray(seed, dtype=np.int64)
-    cols = np.arange(g.order, dtype=np.int64)[:, None]
-    conj = g.mul[g.mul[g.inv[cols], s[None, :]], cols]  # [y, i] -> y^-1 s_i y
-    return subgroup_closure(g, np.unique(conj).tolist())
+    return _normal_closure(g, _seed_indices(g, seed))
 
 
 def _commutators_of(g: FiniteGroup, left, right) -> np.ndarray:
-    """All [x, y] with x in `left`, y in `right`, as a unique index array."""
-    xs = np.asarray(sorted(left), dtype=np.int64)[:, None]
-    ys = np.asarray(sorted(right), dtype=np.int64)[None, :]
-    comm = g.mul[g.mul[g.inv[xs], g.inv[ys]], g.mul[xs, ys]]
-    return np.unique(comm)
+    """All [x, y] with x in `left`, y in `right` (index arrays), as a sorted unique index array."""
+    xs = left[:, None]
+    comm = _product(g, _product(g, g.inv[xs], g.inv[right]), _product(g, xs, right))
+    return np.flatnonzero(_mask(g, comm))
 
 
 def _commutator_series(g: FiniteGroup, right) -> list[SubgroupSet]:
     """[G, H_1, H_2, ...] with H_{k+1} the normal closure of [H_k, right(H_k)], until stable."""
     terms = [_whole_group(g)]
+    cur = np.arange(g.order, dtype=np.int64)
     while True:
-        cur = terms[-1].members
-        nxt = normal_closure(g, _commutators_of(g, cur, right(cur)).tolist())
-        if nxt.members == cur:
+        nxt = _normal_closure(g, _commutators_of(g, cur, right(cur)))
+        if len(nxt) == len(cur):
             return terms
         terms.append(nxt)
+        cur = np.fromiter(nxt.members, dtype=np.int64, count=len(nxt))
 
 
 def derived_series(g: FiniteGroup) -> list[SubgroupSet]:
@@ -208,7 +241,8 @@ def derived_series(g: FiniteGroup) -> list[SubgroupSet]:
 
 def lower_central_series(g: FiniteGroup) -> list[SubgroupSet]:
     """gamma_1 = G, gamma_{k+1} = <[gamma_k, G]> (normal closure), until stable."""
-    return _commutator_series(g, lambda cur: range(g.order))
+    everything = np.arange(g.order, dtype=np.int64)
+    return _commutator_series(g, lambda cur: everything)
 
 
 def nilpotency_class(g: FiniteGroup) -> int | None:
@@ -233,7 +267,8 @@ def is_metabelian(g: FiniteGroup) -> bool:
 def has_exponent_2(s: SubgroupSet) -> bool:
     """True iff every member squares to the identity."""
     g = s.owner
-    return all(int(g.mul[x, x]) == g.identity for x in s.members)
+    idx = np.fromiter(s.members, dtype=np.int64, count=len(s))
+    return bool((g.mul[idx, idx] == g.identity).all())
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +349,10 @@ def make_heisenberg(p: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteG
 
     (x1,y1,z1)(x2,y2,z2) = (x1+x2, y1+y2, z1+z2+x1*y2), all mod p.
     """
-    if not _is_prime(p):
-        raise ValueError(f"heisenberg parameter must be prime, got {p}")
     order = p**3
     check_order_budget(order, order_budget, "heisenberg group")
+    if not _is_prime(p):
+        raise ValueError(f"heisenberg parameter must be prime, got {p}")
     idx = np.arange(order, dtype=np.int64)
     x, y, z = idx // (p * p), (idx // p) % p, idx % p
     xx = (x[:, None] + x[None, :]) % p
@@ -347,8 +382,11 @@ def perm_from_cycles(cycles, k: int | None = None) -> tuple[int, ...]:
     return tuple(images)
 
 
-def _cycle_name(images0: tuple[int, ...]) -> str:
-    """Canonical cycle notation (1-based, fixed points omitted); identity is '1'."""
+def _cycle_name(images0, labels) -> str:
+    """Canonical cycle notation of a 0-based image list (fixed points omitted); identity is '1'.
+
+    Point i is written as labels[i].
+    """
     seen = [False] * len(images0)
     cycles = []
     for start in range(len(images0)):
@@ -363,7 +401,7 @@ def _cycle_name(images0: tuple[int, ...]) -> str:
             cycles.append(cycle)
     if not cycles:
         return "1"
-    return "".join("(" + " ".join(str(p + 1) for p in c) + ")" for c in cycles)
+    return "".join("(" + " ".join(str(labels[p]) for p in c) + ")" for c in cycles)
 
 
 def make_from_permutations(generators, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteGroup:
@@ -382,30 +420,61 @@ def make_from_permutations(generators, order_budget: int = DEFAULT_ORDER_BUDGET)
         k = max(k, len(g))
         gens.append(g)
     gens = [tuple(v - 1 for v in g) + tuple(range(len(g), k)) for g in gens]
-    identity = tuple(range(k))
-    elements = [identity]
-    index = {identity: 0}
-    cursor = 0
-    while cursor < len(elements):
-        cur = elements[cursor]
-        cursor += 1
-        for g in gens:
-            prod = tuple(cur[g[i]] for i in range(k)) if k else ()
-            if prod not in index:
-                if len(elements) >= order_budget:
+    return _permutation_group(gens, range(1, k + 1), order_budget)
+
+
+def _permutation_group(gens, labels, order_budget: int) -> FiniteGroup:
+    """The group generated by 0-based image tuples over the points 0..len(labels)-1.
+
+    The closure runs breadth first, one level at a time: element b enters as
+    parent(b) * g for the first (parent, generator) pair that reaches it, and
+    each level's products give the right multiplications R_g[x] = x * g. The
+    table then follows column by column from the recurrence
+    mul[:, b] = R_g[mul[:, parent(b)]], one level of columns per step.
+    """
+    k = len(labels)
+    gen_images = np.array(gens, dtype=np.int64).reshape(len(gens), k)
+    perms = [np.arange(k, dtype=np.int32)[None, :]]
+    index = {perms[0].tobytes(): 0}
+    right = []  # per level: [x, g] -> index of x * g
+    parent, via = [0], [0]
+    start = 0
+    while start < len(index):
+        frontier = perms[-1]
+        prods = frontier[:, gen_images].reshape(len(frontier) * len(gens), k)  # x*g at x*|gens| + g
+        buf, width = prods.tobytes(), prods.itemsize * k
+        cells = np.empty(len(prods), dtype=np.int64)
+        new = []
+        for c in range(len(prods)):
+            key = buf[c * width : (c + 1) * width]
+            b = index.get(key)
+            if b is None:
+                if len(index) >= order_budget:
                     raise ValueError(
                         f"permutation closure exceeds order budget {order_budget} "
-                        f"(partial size {len(elements) + 1})"
+                        f"(partial size {len(index) + 1})"
                     )
-                index[prod] = len(elements)
-                elements.append(prod)
-    n = len(elements)
-    mul = np.empty((n, n), dtype=np.int32)
-    for a, pa in enumerate(elements):
-        for b, pb in enumerate(elements):
-            mul[a, b] = index[tuple(pa[pb[i]] for i in range(k)) if k else ()]
-    names = [_cycle_name(p) for p in elements]
-    return FiniteGroup(mul, names, label="perm-closure")
+                b = index[key] = len(index)
+                new.append(c)
+                parent.append(start + c // len(gens))
+                via.append(c % len(gens))
+            cells[c] = b
+        right.append(cells.reshape(len(frontier), len(gens)))
+        start += len(frontier)
+        perms.append(prods[new])
+    n = len(index)
+    right_maps = np.concatenate(right).T  # [g, x] -> x * g
+    parent, via = np.array(parent), np.array(via)
+    cols = np.empty((n, n), dtype=np.int64)  # cols[b] = mul[:, b]
+    cols[0] = np.arange(n)
+    lo = 1
+    for level in perms[1:]:
+        hi = lo + len(level)
+        cols[lo:hi] = right_maps[via[lo:hi, None], cols[parent[lo:hi]]]
+        lo = hi
+    elements = np.concatenate(perms).tolist()
+    names = [_cycle_name(p, labels) for p in elements]
+    return FiniteGroup(cols.T, names, label="perm-closure")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteGroup:
@@ -466,7 +535,8 @@ class _Cursor:
         return int(self.text[start : self.pos])
 
 
-def _parse_perm_generators(cur: _Cursor) -> list[tuple[int, ...]]:
+def _parse_perm_generators(cur: _Cursor) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The generators of a perm spec as image tuples over the written points, and those points."""
     generators = []
     while cur.peek() == "(":
         cycles = []
@@ -487,8 +557,15 @@ def _parse_perm_generators(cur: _Cursor) -> list[tuple[int, ...]]:
                 break
         else:
             break
-    k = max((p for cycles in generators for c in cycles for p in c), default=0)
-    return [perm_from_cycles(cycles, k) for cycles in generators]
+    # Only the points written matter: relabel them 1..k in ascending order,
+    # which keeps the closure order and the cycle names, and name them back.
+    points = sorted({p for cycles in generators for c in cycles for p in c})
+    if points and points[0] < 1:
+        raise ValueError("cycle points must be positive integers")
+    rank = {p: i + 1 for i, p in enumerate(points)}
+    gens = [perm_from_cycles([[rank[p] for p in c] for c in cycles], len(points))
+            for cycles in generators]
+    return gens, points
 
 
 def _parse_spec(cur: _Cursor, order_budget: int) -> FiniteGroup:
@@ -509,10 +586,10 @@ def _parse_spec(cur: _Cursor, order_budget: int) -> FiniteGroup:
         return make_heisenberg(cur.number(), order_budget)
     if head == "perm":
         try:
-            g = make_from_permutations(_parse_perm_generators(cur), order_budget)
+            gens, points = _parse_perm_generators(cur)
+            return _permutation_group([tuple(v - 1 for v in g) for g in gens], points, order_budget)
         except ValueError as e:
             raise SpecError(str(e)) from None
-        return g
     if head == "product":
         left = _parse_spec(cur, order_budget)
         cur.expect(",")

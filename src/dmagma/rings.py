@@ -5,6 +5,10 @@ laws are builtin commutator laws of `words` read in the Lie ring: (R,+)
 stands for the group, with <x,y> in place of [x,y], so the one word-law
 evaluator decides them. Iterated brackets nest to the left,
 <x,y,z> = <<x,y>,z>, as on the group side.
+
+Matrix rings are built one supported entry at a time from per-entry digit
+columns (`_matrix_ring_from_entries`), after their order n^d has passed the
+order budget (`tables.check_power_budget`).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from .tables import (
     SCAN_CELLS,
     as_table,
     check_order_budget,
+    check_power_budget,
     first_associativity_failure,
     first_failure,
     gather,
@@ -167,32 +172,36 @@ def make_zmod(n: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteRing:
     return FiniteRing(add, mul, [str(i) for i in range(n)], label=f"zmod:{n}")
 
 
-def _matrix_ring_from_entries(k: int, n: int, positions: list[tuple[int, int]], label: str,
-                              order_budget: int) -> FiniteRing:
-    """Ring of k x k matrices mod n supported on `positions` (row-major digits)."""
+def _matrix_ring_from_entries(k: int, n: int, positions: list[tuple[int, int]],
+                              label: str) -> FiniteRing:
+    """Ring of k x k matrices mod n supported on `positions` (row-major digits).
+
+    Element e has digit (e // n^(d-1-s)) % n at positions[s]. Both tables are
+    sums, over the supported positions (i, j) = positions[s], of n^(d-1-s)
+    times that entry of the result: (e_ij(a) + e_ij(b)) % n for the sum and
+    (sum_m e_im(a) e_mj(b)) % n for the product, one order x order layer per
+    position.
+    """
     d = len(positions)
     order = n**d
-    check_order_budget(order, order_budget, label)
+    # No partial value reaches max(order, k * n * n); int32 arithmetic is several times faster.
+    dtype = np.int32 if max(order, k * n * n) < 2**31 else np.int64
     idx = np.arange(order, dtype=np.int64)
-    mats = np.zeros((order, k, k), dtype=np.int64)
-    rest = idx.copy()
-    for slot in range(d - 1, -1, -1):
-        i, j = positions[slot]
-        mats[:, i, j] = rest % n
-        rest //= n
-    weights = np.zeros((k, k), dtype=np.int64)
-    for slot, (i, j) in enumerate(positions):
-        weights[i, j] = n ** (d - 1 - slot)
-
-    def encode(ms: np.ndarray) -> np.ndarray:
-        return np.tensordot(ms % n, weights, axes=([-2, -1], [0, 1]))
-
-    add = encode(mats[:, None] + mats[None, :])
-    mul = encode(np.einsum("aij,bjk->abik", mats, mats))
-    names = []
-    for e in range(order):
-        rows = [",".join(str(int(v)) for v in mats[e, i]) for i in range(k)]
-        names.append("[" + ";".join(rows) + "]")
+    entry = {pos: ((idx // n ** (d - 1 - s)) % n).astype(dtype) for s, pos in enumerate(positions)}
+    add = np.zeros((order, order), dtype=dtype)
+    mul = np.zeros((order, order), dtype=dtype)
+    # With n = 1 every entry is 0 and both tables are [[0]], whatever k is.
+    for s, (i, j) in enumerate(positions if n > 1 else []):
+        weight = n ** (d - 1 - s)
+        e = entry[i, j]
+        add += (np.add.outer(e, e) % n) * weight
+        dot = sum(np.multiply.outer(entry[i, m], entry[m, j])
+                  for m in range(k) if (i, m) in entry and (m, j) in entry)
+        mul += (dot % n) * weight
+    zero = np.zeros(order, dtype=dtype)
+    rows = [[entry.get((i, j), zero).tolist() for j in range(k)] for i in range(k)]
+    names = ["[" + ";".join(",".join(str(row[j][e]) for j in range(k)) for row in rows) + "]"
+             for e in range(order)]
     return FiniteRing(add, mul, names, label=label)
 
 
@@ -200,16 +209,20 @@ def make_matrix_ring(k: int, n: int, order_budget: int = DEFAULT_ORDER_BUDGET) -
     """Full ring of k x k matrices over the integers mod n."""
     if k < 1 or n < 1:
         raise ValueError("matrix ring needs k >= 1 and n >= 1")
+    label = f"matrix:{k},{n}"
+    check_power_budget(n, k * k, order_budget, label)
     positions = [(i, j) for i in range(k) for j in range(k)]
-    return _matrix_ring_from_entries(k, n, positions, f"matrix:{k},{n}", order_budget)
+    return _matrix_ring_from_entries(k, n, positions, label)
 
 
 def make_upper_triangular(k: int, n: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteRing:
     """Subring of upper-triangular k x k matrices over the integers mod n."""
     if k < 1 or n < 1:
         raise ValueError("upper-triangular ring needs k >= 1 and n >= 1")
+    label = f"uppertri:{k},{n}"
+    check_power_budget(n, k * (k + 1) // 2, order_budget, label)
     positions = [(i, j) for i in range(k) for j in range(i, k)]
-    return _matrix_ring_from_entries(k, n, positions, f"uppertri:{k},{n}", order_budget)
+    return _matrix_ring_from_entries(k, n, positions, label)
 
 
 def parse_ring_spec(spec: str, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteRing:

@@ -52,6 +52,18 @@ def check_order_budget(order: int, budget: int, what: str) -> None:
         raise ValueError(f"{what} has order {order}, exceeding the order budget {budget}")
 
 
+def check_power_budget(base: int, exp: int, budget: int, what: str) -> None:
+    """check_order_budget for order base**exp, without computing a power sure to exceed it.
+
+    With base >= 2, base**exp >= 2**exp > budget once exp reaches the budget's
+    bit length. From exponent 64 on, such an order is named as base^exp;
+    smaller powers are computed and named in full.
+    """
+    if base > 1 and exp >= max(budget.bit_length(), 64):
+        raise ValueError(f"{what} has order {base}^{exp}, exceeding the order budget {budget}")
+    check_order_budget(base**exp, budget, what)
+
+
 def as_table(op, order: int | None = None) -> np.ndarray:
     """Coerce to a read-only square int32 table and range-check entries."""
     table = np.ascontiguousarray(np.asarray(op, dtype=np.int32))

@@ -1,6 +1,11 @@
 """CLI surface: subcommands, formats, and the exit-code contract."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,3 +354,33 @@ def test_suite_overrides_are_validated(tmp_path, capsys):
         assert rc == 2 and out == ""
         assert "must be positive" in err
         assert not (tmp_path / "r.json").exists()
+
+
+# --- hostile specs in a child process ---------------------------------------------
+
+_CHILD_MEMORY = 2 << 30  # bytes of address space for the child
+_CHILD_SECONDS = 20
+
+
+def _limit_child_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (_CHILD_MEMORY, _CHILD_MEMORY))
+
+
+@pytest.mark.parametrize("argv, rc, expect", [
+    (("group", "heisenberg:1000000000000000003"), 2, "exceeding the order budget 1024"),
+    (("ring", "uppertri:99999999999,99999", "--law", "NILP2"), 2, "exceeding the order budget 1024"),
+    (("ring", "matrix:99999999999,2", "--law", "NILP2"), 2, "exceeding the order budget 1024"),
+    (("group", "perm:(1 20000000)"), 0, "order: 2\n"),
+], ids=["heisenberg", "uppertri", "matrix", "perm"])
+def test_hostile_specs_end_quickly_in_a_bounded_child(argv, rc, expect):
+    # Orders are refused before anything is built, and a perm spec's degree is
+    # the number of points written, so none of these comes near the limits.
+    src = str(Path(dmagma.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "dmagma.cli", *argv], env=env, capture_output=True, text=True,
+        timeout=_CHILD_SECONDS, preexec_fn=_limit_child_memory,
+    )
+    assert proc.returncode == rc, proc.stderr
+    assert expect in (proc.stdout if rc == 0 else proc.stderr)
+    assert "Traceback" not in proc.stderr and "MemoryError" not in proc.stderr

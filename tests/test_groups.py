@@ -195,6 +195,26 @@ def test_perm_budget_reports_partial_size():
         make_from_permutations(gens, order_budget=50)
 
 
+def test_perm_spec_degree_is_the_number_of_points_written():
+    g = parse_group_spec("perm:(1 20000000)")
+    assert g.order == 2
+    assert g.names == ("1", "(1 20000000)")
+    # points written as 10, 20, 30, 40 act as 1, 2, 3, 4 would, under their own names
+    g = parse_group_spec("perm:(10 30 20),(20 40)")
+    small = parse_group_spec("perm:(1 3 2),(2 4)")
+    assert np.array_equal(g.mul, small.mul)
+    relabel = str.maketrans({"1": "10", "2": "20", "3": "30", "4": "40"})
+    assert g.names == ("1", *(s.translate(relabel) for s in small.names[1:]))
+    for bad, why in (("perm:(0 3)", "positive"), ("perm:(1 2)(2 3)", "disjoint")):
+        with pytest.raises(SpecError, match=why):
+            parse_group_spec(bad)
+
+
+def test_heisenberg_budget_comes_before_the_primality_test():
+    with pytest.raises(ValueError, match="heisenberg group has order 10{17}9.*exceeding the order budget"):
+        make_heisenberg(1000000000000000003)
+
+
 def test_perm_malformed():
     with pytest.raises(ValueError):
         make_from_permutations([(2, 2)])
@@ -304,6 +324,14 @@ def test_normal_closure_of_3_cycle_is_alternating():
         ]
         images = perm_from_cycles(cycles, 4)
         assert perm_parity(images) == 0
+
+
+def test_closures_reject_seeds_out_of_range():
+    g = make_dihedral(4)
+    for bad in ([-1], [g.order]):
+        for closure in (subgroup_closure, normal_closure):
+            with pytest.raises(ValueError, match="subgroup members out of range"):
+                closure(g, bad)
 
 
 def test_normal_closure_abelian_equals_subgroup_closure():

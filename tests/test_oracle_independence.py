@@ -6,7 +6,8 @@ evaluated by one runner of its lowered op list (`words.lower`, `words.run_ops`)
 from one registry of builtin laws. A bug there would show in every verdict at
 once, so the oracles that cross-check those verdicts, the scalar `evaluate`
 among them, must reach their answers without them, or through the law
-checkers that call them.
+checkers that call them. The same holds for the old structure builders
+and subgroup series kept in `structure_oracles`.
 """
 
 import ast
@@ -16,6 +17,7 @@ import textwrap
 import pytest
 
 import dmagma.words
+import structure_oracles
 import table_oracles
 import test_rings
 import word_oracles
@@ -29,11 +31,17 @@ SHARED_SCAN_PATH = {
     "builtin_law", "BUILTIN_LAWS", "RING_WORD_LAWS",
     # the class derivation that picks which assignments a law scan visits
     "lines", "distinct_lines", "distinct_keys", "line_keys",
+    # the structure builders and subgroup series that `structure_oracles` checks
+    "_matrix_ring_from_entries", "_permutation_group", "make_from_permutations",
+    "parse_group_spec", "parse_ring_spec", "make_matrix_ring", "make_upper_triangular",
+    "_product", "_mask", "_closure", "_normal_closure", "_commutators_of", "_commutator_series",
+    "subgroup_closure", "normal_closure", "derived_series", "lower_central_series",
 }
 
 ORACLES = (
     dmagma.words.evaluate,
     table_oracles,
+    structure_oracles,
     word_oracles.naive_check,
     word_oracles.formula_eval,
     word_oracles.flat_index_scan,

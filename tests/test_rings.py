@@ -109,6 +109,22 @@ def test_budget_checks():
         make_upper_triangular(2, 40)
 
 
+def test_budget_refuses_before_building():
+    # An order n^d whose exponent reaches 64 and the budget's bit length is
+    # over budget for any n >= 2; it is named as n^d, never computed.
+    with pytest.raises(SpecError, match=r"has order 99999\^4999999999950000000000, exceeding"):
+        parse_ring_spec("uppertri:99999999999,99999")
+    with pytest.raises(SpecError, match=r"has order 2\^9999999999800000000001, exceeding"):
+        parse_ring_spec("matrix:99999999999,2")
+    with pytest.raises(ValueError, match=r"has order 2\^66, exceeding the order budget \d+$"):
+        make_upper_triangular(11, 2, order_budget=2**65)
+    # Smaller exponents are computed and named as before.
+    with pytest.raises(SpecError, match=r"^'matrix:4,2': matrix:4,2 has order 65536, exceeding"):
+        parse_ring_spec("matrix:4,2")
+    with pytest.raises(ValueError, match=r"has order 1000000000000, exceeding the order budget"):
+        make_matrix_ring(2, 1000, order_budget=10**11)
+
+
 def test_ring_validation_rejects_bad_tables():
     with pytest.raises(ValueError, match="Latin"):
         FiniteRing([[0, 0], [0, 0]], [[0, 0], [0, 0]], ["0", "1"])
