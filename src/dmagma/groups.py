@@ -10,9 +10,13 @@ Downstream brute-force scans can then trust the tables blindly.
 Each constructor checks its order against the order budget before it builds
 anything. Tables are built by array arithmetic; a permutation group's table
 follows from its breadth-first closure by the column recurrence
-mul[:, b] = R_g[mul[:, parent(b)]] (see `_permutation_group`). The subgroup
-series and closures read only `mul` and `inv`, and collect members in boolean
-membership masks.
+mul[:, b] = R_g[mul[:, parent(b)]] (see `_permutation_group`).
+
+Subgroups rest on one closure step, `_grow`, which adds all products and
+inverses to a member set in a boolean mask: a set is a subgroup iff the step
+adds nothing, and closures repeat it to a fixed point. Series terms are plain
+closures of commutators, already normal, so no normal closure is taken (see
+`_commutator_series`). The series read only `mul` and `inv`.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .errors import SpecError
 from .tables import (
     DEFAULT_ORDER_BUDGET,
     as_table,
+    carrier_names,
     check_order_budget,
     first_associativity_failure,
     is_latin,
@@ -45,11 +50,7 @@ class FiniteGroup:
     def __init__(self, mul, names, label: str | None = None):
         table = as_table(mul)
         n = table.shape[0]
-        names = tuple(str(s) for s in names)
-        if len(names) != n:
-            raise ValueError(f"got {len(names)} names for order {n}")
-        if len(set(names)) != n:
-            raise ValueError("element names must be pairwise distinct")
+        names = carrier_names(names, n)
         if names[0] != "1":
             raise ValueError("the identity (element 0) must be named '1'")
         if not is_latin(table):
@@ -139,8 +140,7 @@ class SubgroupSet:
         idx = np.fromiter(self.members, dtype=np.int64, count=len(self.members))
         if idx.min() < 0 or idx.max() >= g.order:
             raise ValueError("subgroup members out of range")
-        mask = _mask(g, idx)
-        if not (mask[_product(g, idx[:, None], idx)].all() and mask[g.inv[idx]].all()):
+        if len(_grow(g, idx)) != len(idx):
             raise ValueError("member set is not closed under product and inverse")
 
     def __len__(self):
@@ -158,71 +158,61 @@ def _product(g: FiniteGroup, x, y) -> np.ndarray:
     return np.take(g.mul.ravel(), x * g.order + y)
 
 
-def _mask(g: FiniteGroup, idx) -> np.ndarray:
-    """Membership mask over the elements of g, True at each index in `idx`."""
+def _grow(g: FiniteGroup, idx: np.ndarray) -> np.ndarray:
+    """The members of `idx` with all their products and inverses, as a sorted index array.
+
+    This is the one closure step: a set of distinct members is closed under
+    product and inverse iff growing it adds nothing.
+    """
     mask = np.zeros(g.order, dtype=bool)
     mask[idx] = True
-    return mask
+    mask[_product(g, idx[:, None], idx)] = True
+    mask[g.inv[idx]] = True
+    return np.flatnonzero(mask)
 
 
-def _whole_group(g: FiniteGroup) -> SubgroupSet:
-    return SubgroupSet(frozenset(range(g.order)), g)
-
-
-def _closure(g: FiniteGroup, mask: np.ndarray) -> SubgroupSet:
-    """The subgroup generated by the members of `mask` and the identity."""
+def _closure(g: FiniteGroup, seed: np.ndarray) -> SubgroupSet:
+    """The subgroup generated by the members of the index array `seed` and the identity."""
+    if seed.size and (seed.min() < 0 or seed.max() >= g.order):
+        raise ValueError("subgroup members out of range")
+    mask = np.zeros(g.order, dtype=bool)
+    mask[seed] = True
     mask[g.identity] = True
     cur = np.flatnonzero(mask)
-    while True:
-        mask[_product(g, cur[:, None], cur)] = True
-        mask[g.inv[cur]] = True
-        nxt = np.flatnonzero(mask)
-        if len(nxt) == len(cur):
-            return SubgroupSet(frozenset(cur.tolist()), g)
+    while len(nxt := _grow(g, cur)) != len(cur):
         cur = nxt
-
-
-def _seed_indices(g: FiniteGroup, seed) -> np.ndarray:
-    idx = np.fromiter(seed, dtype=np.int64)
-    if len(idx) and (idx.min() < 0 or idx.max() >= g.order):
-        raise ValueError("subgroup members out of range")
-    return idx
+    return SubgroupSet(frozenset(cur.tolist()), g)
 
 
 def subgroup_closure(g: FiniteGroup, seed) -> SubgroupSet:
     """Smallest subgroup containing `seed` (always includes the identity)."""
-    return _closure(g, _mask(g, _seed_indices(g, seed)))
-
-
-def _normal_closure(g: FiniteGroup, s: np.ndarray) -> SubgroupSet:
-    """Normal closure of the index array `s`: the subgroup its G-conjugates generate."""
-    cols = np.arange(g.order, dtype=np.int64)[:, None]
-    conj = _product(g, _product(g, g.inv[cols], s), cols)  # [y, i] -> y^-1 s_i y
-    return _closure(g, _mask(g, conj))
+    return _closure(g, np.fromiter(seed, dtype=np.int64))
 
 
 def normal_closure(g: FiniteGroup, seed) -> SubgroupSet:
     """Smallest normal subgroup containing `seed`.
 
-    Closing the seed under conjugation by all of G yields a conjugation-stable
-    set, whose generated subgroup is automatically normal.
+    The G-conjugates of the subgroup generated by `seed` form a
+    conjugation-stable set, whose generated subgroup is automatically normal.
     """
-    return _normal_closure(g, _seed_indices(g, seed))
-
-
-def _commutators_of(g: FiniteGroup, left, right) -> np.ndarray:
-    """All [x, y] with x in `left`, y in `right` (index arrays), as a sorted unique index array."""
-    xs = left[:, None]
-    comm = _product(g, _product(g, g.inv[xs], g.inv[right]), _product(g, xs, right))
-    return np.flatnonzero(_mask(g, comm))
+    h = np.fromiter(subgroup_closure(g, seed).members, dtype=np.int64)
+    ys = np.arange(g.order, dtype=np.int64)[:, None]
+    return _closure(g, _product(g, _product(g, g.inv[ys], h), ys))  # [y, i] -> y^-1 h_i y
 
 
 def _commutator_series(g: FiniteGroup, right) -> list[SubgroupSet]:
-    """[G, H_1, H_2, ...] with H_{k+1} the normal closure of [H_k, right(H_k)], until stable."""
-    terms = [_whole_group(g)]
+    """[G, H_1, H_2, ...] with H_{k+1} = <[x, y] : x in H_k, y in right(H_k)>, until stable.
+
+    No term needs a normal closure: G is normal, and if H_k and right(H_k) (H_k
+    or G) are normal, [x, y]^z = [x^z, y^z] makes those commutators a set
+    stable under conjugation by G, so the subgroup it generates is normal too
+    (D. J. S. Robinson, A Course in the Theory of Groups, ch. 5).
+    """
     cur = np.arange(g.order, dtype=np.int64)
+    terms = [SubgroupSet(frozenset(cur.tolist()), g)]
     while True:
-        nxt = _normal_closure(g, _commutators_of(g, cur, right(cur)))
+        xs, ys = cur[:, None], right(cur)
+        nxt = _closure(g, _product(g, _product(g, g.inv[xs], g.inv[ys]), _product(g, xs, ys)))
         if len(nxt) == len(cur):
             return terms
         terms.append(nxt)
@@ -232,7 +222,7 @@ def _commutator_series(g: FiniteGroup, right) -> list[SubgroupSet]:
 def derived_series(g: FiniteGroup) -> list[SubgroupSet]:
     """[G, G', G'', ...] until stabilization.
 
-    Each successive term is the normal closure of the commutators of the
+    Each successive term is the subgroup generated by the commutators of the
     previous term; for metabelian groups the series ends [..., {1}] at or
     before the third entry.
     """
@@ -240,7 +230,7 @@ def derived_series(g: FiniteGroup) -> list[SubgroupSet]:
 
 
 def lower_central_series(g: FiniteGroup) -> list[SubgroupSet]:
-    """gamma_1 = G, gamma_{k+1} = <[gamma_k, G]> (normal closure), until stable."""
+    """gamma_1 = G, gamma_{k+1} = <[gamma_k, G]>, until stable."""
     everything = np.arange(g.order, dtype=np.int64)
     return _commutator_series(g, lambda cur: everything)
 

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .tables import (
     as_table,
+    carrier_names,
     first_associativity_failure,
     first_interchange_failure,
     first_mismatch,
@@ -42,11 +43,7 @@ class Magma:
     def __init__(self, op, names, symbol: str = "*"):
         self.op = as_table(op)
         self.order = self.op.shape[0]
-        self.names = tuple(str(s) for s in names)
-        if len(self.names) != self.order:
-            raise ValueError(f"got {len(self.names)} names for order {self.order}")
-        if len(set(self.names)) != self.order:
-            raise ValueError("element names must be pairwise distinct")
+        self.names = carrier_names(names, self.order)
         self.symbol = symbol
 
     def __repr__(self):

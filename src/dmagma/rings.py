@@ -7,8 +7,8 @@ evaluator decides them. Iterated brackets nest to the left,
 <x,y,z> = <<x,y>,z>, as on the group side.
 
 Matrix rings are built one supported entry at a time from per-entry digit
-columns (`_matrix_ring_from_entries`), after their order n^d has passed the
-order budget (`tables.check_power_budget`).
+columns (`_matrix_ring_from_entries`), after their order n^d and their d
+entries per element have both passed the order budget.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .tables import (
     DEFAULT_ORDER_BUDGET,
     SCAN_CELLS,
     as_table,
+    carrier_names,
     check_order_budget,
     check_power_budget,
     first_associativity_failure,
@@ -30,6 +31,7 @@ from .tables import (
     is_latin,
     light_associative,
     magma_generators,
+    two_sided_identity,
 )
 from .words import (
     DEFAULT_EVAL_BUDGET,
@@ -90,9 +92,7 @@ class FiniteRing:
         add = as_table(add)
         n = add.shape[0]
         mul = as_table(mul, n)
-        names = tuple(str(s) for s in names)
-        if len(names) != n or len(set(names)) != n:
-            raise ValueError("need pairwise distinct names, one per element")
+        names = carrier_names(names, n)
         if not is_latin(add):
             raise ValueError("addition table is not a Latin square")
         if not np.array_equal(add, add.T):
@@ -100,11 +100,9 @@ class FiniteRing:
         valid = _generator_checks_pass(add, mul)
         if not valid and first_associativity_failure(add) is not None:
             raise ValueError("addition must be associative")
-        idx = np.arange(n, dtype=add.dtype)
-        zero_rows = np.all(add == idx[None, :], axis=1)
-        if not zero_rows.any():
+        zero = two_sided_identity(add)
+        if zero is None:
             raise ValueError("addition has no zero element")
-        zero = int(np.argmax(zero_rows))
         neg = np.argmax(add == zero, axis=1).astype(np.int32)
         neg.setflags(write=False)
         if not valid:
@@ -172,17 +170,25 @@ def make_zmod(n: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteRing:
     return FiniteRing(add, mul, [str(i) for i in range(n)], label=f"zmod:{n}")
 
 
-def _matrix_ring_from_entries(k: int, n: int, positions: list[tuple[int, int]],
-                              label: str) -> FiniteRing:
-    """Ring of k x k matrices mod n supported on `positions` (row-major digits).
+def _matrix_ring_from_entries(kind: str, k: int, n: int, order_budget: int) -> FiniteRing:
+    """Ring `kind:k,n` of all ("matrix") or upper-triangular ("uppertri") k x k matrices mod n.
 
-    Element e has digit (e // n^(d-1-s)) % n at positions[s]. Both tables are
-    sums, over the supported positions (i, j) = positions[s], of n^(d-1-s)
-    times that entry of the result: (e_ij(a) + e_ij(b)) % n for the sum and
-    (sum_m e_im(a) e_mj(b)) % n for the product, one order x order layer per
-    position.
+    Its d supported positions (k^2, or k(k+1)/2) are held to the order budget
+    before anything is built, and so is its order n^d: with n = 1 the order is
+    1 for every d, but each element's name still lists d entries.
+
+    Element e has digit (e // n^(d-1-s)) % n at positions[s], row-major. Both
+    tables are sums, over the supported positions (i, j) = positions[s], of
+    n^(d-1-s) times that entry of the result: (e_ij(a) + e_ij(b)) % n for the
+    sum and (sum_m e_im(a) e_mj(b)) % n for the product, one order x order
+    layer per position.
     """
-    d = len(positions)
+    label, upper = f"{kind}:{k},{n}", kind == "uppertri"
+    d = k * (k + 1) // 2 if upper else k * k
+    check_power_budget(n, d, order_budget, label)
+    if d > order_budget:
+        raise ValueError(f"{label} has {d} entries per element, exceeding the order budget {order_budget}")
+    positions = [(i, j) for i in range(k) for j in range(i if upper else 0, k)]
     order = n**d
     # No partial value reaches max(order, k * n * n); int32 arithmetic is several times faster.
     dtype = np.int32 if max(order, k * n * n) < 2**31 else np.int64
@@ -209,20 +215,14 @@ def make_matrix_ring(k: int, n: int, order_budget: int = DEFAULT_ORDER_BUDGET) -
     """Full ring of k x k matrices over the integers mod n."""
     if k < 1 or n < 1:
         raise ValueError("matrix ring needs k >= 1 and n >= 1")
-    label = f"matrix:{k},{n}"
-    check_power_budget(n, k * k, order_budget, label)
-    positions = [(i, j) for i in range(k) for j in range(k)]
-    return _matrix_ring_from_entries(k, n, positions, label)
+    return _matrix_ring_from_entries("matrix", k, n, order_budget)
 
 
 def make_upper_triangular(k: int, n: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteRing:
     """Subring of upper-triangular k x k matrices over the integers mod n."""
     if k < 1 or n < 1:
         raise ValueError("upper-triangular ring needs k >= 1 and n >= 1")
-    label = f"uppertri:{k},{n}"
-    check_power_budget(n, k * (k + 1) // 2, order_budget, label)
-    positions = [(i, j) for i in range(k) for j in range(i, k)]
-    return _matrix_ring_from_entries(k, n, positions, label)
+    return _matrix_ring_from_entries("uppertri", k, n, order_budget)
 
 
 def parse_ring_spec(spec: str, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteRing:

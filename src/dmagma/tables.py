@@ -64,6 +64,16 @@ def check_power_budget(base: int, exp: int, budget: int, what: str) -> None:
     check_order_budget(base**exp, budget, what)
 
 
+def carrier_names(names, order: int) -> tuple[str, ...]:
+    """Display names as strings, checked to be one per element and pairwise distinct."""
+    names = tuple(str(s) for s in names)
+    if len(names) != order:
+        raise ValueError(f"got {len(names)} names for order {order}")
+    if len(set(names)) != order:
+        raise ValueError("element names must be pairwise distinct")
+    return names
+
+
 def as_table(op, order: int | None = None) -> np.ndarray:
     """Coerce to a read-only square int32 table and range-check entries."""
     table = np.ascontiguousarray(np.asarray(op, dtype=np.int32))

@@ -371,10 +371,15 @@ def _limit_child_memory():
     (("ring", "uppertri:99999999999,99999", "--law", "NILP2"), 2, "exceeding the order budget 1024"),
     (("ring", "matrix:99999999999,2", "--law", "NILP2"), 2, "exceeding the order budget 1024"),
     (("group", "perm:(1 20000000)"), 0, "order: 2\n"),
-], ids=["heisenberg", "uppertri", "matrix", "perm"])
+    (("ring", "matrix:99999,1", "--law", "NILP2"), 2,
+     "matrix:99999,1 has 9999800001 entries per element, exceeding the order budget 1024"),
+    (("ring", "uppertri:99999,1", "--law", "NILP2"), 2,
+     "uppertri:99999,1 has 4999950000 entries per element, exceeding the order budget 1024"),
+], ids=["heisenberg", "uppertri", "matrix", "perm", "matrix-order-1", "uppertri-order-1"])
 def test_hostile_specs_end_quickly_in_a_bounded_child(argv, rc, expect):
-    # Orders are refused before anything is built, and a perm spec's degree is
-    # the number of points written, so none of these comes near the limits.
+    # Orders, and the entries per element of an order-1 matrix ring, are
+    # refused before anything is built, and a perm spec's degree is the number
+    # of points written, so none of these comes near the limits.
     src = str(Path(dmagma.cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(

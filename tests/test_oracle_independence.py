@@ -34,7 +34,7 @@ SHARED_SCAN_PATH = {
     # the structure builders and subgroup series that `structure_oracles` checks
     "_matrix_ring_from_entries", "_permutation_group", "make_from_permutations",
     "parse_group_spec", "parse_ring_spec", "make_matrix_ring", "make_upper_triangular",
-    "_product", "_mask", "_closure", "_normal_closure", "_commutators_of", "_commutator_series",
+    "_product", "_grow", "_closure", "_commutator_series",
     "subgroup_closure", "normal_closure", "derived_series", "lower_central_series",
 }
 

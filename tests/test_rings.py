@@ -10,7 +10,8 @@ import pytest
 import dmagma.rings
 import dmagma.words
 from dmagma.errors import SpecError
-from dmagma.groups import parse_group_spec
+from dmagma.groups import FiniteGroup, parse_group_spec
+from dmagma.magmas import Magma
 from dmagma.rings import (
     RING_LAWS,
     FiniteRing,
@@ -123,6 +124,34 @@ def test_budget_refuses_before_building():
         parse_ring_spec("matrix:4,2")
     with pytest.raises(ValueError, match=r"has order 1000000000000, exceeding the order budget"):
         make_matrix_ring(2, 1000, order_budget=10**11)
+
+
+def test_order_1_matrix_rings_hold_their_entries_to_the_budget():
+    # Over Z_1 every matrix ring has order 1, but each element's name lists
+    # its d entries, so d is held to the order budget: 32^2 = 1024 builds,
+    # 33^2 does not; 44*45/2 = 990 builds, 45*46/2 = 1035 does not.
+    for k, build in ((32, make_matrix_ring), (44, make_upper_triangular)):
+        r = build(k, 1)
+        assert r.order == 1 and r.names[0].count("0") == k * k
+    for k, build, d in ((33, make_matrix_ring, 1089), (45, make_upper_triangular, 1035)):
+        with pytest.raises(ValueError, match=rf"has {d} entries per element, exceeding the order budget 1024$"):
+            build(k, 1)
+    assert make_matrix_ring(3, 1, order_budget=9).order == 1
+    with pytest.raises(ValueError, match=r"^matrix:3,1 has 9 entries per element, exceeding the order budget 8$"):
+        make_matrix_ring(3, 1, order_budget=8)
+
+
+@pytest.mark.parametrize("build", [
+    lambda names: FiniteGroup([[0, 1], [1, 0]], names),
+    lambda names: Magma([[0, 1], [1, 0]], names),
+    lambda names: FiniteRing([[0, 1], [1, 0]], [[0, 0], [0, 1]], names),
+], ids=["group", "magma", "ring"])
+def test_carriers_check_their_names_alike(build):
+    assert build([1, "a"]).names == ("1", "a")
+    with pytest.raises(ValueError, match=r"^got 3 names for order 2$"):
+        build(["1", "a", "b"])
+    with pytest.raises(ValueError, match=r"^element names must be pairwise distinct$"):
+        build(["1", "1"])
 
 
 def test_ring_validation_rejects_bad_tables():

@@ -90,7 +90,13 @@ def _check_series(g):
     assert [t.members for t in lower_central_series(g)] == set_lower_central_series(g)
 
 
-@pytest.mark.parametrize("spec", GROUP_SPECS)
+# Series at the order budget: S6 is not solvable, the lower central series of
+# dihedral:512 has 10 terms, and the product (order 648) has derived length 3
+# and is not nilpotent.
+SERIES_EXTRA = EXTRA_PERMS + ("dihedral:512", "product:heisenberg:3,perm:(1 2),(1 2 3 4)")
+
+
+@pytest.mark.parametrize("spec", GROUP_SPECS + list(SERIES_EXTRA))
 def test_series_match_the_set_oracles(spec):
     _check_series(parse_group_spec(spec))
 
