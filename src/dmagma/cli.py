@@ -137,22 +137,14 @@ def cmd_magma(args) -> int:
             return OK
         print("improper: the two operation tables coincide")
         return PROPERTY_FAILS
-    if args.check == "commutative":
-        verdict = is_commutative(side)
-        print(f"{args.op} commutative: {verdict.describe()}")
+    if args.check in ("commutative", "associative"):
+        verdict = (is_commutative if args.check == "commutative" else is_associative)(side)
+        print(f"{args.op} {args.check}: {verdict.describe()}")
         return OK if verdict.holds else PROPERTY_FAILS
-    if args.check == "associative":
-        verdict = is_associative(side)
-        print(f"{args.op} associative: {verdict.describe()}")
-        return OK if verdict.holds else PROPERTY_FAILS
-    if args.check == "identity":
-        e = find_identity(side)
-        print(f"{args.op} identity: {dm.names[e] if e is not None else 'none'}")
+    if args.check in ("identity", "zero"):
+        e = (find_identity if args.check == "identity" else find_zero)(side)
+        print(f"{args.op} {args.check}: {dm.names[e] if e is not None else 'none'}")
         return OK if e is not None else PROPERTY_FAILS
-    if args.check == "zero":
-        z = find_zero(side)
-        print(f"{args.op} zero: {dm.names[z] if z is not None else 'none'}")
-        return OK if z is not None else PROPERTY_FAILS
     # eh-audit
     report = eckmann_hilton_audit(dm, args.budget)
     print(report.summary())

@@ -33,6 +33,7 @@ from .tables import (
     carrier_names,
     check_order_budget,
     first_associativity_failure,
+    gather,
     is_latin,
     light_associative,
     magma_generators,
@@ -135,9 +136,9 @@ class SubgroupSet:
 
     def __post_init__(self):
         g = self.owner
+        idx = _indices(self.members)
         if g.identity not in self.members:
             raise ValueError("subgroup must contain the identity")
-        idx = np.fromiter(self.members, dtype=np.int64, count=len(self.members))
         if idx.min() < 0 or idx.max() >= g.order:
             raise ValueError("subgroup members out of range")
         if len(_grow(g, idx)) != len(idx):
@@ -153,9 +154,12 @@ class SubgroupSet:
         return sorted(self.members)
 
 
-def _product(g: FiniteGroup, x, y) -> np.ndarray:
-    """g.mul[x, y] for broadcastable index arrays, as one take from the flat table."""
-    return np.take(g.mul.ravel(), x * g.order + y)
+def _indices(members) -> np.ndarray:
+    """Subgroup members as an int64 index array; each must be a Python or numpy integer."""
+    members = tuple(members)
+    if not all(issubclass(t, (int, np.integer)) for t in set(map(type, members))):
+        raise ValueError("subgroup members must be integers")
+    return np.fromiter(members, dtype=np.int64, count=len(members))
 
 
 def _grow(g: FiniteGroup, idx: np.ndarray) -> np.ndarray:
@@ -166,7 +170,7 @@ def _grow(g: FiniteGroup, idx: np.ndarray) -> np.ndarray:
     """
     mask = np.zeros(g.order, dtype=bool)
     mask[idx] = True
-    mask[_product(g, idx[:, None], idx)] = True
+    mask[gather(g.mul, idx[:, None], idx)] = True
     mask[g.inv[idx]] = True
     return np.flatnonzero(mask)
 
@@ -186,7 +190,7 @@ def _closure(g: FiniteGroup, seed: np.ndarray) -> SubgroupSet:
 
 def subgroup_closure(g: FiniteGroup, seed) -> SubgroupSet:
     """Smallest subgroup containing `seed` (always includes the identity)."""
-    return _closure(g, np.fromiter(seed, dtype=np.int64))
+    return _closure(g, _indices(seed))
 
 
 def normal_closure(g: FiniteGroup, seed) -> SubgroupSet:
@@ -195,9 +199,9 @@ def normal_closure(g: FiniteGroup, seed) -> SubgroupSet:
     The G-conjugates of the subgroup generated by `seed` form a
     conjugation-stable set, whose generated subgroup is automatically normal.
     """
-    h = np.fromiter(subgroup_closure(g, seed).members, dtype=np.int64)
+    h = _indices(subgroup_closure(g, seed).members)
     ys = np.arange(g.order, dtype=np.int64)[:, None]
-    return _closure(g, _product(g, _product(g, g.inv[ys], h), ys))  # [y, i] -> y^-1 h_i y
+    return _closure(g, gather(g.mul, gather(g.mul, g.inv[ys], h), ys))  # [y, i] -> y^-1 h_i y
 
 
 def _commutator_series(g: FiniteGroup, right) -> list[SubgroupSet]:
@@ -208,15 +212,16 @@ def _commutator_series(g: FiniteGroup, right) -> list[SubgroupSet]:
     stable under conjugation by G, so the subgroup it generates is normal too
     (D. J. S. Robinson, A Course in the Theory of Groups, ch. 5).
     """
+    mul, inv = g.mul, g.inv
     cur = np.arange(g.order, dtype=np.int64)
     terms = [SubgroupSet(frozenset(cur.tolist()), g)]
     while True:
         xs, ys = cur[:, None], right(cur)
-        nxt = _closure(g, _product(g, _product(g, g.inv[xs], g.inv[ys]), _product(g, xs, ys)))
+        nxt = _closure(g, gather(mul, gather(mul, inv[xs], inv[ys]), gather(mul, xs, ys)))
         if len(nxt) == len(cur):
             return terms
         terms.append(nxt)
-        cur = np.fromiter(nxt.members, dtype=np.int64, count=len(nxt))
+        cur = _indices(nxt.members)
 
 
 def derived_series(g: FiniteGroup) -> list[SubgroupSet]:
@@ -257,7 +262,7 @@ def is_metabelian(g: FiniteGroup) -> bool:
 def has_exponent_2(s: SubgroupSet) -> bool:
     """True iff every member squares to the identity."""
     g = s.owner
-    idx = np.fromiter(s.members, dtype=np.int64, count=len(s))
+    idx = _indices(s.members)
     return bool((g.mul[idx, idx] == g.identity).all())
 
 

@@ -122,16 +122,16 @@ class FiniteRing:
             self._check_distributive()
 
     def _check_distributive(self):
-        a, m = self.add, self.mul
+        a, m = self.add.astype(np.intp), self.mul.astype(np.intp)
         reps = [np.arange(self.order)] * 3
 
         def left(axes):  # x*(y+z) == x*y + x*z
             x, y, z = axes
-            return m[x, a[y, z]] != a[m[x, y], gather(m, x, z)]
+            return gather(m, x, gather(a, y, z)) != gather(a, gather(m, x, y), gather(m, x, z))
 
         def right(axes):  # (x+y)*z == x*z + y*z
             x, y, z = axes
-            return gather(m, a[x, y], z) != a[gather(m, x, z), gather(m, y, z)]
+            return gather(m, gather(a, x, y), z) != gather(a, gather(m, x, z), gather(m, y, z))
 
         if first_failure(reps, left) is not None:
             raise ValueError("multiplication does not left-distribute over addition")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
@@ -523,7 +524,7 @@ def run_ops(low: Lowering, group, tables: dict[type, np.ndarray], axes) -> list[
         if kind is Variable:
             vals.append(axes[a])
         elif kind is IdentityLiteral:
-            vals.append(np.asarray(group.identity, dtype=np.int32))
+            vals.append(np.asarray(group.identity, dtype=np.intp))
         elif b is None:  # an inverse or a square, one lookup
             vals.append((group.inv if kind is Inverse else tables[IntPower])[vals[a]])
         else:
@@ -650,6 +651,9 @@ def _law_scan(group, law: Law, cells: int, tables: dict[type, np.ndarray] | None
     failure is a tuple of representatives (see `tables`), so the witness and
     position are those of the full grid. When that grid fits in one slice of
     `cells`, the classes would save nothing and are not computed.
+
+    The classes come from the int32 tables; `run_ops` reads intp copies, made
+    once per scan, so that every gather index is intp (`tables.gather`).
     """
     low = law.lowering
     if tables is None:
@@ -664,9 +668,16 @@ def _law_scan(group, law: Law, cells: int, tables: dict[type, np.ndarray] | None
                 # a variable read through no line (x in x^0, say) is one class
                 found[key] = distinct_lines(*lines) if lines else full[:1]
         reps = [found[key] for key in low.lines.values()]
+    reads = {kind for kind, _, _ in low.ops}
+    wide = SimpleNamespace(
+        mul=group.mul.astype(np.intp) if Product in reads else None,
+        inv=group.inv.astype(np.intp) if Inverse in reads else None,
+        identity=group.identity,
+    )
+    tables = {kind: tables[kind].astype(np.intp) for kind in low.kinds}
 
     def failing(axes):
-        lhs, rhs = run_ops(low, group, tables, axes)
+        lhs, rhs = run_ops(low, wide, tables, axes)
         return lhs != rhs
 
     return reps, failing

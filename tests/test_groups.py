@@ -15,6 +15,7 @@ import dmagma.groups
 from dmagma.errors import SpecError
 from dmagma.groups import (
     FiniteGroup,
+    SubgroupSet,
     derived_series,
     derived_subgroup,
     direct_product,
@@ -332,6 +333,20 @@ def test_closures_reject_seeds_out_of_range():
         for closure in (subgroup_closure, normal_closure):
             with pytest.raises(ValueError, match="subgroup members out of range"):
                 closure(g, bad)
+
+
+def test_subgroup_members_must_be_integers():
+    # a float or a string is refused, never truncated to an index
+    g = make_cyclic(6)
+    for bad in (2.7, 3.0, "1"):
+        for closure in (subgroup_closure, normal_closure):
+            with pytest.raises(ValueError, match="^subgroup members must be integers$"):
+                closure(g, [bad])
+        with pytest.raises(ValueError, match="^subgroup members must be integers$"):
+            SubgroupSet(frozenset({0, bad}), g)
+    two = np.int64(2)
+    assert subgroup_closure(g, [two]).members == normal_closure(g, [two]).members == {0, 2, 4}
+    assert SubgroupSet(frozenset({0, 2, np.int64(4)}), g).members == {0, 2, 4}
 
 
 def test_normal_closure_abelian_equals_subgroup_closure():

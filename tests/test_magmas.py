@@ -256,7 +256,6 @@ def test_superscript_names():
 
 def test_gather_matches_fancy_indexing():
     rng = np.random.default_rng(5)
-    table = rng.integers(0, 6, size=(6, 6))
     full = np.arange(6)
     cases = [
         (rng.integers(0, 6, size=(3, 4, 1)), full),  # whole rows
@@ -265,6 +264,13 @@ def test_gather_matches_fancy_indexing():
         (rng.integers(0, 6, size=(3, 6)), full),  # a varies along the last axis
         (rng.integers(0, 6, size=(5, 1)), rng.integers(0, 6, size=(1, 6))),
         (rng.integers(0, 6, size=7), rng.integers(0, 6, size=7)),
+        (3, rng.integers(0, 6, size=(2, 3))),  # a Python int
+        (np.array(4), rng.integers(0, 6, size=5)),  # a 0-d array
+        (np.array(1), np.int64(5)),  # one cell
     ]
-    for a, b in cases:
-        assert np.array_equal(gather(table, a, b), table[a, b])
+    for dtype in (np.int32, np.intp):
+        table = rng.integers(0, 6, size=(6, 6)).astype(dtype)
+        for a, b in cases:
+            for a_, b_ in ((a, b), (np.asarray(a, np.int32), np.asarray(b, np.int32))):
+                got = gather(table, a_, b_)
+                assert got.dtype == dtype and np.array_equal(got, table[a_, b_])

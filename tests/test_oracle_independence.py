@@ -31,10 +31,12 @@ SHARED_SCAN_PATH = {
     "builtin_law", "BUILTIN_LAWS", "RING_WORD_LAWS",
     # the class derivation that picks which assignments a law scan visits
     "lines", "distinct_lines", "distinct_keys", "line_keys",
+    # the flat-take kernel of every scan, closure and series
+    "gather",
     # the structure builders and subgroup series that `structure_oracles` checks
     "_matrix_ring_from_entries", "_permutation_group", "make_from_permutations",
     "parse_group_spec", "parse_ring_spec", "make_matrix_ring", "make_upper_triangular",
-    "_product", "_grow", "_closure", "_commutator_series",
+    "_grow", "_closure", "_commutator_series",
     "subgroup_closure", "normal_closure", "derived_series", "lower_central_series",
 }
 

@@ -316,7 +316,7 @@ def test_ring_scans_match_scalar_nested_loops(spec):
     assert "PROPER_WITNESS" in scanned
 
 
-# Verdicts of scans that span many slices of SCAN_CELLS = 2^16 assignments, read
+# Verdicts of scans that span many slices of SCAN_CELLS = 2^14 assignments, read
 # from the full scans before ring laws shared the table-scan walker.
 MULTI_SLICE_RING_VERDICTS = (
     ("uppertri:2,4", "ALT3M", "holds-exhaustive", 64**3, None),

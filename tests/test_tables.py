@@ -17,7 +17,7 @@ import dmagma.tables
 from dmagma.constructions import commutator_double, ring_commutator_double, word_double
 from dmagma.groups import FiniteGroup, parse_group_spec
 from dmagma.magmas import DoubleMagma, Magma, is_associative, satisfies_interchange
-from dmagma.rings import FiniteRing, parse_ring_spec
+from dmagma.rings import RING_LAWS, FiniteRing, check_ring_law, parse_ring_spec
 from dmagma.tables import (
     SCAN_CELLS,
     distinct_lines,
@@ -30,6 +30,7 @@ from dmagma.words import (
     HOLDS_EXHAUSTIVE,
     Verdict,
     check_law_exhaustive,
+    check_law_sampled,
     parse_law,
 )
 from table_oracles import cubic_associativity_scan, quartic_interchange_scan, scan_verdict
@@ -259,6 +260,44 @@ def test_no_table_scan_slice_exceeds_the_cell_cap(monkeypatch):
     assert first_interchange_failure(g.mul, g.mul) is None
     assert sum(sizes) == 42**3 + 42**4
     assert max(sizes) <= SCAN_CELLS
+
+
+def test_every_scan_takes_intp_cells_with_intp_indices(monkeypatch):
+    # An int32 index is converted on every take, and int32 index arithmetic
+    # overflows once n * n exceeds 2^31 (n > 46340). The tables are intp
+    # copies, so that the values taken are intp indices already.
+    take, dtypes = np.take, []
+
+    def spy(a, indices, *args, **kwargs):
+        dtypes.extend((np.asarray(a).dtype, np.asarray(indices).dtype))
+        return take(a, indices, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", spy)
+
+    def takes(*scans) -> list:
+        dtypes.clear()
+        for scan in scans:
+            scan()
+        assert dtypes  # the scans reached the spy
+        return sorted(set(map(str, dtypes)))
+
+    intp = [str(np.dtype(np.intp))]
+    g = parse_group_spec("dihedral:16")
+    laws = [parse_law(t) for t in ("[w,x;y,z]=[w,y;x,z]", "x*y^-1*[x,y]^z*x^3=1", "[x,y,z]=1")]
+    assert takes(*(lambda law=law: check_law_exhaustive(g, law) for law in laws),
+                 lambda: check_law_sampled(g, laws[1], 10**4, 3)) == intp
+    r = parse_ring_spec("uppertri:2,3")
+    assert takes(*(lambda name=name: check_ring_law(r, name) for name in RING_LAWS),
+                 lambda: check_ring_law(r, "RCI", budget=10, sample_count=10**4)) == intp
+    d = commutator_double(g)
+    z3 = np.add.outer(np.arange(3), np.arange(3)) % 3
+
+    def bad_ring():  # associative, not distributive: the full table scans run
+        with pytest.raises(ValueError, match="left-distribute"):
+            FiniteRing(z3, np.ones((3, 3), dtype=int), ["0", "1", "2"])
+
+    assert takes(lambda: is_associative(d.star), lambda: satisfies_interchange(d),
+                 lambda: first_associativity_failure(d.bullet.op), bad_ring) == intp
 
 
 def test_laws_with_more_variables_than_numpy_has_dimensions():
