@@ -174,7 +174,7 @@ def cmd_suite(args) -> int:
     else:
         config = CorpusConfig()
     overrides = {}
-    if args.checks:
+    if args.checks is not None:
         overrides["checks"] = tuple(s.strip() for s in args.checks.split(","))
     if args.budget is not None:
         overrides["budget"] = args.budget

@@ -57,7 +57,7 @@ def word_double(g: FiniteGroup, word: WordPair | Term | str) -> DoubleMagma:
     idx = np.arange(n)
     axes = {"a": idx[:, None], "b": idx[None, :]}  # one broadcast axis per variable
     low = lower(word.term)
-    star = run_ops(low, g, _word_tables(g, low.kinds), [axes[v] for v in low.variables])[0]
+    star = run_ops(low, _word_tables(g, low.kinds), [axes[v] for v in low.variables])[0]
     star = np.broadcast_to(star, (n, n))
     return _double(star, g.names, label=f"word({g.label})")
 

@@ -159,7 +159,10 @@ def _indices(members) -> np.ndarray:
     members = tuple(members)
     if not all(issubclass(t, (int, np.integer)) for t in set(map(type, members))):
         raise ValueError("subgroup members must be integers")
-    return np.fromiter(members, dtype=np.int64, count=len(members))
+    try:
+        return np.fromiter(members, dtype=np.int64, count=len(members))
+    except OverflowError:  # beyond int64, so beyond every order
+        raise ValueError("subgroup members out of range") from None
 
 
 def _grow(g: FiniteGroup, idx: np.ndarray) -> np.ndarray:
@@ -523,7 +526,7 @@ class _Cursor:
     def number(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise SpecError(f"expected a number at position {start} in {self.text!r}")

@@ -13,8 +13,6 @@ entries per element have both passed the order budget.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import numpy as np
 
 from .errors import SpecError
@@ -36,10 +34,14 @@ from .tables import (
 from .words import (
     DEFAULT_EVAL_BUDGET,
     Bracket,
+    IdentityLiteral,
     IntPower,
+    Inverse,
+    Product,
     Verdict,
     _law_scan,
     builtin_law,
+    check_sampling,
     exhaustive_verdict,
     scan_sampled,
 )
@@ -276,15 +278,14 @@ def check_ring_law(
     (`words._law_scan`). A law of k variables with n^k > budget is sampled
     instead (`words.scan_sampled`).
     """
-    if sample_count < 1:
-        raise ValueError("sample count must be at least 1")
+    check_sampling(sample_count, seed)
     if name not in RING_WORD_LAWS:
         known = ", ".join(RING_LAWS)
         raise SpecError(f"unknown ring law {name!r}; known laws: {known}")
     law = builtin_law(RING_WORD_LAWS[name])
-    plus = SimpleNamespace(order=r.order, mul=r.add, inv=r.neg, identity=r.zero)
-    tables = {Bracket: r.bracket_table(), IntPower: r.add.diagonal()}
-    reps, failing = _law_scan(plus, law, SCAN_CELLS, tables)
+    lie = {Product: r.add, Inverse: r.neg, IdentityLiteral: np.asarray(r.zero, dtype=np.intp),
+           Bracket: r.bracket_table(), IntPower: r.add.diagonal()}
+    reps, failing = _law_scan(law, lie, r.order, SCAN_CELLS)
     if r.order ** len(law.variables) > budget:
         return scan_sampled(law.variables, r.names, failing, sample_count, seed, reps)
     return exhaustive_verdict(first_failure(reps, failing), law.variables, r.names)

@@ -43,6 +43,7 @@ from .words import (
     builtin_law,
     check_law_exhaustive,
     check_law_sampled,
+    check_sampling,
     parse_law,
 )
 
@@ -511,6 +512,7 @@ class CorpusConfig:
             raise SpecError(f"unknown checks {unknown}; known: {', '.join(ALL_CHECKS)}")
         if self.budget < 1 or self.sample_count < 1:
             raise SpecError("budget and sample_count must be positive")
+        check_sampling(self.sample_count, self.seed)
 
     @classmethod
     def from_file(cls, path) -> "CorpusConfig":

@@ -7,20 +7,21 @@ witnesses deterministic regardless of slice size. The generator-based tests
 (`magma_generators`, `light_associative`) only answer yes or no; callers that
 need a witness fall back to the full scans.
 
-The associativity and interchange scans visit one representative per class
-of indistinguishable elements (`distinct_lines`). Whether (xy)z = x(yz)
-fails depends on x only through its row, on y only through its row and its
-column, and on z only through its column; for the interchange law
-(w*x)•(y*z) = (w•y)*(x•z), w enters through its star and bullet rows, x
-through its star column and bullet row, y through its star row and bullet
-column, and z through both columns. Elements with equal lines in those places
-give equal checks. Replacing any coordinate of the lexicographically first
-failing tuple by the smallest element of its class gives a tuple that still
-fails and is no larger, so that coordinate is its own representative: the
-first failure lies on the grid of representatives, and scanning that grid in
-lexicographic order (`first_failure`) returns it. The verdict remains a
-brute-force statement about the table alone; only checks that repeat an
-earlier one are skipped.
+Every exhaustive scan visits one representative per class of
+indistinguishable elements, and one function derives the classes of every
+scan (`class_reps`) from the (table, axis) lines each variable is read
+through. Whether (xy)z = x(yz) fails depends on x only through its row, on y
+only through its row and its column, and on z only through its column; for
+the interchange law (w*x)•(y*z) = (w•y)*(x•z), w enters through its star and
+bullet rows, x through its star column and bullet row, y through its star row
+and bullet column, and z through both columns. Elements with equal lines in
+those places give equal checks. Replacing any coordinate of the
+lexicographically first failing tuple by the smallest element of its class
+gives a tuple that still fails and is no larger, so that coordinate is its
+own representative: the first failure lies on the grid of representatives,
+and scanning that grid in lexicographic order (`first_failure`) returns it.
+The verdict remains a brute-force statement about the table alone; only
+checks that repeat an earlier one are skipped.
 
 Group and ring laws are scanned the same way (`words._law_scan`): a law reads
 a variable that is an argument of a bracket or conjugate through that table's
@@ -113,28 +114,31 @@ def is_latin(table: np.ndarray) -> bool:
     )
 
 
-def line_keys(lines: np.ndarray) -> list[bytes]:
-    """Row i of an n x m array as bytes, for each i: rows are equal iff their keys are."""
-    rows = np.ascontiguousarray(lines)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+def class_reps(tables, lines, n: int) -> list[np.ndarray]:
+    """Ascending indices of the smallest element of each class, one array per variable.
 
-
-def distinct_keys(*keys) -> np.ndarray:
-    """Ascending indices i that no j < i matches: keys[k][j] == keys[k][i] for every k."""
-    first: dict = {}
-    for i, key in enumerate(keys[0] if len(keys) == 1 else zip(*keys)):
-        first.setdefault(key, i)
-    return np.fromiter(first.values(), np.intp, len(first))
-
-
-def distinct_lines(*lines: np.ndarray) -> np.ndarray:
-    """Ascending indices i that no j < i matches: lines[k][j] == lines[k][i] for every k.
-
-    Each argument is an n x m array whose row i is a line of element i (pass
-    ``table`` for rows, ``table.T`` for columns). Lines are compared exactly,
-    as raw bytes (`line_keys`).
+    `lines` holds, per variable, the set of (key, axis) lines it is read
+    through: row i (axis 0) or column i (axis 1) of the n x n array
+    tables[key] is a line of element i. Elements whose lines all agree,
+    compared exactly as raw bytes, form one class. None keeps every element,
+    and an empty set makes one class. Each line is keyed once per call, and
+    variables with the same set share one array.
     """
-    return distinct_keys(*map(line_keys, lines))
+    lines = [None if s is None else frozenset(s) for s in lines]
+    keys: dict = {}
+    found: dict = {None: np.arange(n), frozenset(): np.arange(1)}
+    for line_set in lines:
+        if line_set in found:
+            continue
+        for key, axis in line_set - keys.keys():
+            t = np.ascontiguousarray(tables[key] if axis == 0 else tables[key].T)
+            keys[key, axis] = t.view(np.dtype((np.void, t.itemsize * n))).ravel().tolist()
+        first: dict = {}
+        line_keys = [keys[line] for line in line_set]
+        for i, key in enumerate(line_keys[0] if len(line_keys) == 1 else zip(*line_keys)):
+            first.setdefault(key, i)
+        found[line_set] = np.fromiter(first.values(), np.intp, len(first))
+    return [found[s] for s in lines]
 
 
 def first_failure(reps, failing, cells: int = SCAN_CELLS) -> tuple[int, ...] | None:
@@ -173,8 +177,7 @@ def first_failure(reps, failing, cells: int = SCAN_CELLS) -> tuple[int, ...] | N
 
 def first_associativity_failure(table: np.ndarray) -> tuple[int, int, int] | None:
     """First (x, y, z), lexicographic, with (xy)z != x(yz)."""
-    rows, cols = line_keys(table), line_keys(table.T)
-    reps = (distinct_keys(rows), distinct_keys(rows, cols), distinct_keys(cols))
+    reps = class_reps({"*": table}, [{("*", 0)}, {("*", 0), ("*", 1)}, {("*", 1)}], len(table))
     t = table.astype(np.intp)
 
     def failing(axes):
@@ -189,13 +192,8 @@ def first_interchange_failure(s: np.ndarray, b: np.ndarray) -> tuple[int, ...] |
 
     `s` is the star table (*) and `b` the bullet table (•).
     """
-    s_rows, s_cols, b_rows, b_cols = map(line_keys, (s, s.T, b, b.T))
-    reps = (
-        distinct_keys(s_rows, b_rows),
-        distinct_keys(s_cols, b_rows),
-        distinct_keys(s_rows, b_cols),
-        distinct_keys(s_cols, b_cols),
-    )
+    lines = [{("*", i), ("•", j)} for j in (0, 1) for i in (0, 1)]  # w, x, y, z
+    reps = class_reps({"*": s, "•": b}, lines, len(s))
     s, b = s.astype(np.intp), b.astype(np.intp)
 
     def failing(axes):

@@ -21,14 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from types import SimpleNamespace
 from typing import Mapping
 
 import numpy as np
 
 from .errors import BudgetExceededError, ParseError, SpecError, UnboundVariableError
 from .groups import FiniteGroup
-from .tables import SCAN_CELLS, distinct_lines, first_failure, gather
+from .tables import SCAN_CELLS, class_reps, first_failure, gather
 
 DEFAULT_EVAL_BUDGET = 10**8
 MAX_EXPONENT = 32
@@ -153,9 +152,10 @@ class Lowering:
 
     Op i = (kind, a, b) fills slot i: variable a, the identity, the inverse or
     square (IntPower) of slot a, or slots a and b combined. `kinds` are the
-    node types whose tables the ops read. `lines` maps each variable to the
-    (node type, axis) lines it is read through, a bracket's or conjugate's row
-    (axis 0) or column (axis 1), or to None when some op or root reads it whole.
+    node types whose tables the ops read, every op's but Variable. `lines`
+    maps each variable to the (node type, axis) lines it is read through, a
+    bracket's or conjugate's row (axis 0) or column (axis 1), or to None when
+    some op or root reads it whole.
     """
 
     variables: tuple[str, ...]
@@ -224,7 +224,7 @@ def lower(*terms: Term) -> Lowering:
         if ops[s][0] is Variable:
             v = variables[ops[s][1]]
             lines[v] = None if line is None or lines[v] is None else lines[v] | {line}
-    kinds = frozenset(op[0] for op in ops) & {Bracket, Conjugate, IntPower}
+    kinds = frozenset(op[0] for op in ops) - {Variable}
     return Lowering(variables, ops, tuple(roots), kinds, lines)
 
 
@@ -249,9 +249,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 j += 1
             tokens.append(("ident", text[i:j], i))
             i = j
-        elif c.isdigit():
+        elif c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -493,16 +493,19 @@ def evaluate(term: Term, group: FiniteGroup, assignment: Mapping[str, int]) -> i
 
 
 def _word_tables(group: FiniteGroup, kinds) -> dict[type, np.ndarray]:
-    """comm[x,y] = [x,y], conj[x,y] = x^y = y^-1 x y and sq[x] = x*x, keyed by
-    node type, each built only if its type is in `kinds` (`Lowering.kinds`),
-    from `group.mul` and `group.inv` alone: the table-level route
+    """The op tables of a group law, keyed by node type.
+
+    Product, Inverse and IdentityLiteral are G's own `mul`, `inv` and its
+    identity as a 0-d array. comm[x,y] = [x,y], conj[x,y] = x^y = y^-1 x y and
+    sq[x] = x*x are derived from `mul` and `inv` alone, each only if its type
+    is in `kinds` (`Lowering.kinds`): the table-level route
     (`constructions.commutator_double`) builds its own commutator table, so
     that the two routes stay independent.
     """
-    mul, inv = group.mul, group.inv
+    mul, inv, e = group.mul, group.inv, np.asarray(group.identity, dtype=np.intp)
     x = np.arange(group.order)[:, None]
     y = x.T
-    tables = {}
+    tables = {Product: mul, Inverse: inv, IdentityLiteral: e}
     if Bracket in kinds:
         tables[Bracket] = mul[mul[inv[x], inv[y]], mul]
     if Conjugate in kinds:
@@ -512,23 +515,25 @@ def _word_tables(group: FiniteGroup, kinds) -> dict[type, np.ndarray]:
     return tables
 
 
-def run_ops(low: Lowering, group, tables: dict[type, np.ndarray], axes) -> list[np.ndarray]:
+def run_ops(low: Lowering, tables: dict[type, np.ndarray], axes) -> list[np.ndarray]:
     """Evaluate lowered terms on broadcast index arrays, one per variable.
 
-    Returns one array per root. `group` needs only `mul`, `inv` and `identity`,
-    and `tables` the lookups of `low.kinds`: a ring law reads (R,+) this way,
-    with the Lie bracket table as `tables[Bracket]`.
+    Returns one array per root. `tables` maps each node type of `low.kinds`
+    to its op table (`_word_tables`): a product or bracket table is read at
+    two slots, an inverse or square list at one, and the identity is a 0-d
+    array. A ring law reads (R,+) this way, with the Lie bracket table as
+    `tables[Bracket]`.
     """
     vals = []
     for kind, a, b in low.ops:
         if kind is Variable:
             vals.append(axes[a])
         elif kind is IdentityLiteral:
-            vals.append(np.asarray(group.identity, dtype=np.intp))
+            vals.append(tables[kind])
         elif b is None:  # an inverse or a square, one lookup
-            vals.append((group.inv if kind is Inverse else tables[IntPower])[vals[a]])
+            vals.append(tables[kind][vals[a]])
         else:
-            vals.append(gather(group.mul if kind is Product else tables[kind], vals[a], vals[b]))
+            vals.append(gather(tables[kind], vals[a], vals[b]))
     return [vals[r] for r in low.roots]
 
 
@@ -602,6 +607,14 @@ def exhaustive_verdict(bad, variables, names) -> Verdict:
     return Verdict(COUNTEREXAMPLE, evaluations=pos + 1, witness=witness)
 
 
+def check_sampling(count: int, seed: int) -> None:
+    """Refuse a sample count below 1 or a negative seed, before any path decides whether to draw."""
+    if count < 1:
+        raise ValueError("sample count must be at least 1")
+    if seed < 0:
+        raise ValueError(f"sampling seed must be non-negative, got {seed}")
+
+
 def scan_sampled(
     variables: tuple[str, ...], names, failing, count: int, seed: int, reps, chunk: int = SCAN_CELLS
 ) -> Verdict:
@@ -620,8 +633,7 @@ def scan_sampled(
     if none fails, no tuple of range(n)^k fails, so no drawn row could, and
     the verdict the stream would give is returned without drawing it.
     """
-    if count < 1:
-        raise ValueError("sample count must be at least 1")
+    check_sampling(count, seed)
     passed = Verdict(HOLDS_SAMPLED, evaluations=count, sample_count=count, seed=seed)
     small = math.prod(map(len, reps)) <= _GRID_PER_SAMPLE * count
     if small and first_failure(reps, failing, chunk) is None:
@@ -641,43 +653,26 @@ def scan_sampled(
     return passed
 
 
-def _law_scan(group, law: Law, cells: int, tables: dict[type, np.ndarray] | None = None):
+def _law_scan(law: Law, tables: dict[type, np.ndarray], n: int, cells: int):
     """Class representatives and the `failing` callback of every law scan.
 
-    `failing(axes)` is lhs != rhs (`run_ops`, whose `group` and `tables` these
-    are; the tables default to the group's). Elements whose lines
-    (`Lowering.lines`) all agree give equal law values, so each variable scans
-    the smallest element of each class (`tables.distinct_lines`). The first
-    failure is a tuple of representatives (see `tables`), so the witness and
-    position are those of the full grid. When that grid fits in one slice of
-    `cells`, the classes would save nothing and are not computed.
+    `failing(axes)` is lhs != rhs (`run_ops` on the op tables `tables` of a
+    carrier of order n). Elements whose lines (`Lowering.lines`) all agree
+    give equal law values, so each variable scans the smallest element of each
+    class (`tables.class_reps`). The first failure is a tuple of
+    representatives (see `tables`), so the witness and position are those of
+    the full grid. When that grid fits in one slice of `cells`, the classes
+    would save nothing and are not computed.
 
-    The classes come from the int32 tables; `run_ops` reads intp copies, made
-    once per scan, so that every gather index is intp (`tables.gather`).
+    The classes come from the int32 tables; `run_ops` reads them cast to
+    intp once per scan, so that every gather index is intp (`tables.gather`).
     """
-    low = law.lowering
-    if tables is None:
-        tables = _word_tables(group, low.kinds)
-    full = np.arange(group.order)
-    reps = [full] * len(low.variables)
-    if group.order ** len(low.variables) > cells:
-        found: dict[frozenset | None, np.ndarray] = {None: full}
-        for key in low.lines.values():
-            if key not in found:
-                lines = [tables[kind] if axis == 0 else tables[kind].T for kind, axis in key]
-                # a variable read through no line (x in x^0, say) is one class
-                found[key] = distinct_lines(*lines) if lines else full[:1]
-        reps = [found[key] for key in low.lines.values()]
-    reads = {kind for kind, _, _ in low.ops}
-    wide = SimpleNamespace(
-        mul=group.mul.astype(np.intp) if Product in reads else None,
-        inv=group.inv.astype(np.intp) if Inverse in reads else None,
-        identity=group.identity,
-    )
-    tables = {kind: tables[kind].astype(np.intp) for kind in low.kinds}
+    low, k = law.lowering, len(law.variables)
+    reps = class_reps(tables, low.lines.values(), n) if n**k > cells else [np.arange(n)] * k
+    wide = {kind: tables[kind].astype(np.intp, copy=False) for kind in low.kinds}
 
     def failing(axes):
-        lhs, rhs = run_ops(low, wide, tables, axes)
+        lhs, rhs = run_ops(low, wide, axes)
         return lhs != rhs
 
     return reps, failing
@@ -703,7 +698,7 @@ def check_law_exhaustive(
             f"law {law} over order {n} needs {total} evaluations "
             f"(budget {budget}); use check_law_sampled"
         )
-    reps, failing = _law_scan(group, law, chunk_size)
+    reps, failing = _law_scan(law, _word_tables(group, law.lowering.kinds), n, chunk_size)
     return exhaustive_verdict(first_failure(reps, failing, chunk_size), law.variables, group.names)
 
 
@@ -721,7 +716,7 @@ def check_law_sampled(
     representatives without drawing the stream; it still means that the
     `count` seeded rows all hold, and nothing more.
     """
-    reps, failing = _law_scan(group, law, chunk_size)
+    reps, failing = _law_scan(law, _word_tables(group, law.lowering.kinds), group.order, chunk_size)
     return scan_sampled(law.variables, group.names, failing, count, seed, reps, chunk_size)
 
 

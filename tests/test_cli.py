@@ -237,6 +237,21 @@ def test_ring_law_rejects_non_positive_samples(capsys):
         assert "sample count must be at least 1" in err
 
 
+def test_negative_seeds_exit_2(tmp_path, capsys):
+    reports = ("--text", str(tmp_path / "r.txt"), "--json", str(tmp_path / "r.json"))
+    for argv in (
+        ("law", "dihedral:4", "CI", "--sampled", "--samples", "1000", "--seed", "-1"),
+        ("law", "dihedral:4", "CI", "--sampled", "--samples", "100", "--seed", "-1"),
+        ("ring", "zmod:6", "--law", "RCI", "--budget", "1", "--seed", "-3"),
+        ("ring", "zmod:6", "--law", "RCI", "--seed", "-3"),
+        ("suite", "--seed", "-1", *reports),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "", argv
+        assert "sampling seed must be non-negative" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 # --- suite ----------------------------------------------------------------------
 
 
@@ -353,6 +368,16 @@ def test_suite_overrides_are_validated(tmp_path, capsys):
         )
         assert rc == 2 and out == ""
         assert "must be positive" in err
+        assert not (tmp_path / "r.json").exists()
+
+
+def test_suite_empty_check_list_exits_2(tmp_path, capsys):
+    for checks in ("", " ", ","):
+        rc, out, err = run(
+            capsys, "suite", "--checks", checks,
+            "--text", str(tmp_path / "r.txt"), "--json", str(tmp_path / "r.json"),
+        )
+        assert rc == 2 and out == "" and "unknown checks" in err, repr(checks)
         assert not (tmp_path / "r.json").exists()
 
 

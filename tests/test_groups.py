@@ -329,10 +329,13 @@ def test_normal_closure_of_3_cycle_is_alternating():
 
 def test_closures_reject_seeds_out_of_range():
     g = make_dihedral(4)
-    for bad in ([-1], [g.order]):
+    # members beyond int64 are out of range too, not an OverflowError
+    for bad in (-1, g.order, 2**63, 2**70, -(2**70)):
         for closure in (subgroup_closure, normal_closure):
-            with pytest.raises(ValueError, match="subgroup members out of range"):
-                closure(g, bad)
+            with pytest.raises(ValueError, match="^subgroup members out of range$"):
+                closure(g, [bad])
+        with pytest.raises(ValueError, match="^subgroup members out of range$"):
+            SubgroupSet(frozenset({0, bad}), g)
 
 
 def test_subgroup_members_must_be_integers():
@@ -471,6 +474,13 @@ def test_parse_group_spec_errors():
     for bad in ("nope:3", "cyclic", "cyclic:x", "cyclic:3trailing", "cyclic:0", "product:cyclic:2"):
         with pytest.raises(SpecError):
             parse_group_spec(bad)
+
+
+def test_group_spec_numbers_are_decimal_digits():
+    # "²" is a digit to str.isdigit but not to int(); it is no number at all
+    for spec, pos in (("cyclic:²", 7), ("perm:(1 ²)", 8), ("dihedral:4²", 10)):
+        with pytest.raises(SpecError, match=f"position {pos}"):
+            parse_group_spec(spec)
 
 
 # --- fast table validation against the full scans --------------------------------

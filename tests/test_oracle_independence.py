@@ -30,7 +30,7 @@ SHARED_SCAN_PATH = {
     "lower", "Lowering", "lowering", "run_ops", "_law_scan", "_word_tables", "scan_sampled",
     "builtin_law", "BUILTIN_LAWS", "RING_WORD_LAWS",
     # the class derivation that picks which assignments a law scan visits
-    "lines", "distinct_lines", "distinct_keys", "line_keys",
+    "lines", "class_reps",
     # the flat-take kernel of every scan, closure and series
     "gather",
     # the structure builders and subgroup series that `structure_oracles` checks

@@ -104,7 +104,7 @@ def test_scalar_and_batch_evaluation_agree(term, pick):
     scalar = evaluate(term, g, assignment)
     low = lower(term)
     axes = [np.array([assignment[v]], dtype=np.int32) for v in low.variables]
-    (value,) = run_ops(low, g, _word_tables(g, low.kinds), axes)
+    (value,) = run_ops(low, _word_tables(g, low.kinds), axes)
     batch = int(np.broadcast_to(value, (1,))[0])
     assert scalar == batch
 

@@ -670,3 +670,10 @@ def test_valid_ring_tables_skip_the_cubic_scans(monkeypatch):
     monkeypatch.setattr(dmagma.rings, "first_associativity_failure", cubic_scan)
     monkeypatch.setattr(FiniteRing, "_check_distributive", distributive_scan)
     assert parse_ring_spec("matrix:2,3").order == 81
+
+
+def test_ring_laws_refuse_negative_seeds_up_front():
+    r = make_zmod(6)
+    for budget in (1, 10**8):  # sampled and exhaustive
+        with pytest.raises(ValueError, match="^sampling seed must be non-negative, got -3$"):
+            check_ring_law(r, "RCI", budget=budget, seed=-3)

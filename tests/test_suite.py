@@ -370,3 +370,5 @@ def test_config_rejects_unknown_keys_and_checks(tmp_path):
         CorpusConfig(checks=("prop_1_1", "nope"))
     with pytest.raises(SpecError, match="positive"):
         CorpusConfig(budget=0)
+    with pytest.raises(ValueError, match="^sampling seed must be non-negative, got -1$"):
+        CorpusConfig(seed=-1)

@@ -20,7 +20,7 @@ from dmagma.magmas import DoubleMagma, Magma, is_associative, satisfies_intercha
 from dmagma.rings import RING_LAWS, FiniteRing, check_ring_law, parse_ring_spec
 from dmagma.tables import (
     SCAN_CELLS,
-    distinct_lines,
+    class_reps,
     first_associativity_failure,
     first_failure,
     first_interchange_failure,
@@ -51,16 +51,38 @@ def assert_scans_match(d: DoubleMagma, interchange: bool = True):
         assert satisfies_interchange(d).to_dict() == want
 
 
-def test_distinct_lines_keeps_the_first_element_of_each_class():
+def test_class_reps_keeps_the_first_element_of_each_class():
     rng = np.random.default_rng(3)
     for _ in range(200):
         n = int(rng.integers(1, 9))
         a, b = rng.integers(0, 2, size=(2, n, n))
+        tables = {"a": a, "b": b}
+        line_sets = [{("a", 0)}, {("a", 0), ("b", 1)}, {("a", 1), ("b", 0)}]
+        want = []
         for lines in ((a,), (a, b.T), (a.T, b)):
             first = {}
             for i in range(n):
                 first.setdefault(tuple(np.concatenate([t[i] for t in lines])), i)
-            assert distinct_lines(*lines).tolist() == sorted(first.values())
+            want.append(sorted(first.values()))
+        # None keeps every element, an empty set is one class
+        got = class_reps(tables, [*line_sets, None, set()], n)
+        assert [r.tolist() for r in got] == [*want, list(range(n)), [0]]
+
+
+def test_class_reps_keys_each_line_once_per_call():
+    reads = []
+
+    class Tables(dict):
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+
+    t = np.array([[0, 1], [0, 1]], dtype=np.int32)  # equal rows, distinct columns
+    # four variables, three distinct line sets, two distinct lines
+    lines = [{("*", 0)}, {("*", 1)}, {("*", 0), ("*", 1)}, {("*", 0)}]
+    reps = class_reps(Tables({"*": t}), lines, 2)
+    assert [r.tolist() for r in reps] == [[0], [0, 1], [0, 1], [0]]
+    assert reads == ["*", "*"]
 
 
 ORDER_TWO = [
@@ -113,7 +135,7 @@ def test_inflated_tables_with_and_without_a_perturbed_cell():
             assert_scans_match(d)
             outcomes.add(satisfies_interchange(d).holds)
             outcomes.add(is_associative(d.star).holds)
-            reduced += len(distinct_lines(pair[0])) < n
+            reduced += len(class_reps({0: pair[0]}, [{(0, 0)}], n)[0]) < n
     assert outcomes == {True, False}
     assert reduced > 150  # most cases really skip elements
 
@@ -122,7 +144,7 @@ def test_zero_bands_hold_with_one_representative_per_side():
     for n in (1, 2, 5, 12):
         rows, cols = (t.astype(np.int32) for t in np.indices((n, n)))  # xy = x, xy = y
         assert_scans_match(double(rows, cols))
-        assert len(distinct_lines(rows.T)) == len(distinct_lines(cols)) == 1
+        assert [len(r) for r in class_reps({0: rows, 1: cols}, [{(0, 1)}, {(1, 0)}], n)] == [1, 1]
         assert is_associative(Magma(rows, range(n))).holds
 
 

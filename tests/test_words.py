@@ -110,6 +110,9 @@ def test_parse_errors():
         ("x)", "trailing"),
         ("x$y", "unexpected character"),
         ("[x,y", "expected"),
+        # "²" is a digit to str.isdigit but not to int()
+        ("x^²", r"unexpected character '²' \(at position 2\)"),
+        ("[x,y]^-²", r"unexpected character '²' \(at position 7\)"),
     ]:
         with pytest.raises(ParseError, match=what):
             parse_term(bad)
@@ -142,7 +145,7 @@ def test_lowering_numbers_variables_and_merges_equal_subterms():
     # [x,y] is one slot; its square and the product reuse it
     assert low.ops.count((Bracket, 0, 1)) == 1
     assert (IntPower, xy, None) in low.ops
-    assert low.kinds == {Bracket, IntPower}
+    assert low.kinds == {Bracket, IntPower, Product, Inverse}
     assert low.lines == {"x": {(Bracket, 0)}, "y": {(Bracket, 1)}, "z": {(Bracket, 0)}}
     assert len(low.roots) == 2
     # a variable read whole anywhere keeps every element; one read nowhere is one class
@@ -396,10 +399,13 @@ def test_word_tables_are_built_only_for_the_nodes_a_law_uses():
     def tables(*texts):
         return _word_tables(g, lower(*map(parse_term, texts)).kinds)
 
-    assert tables("x*y^-1", "x y") == {}
-    assert set(tables("x*y^-1", "(x y)^3")) == {IntPower}
-    assert set(tables("[x,y]", "1")) == {Bracket}
-    assert set(tables("x", "y^x")) == {Conjugate}
+    # G's own tables are passed as they are; only the derived ones are built
+    own = tables("x*y^-1", "x y")
+    assert own.keys() == {Product, Inverse, IdentityLiteral}
+    assert own[Product] is g.mul and own[Inverse] is g.inv and own[IdentityLiteral] == g.identity
+    assert set(tables("x*y^-1", "(x y)^3")) - own.keys() == {IntPower}
+    assert set(tables("[x,y]", "1")) - own.keys() == {Bracket}
+    assert set(tables("x", "y^x")) - own.keys() == {Conjugate}
 
 
 def test_word_tables_share_no_memory_with_the_table_route(corpus_groups):
@@ -634,3 +640,15 @@ def test_terms_at_the_depth_limit_still_work():
     assert (v.status, v.evaluations, v.witness) == ("counterexample", 2, {"x": "a"})
     with pytest.raises(ParseError):
         parse_term(" ".join(["x"] * (MAX_DEPTH + 1)))
+
+
+def test_sampled_checks_refuse_negative_seeds_on_both_paths(drawn_seeds):
+    # CI on dihedral:4 holds on its class grid: at count 1000 that grid settles
+    # the verdict without drawing, at count 100 the stream is drawn
+    g, law = make_dihedral(4), builtin_law("CI")
+    for count in (1000, 100):
+        with pytest.raises(ValueError, match="^sampling seed must be non-negative, got -1$"):
+            check_law_sampled(g, law, count, -1)
+    assert drawn_seeds == []
+    assert [check_law_sampled(g, law, count, 0).holds for count in (1000, 100)] == [True, True]
+    assert drawn_seeds == [0]
