@@ -46,6 +46,7 @@ from .words import (
     builtin_law,
     check_law_exhaustive,
     check_law_sampled,
+    check_sampling,
     parse_law,
 )
 
@@ -81,6 +82,8 @@ def cmd_group(args) -> int:
 
 
 def cmd_law(args) -> int:
+    if args.sampled:  # refuse the sampling arguments before building the group
+        check_sampling(args.samples, args.seed)
     g = parse_group_spec(args.spec)
     if "=" in args.law:
         law = parse_law(args.law)
@@ -152,6 +155,7 @@ def cmd_magma(args) -> int:
 
 
 def cmd_ring(args) -> int:
+    check_sampling(args.samples, args.seed)  # before building the ring
     r = parse_ring_spec(args.spec)
     verdict = check_ring_law(r, args.law, args.budget, args.samples, args.seed)
     print(f"ring: {args.spec} (order {r.order})")

@@ -8,15 +8,23 @@ table pays for the O(n^3) scan that names the first failing (x, y, z).
 Downstream brute-force scans can then trust the tables blindly.
 
 Each constructor checks its order against the order budget before it builds
-anything. Tables are built by array arithmetic; a permutation group's table
-follows from its breadth-first closure by the column recurrence
-mul[:, b] = R_g[mul[:, parent(b)]] (see `_permutation_group`).
+anything. Tables are built by array arithmetic into int32 arrays, the
+metacyclic, Heisenberg and product tables as one broadcast sum of parts with
+fewer cells; a permutation group's table follows from its breadth-first
+closure by the column recurrence mul[:, b] = R_g[mul[:, parent(b)]] (see
+`_permutation_group`).
 
 Subgroups rest on one closure step, `_grow`, which adds all products and
 inverses to a member set in a boolean mask: a set is a subgroup iff the step
-adds nothing, and closures repeat it to a fixed point. Series terms are plain
-closures of commutators, already normal, so no normal closure is taken (see
-`_commutator_series`). The series read only `mul` and `inv`.
+adds nothing, and closures repeat it to a fixed point. A public `SubgroupSet`
+runs that test on construction; the closures and series build their terms
+unchecked (`_trusted`), since their last step already added nothing. Series
+terms are closures of the commutators of generators of the previous term,
+already normal, so no normal closure is taken (see
+`_commutator_series`). Each group computes its derived and lower central
+series once, on first use, and keeps them (`_cached_series`); the lower
+central series starts from the derived series' G'. The series read only `mul`
+and `inv`.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ import numpy as np
 from .errors import SpecError
 from .tables import (
     DEFAULT_ORDER_BUDGET,
+    SCAN_CELLS,
     as_table,
     carrier_names,
     check_order_budget,
@@ -45,7 +54,8 @@ class FiniteGroup:
 
     ``mul[x, y]`` is the product xy, ``inv[x]`` the inverse, and ``names[x]``
     a display string (``names[0]`` is always ``"1"``). Instances are immutable
-    after construction and safe to share across workers.
+    after construction and safe to share across workers; the subgroup series
+    are computed on first use and kept on the instance.
     """
 
     def __init__(self, mul, names, label: str | None = None):
@@ -72,6 +82,7 @@ class FiniteGroup:
         self.identity = 0
         self.label = label if label is not None else f"group-of-order-{n}"
         self._name_index = {s: i for i, s in enumerate(names)}
+        self._series: dict[str, tuple[SubgroupSet, ...]] = {}  # filled by `_cached_series`
 
     def __repr__(self):
         return f"FiniteGroup({self.label!r}, order={self.order})"
@@ -178,6 +189,18 @@ def _grow(g: FiniteGroup, idx: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
+def _trusted(g: FiniteGroup, idx: np.ndarray) -> SubgroupSet:
+    """The SubgroupSet of the distinct in-range indices `idx`, known closed, built unchecked.
+
+    For member sets the caller has just grown until `_grow` added nothing:
+    `SubgroupSet.__post_init__` would only repeat that step.
+    """
+    s = object.__new__(SubgroupSet)
+    object.__setattr__(s, "members", frozenset(idx.tolist()))
+    object.__setattr__(s, "owner", g)
+    return s
+
+
 def _closure(g: FiniteGroup, seed: np.ndarray) -> SubgroupSet:
     """The subgroup generated by the members of the index array `seed` and the identity."""
     if seed.size and (seed.min() < 0 or seed.max() >= g.order):
@@ -188,7 +211,7 @@ def _closure(g: FiniteGroup, seed: np.ndarray) -> SubgroupSet:
     cur = np.flatnonzero(mask)
     while len(nxt := _grow(g, cur)) != len(cur):
         cur = nxt
-    return SubgroupSet(frozenset(cur.tolist()), g)
+    return _trusted(g, cur)
 
 
 def subgroup_closure(g: FiniteGroup, seed) -> SubgroupSet:
@@ -207,24 +230,63 @@ def normal_closure(g: FiniteGroup, seed) -> SubgroupSet:
     return _closure(g, gather(g.mul, gather(g.mul, g.inv[ys], h), ys))  # [y, i] -> y^-1 h_i y
 
 
-def _commutator_series(g: FiniteGroup, right) -> list[SubgroupSet]:
-    """[G, H_1, H_2, ...] with H_{k+1} = <[x, y] : x in H_k, y in right(H_k)>, until stable.
+def _generators(g: FiniteGroup, members: np.ndarray) -> np.ndarray:
+    """A generating set of the subgroup whose sorted member indices are `members`.
 
-    No term needs a normal closure: G is normal, and if H_k and right(H_k) (H_k
-    or G) are normal, [x, y]^z = [x^z, y^z] makes those commutators a set
-    stable under conjugation by G, so the subgroup it generates is normal too
-    (D. J. S. Robinson, A Course in the Theory of Groups, ch. 5).
+    While its commutators with every element of G fit one scan slice, all
+    members are returned. Beyond that, `magma_generators` of the subgroup's
+    own table picks a few (2 or 3 for the benchmark groups), so the next
+    series term costs |S| n commutators instead of |H| n.
+    """
+    if len(members) * g.order <= SCAN_CELLS:
+        return members
+    if len(members) == g.order:
+        return np.asarray(magma_generators(g.mul), dtype=np.int64)
+    local = np.zeros(g.order, dtype=np.int32)
+    local[members] = np.arange(len(members), dtype=np.int32)
+    return members[magma_generators(local[g.mul[np.ix_(members, members)]])]
+
+
+def _commutator_series(g: FiniteGroup, terms, right) -> tuple[SubgroupSet, ...]:
+    """`terms` continued by H_{k+1} = [H_k, right(H_k)] until stable.
+
+    H_k is the last term, and R = right(H_k) is H_k or G, a normal subgroup
+    containing H_k. Only a generating set S of H_k is needed: by
+    [s, y]^z = [s, z]^-1 [s, yz], each <[s, y] : y in R> is normalized by R,
+    and [st, y] = [s, y]^t [t, y] then puts every [x, y] with x in H_k into
+    K = <[s, y] : s in S, y in R>, so K = [H_k, R]. No term needs a normal
+    closure: G is normal, and if H_k and R are, [x, y]^z = [x^z, y^z] makes
+    [H_k, R] normal too (D. J. S. Robinson, A Course in the Theory of Groups,
+    ch. 5).
     """
     mul, inv = g.mul, g.inv
-    cur = np.arange(g.order, dtype=np.int64)
-    terms = [SubgroupSet(frozenset(cur.tolist()), g)]
+    terms = list(terms)
+    cur = _indices(terms[-1].members)
     while True:
-        xs, ys = cur[:, None], right(cur)
-        nxt = _closure(g, gather(mul, gather(mul, inv[xs], inv[ys]), gather(mul, xs, ys)))
+        xs, ys = _generators(g, cur)[:, None], right(cur)
+        nxt = _closure(g, mul[mul[inv[xs], inv[ys]], mul[xs, ys]])
         if len(nxt) == len(cur):
-            return terms
+            return tuple(terms)
         terms.append(nxt)
         cur = _indices(nxt.members)
+
+
+def _cached_series(g: FiniteGroup, which: str) -> tuple[SubgroupSet, ...]:
+    """The "derived" or "lower central" series of g, computed on first use and kept on g.
+
+    Both series begin G, G' (gamma_2 = [G, G] = G'), so the lower central
+    series continues from the derived series' first two terms.
+    """
+    if which not in g._series:
+        if which == "derived":
+            whole = _trusted(g, np.arange(g.order))
+            g._series[which] = _commutator_series(g, [whole], lambda cur: cur)
+        else:
+            head = _cached_series(g, "derived")[:2]
+            everything = np.arange(g.order, dtype=np.int64)
+            g._series[which] = head if len(head) == 1 else _commutator_series(
+                g, head, lambda cur: everything)
+    return g._series[which]
 
 
 def derived_series(g: FiniteGroup) -> list[SubgroupSet]:
@@ -234,31 +296,30 @@ def derived_series(g: FiniteGroup) -> list[SubgroupSet]:
     previous term; for metabelian groups the series ends [..., {1}] at or
     before the third entry.
     """
-    return _commutator_series(g, lambda cur: cur)
+    return list(_cached_series(g, "derived"))
 
 
 def lower_central_series(g: FiniteGroup) -> list[SubgroupSet]:
     """gamma_1 = G, gamma_{k+1} = <[gamma_k, G]>, until stable."""
-    everything = np.arange(g.order, dtype=np.int64)
-    return _commutator_series(g, lambda cur: everything)
+    return list(_cached_series(g, "lower central"))
 
 
 def nilpotency_class(g: FiniteGroup) -> int | None:
     """n with gamma_{n+1} = {1}, or None if the series stabilizes above {1}."""
-    series = lower_central_series(g)
+    series = _cached_series(g, "lower central")
     if series[-1].members == {g.identity}:
         return len(series) - 1
     return None
 
 
 def derived_subgroup(g: FiniteGroup) -> SubgroupSet:
-    series = derived_series(g)
+    series = _cached_series(g, "derived")
     return series[1] if len(series) > 1 else series[0]
 
 
 def is_metabelian(g: FiniteGroup) -> bool:
     """True iff the second derived group is trivial."""
-    series = derived_series(g)
+    series = _cached_series(g, "derived")
     return len(series) <= 3 and series[-1].members == {g.identity}
 
 
@@ -287,8 +348,8 @@ def make_cyclic(n: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteGroup
     if n < 1:
         raise ValueError("cyclic group order must be at least 1")
     check_order_budget(n, order_budget, "cyclic group")
-    idx = np.arange(n, dtype=np.int64)
-    mul = (idx[:, None] + idx[None, :]) % n
+    mul = np.add.outer(np.arange(n, dtype=np.int32), np.arange(n, dtype=np.int32))
+    mul %= n
     names = ["1"] + [_power_name("a", i) for i in range(1, n)]
     return FiniteGroup(mul, names, label=f"cyclic:{n}")
 
@@ -311,15 +372,20 @@ def make_metacyclic(m: int, n: int, r: int, order_budget: int = DEFAULT_ORDER_BU
         )
     order = m * n
     check_order_budget(order, order_budget, "metacyclic group")
-    idx = np.arange(order, dtype=np.int64)
-    i, j = idx % m, idx // m
-    rpow = np.array([pow(r, int(e), m) for e in range(n)], dtype=np.int64)
-    ii = (i[:, None] + i[None, :] * rpow[j][:, None]) % m
-    jj = (j[:, None] + j[None, :]) % n
-    mul = jj * m + ii
+    # As a 4-D array [j, i, l, k]: ((j + l) mod n) * m + (i + k*r^j) mod m, built
+    # from an n x n and an n x m x m part. No partial value reaches m*m.
+    dtype = np.int32 if m * m < 2**31 else np.int64
+    i, j = np.arange(m, dtype=dtype), np.arange(n, dtype=dtype)
+    rpow = np.array([pow(r, e, m) for e in range(n)], dtype=dtype)
+    high = np.add.outer(j, j) % n * m  # [j, l]
+    low = np.multiply.outer(rpow, i)[:, None, :] + i[:, None]  # [j, i, k]
+    low %= m
+    mul = np.empty((n, m, n, m), dtype=dtype)
+    np.add(high[:, None, :, None], low[:, :, None, :], out=mul)
+    mul = mul.reshape(order, order)
     names = []
-    for e in idx:
-        s = _power_name("a", int(i[e])) + _power_name("b", int(j[e]))
+    for e in range(order):
+        s = _power_name("a", e % m) + _power_name("b", e // m)
         names.append(s if s else "1")
     return FiniteGroup(mul, names, label=f"metacyclic:{m},{n},{r}")
 
@@ -351,13 +417,16 @@ def make_heisenberg(p: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteG
     check_order_budget(order, order_budget, "heisenberg group")
     if not _is_prime(p):
         raise ValueError(f"heisenberg parameter must be prime, got {p}")
-    idx = np.arange(order, dtype=np.int64)
-    x, y, z = idx // (p * p), (idx // p) % p, idx % p
-    xx = (x[:, None] + x[None, :]) % p
-    yy = (y[:, None] + y[None, :]) % p
-    zz = (z[:, None] + z[None, :] + x[:, None] * y[None, :]) % p
-    mul = (xx * p + yy) * p + zz
-    names = ["1"] + [f"({int(x[e])},{int(y[e])},{int(z[e])})" for e in idx[1:]]
+    # As a 6-D array [x1, y1, z1, x2, y2, z2], from a part in x and y and one in x1, z, y2.
+    c = np.arange(p, dtype=np.int32)
+    cycle = np.add.outer(c, c) % p
+    xy = (cycle * (p * p))[:, None, :, None] + (cycle * p)[None, :, None, :]  # [x1, y1, x2, y2]
+    z = np.multiply.outer(c, c)[:, None, :, None] + c[:, None, None] + c  # [x1, z1, y2, z2]
+    z %= p
+    mul = np.empty((p,) * 6, dtype=np.int32)
+    np.add(xy[:, :, None, :, :, None], z[:, None, :, None, :, :], out=mul)
+    mul = mul.reshape(order, order)
+    names = ["1"] + [f"({e // (p * p)},{e // p % p},{e % p})" for e in range(1, order)]
     return FiniteGroup(mul, names, label=f"heisenberg:{p}")
 
 
@@ -479,10 +548,11 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, order_budget: int = DEFAULT_O
     """Componentwise product on pairs, indexed g*|H| + h."""
     order = g.order * h.order
     check_order_budget(order, order_budget, "direct product")
-    idx = np.arange(order, dtype=np.int64)
-    a, b = idx // h.order, idx % h.order
-    mul = g.mul[a[:, None], a[None, :]].astype(np.int64) * h.order + h.mul[b[:, None], b[None, :]]
-    names = ["1"] + [f"({g.names[int(a[e])]},{h.names[int(b[e])]})" for e in idx[1:]]
+    mul = np.empty((g.order, h.order, g.order, h.order), dtype=np.int32)  # [a1, b1, a2, b2]
+    np.multiply(g.mul[:, None, :, None], h.order, out=mul)
+    mul += h.mul[:, None, :]
+    mul = mul.reshape(order, order)
+    names = ["1"] + [f"({g.names[e // h.order]},{h.names[e % h.order]})" for e in range(1, order)]
     return FiniteGroup(mul, names, label=f"product:{g.label},{h.label}")
 
 

@@ -246,4 +246,19 @@ def structured_magma(m: Magma) -> dict:
 
 
 def render_structured(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`obj` as JSON with sorted keys and two-space indents, one line per table row.
+
+    A list whose first item is a plain value (a table row, or the names) is
+    written on one line by the C encoder; only dicts and lists of lists or
+    dicts are broken up.
+    """
+    def encode(value, pad: str) -> str:
+        inner = pad + "  "
+        if isinstance(value, dict) and value:
+            items = [f"{inner}{json.dumps(k)}: {encode(value[k], inner)}" for k in sorted(value)]
+            return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+        if isinstance(value, list) and value and isinstance(value[0], (list, dict)):
+            return "[\n" + ",\n".join(inner + encode(v, inner) for v in value) + f"\n{pad}]"
+        return json.dumps(value)
+
+    return encode(obj, "") + "\n"

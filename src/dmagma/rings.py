@@ -6,12 +6,14 @@ stands for the group, with <x,y> in place of [x,y], so the one word-law
 evaluator decides them. Iterated brackets nest to the left,
 <x,y,z> = <<x,y>,z>, as on the group side.
 
-Matrix rings are built one supported entry at a time from per-entry digit
-columns (`_matrix_ring_from_entries`), after their order n^d and their d
-entries per element have both passed the order budget.
+Matrix rings are built one supported entry at a time, each a broadcast term
+over the digits it reads (`_matrix_ring_from_entries`), after their order n^d
+and their d entries per element have both passed the order budget.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -25,6 +27,7 @@ from .tables import (
     check_power_budget,
     first_associativity_failure,
     first_failure,
+    flat_cells,
     gather,
     is_latin,
     light_associative,
@@ -63,22 +66,25 @@ def _generator_checks_pass(add: np.ndarray, mul: np.ndarray) -> bool:
     """Ring axioms past the Latin and commutativity checks, in O(|A| n^2).
 
     A generates (R,+). Addition is associative by Light's test over A. A map f
-    with f(y+a) = f(y) + f(a) for all y and every a in A is additive, which
-    gives both distributive laws from their instances at the generators; the
-    associator is then additive in each argument, so A^3 decides
-    associativity of the product.
+    with f(y+a) = f(y) + f(a) for all y and every a in A is additive, so the
+    right distributive law follows from (y+a)x = yx + ax for all x, y and each
+    a in A. Then x -> x(y+a) - xy - xa is additive too, so the left law needs
+    only x in A: b(y+a) = by + ba for all y and b, a in A. The associator is
+    then additive in each argument, so A^3 decides associativity of the product.
     """
     gens = magma_generators(add)
     if not light_associative(add, gens):
         return False
-    for a in gens:
-        if not np.array_equal(mul[:, add[:, a]], add[mul, mul[:, a][:, None]]):  # x(y+a) = xy + xa
-            return False
-        if not np.array_equal(mul[add[:, a]], add[mul, mul[a][None, :]]):  # (y+a)x = yx + ax
+    flat = add.reshape(-1)
+    for a in gens:  # (y+a)x = yx + ax; add is commutative, so row a of add maps y to y+a
+        if not np.array_equal(mul[add[a]], flat[flat_cells(mul, mul[a], len(add))]):
             return False
     g = np.asarray(gens)
+    rows = mul[g]  # [b, y] -> by
+    if not np.array_equal(rows[:, add[g]], add[rows[:, None, :], rows[:, g][:, :, None]]):  # b(y+a)
+        return False
     ab = mul[np.ix_(g, g)]
-    return np.array_equal(mul[ab][:, :, g], mul[g][:, ab])  # (ab)c = a(bc)
+    return np.array_equal(mul[ab][:, :, g], rows[:, ab])  # (ab)c = a(bc)
 
 
 class FiniteRing:
@@ -116,7 +122,7 @@ class FiniteRing:
         self.mul = mul
         self.neg = neg
         self.zero = zero
-        self._bracket = add[mul, neg[mul.T]]
+        self._bracket = add.reshape(-1)[flat_cells(mul, neg[mul.T], n)]  # xy + (-yx)
         self._bracket.setflags(write=False)
         self.names = names
         self.label = label if label is not None else f"ring-of-order-{n}"
@@ -179,11 +185,13 @@ def _matrix_ring_from_entries(kind: str, k: int, n: int, order_budget: int) -> F
     before anything is built, and so is its order n^d: with n = 1 the order is
     1 for every d, but each element's name still lists d entries.
 
-    Element e has digit (e // n^(d-1-s)) % n at positions[s], row-major. Both
-    tables are sums, over the supported positions (i, j) = positions[s], of
-    n^(d-1-s) times that entry of the result: (e_ij(a) + e_ij(b)) % n for the
-    sum and (sum_m e_im(a) e_mj(b)) % n for the product, one order x order
-    layer per position.
+    Element e has digit (e // n^(d-1-s)) % n at positions[s], row-major, so
+    both tables are built as 2d-dimensional arrays with one axis per digit of
+    each factor. They are sums, over the supported positions (i, j) =
+    positions[s], of n^(d-1-s) times that entry of the result:
+    (a_ij + b_ij) % n for the sum and (sum_m a_im b_mj) % n for the product.
+    Each term spans only the axes of the digits it reads, at most n^(2k)
+    cells, and is added into the order x order table by broadcasting.
     """
     label, upper = f"{kind}:{k},{n}", kind == "uppertri"
     d = k * (k + 1) // 2 if upper else k * k
@@ -191,26 +199,30 @@ def _matrix_ring_from_entries(kind: str, k: int, n: int, order_budget: int) -> F
     if d > order_budget:
         raise ValueError(f"{label} has {d} entries per element, exceeding the order budget {order_budget}")
     positions = [(i, j) for i in range(k) for j in range(i if upper else 0, k)]
+    slot = {pos: s for s, pos in enumerate(positions)}
     order = n**d
+    template = "[" + ";".join(",".join("{%d}" % slot[i, j] if (i, j) in slot else "0"
+                                       for j in range(k)) for i in range(k)) + "]"
+    names = [template.format(*e) for e in itertools.product([str(v) for v in range(n)], repeat=d)]
+    if n == 1:  # every entry is 0 and both tables are [[0]], whatever k is
+        return FiniteRing([[0]], [[0]], names, label=label)
     # No partial value reaches max(order, k * n * n); int32 arithmetic is several times faster.
     dtype = np.int32 if max(order, k * n * n) < 2**31 else np.int64
-    idx = np.arange(order, dtype=np.int64)
-    entry = {pos: ((idx // n ** (d - 1 - s)) % n).astype(dtype) for s, pos in enumerate(positions)}
-    add = np.zeros((order, order), dtype=dtype)
-    mul = np.zeros((order, order), dtype=dtype)
-    # With n = 1 every entry is 0 and both tables are [[0]], whatever k is.
-    for s, (i, j) in enumerate(positions if n > 1 else []):
+
+    def entry(pos, side):  # entry pos of the left (side 0) or right (side 1) factor, on its axis
+        shape = [1] * (2 * d)
+        shape[side * d + slot[pos]] = n
+        return np.arange(n, dtype=dtype).reshape(shape)
+
+    add = np.zeros((n,) * (2 * d), dtype=dtype)
+    mul = np.zeros((n,) * (2 * d), dtype=dtype)
+    for s, (i, j) in enumerate(positions):
         weight = n ** (d - 1 - s)
-        e = entry[i, j]
-        add += (np.add.outer(e, e) % n) * weight
-        dot = sum(np.multiply.outer(entry[i, m], entry[m, j])
-                  for m in range(k) if (i, m) in entry and (m, j) in entry)
-        mul += (dot % n) * weight
-    zero = np.zeros(order, dtype=dtype)
-    rows = [[entry.get((i, j), zero).tolist() for j in range(k)] for i in range(k)]
-    names = ["[" + ";".join(",".join(str(row[j][e]) for j in range(k)) for row in rows) + "]"
-             for e in range(order)]
-    return FiniteRing(add, mul, names, label=label)
+        add += (entry((i, j), 0) + entry((i, j), 1)) % n * weight
+        dot = sum(entry((i, m), 0) * entry((m, j), 1)
+                  for m in range(k) if (i, m) in slot and (m, j) in slot)
+        mul += dot % n * weight
+    return FiniteRing(add.reshape(order, order), mul.reshape(order, order), names, label=label)
 
 
 def make_matrix_ring(k: int, n: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteRing:

@@ -5,8 +5,9 @@ golden_tables, eh_audit, ring_rci) and decides an equivalence or implication
 between independently computed facts: law-level verdicts from the word
 checker on one side, table-level scans of the constructed double magmas on
 the other. A check passes when the two sides agree, whichever way brute
-force lands. The group checks read each group's facts from one `GroupFacts`,
-which computes each of them once per run.
+force lands. The group checks read each group's law and table facts from one
+`GroupFacts`, which computes each of them once per run; the subgroup series
+facts come from the group itself, which computes each series once.
 """
 
 from __future__ import annotations
@@ -133,16 +134,6 @@ class GroupFacts:
     def proper(self) -> tuple[bool, tuple[int, int] | None]:
         return is_proper(self.double)
 
-    @cached_property
-    def gprime(self) -> tuple[int, bool]:
-        """(order of G', whether G' has exponent 2)."""
-        derived = derived_subgroup(self.g)
-        return len(derived), has_exponent_2(derived)
-
-    @cached_property
-    def nilpotency_class(self) -> int | None:
-        return nilpotency_class(self.g)
-
 
 # ---------------------------------------------------------------------------
 # group checks
@@ -256,7 +247,8 @@ def check_cor_1_7(facts: GroupFacts, label: str) -> CheckResult:
     inter = facts.interchange
     proper, _ = facts.proper
     lhs = inter.holds and proper
-    gprime_size, gprime_exp2 = facts.gprime
+    gprime = derived_subgroup(facts.g)
+    gprime_size, gprime_exp2 = len(gprime), has_exponent_2(gprime)
     m3 = facts.law("3M_I")
     sq = facts.law("SQUARE")
     rhs = (not facts.g.is_abelian()) and m3.holds and (not gprime_exp2) and sq.holds
@@ -280,8 +272,9 @@ def check_cor_1_8(facts: GroupFacts, label: str) -> CheckResult:
     inter = facts.interchange
     star_assoc, bullet_assoc = facts.associativity
     proper, _ = facts.proper
-    cls = facts.nilpotency_class
-    gprime_size, gprime_exp2 = facts.gprime
+    cls = nilpotency_class(facts.g)
+    gprime = derived_subgroup(facts.g)
+    gprime_size, gprime_exp2 = len(gprime), has_exponent_2(gprime)
     double_semigroup = inter.holds and star_assoc.holds and bullet_assoc.holds
     rhs_i = cls is not None and cls <= 2
     lhs_ii = double_semigroup and proper

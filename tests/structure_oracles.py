@@ -2,12 +2,14 @@
 
 `dmagma.rings` builds matrix rings from per-position digit columns,
 `dmagma.groups` builds permutation-group tables by a column recurrence over
-the closure's breadth-first tree, and the subgroup series deduplicate with
-membership masks. These are the code they replaced, unchanged apart from
+the closure's breadth-first tree, the metacyclic, Heisenberg and product
+tables as broadcast sums of parts, and the subgroup series from generators of
+each term. The oracles are the code they replaced, unchanged apart from
 returning plain tables and member sets: the einsum matrix-ring builder, the
 permutation closure that composes every pair of elements in Python, and the
-set-based commutator, closure and series code. They share no code with the
-builders they check.
+set-based commutator, closure and series code; and scalar builders that fill
+the metacyclic, Heisenberg and product tables one cell at a time from their
+defining formulas. They share no code with the builders they check.
 """
 
 import re
@@ -51,6 +53,56 @@ def ring_oracle(spec):
     else:
         positions = [(i, j) for i in range(k) for j in range(i, k)]
     return einsum_matrix_ring(k, n, positions)
+
+
+def _power(letter, e):
+    return "" if e == 0 else letter if e == 1 else f"{letter}{e}"
+
+
+def metacyclic_oracle(m, n, r):
+    """(mul, names) of a^i b^j, indexed j*m + i: (i, j)(k, l) = (i + k r^j mod m, j + l mod n)."""
+    order = m * n
+    mul = np.empty((order, order), dtype=np.int32)
+    for x in range(order):
+        j, i = divmod(x, m)
+        for y in range(order):
+            l, k = divmod(y, m)
+            mul[x, y] = (j + l) % n * m + (i + k * r**j) % m
+    names = [_power("a", e % m) + _power("b", e // m) or "1" for e in range(order)]
+    return mul, names
+
+
+def dihedral_oracle(m):
+    """(mul, names) of the dihedral group of order 2m: b a b^-1 = a^(m-1)."""
+    return metacyclic_oracle(m, 2, m - 1)
+
+
+def heisenberg_oracle(p):
+    """(mul, names) of (x1,y1,z1)(x2,y2,z2) = (x1+x2, y1+y2, z1+z2+x1*y2) mod p.
+
+    Triples are indexed (x*p + y)*p + z.
+    """
+    order = p**3
+    triples = [(e // (p * p), e // p % p, e % p) for e in range(order)]
+    mul = np.empty((order, order), dtype=np.int32)
+    for a, (x1, y1, z1) in enumerate(triples):
+        for b, (x2, y2, z2) in enumerate(triples):
+            mul[a, b] = ((x1 + x2) % p * p + (y1 + y2) % p) * p + (z1 + z2 + x1 * y2) % p
+    names = ["1"] + [f"({x},{y},{z})" for x, y, z in triples[1:]]
+    return mul, names
+
+
+def product_oracle(left, right):
+    """(mul, names) of the direct product of two (mul, names) groups, pairs indexed g*|H| + h."""
+    (gm, gn), (hm, hn) = left, right
+    size = len(hn)
+    order = len(gn) * size
+    mul = np.empty((order, order), dtype=np.int32)
+    for x in range(order):
+        for y in range(order):
+            mul[x, y] = gm[x // size, y // size] * size + hm[x % size, y % size]
+    names = ["1"] + [f"({gn[e // size]},{hn[e % size]})" for e in range(1, order)]
+    return mul, names
 
 
 def _cycle_name(images0):

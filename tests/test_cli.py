@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dmagma.cli
-from dmagma.cli import main
+from dmagma.cli import build_parser, main
 from dmagma.fixtures import D8_NAMES, D8_STAR_ROWS
 from dmagma.magmas import parse_csv_table
 
@@ -162,6 +162,27 @@ def test_magma_structured_has_both_tables(capsys):
     assert len(doc["star"]) == 6
 
 
+@pytest.mark.parametrize("spec,construction", [
+    ("dihedral:3", "commutator"), ("heisenberg:3", "commutator"),
+    ("uppertri:2,3", "ring-commutator"),
+])
+def test_magma_structured_writes_one_line_per_row(capsys, spec, construction):
+    from dmagma.cli import _build_double
+    from dmagma.magmas import superscript_names
+
+    d = _build_double(build_parser().parse_args(["magma", spec, "--construction", construction]))
+    n = len(d.names)
+    for superscripts in ((), ("--superscripts",)):
+        names = superscript_names(list(d.names)) if superscripts else list(d.names)
+        want = {"bullet": d.bullet.op.tolist(), "names": names, "star": d.star.op.tolist()}
+        for op in ("star", "bullet"):
+            rc, out, _ = run(capsys, "magma", spec, "--construction", construction,
+                             "--format", "structured", "--op", op, *superscripts)
+            assert rc == 0 and json.loads(out) == want
+            assert list(json.loads(out)) == sorted(want)
+            assert out.count("\n") == 2 * n + 7  # braces, names, and each table's rows
+
+
 def test_magma_ring_construction(capsys):
     rc, out, _ = run(
         capsys, "magma", "zmod:6", "--construction", "ring-commutator",
@@ -250,6 +271,23 @@ def test_negative_seeds_exit_2(tmp_path, capsys):
         assert rc == 2 and out == "", argv
         assert "sampling seed must be non-negative" in err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_sampling_arguments_are_refused_before_building(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(dmagma.cli, "parse_ring_spec", built.append)
+    monkeypatch.setattr(dmagma.cli, "parse_group_spec", built.append)
+    few = "sample count must be at least 1"
+    for argv, message in (
+        (("ring", "uppertri:4,2", "--law", "RCI", "--samples", "0"), few),
+        (("ring", "uppertri:4,2", "--law", "RCI", "--seed", "-1"),
+         "sampling seed must be non-negative, got -1"),
+        (("law", "dihedral:512", "CI", "--sampled", "--samples", "0"), few),
+        (("law", "dihedral:512", "CI", "--sampled", "--seed", "-2"),
+         "sampling seed must be non-negative, got -2"),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+    assert built == []
 
 
 # --- suite ----------------------------------------------------------------------

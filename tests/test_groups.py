@@ -589,6 +589,50 @@ def test_fast_validation_on_every_constructor(corpus_groups):
         assert full_scan_group_error(parse_group_spec(spec).mul) is None, spec
 
 
+def swap_two_cells(table: np.ndarray, rng: random.Random) -> np.ndarray:
+    """The table with the entries of two random cells holding different values swapped."""
+    n = len(table)
+    while True:
+        (x1, y1), (x2, y2) = [(rng.randrange(n), rng.randrange(n)) for _ in range(2)]
+        if table[x1, y1] != table[x2, y2]:
+            t = table.copy()
+            t[x1, y1], t[x2, y2] = table[x2, y2], table[x1, y1]
+            return t
+
+
+def switch_an_intercalate(table: np.ndarray, rng: random.Random) -> np.ndarray:
+    """A Latin-preserving edit away from row 0 and column 0: swap a and b in a [[a, b], [b, a]].
+
+    In a group table, rows x, xt and columns y, ty form one for every involution t.
+    """
+    n = len(table)
+    involutions = [t for t in range(1, n) if table[t, t] == 0]
+    while True:
+        x, y, t = rng.randrange(1, n), rng.randrange(1, n), rng.choice(involutions)
+        x2, y2 = table[x, t], table[t, y]
+        if 0 not in (x2, y2):
+            a, b = table[x, y], table[x, y2]  # a = xy, b = xty = (xt)y, and (xt)(ty) = a
+            edited = table.copy()
+            edited[x, y] = edited[x2, y2] = b
+            edited[x, y2] = edited[x2, y] = a
+            return edited
+
+
+@pytest.mark.parametrize("spec", ["dihedral:8", "perm:(1 2),(1 2 3 4)", "dihedral:128",
+                                  "product:cyclic:16,cyclic:16"])
+def test_swapped_cells_fail_validation_on_constructed_groups(spec):
+    # At order 256 a valid table takes only the generator checks. A swap breaks
+    # the Latin square; an intercalate switch keeps it, and the loop it leaves
+    # is caught by Light's test and named by the cubic scan.
+    mul = np.array(parse_group_spec(spec).mul)
+    rng = random.Random(spec)
+    for _ in range(3):
+        assert assert_group_validation_matches(swap_two_cells(mul, rng)) == (
+            "multiplication table is not a Latin square")
+    errors = [assert_group_validation_matches(switch_an_intercalate(mul, rng)) for _ in range(3)]
+    assert all(e and "not associative at" in e for e in errors)
+
+
 def test_valid_group_tables_skip_the_cubic_scan(monkeypatch):
     def cubic_scan(table):
         raise AssertionError("valid table reached the O(n^3) associativity scan")

@@ -26,6 +26,7 @@ from dmagma.magmas import (
     structured_magma,
     superscript_names,
 )
+from dmagma.rings import parse_ring_spec
 from dmagma.tables import gather, light_associative, magma_generators
 from table_oracles import cubic_associativity_scan
 
@@ -214,6 +215,17 @@ def test_parse_csv_rejects_duplicate_header_names():
         parse_csv_table(",a,a\na,a,a\na,a,a\n")
 
 
+def generated(t, gens) -> set[int]:
+    """Every product of generators, closed in Python sets, independently of magma_generators."""
+    rows = t.tolist()
+    reached = set(gens)
+    while True:
+        more = reached | {rows[a][b] for a in reached for b in reached}
+        if more == reached:
+            return reached
+        reached = more
+
+
 def test_light_test_agrees_with_full_scan_on_small_magmas():
     tables = [np.array(t).reshape(2, 2) for t in itertools.product(range(2), repeat=4)]
     rng = np.random.default_rng(0)
@@ -222,17 +234,29 @@ def test_light_test_agrees_with_full_scan_on_small_magmas():
     for t in tables:
         t = t.astype(np.int32)
         gens = magma_generators(t)
-        reached = set(gens)
-        while True:  # products of generators, independently of magma_generators
-            more = reached | {int(t[a, b]) for a in reached for b in reached}
-            if more == reached:
-                break
-            reached = more
-        assert reached == set(range(len(t)))
+        assert generated(t, gens) == set(range(len(t)))
         expected = cubic_associativity_scan(t) is None
         assert light_associative(t, gens) == expected
         assoc += expected
     assert assoc >= 10  # semigroups occur among these tables, not only failures
+
+
+def test_generators_generate_every_constructed_structure(corpus_groups, corpus_rings):
+    tables = [g.mul for _, g in corpus_groups] + [r.add for _, r in corpus_rings]
+    tables += [parse_group_spec(spec).mul for spec in (
+        "dihedral:256", "heisenberg:7", "product:dihedral:8,cyclic:16", "perm:(1 2),(1 2 3 4 5)")]
+    tables += [parse_ring_spec(spec).add for spec in ("uppertri:2,7", "matrix:2,4")]
+    for t in tables:
+        gens = magma_generators(t)
+        assert generated(t, gens) == set(range(len(t)))
+        assert 0 not in gens or len(t) == 1  # the identity is a product of the others
+        assert len(gens) <= 4
+
+
+def test_an_element_that_is_no_product_comes_out_as_a_generator():
+    t = np.array([[1, 2, 1], [2, 1, 2], [1, 2, 1]], dtype=np.int32)  # 0 is no product
+    assert magma_generators(t) == [1, 2, 0]
+    assert generated(t, [1, 2]) == {1, 2}
 
 
 def test_structured_contains_both_operations():

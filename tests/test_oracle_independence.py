@@ -38,6 +38,8 @@ SHARED_SCAN_PATH = {
     "parse_group_spec", "parse_ring_spec", "make_matrix_ring", "make_upper_triangular",
     "_grow", "_closure", "_commutator_series",
     "subgroup_closure", "normal_closure", "derived_series", "lower_central_series",
+    # the unchecked term constructor, the series' generating sets and the series cache
+    "_trusted", "_generators", "_cached_series",
 }
 
 ORACLES = (

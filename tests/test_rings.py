@@ -25,6 +25,7 @@ from dmagma.rings import (
 from dmagma.tables import SCAN_CELLS, first_failure, is_latin
 from dmagma.words import builtin_law, check_law_exhaustive
 from table_oracles import cubic_associativity_scan
+from test_groups import swap_two_cells
 
 
 def decode_matrix(r, index, k, n, upper=False):
@@ -658,6 +659,26 @@ def test_fast_validation_on_every_constructor(corpus_rings):
     ]
     for r in rings:
         assert full_scan_ring_error(r.add, r.mul) is None, r.label
+
+
+@pytest.mark.parametrize("spec", ["zmod:12", "uppertri:2,3", "matrix:2,4"])
+def test_swapped_products_fail_validation_on_constructed_rings(spec):
+    # At order 256 a valid table takes only the generator checks. Swapping two
+    # products must still fail: at the cubic scan's first non-associative
+    # triple, or else at a distributive law.
+    r = parse_ring_spec(spec)
+    rng = random.Random(spec)
+    distributive = {"multiplication does not left-distribute over addition",
+                    "multiplication does not right-distribute over addition"}
+    for _ in range(3):
+        t = swap_two_cells(np.array(r.mul), rng)
+        with pytest.raises(ValueError) as err:
+            FiniteRing(r.add, t, r.names)
+        bad = cubic_associativity_scan(t)
+        if bad is None:
+            assert str(err.value) in distributive
+        else:
+            assert str(err.value) == f"multiplication is not associative at {bad}"
 
 
 def test_valid_ring_tables_skip_the_cubic_scans(monkeypatch):

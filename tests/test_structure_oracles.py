@@ -14,10 +14,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import dmagma.cli
+import dmagma.groups
 from dmagma.groups import (
     SubgroupSet,
     derived_series,
+    derived_subgroup,
+    is_metabelian,
     lower_central_series,
+    nilpotency_class,
     normal_closure,
     parse_group_spec,
     subgroup_closure,
@@ -26,7 +31,11 @@ from dmagma.rings import parse_ring_spec
 from dmagma.suite import DEFAULT_GROUPS, DEFAULT_RINGS
 from structure_oracles import (
     composed_permutation_group,
+    dihedral_oracle,
+    heisenberg_oracle,
+    metacyclic_oracle,
     perm_oracle,
+    product_oracle,
     ring_oracle,
     set_closure_error,
     set_derived_series,
@@ -69,6 +78,36 @@ def test_perm_tables_match_the_composition_oracle(spec):
     _same_group_tables(parse_group_spec(spec), *perm_oracle(spec))
 
 
+def _formula_oracle(spec):
+    """(mul, names) of a cyclic, dihedral, metacyclic, heisenberg or product spec, cell by cell."""
+    head, _, args = spec.partition(":")
+    if head == "product":  # try each comma as the split between the two factor specs
+        for cut in (i for i, c in enumerate(args) if c == ","):
+            try:
+                return product_oracle(_formula_oracle(args[:cut]), _formula_oracle(args[cut + 1:]))
+            except (KeyError, TypeError, ValueError):
+                continue
+        raise ValueError(f"no split of {spec!r} into two factor specs")
+    numbers = [int(a) for a in args.split(",")]
+    return {
+        "cyclic": lambda k: metacyclic_oracle(k, 1, 1),  # a cyclic group is metacyclic with n = 1
+        "dihedral": dihedral_oracle,
+        "metacyclic": metacyclic_oracle,
+        "heisenberg": heisenberg_oracle,
+    }[head](*numbers)
+
+
+FORMULA_SPECS = [s for s in GROUP_SPECS if not s.startswith("perm:") and "perm:" not in s] + [
+    "dihedral:2", "metacyclic:9,6,2", "heisenberg:2", "product:heisenberg:3,dihedral:4",
+    "product:cyclic:1,cyclic:5", "product:product:cyclic:2,cyclic:3,dihedral:3",
+]
+
+
+@pytest.mark.parametrize("spec", FORMULA_SPECS)
+def test_arithmetic_tables_match_the_scalar_formula_oracles(spec):
+    _same_group_tables(parse_group_spec(spec), *_formula_oracle(spec))
+
+
 @pytest.mark.parametrize("spec", [s for s in RING_SPECS if not s.startswith("zmod:")]
                          + list(EXTRA_RINGS))
 def test_matrix_ring_tables_match_the_einsum_oracle(spec):
@@ -99,6 +138,60 @@ SERIES_EXTRA = EXTRA_PERMS + ("dihedral:512", "product:heisenberg:3,perm:(1 2),(
 @pytest.mark.parametrize("spec", GROUP_SPECS + list(SERIES_EXTRA))
 def test_series_match_the_set_oracles(spec):
     _check_series(parse_group_spec(spec))
+
+
+@pytest.mark.parametrize("spec", ["dihedral:16", "perm:(1 2),(1 2 3 4)", "dihedral:256",
+                                  "product:heisenberg:3,perm:(1 2),(1 2 3 4)"])
+def test_cached_series_match_the_set_oracles_in_either_order(spec):
+    derived_first, lower_first = parse_group_spec(spec), parse_group_spec(spec)
+    want = set_derived_series(derived_first), set_lower_central_series(derived_first)
+    got = [t.members for t in derived_series(derived_first)], [
+        t.members for t in lower_central_series(derived_first)]
+    assert got == want
+    lower = [t.members for t in lower_central_series(lower_first)]
+    assert ([t.members for t in derived_series(lower_first)], lower) == want
+    for g in (derived_first, lower_first):  # the cached series answer the derived facts too
+        assert derived_subgroup(g).members == want[0][min(1, len(want[0]) - 1)]
+        assert nilpotency_class(g) == (len(want[1]) - 1 if want[1][-1] == {0} else None)
+        assert is_metabelian(g) == (len(want[0]) <= 3 and want[0][-1] == {0})
+
+
+def test_mutating_a_returned_series_leaves_the_cache_alone():
+    g = parse_group_spec("dihedral:8")
+    want = set_derived_series(g), set_lower_central_series(g)
+    for series in (derived_series, lower_central_series):
+        returned = series(g)
+        returned.append(returned[0])
+        returned[0] = returned[-2]
+        returned.reverse()
+        del returned[1:]
+    assert ([t.members for t in derived_series(g)],
+            [t.members for t in lower_central_series(g)]) == want
+    assert derived_subgroup(g).members == want[0][1] and nilpotency_class(g) == 3
+
+
+def test_group_command_computes_each_series_once(monkeypatch, capsys):
+    calls = []
+    real = dmagma.groups._commutator_series
+
+    def counted(g, terms, right):
+        calls.append(len(terms))
+        return real(g, terms, right)
+
+    monkeypatch.setattr(dmagma.groups, "_commutator_series", counted)
+    assert dmagma.cli.main(["group", "dihedral:512"]) == 0
+    out = capsys.readouterr().out
+    assert "lower central series sizes: 1024, 256, 128, 64, 32, 16, 8, 4, 2, 1" in out
+    assert calls == [1, 2]  # the derived series from G, the lower central one from G, G'
+
+
+@given(perm_groups)
+@settings(max_examples=40, deadline=None)
+def test_series_from_few_generators_match_the_set_oracles(g):
+    # Below one scan slice every member generates; force the generator path.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dmagma.groups, "SCAN_CELLS", 0)
+        _check_series(g)
 
 
 @given(perm_groups, st.data())
