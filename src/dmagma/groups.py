@@ -532,7 +532,7 @@ def _permutation_group(gens, labels, order_budget: int) -> FiniteGroup:
     n = len(index)
     right_maps = np.concatenate(right).T  # [g, x] -> x * g
     parent, via = np.array(parent), np.array(via)
-    cols = np.empty((n, n), dtype=np.int64)  # cols[b] = mul[:, b]
+    cols = np.empty((n, n), dtype=np.int32)  # cols[b] = mul[:, b]
     cols[0] = np.arange(n)
     lo = 1
     for level in perms[1:]:

@@ -110,16 +110,17 @@ def gather(table: np.ndarray, a, b) -> np.ndarray:
     return np.take(table.reshape(-1), np.asarray(a, dtype=np.intp) * table.shape[1] + b)
 
 
-def flat_cells(a, b, n: int) -> np.ndarray:
+def flat_cells(a: np.ndarray, b, n: int) -> np.ndarray:
     """a * n + b, the cells of a flattened n x n table for index arrays a and b, as a new array.
 
-    The arithmetic is int32 while n * n <= 2^31, where the largest cell,
-    n * n - 1, cannot overflow, and intp beyond. Builders index with it: an
-    n x n int32 index takes half the fresh pages of an intp one (dihedral:256's
-    commutator table: 224 page faults and 2.05 ms against 776 and 2.53 ms).
+    `a` is int32 or intp. The arithmetic stays in int32 while n * n <= 2^31,
+    where the largest cell, n * n - 1, cannot overflow, and is intp beyond.
+    Builders index with it: an n x n int32 index takes half the fresh pages
+    of an intp one (dihedral:256's commutator table: 224 page faults and
+    2.05 ms against 776 and 2.53 ms).
     """
-    cells = np.asarray(a, dtype=np.int32 if n * n <= 2**31 else np.intp) * n
-    if np.broadcast_shapes(cells.shape, np.shape(b)) != cells.shape:
+    cells = (a if n * n <= 2**31 else a.astype(np.intp)) * n
+    if np.broadcast(cells, b).shape != cells.shape:
         return cells + b
     cells += b
     return cells
