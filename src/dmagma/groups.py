@@ -22,22 +22,22 @@ unchecked (`_trusted`), since their last step already added nothing. Series
 terms are closures of the commutators of generators of the previous term,
 already normal, so no normal closure is taken (see
 `_commutator_series`). Each group computes its derived and lower central
-series once, on first use, and keeps them (`_cached_series`); the lower
-central series starts from the derived series' G'. The series read only `mul`
-and `inv`.
+series once, on first use, and keeps them (two cached properties); the
+lower central series starts from the derived series' G'. The series read
+only `mul` and `inv`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import SpecError
 from .tables import (
     DEFAULT_ORDER_BUDGET,
-    SCAN_CELLS,
     as_table,
     carrier_names,
     check_order_budget,
@@ -82,7 +82,6 @@ class FiniteGroup:
         self.identity = 0
         self.label = label if label is not None else f"group-of-order-{n}"
         self._name_index = {s: i for i, s in enumerate(names)}
-        self._series: dict[str, tuple[SubgroupSet, ...]] = {}  # filled by `_cached_series`
 
     def __repr__(self):
         return f"FiniteGroup({self.label!r}, order={self.order})"
@@ -136,6 +135,24 @@ class FiniteGroup:
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
+
+    @cached_property
+    def _derived_series(self) -> tuple[SubgroupSet, ...]:
+        """G, G', G'', ... until stable, computed on first use."""
+        whole = _trusted(self, np.arange(self.order))
+        return _commutator_series(self, [whole], lambda cur: cur)
+
+    @cached_property
+    def _lower_central_series(self) -> tuple[SubgroupSet, ...]:
+        """G, [G, G], [[G, G], G], ... until stable, continued from the derived series' G'.
+
+        gamma_2 = [G, G] = G', so the first two terms are the derived series' own.
+        """
+        head = self._derived_series[:2]
+        if len(head) == 1:
+            return head
+        everything = np.arange(self.order, dtype=np.int64)
+        return _commutator_series(self, head, lambda cur: everything)
 
 
 @dataclass(frozen=True)
@@ -230,16 +247,23 @@ def normal_closure(g: FiniteGroup, seed) -> SubgroupSet:
     return _closure(g, gather(g.mul, gather(g.mul, g.inv[ys], h), ys))  # [y, i] -> y^-1 h_i y
 
 
+# A series step pairs every member of H with R while it takes fewer than this
+# many commutators |H| |R|: below it, finding generators of H costs more than
+# it saves. Timed per step over the default and benchmark groups, all members
+# won every step under 8192 commutators (by 20-110 us), generators won every
+# step from 16384 (by 40 us to 20 ms), and the steps between were split.
+_ALL_MEMBERS_BELOW = 1 << 14
+
+
 def _generators(g: FiniteGroup, members: np.ndarray) -> np.ndarray:
     """A generating set of the subgroup whose sorted member indices are `members`.
 
-    While its commutators with every element of G fit one scan slice, all
-    members are returned. Beyond that, `magma_generators` of the subgroup's
-    own table picks a few (2 or 3 for the benchmark groups), so the next
-    series term costs |S| n commutators instead of |H| n.
+    `magma_generators` of the subgroup's own table picks a few (2 or 3 for the
+    benchmark groups), so the next series term costs |S| n commutators
+    instead of |H| n. For G itself that table is `mul`: relabelling a copy of
+    it doubled the time of both series of dihedral:256 (3.6 -> 7.1 ms) and
+    their allocation peak (0.4 -> 2.1 MiB).
     """
-    if len(members) * g.order <= SCAN_CELLS:
-        return members
     if len(members) == g.order:
         return np.asarray(magma_generators(g.mul), dtype=np.int64)
     local = np.zeros(g.order, dtype=np.int32)
@@ -263,30 +287,13 @@ def _commutator_series(g: FiniteGroup, terms, right) -> tuple[SubgroupSet, ...]:
     terms = list(terms)
     cur = _indices(terms[-1].members)
     while True:
-        xs, ys = _generators(g, cur)[:, None], right(cur)
+        ys = right(cur)
+        xs = (cur if len(cur) * len(ys) < _ALL_MEMBERS_BELOW else _generators(g, cur))[:, None]
         nxt = _closure(g, mul[mul[inv[xs], inv[ys]], mul[xs, ys]])
         if len(nxt) == len(cur):
             return tuple(terms)
         terms.append(nxt)
         cur = _indices(nxt.members)
-
-
-def _cached_series(g: FiniteGroup, which: str) -> tuple[SubgroupSet, ...]:
-    """The "derived" or "lower central" series of g, computed on first use and kept on g.
-
-    Both series begin G, G' (gamma_2 = [G, G] = G'), so the lower central
-    series continues from the derived series' first two terms.
-    """
-    if which not in g._series:
-        if which == "derived":
-            whole = _trusted(g, np.arange(g.order))
-            g._series[which] = _commutator_series(g, [whole], lambda cur: cur)
-        else:
-            head = _cached_series(g, "derived")[:2]
-            everything = np.arange(g.order, dtype=np.int64)
-            g._series[which] = head if len(head) == 1 else _commutator_series(
-                g, head, lambda cur: everything)
-    return g._series[which]
 
 
 def derived_series(g: FiniteGroup) -> list[SubgroupSet]:
@@ -296,30 +303,30 @@ def derived_series(g: FiniteGroup) -> list[SubgroupSet]:
     previous term; for metabelian groups the series ends [..., {1}] at or
     before the third entry.
     """
-    return list(_cached_series(g, "derived"))
+    return list(g._derived_series)
 
 
 def lower_central_series(g: FiniteGroup) -> list[SubgroupSet]:
     """gamma_1 = G, gamma_{k+1} = <[gamma_k, G]>, until stable."""
-    return list(_cached_series(g, "lower central"))
+    return list(g._lower_central_series)
 
 
 def nilpotency_class(g: FiniteGroup) -> int | None:
     """n with gamma_{n+1} = {1}, or None if the series stabilizes above {1}."""
-    series = _cached_series(g, "lower central")
+    series = g._lower_central_series
     if series[-1].members == {g.identity}:
         return len(series) - 1
     return None
 
 
 def derived_subgroup(g: FiniteGroup) -> SubgroupSet:
-    series = _cached_series(g, "derived")
+    series = g._derived_series
     return series[1] if len(series) > 1 else series[0]
 
 
 def is_metabelian(g: FiniteGroup) -> bool:
     """True iff the second derived group is trivial."""
-    series = _cached_series(g, "derived")
+    series = g._derived_series
     return len(series) <= 3 and series[-1].members == {g.identity}
 
 

@@ -5,9 +5,9 @@ golden_tables, eh_audit, ring_rci) and decides an equivalence or implication
 between independently computed facts: law-level verdicts from the word
 checker on one side, table-level scans of the constructed double magmas on
 the other. A check passes when the two sides agree, whichever way brute
-force lands. The group checks read each group's law and table facts from one
-`GroupFacts`, which computes each of them once per run; the subgroup series
-facts come from the group itself, which computes each series once.
+force lands. The group checks read each group's facts from one `GroupFacts`,
+which computes each of them once per run; the subgroup series behind G' and
+the nilpotency class are computed once by the group itself.
 """
 
 from __future__ import annotations
@@ -134,6 +134,12 @@ class GroupFacts:
     def proper(self) -> tuple[bool, tuple[int, int] | None]:
         return is_proper(self.double)
 
+    @cached_property
+    def gprime(self) -> tuple[int, bool]:
+        """(order of G', whether G' has exponent 2); G' itself is cached on the group."""
+        derived = derived_subgroup(self.g)
+        return len(derived), has_exponent_2(derived)
+
 
 # ---------------------------------------------------------------------------
 # group checks
@@ -247,8 +253,7 @@ def check_cor_1_7(facts: GroupFacts, label: str) -> CheckResult:
     inter = facts.interchange
     proper, _ = facts.proper
     lhs = inter.holds and proper
-    gprime = derived_subgroup(facts.g)
-    gprime_size, gprime_exp2 = len(gprime), has_exponent_2(gprime)
+    gprime_size, gprime_exp2 = facts.gprime
     m3 = facts.law("3M_I")
     sq = facts.law("SQUARE")
     rhs = (not facts.g.is_abelian()) and m3.holds and (not gprime_exp2) and sq.holds
@@ -273,8 +278,7 @@ def check_cor_1_8(facts: GroupFacts, label: str) -> CheckResult:
     star_assoc, bullet_assoc = facts.associativity
     proper, _ = facts.proper
     cls = nilpotency_class(facts.g)
-    gprime = derived_subgroup(facts.g)
-    gprime_size, gprime_exp2 = len(gprime), has_exponent_2(gprime)
+    gprime_size, gprime_exp2 = facts.gprime
     double_semigroup = inter.holds and star_assoc.holds and bullet_assoc.holds
     rhs_i = cls is not None and cls <= 2
     lhs_ii = double_semigroup and proper

@@ -8,10 +8,8 @@ witnesses deterministic regardless of slice size. The generator-based tests
 need a witness fall back to the full scans. `magma_generators` tries element
 0 last and grows what it reaches semi-naively, so a group's identity is never
 a generator and a cyclic run is reached in log n rounds; the constructors
-validate with its generators, and the subgroup series take their few
-generators of a large term from it. Builders index flat tables through
-`flat_cells`, in int32 while the n^2 cells fit; scans gather through
-`gather`, in intp.
+validate with its generators, and the subgroup series take the few
+generators of each term from it. Scans gather through `gather`, in intp.
 
 Every exhaustive scan visits one representative per class of
 indistinguishable elements, and one function derives the classes of every
@@ -108,22 +106,6 @@ def gather(table: np.ndarray, a, b) -> np.ndarray:
     table[a, b] 6.9-7.6.
     """
     return np.take(table.reshape(-1), np.asarray(a, dtype=np.intp) * table.shape[1] + b)
-
-
-def flat_cells(a: np.ndarray, b, n: int) -> np.ndarray:
-    """a * n + b, the cells of a flattened n x n table for index arrays a and b, as a new array.
-
-    `a` is int32 or intp. The arithmetic stays in int32 while n * n <= 2^31,
-    where the largest cell, n * n - 1, cannot overflow, and is intp beyond.
-    Builders index with it: an n x n int32 index takes half the fresh pages
-    of an intp one (dihedral:256's commutator table: 224 page faults and
-    2.05 ms against 776 and 2.53 ms).
-    """
-    cells = (a if n * n <= 2**31 else a.astype(np.intp)) * n
-    if np.broadcast(cells, b).shape != cells.shape:
-        return cells + b
-    cells += b
-    return cells
 
 
 def is_latin(table: np.ndarray) -> bool:

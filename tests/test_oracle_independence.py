@@ -39,7 +39,7 @@ SHARED_SCAN_PATH = {
     "_grow", "_closure", "_commutator_series",
     "subgroup_closure", "normal_closure", "derived_series", "lower_central_series",
     # the unchecked term constructor, the series' generating sets and the series cache
-    "_trusted", "_generators", "_cached_series",
+    "_trusted", "_generators", "_derived_series", "_lower_central_series",
 }
 
 ORACLES = (

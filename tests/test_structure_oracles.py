@@ -188,9 +188,9 @@ def test_group_command_computes_each_series_once(monkeypatch, capsys):
 @given(perm_groups)
 @settings(max_examples=40, deadline=None)
 def test_series_from_few_generators_match_the_set_oracles(g):
-    # Below one scan slice every member generates; force the generator path.
+    # Small steps pair every member; force the generator path.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dmagma.groups, "SCAN_CELLS", 0)
+        mp.setattr(dmagma.groups, "_ALL_MEMBERS_BELOW", 0)
         _check_series(g)
 
 
