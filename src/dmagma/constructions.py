@@ -15,6 +15,7 @@ import numpy as np
 from .groups import FiniteGroup
 from .magmas import DoubleMagma, Magma
 from .rings import FiniteRing
+from .tables import flat_cells
 from .words import Term, _word_tables, free_variables, lower, parse_term, run_ops
 
 WORD_VARIABLES = ("a", "b")
@@ -42,8 +43,9 @@ def _double(star_table: np.ndarray, names, label: str) -> DoubleMagma:
 
 def commutator_double(g: FiniteGroup) -> DoubleMagma:
     """Double magma with x*y = [x,y] and x•y = [y,x] on the carrier of G."""
-    mul, inv = g.mul, g.inv
-    star = mul[mul[inv[:, None], inv[None, :]], mul]
+    n, flat = g.order, g.mul.reshape(-1)
+    left = flat[flat_cells(g.inv[:, None], g.inv, n)]  # x^-1 y^-1
+    star = flat[flat_cells(left, g.mul, n)]  # (x^-1 y^-1)(xy)
     return _double(star, g.names, label=f"commutator({g.label})")
 
 

@@ -27,6 +27,7 @@ from .tables import (
     check_power_budget,
     first_associativity_failure,
     first_failure,
+    flat_cells,
     gather,
     is_latin,
     light_associative,
@@ -74,8 +75,9 @@ def _generator_checks_pass(add: np.ndarray, mul: np.ndarray) -> bool:
     gens = magma_generators(add)
     if not light_associative(add, gens):
         return False
+    flat = add.reshape(-1)
     for a in gens:  # (y+a)x = yx + ax; add is commutative, so row a of add maps y to y+a
-        if not np.array_equal(mul[add[a]], add[mul, mul[a]]):
+        if not np.array_equal(mul[add[a]], flat[flat_cells(mul, mul[a], len(add))]):
             return False
     g = np.asarray(gens)
     rows = mul[g]  # [b, y] -> by
@@ -120,7 +122,7 @@ class FiniteRing:
         self.mul = mul
         self.neg = neg
         self.zero = zero
-        self._bracket = add[mul, neg[mul.T]]  # xy + (-yx)
+        self._bracket = add.reshape(-1)[flat_cells(mul, neg[mul.T], n)]  # xy + (-yx)
         self._bracket.setflags(write=False)
         self.names = names
         self.label = label if label is not None else f"ring-of-order-{n}"

@@ -9,7 +9,9 @@ need a witness fall back to the full scans. `magma_generators` tries element
 0 last and grows what it reaches semi-naively, so a group's identity is never
 a generator and a cyclic run is reached in log n rounds; the constructors
 validate with its generators, and the subgroup series take the few
-generators of each term from it. Scans gather through `gather`, in intp.
+generators of a large term from it. Builders index flat tables through
+`flat_cells`, in int32 while the n^2 cells fit; scans gather through
+`gather`, in intp.
 
 Every exhaustive scan visits one representative per class of
 indistinguishable elements, and one function derives the classes of every
@@ -106,6 +108,17 @@ def gather(table: np.ndarray, a, b) -> np.ndarray:
     table[a, b] 6.9-7.6.
     """
     return np.take(table.reshape(-1), np.asarray(a, dtype=np.intp) * table.shape[1] + b)
+
+
+def flat_cells(a: np.ndarray, b, n: int) -> np.ndarray:
+    """a * n + b, the cells of a flattened n x n table for index arrays a and b.
+
+    `a` is int32 or intp. The arithmetic stays in int32 while n * n <= 2^31,
+    where the largest cell, n * n - 1, cannot overflow, and is intp beyond.
+    Builders index with it: 2-D fancy indexing of an int32 table casts each
+    index array to a fresh intp one, and the extra pages cost time.
+    """
+    return (a if n * n <= 2**31 else a.astype(np.intp)) * n + b
 
 
 def is_latin(table: np.ndarray) -> bool:
