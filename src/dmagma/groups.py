@@ -250,8 +250,9 @@ def normal_closure(g: FiniteGroup, seed) -> SubgroupSet:
 # A series step pairs every member of H with R while it takes fewer than this
 # many commutators |H| |R|: below it, finding generators of H costs more than
 # it saves. Timed per step over the default and benchmark groups, all members
-# won every step under 8192 commutators (by 20-110 us), generators won every
-# step from 16384 (by 40 us to 20 ms), and the steps between were split.
+# were as fast or faster on every step under 8192 commutators (by up to
+# 110 us), generators won every step from 16384 (by 40 us to 18 ms), and the
+# steps between were split.
 _ALL_MEMBERS_BELOW = 1 << 14
 
 
