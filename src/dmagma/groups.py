@@ -55,7 +55,8 @@ class FiniteGroup:
     ``mul[x, y]`` is the product xy, ``inv[x]`` the inverse, and ``names[x]``
     a display string (``names[0]`` is always ``"1"``). Instances are immutable
     after construction and safe to share across workers; the subgroup series
-    are computed on first use and kept on the instance.
+    and the tables and classes of law scans are computed on first use and kept
+    on the instance.
     """
 
     def __init__(self, mul, names, label: str | None = None):
@@ -135,6 +136,16 @@ class FiniteGroup:
 
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
+
+    @cached_property
+    def law_tables(self) -> dict:
+        """Derived op tables of word-law scans by node type (`words._word_tables`)."""
+        return {}
+
+    @cached_property
+    def law_classes(self) -> dict:
+        """Class representatives of word-law scans by line set (`tables.class_reps`)."""
+        return {}
 
     @cached_property
     def _derived_series(self) -> tuple[SubgroupSet, ...]:

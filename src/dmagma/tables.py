@@ -34,11 +34,26 @@ a variable that is an argument of a bracket or conjugate through that table's
 row or column (`words.Lowering.lines`), so the same argument makes the first
 failure a tuple of representatives. `evaluations` stays the witness's position
 in the full n^k grid, or n^k when the law holds, as if every tuple was visited.
+
+A group law also skips tuples by conjugation. Conjugation by g is an
+automorphism, so every word w satisfies w(x1^g, ..., xk^g) = w(x1, ..., xk)^g,
+and a tuple fails the law exactly when each of its simultaneous conjugates
+does. `first_failure` fixes the leading variables of each slice as scalars;
+call such a prefix clean once every continuation of it on the grid of
+representatives held. By the class argument above, a clean prefix P then holds
+with every continuation in G^(k-L), and conjugating by g maps the
+continuations of P onto those of P^g, so P^g cannot hold a failure either.
+The walker skips a prefix whose orbit under simultaneous conjugation
+(`orbit_keys`) already holds a clean prefix: the first failure, its position
+and the verdict are those of the full scan, found in one pass. Only group-law
+scans pass the conjugate table: (R,+) of a ring law has no conjugation to
+use, and the table scans (interchange, associativity) stay independent of G.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -134,7 +149,7 @@ def is_latin(table: np.ndarray) -> bool:
     )
 
 
-def class_reps(tables, lines, n: int) -> list[np.ndarray]:
+def class_reps(tables, lines, n: int, known: dict | None = None) -> list[np.ndarray]:
     """Ascending indices of the smallest element of each class, one array per variable.
 
     `lines` holds, per variable, the set of (key, axis) lines it is read
@@ -142,11 +157,15 @@ def class_reps(tables, lines, n: int) -> list[np.ndarray]:
     tables[key] is a line of element i. Elements whose lines all agree,
     compared exactly as raw bytes, form one class. None keeps every element,
     and an empty set makes one class. Each line is keyed once per call, and
-    variables with the same set share one array.
+    variables with the same set share one array. `known`, a dict the caller
+    keeps for one set of tables, maps each line set to its classes: it is
+    read, and filled with the sets this call derives.
     """
     lines = [None if s is None else frozenset(s) for s in lines]
     keys: dict = {}
-    found: dict = {None: np.arange(n), frozenset(): np.arange(1)}
+    found: dict = {} if known is None else known
+    if not found:
+        found.update({None: np.arange(n), frozenset(): np.arange(1)})
     for line_set in lines:
         if line_set in found:
             continue
@@ -161,7 +180,37 @@ def class_reps(tables, lines, n: int) -> list[np.ndarray]:
     return [found[s] for s in lines]
 
 
-def first_failure(reps, failing, cells: int = SCAN_CELLS) -> tuple[int, ...] | None:
+def orbit_keys(conj: np.ndarray, length: int):
+    """key(prefix) for tuples of `length` elements, equal exactly for simultaneous conjugates.
+
+    conj[x, g] = x^g is the conjugate table of a group of order n. The key of
+    (x1, ..., xL) is its smallest code sum(xi^g * n^(L-i)) over g in G. The
+    codes of one head (x1, ..., x_(L-1)) and every last element are one O(n^2)
+    row, kept per head. Returns None when n^L >= 2^62, where a code might not
+    fit in int64.
+    """
+    n = len(conj)
+    if n**length >= 1 << 62:
+        return None
+    conj = conj.astype(np.int64, copy=False)
+    rows: dict = {}
+
+    def key(prefix) -> int:
+        head = prefix[:-1]
+        row = rows.get(head)
+        if row is None:
+            code = np.zeros(n, dtype=np.int64)  # the head's code under each g
+            for x in head:
+                code = code * n + conj[x]
+            row = rows[head] = (conj + code * n).min(axis=1).tolist()
+        return row[prefix[-1]]
+
+    return key
+
+
+def first_failure(
+    reps, failing, cells: int = SCAN_CELLS, conjugates=None
+) -> tuple[int, ...] | None:
     """Lexicographically first tuple of reps[0] x ... x reps[k-1] where `failing` holds.
 
     `reps` holds one ascending index array per variable. `failing(axes)` gets
@@ -170,10 +219,18 @@ def first_failure(reps, failing, cells: int = SCAN_CELLS) -> tuple[int, ...] | N
     The trailing variables (at most `MAX_AXES`) get one full axis each, so a
     subterm costs the product of its own variables' ranges; the leading ones
     are fixed as scalars, and the one in between is cut into blocks, so one
-    slice holds at most `cells` tuples. Slices are visited in lexicographic
-    order, and the first true cell of the C-order ravel of the first failing
-    slice is the answer. With no variables, `failing([])` is called once and
-    the empty tuple is the only candidate.
+    slice holds at most `cells` tuples (a block of one element is a scalar
+    too). Slices are visited in lexicographic order, and the first true cell
+    of the C-order ravel of the first failing slice is the answer. With no
+    variables, `failing([])` is called once and the empty tuple is the only
+    candidate.
+
+    `conjugates`, for a group law only, returns the conjugate table
+    conj[x, g] = x^g of the group. A prefix of scalars whose orbit under
+    simultaneous conjugation holds one already scanned clean is then skipped
+    (see the module docstring). The table and the keys are first asked for
+    once the first prefix has scanned clean, so a failure in it costs nothing
+    extra.
     """
     k = len(reps)
     if k == 0:
@@ -184,14 +241,35 @@ def first_failure(reps, failing, cells: int = SCAN_CELLS) -> tuple[int, ...] | N
     lead = k - 1 - free
     width = max(1, cells // trail)
     tail = [r.reshape((-1,) + (1,) * (k - 1 - i)) for i, r in enumerate(reps) if i > lead]
-    for prefix in itertools.product(*reps[:lead]):
-        for lo in range(0, len(reps[lead]), width):
-            axes = [*prefix, reps[lead][lo : lo + width].reshape((-1,) + (1,) * free), *tail]
+    if width == 1:
+        fixed, blocks = lead + 1, [[]]
+    else:
+        fixed = lead
+        blocks = [
+            [reps[lead][lo : lo + width].reshape((-1,) + (1,) * free)]
+            for lo in range(0, len(reps[lead]), width)
+        ]
+    if math.prod(map(len, reps[:fixed])) < 2:  # one prefix: nothing to skip
+        conjugates = None
+    keys = clean = None  # the orbit keys, and those of the prefixes scanned clean
+    for prefix in itertools.product(*reps[:fixed]):
+        if clean is not None:
+            key = keys(prefix)
+            if key in clean:
+                continue
+        for block in blocks:
+            axes = [*prefix, *block, *tail]
             bad = failing(axes)
             if bad.any():
                 shape = np.broadcast_shapes(*(np.shape(a) for a in axes))
                 hit = int(np.argmax(np.broadcast_to(bad, shape)))
                 return tuple(int(np.broadcast_to(a, shape).flat[hit]) for a in axes)
+        if clean is not None:
+            clean.add(key)
+        elif conjugates is not None:  # the first prefix scanned clean
+            keys, conjugates = orbit_keys(conjugates(), fixed), None
+            if keys is not None:
+                clean = {keys(prefix)}
     return None
 
 

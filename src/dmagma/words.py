@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Mapping
 
 import numpy as np
@@ -498,21 +498,33 @@ def _word_tables(group: FiniteGroup, kinds) -> dict[type, np.ndarray]:
     Product, Inverse and IdentityLiteral are G's own `mul`, `inv` and its
     identity as a 0-d array. comm[x,y] = [x,y], conj[x,y] = x^y = y^-1 x y and
     sq[x] = x*x are derived from `mul` and `inv` alone, each only if its type
-    is in `kinds` (`Lowering.kinds`): the table-level route
+    is in `kinds` (`Lowering.kinds`), in intp, and kept on the group once
+    built (`FiniteGroup.law_tables`): the table-level route
     (`constructions.commutator_double`) builds its own commutator table, so
     that the two routes stay independent.
     """
     mul, inv, e = group.mul, group.inv, np.asarray(group.identity, dtype=np.intp)
-    x = np.arange(group.order)[:, None]
-    y = x.T
     tables = {Product: mul, Inverse: inv, IdentityLiteral: e}
-    if Bracket in kinds:
-        tables[Bracket] = mul[mul[inv[x], inv[y]], mul]
-    if Conjugate in kinds:
-        tables[Conjugate] = mul[mul[inv[y], x], y]
-    if IntPower in kinds:
-        tables[IntPower] = mul.diagonal()
+    kept = group.law_tables
+    for kind in kinds & {Bracket, Conjugate, IntPower}:
+        if kind not in kept:
+            x = np.arange(group.order)[:, None]
+            y = x.T
+            if kind is Bracket:
+                table = mul[mul[inv[x], inv[y]], mul]
+            elif kind is Conjugate:
+                table = mul[mul[inv[y], x], y]
+            else:
+                table = mul.diagonal()
+            kept[kind] = table.astype(np.intp)
+            kept[kind].setflags(write=False)
+        tables[kind] = kept[kind]
     return tables
+
+
+def _conjugate_table(group: FiniteGroup) -> np.ndarray:
+    """conj[x, g] = x^g, which group-law scans skip prefixes by (`tables.first_failure`)."""
+    return _word_tables(group, {Conjugate})[Conjugate]
 
 
 def run_ops(low: Lowering, tables: dict[type, np.ndarray], axes) -> list[np.ndarray]:
@@ -616,7 +628,14 @@ def check_sampling(count: int, seed: int) -> None:
 
 
 def scan_sampled(
-    variables: tuple[str, ...], names, failing, count: int, seed: int, reps, chunk: int = SCAN_CELLS
+    variables: tuple[str, ...],
+    names,
+    failing,
+    count: int,
+    seed: int,
+    reps,
+    chunk: int = SCAN_CELLS,
+    conjugates=None,
 ) -> Verdict:
     """Scan `count` seeded pseudo-random assignments of range(n)^k for a failure, n = len(names).
 
@@ -629,14 +648,15 @@ def scan_sampled(
     counterexample is definitive; a clean pass is evidence, not proof.
 
     `reps` holds the law's class representatives (`_law_scan`). When their
-    grid has at most `_GRID_PER_SAMPLE` * count tuples, it is scanned first:
-    if none fails, no tuple of range(n)^k fails, so no drawn row could, and
-    the verdict the stream would give is returned without drawing it.
+    grid has at most `_GRID_PER_SAMPLE` * count tuples, it is scanned first,
+    skipping prefixes by `conjugates` as `tables.first_failure` does: if none
+    fails, no tuple of range(n)^k fails, so no drawn row could, and the
+    verdict the stream would give is returned without drawing it.
     """
     check_sampling(count, seed)
     passed = Verdict(HOLDS_SAMPLED, evaluations=count, sample_count=count, seed=seed)
     small = math.prod(map(len, reps)) <= _GRID_PER_SAMPLE * count
-    if small and first_failure(reps, failing, chunk) is None:
+    if small and first_failure(reps, failing, chunk, conjugates) is None:
         return passed
     rng = np.random.default_rng(seed)
     done, step = 0, min(_FIRST_DRAW, chunk)
@@ -653,7 +673,7 @@ def scan_sampled(
     return passed
 
 
-def _law_scan(law: Law, tables: dict[type, np.ndarray], n: int, cells: int):
+def _law_scan(law: Law, tables: dict[type, np.ndarray], n: int, cells: int, known=None):
     """Class representatives and the `failing` callback of every law scan.
 
     `failing(axes)` is lhs != rhs (`run_ops` on the op tables `tables` of a
@@ -662,13 +682,14 @@ def _law_scan(law: Law, tables: dict[type, np.ndarray], n: int, cells: int):
     class (`tables.class_reps`). The first failure is a tuple of
     representatives (see `tables`), so the witness and position are those of
     the full grid. When that grid fits in one slice of `cells`, the classes
-    would save nothing and are not computed.
+    would save nothing and are not computed. `known` keeps the classes of
+    earlier scans on the same tables (`tables.class_reps`).
 
-    The classes come from the int32 tables; `run_ops` reads them cast to
-    intp once per scan, so that every gather index is intp (`tables.gather`).
+    `run_ops` reads the tables cast to intp once per scan (no copy for those
+    already intp), so that every gather index is intp (`tables.gather`).
     """
     low, k = law.lowering, len(law.variables)
-    reps = class_reps(tables, low.lines.values(), n) if n**k > cells else [np.arange(n)] * k
+    reps = class_reps(tables, low.lines.values(), n, known) if n**k > cells else [np.arange(n)] * k
     wide = {kind: tables[kind].astype(np.intp, copy=False) for kind in low.kinds}
 
     def failing(axes):
@@ -676,6 +697,14 @@ def _law_scan(law: Law, tables: dict[type, np.ndarray], n: int, cells: int):
         return lhs != rhs
 
     return reps, failing
+
+
+def _group_law_scan(group: FiniteGroup, law: Law, cells: int):
+    """`_law_scan` on the group's op tables, with the classes kept on the group,
+    and the `conjugates` hook of `tables.first_failure`."""
+    tables = _word_tables(group, law.lowering.kinds)
+    reps, failing = _law_scan(law, tables, group.order, cells, group.law_classes)
+    return reps, failing, partial(_conjugate_table, group)
 
 
 def check_law_exhaustive(
@@ -688,8 +717,9 @@ def check_law_exhaustive(
     most significant, in slices of at most `chunk_size` (`tables.first_failure`).
 
     Only one representative per class of elements the law cannot tell apart
-    is visited (`_law_scan`); the witness and `evaluations` are those of the
-    full n^k scan.
+    is visited (`_law_scan`), and prefixes conjugate to one already scanned
+    clean are skipped (`tables.first_failure`); the witness and `evaluations`
+    are those of the full n^k scan.
     """
     n = group.order
     total = n ** len(law.variables)
@@ -698,8 +728,9 @@ def check_law_exhaustive(
             f"law {law} over order {n} needs {total} evaluations "
             f"(budget {budget}); use check_law_sampled"
         )
-    reps, failing = _law_scan(law, _word_tables(group, law.lowering.kinds), n, chunk_size)
-    return exhaustive_verdict(first_failure(reps, failing, chunk_size), law.variables, group.names)
+    reps, failing, conjugates = _group_law_scan(group, law, chunk_size)
+    bad = first_failure(reps, failing, chunk_size, conjugates)
+    return exhaustive_verdict(bad, law.variables, group.names)
 
 
 def check_law_sampled(
@@ -716,8 +747,9 @@ def check_law_sampled(
     representatives without drawing the stream; it still means that the
     `count` seeded rows all hold, and nothing more.
     """
-    reps, failing = _law_scan(law, _word_tables(group, law.lowering.kinds), group.order, chunk_size)
-    return scan_sampled(law.variables, group.names, failing, count, seed, reps, chunk_size)
+    reps, failing, conjugates = _group_law_scan(group, law, chunk_size)
+    names = group.names
+    return scan_sampled(law.variables, names, failing, count, seed, reps, chunk_size, conjugates)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,11 @@ SHARED_SCAN_PATH = {
     # which ring laws and word doubles read as well
     "lower", "Lowering", "lowering", "run_ops", "_law_scan", "_word_tables", "scan_sampled",
     "builtin_law", "BUILTIN_LAWS", "RING_WORD_LAWS",
-    # the class derivation that picks which assignments a law scan visits
-    "lines", "class_reps",
+    # the class derivation that picks which assignments a law scan visits, the
+    # orbit keys that skip prefixes conjugate to a clean one, and the per-group
+    # op tables and classes of group-law scans
+    "lines", "class_reps", "orbit_keys", "_conjugate_table", "_group_law_scan",
+    "law_tables", "law_classes",
     # the flat-take kernel of every scan, closure and series
     "gather",
     # the structure builders and subgroup series that `structure_oracles` checks

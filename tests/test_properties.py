@@ -1,12 +1,11 @@
 """Property-based tests for the structural invariants."""
 
-from collections import Counter
-from unittest import mock
+import math
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from dmagma.constructions import commutator_double
 from dmagma.groups import (
@@ -16,6 +15,7 @@ from dmagma.groups import (
     make_metacyclic,
     parse_group_spec,
 )
+from dmagma.tables import SCAN_CELLS, class_reps
 from dmagma.words import (
     Bracket,
     Conjugate,
@@ -31,6 +31,7 @@ from dmagma.words import (
     evaluate,
     free_variables,
     lower,
+    parse_law,
     parse_term,
     run_ops,
     to_string,
@@ -170,20 +171,48 @@ def test_class_representative_scan_matches_the_full_scan_oracles(g, lhs, rhs, ch
         assert got == naive_check(g, law)
 
 
-def test_sampled_scan_matches_a_scalar_walk_of_the_stream():
-    # A clean class grid settles holds-sampled without drawing; every other
-    # case draws the stream. Both must give the stream's verdict.
-    routes = Counter()
+@given(perm_groups, terms, terms, st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_orbit_skipping_scan_matches_the_full_scan_oracles(g, lhs, rhs, length):
+    # A chunk of the class grid's last k - length axes fixes the first
+    # `length` variables as scalars in every slice (fewer when one of them has
+    # a single class), so prefixes of that length are skipped by conjugation.
+    law = Law(lhs, rhs)
+    k, low = len(law.variables), law.lowering
+    assume(g.order > 1 and length <= k and g.order**k <= 5000)
+    reps = class_reps(_word_tables(g, low.kinds), low.lines.values(), g.order)
+    chunk = math.prod(len(r) for r in reps[length:])
+    got = check_law_exhaustive(g, law, chunk_size=chunk)
+    assert got == flat_index_scan(g, law)
+    if g.order**k <= 500:
+        assert got == naive_check(g, law)
 
-    @given(perm_groups, terms, terms, st.integers(1, 300), st.integers(0, 2**32 - 1))
-    @settings(max_examples=100, deadline=None)
-    def matches(g, lhs, rhs, count, seed):
-        law = Law(lhs, rhs)
-        want = stream_scan(g, law, count, seed)
-        with mock.patch.object(np.random, "default_rng", wraps=np.random.default_rng) as rng:
-            got = check_law_sampled(g, law, count, seed)
-        assert got == want
-        routes["stream" if rng.called else "grid"] += 1
 
-    matches()
-    assert routes["grid"] >= 10 and routes["stream"] >= 10, routes
+S3 = parse_group_spec("perm:(1 2),(1 2 3)")
+METABELIAN = Law(*map(parse_term, ("[x,y;z,u]", "1")))  # holds in S3
+
+
+@given(perm_groups, terms, terms, st.integers(1, 300), st.integers(0, 2**32 - 1),
+       st.sampled_from([1, 7, SCAN_CELLS]))
+@example(S3, METABELIAN.lhs, METABELIAN.rhs, 300, 5, 7)  # settled on the class grid
+@example(S3, METABELIAN.lhs, METABELIAN.rhs, 100, 5, SCAN_CELLS)  # 6^4 > 8 * 100: drawn
+@example(S3, parse_term("[x,y]"), IdentityLiteral(), 300, 5, 7)  # grid fails: drawn
+@settings(max_examples=100, deadline=None)
+def test_sampled_scan_matches_a_scalar_walk_of_the_stream(g, lhs, rhs, count, seed, chunk):
+    # A clean class grid settles holds-sampled without drawing, skipping
+    # prefixes by conjugation when a chunk cuts it into slices; every other
+    # case draws the stream. Both must give the stream's verdict. The explicit
+    # examples take each route.
+    law = Law(lhs, rhs)
+    want = stream_scan(g, law, count, seed)
+    assert check_law_sampled(g, law, count, seed, chunk_size=chunk) == want
+
+
+@pytest.mark.parametrize("text,count,chunk,drawn", [
+    ("[x,y;z,u]=1", 300, 7, False), ("[x,y;z,u]=1", 100, SCAN_CELLS, True), ("[x,y]=1", 300, 7, True),
+])
+def test_the_sampled_examples_take_both_routes(drawn_seeds, text, count, chunk, drawn):
+    law = parse_law(text)
+    got = check_law_sampled(S3, law, count, 5, chunk_size=chunk)
+    assert drawn_seeds == ([5] if drawn else [])
+    assert got == stream_scan(S3, law, count, 5)

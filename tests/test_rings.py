@@ -372,42 +372,74 @@ def line_class_counts(table) -> tuple[int, int]:
     return len(np.unique(table, axis=0)), np.unique(table, axis=1).shape[1]
 
 
-def test_no_law_scan_slice_exceeds_the_cell_cap(monkeypatch):
-    sizes = []
+def class_smallest(table, axis) -> list[int]:
+    """The smallest element of each class of equal rows (axis 0) or columns (axis 1)."""
+    return sorted(np.unique(np.asarray(table), axis=axis, return_index=True)[1].tolist())
 
-    def recording_first_failure(reps, failing, cells=SCAN_CELLS):
+
+def test_no_law_scan_slice_exceeds_the_cell_cap(monkeypatch):
+    sizes, hooks, scalars = [], [], []
+
+    def recording_first_failure(reps, failing, cells=SCAN_CELLS, conjugates=None):
+        hooks.append(conjugates)
+
         def wrapped(axes):
             sizes.append((cells, int(np.prod(np.broadcast_shapes(*(np.shape(a) for a in axes))))))
+            scalars.append(sum(np.ndim(a) == 0 for a in axes))
             return failing(axes)
 
-        return first_failure(reps, wrapped, cells)
+        return first_failure(reps, wrapped, cells, conjugates)
 
     monkeypatch.setattr(dmagma.rings, "first_failure", recording_first_failure)
     monkeypatch.setattr(dmagma.words, "first_failure", recording_first_failure)
     # Both hold, so every slice of the grid of class representatives is visited:
     # ALT3M <x,y;x,z> reads x by its bracket row and y, z by their columns,
     # DOUBLE2 2<w,x;y,z> reads w, y by their rows and x, z by their columns.
+    # (R,+) has no conjugation, so a ring law skips no prefix.
     r = parse_ring_spec("uppertri:2,4")
     rows, cols = line_class_counts(r.bracket_table())
     for name, classes, k in (("ALT3M", rows * cols**2, 3), ("DOUBLE2", (rows * cols) ** 2, 4)):
         sizes.clear()
+        hooks.clear()
         assert check_ring_law(r, name).evaluations == r.order**k
         assert sum(size for _, size in sizes) == classes < r.order**k
         assert {cap for cap, _ in sizes} == {SCAN_CELLS}
         assert max(size for _, size in sizes) <= SCAN_CELLS
-    # CI [w,x;y,z] = [w,y;x,z] reads w, x, y and z by commutator rows or columns
-    for spec, chunk in (("dihedral:16", SCAN_CELLS), ("dihedral:16", 1000), ("dihedral:4", 7)):
+        assert hooks == [None]
+    # CI [w,x;y,z] = [w,y;x,z] reads w by its commutator row, x and y by both
+    # lines and z by its column; [x,y]^-1 = [y,x], so rows and columns make the
+    # same classes. CI holds, so the grid of class representatives is visited
+    # except for the prefixes of scalars (w, ...) conjugate to an earlier one:
+    # every slice of the first prefix of each simultaneous-conjugation orbit.
+    cases = (
+        ("dihedral:16", SCAN_CELLS), ("dihedral:16", 1000), ("dihedral:4", 7),
+        ("metacyclic:7,3,2", SCAN_CELLS), ("metacyclic:7,3,2", 500),
+    )
+    for spec, chunk in cases:
         g = parse_group_spec(spec)
         comm = np.array([[g.commutator(x, y) for y in range(g.order)] for x in range(g.order)])
-        rows, cols = line_class_counts(comm)
+        reps = class_smallest(comm, 0)
+        assert reps == class_smallest(comm, 1)
         sizes.clear()
+        scalars.clear()
         verdict = check_law_exhaustive(g, builtin_law("CI"), chunk_size=chunk)  # CI holds
         assert verdict.evaluations == g.order**4
-        assert sum(size for _, size in sizes) == (rows * cols) ** 2 < g.order**4
+        fixed = scalars[0]  # the slices' scalar prefix length, the same in every slice
+        assert set(scalars) == {fixed}
+        grid = [reps] * 4
+        orbits = {
+            min(tuple(g.conjugate(x, h) for x in prefix) for h in g.elements())
+            for prefix in itertools.product(*grid[:fixed])
+        }
+        per_prefix = int(np.prod([len(c) for c in grid[fixed:]]))
+        assert sum(size for _, size in sizes) == len(orbits) * per_prefix <= len(reps) ** 4
         assert {cap for cap, _ in sizes} == {chunk}
         assert max(size for _, size in sizes) <= chunk
         if chunk < SCAN_CELLS:
             assert sum(size for _, size in sizes) > chunk
+    # metacyclic:7,3,2 has trivial centre (21 classes of one element), and a
+    # prefix is skipped at both chunks
+    assert len(orbits) < len(reps) ** fixed
 
 
 def test_sampled_fallback_past_budget():

@@ -24,6 +24,7 @@ from dmagma.tables import (
     first_associativity_failure,
     first_failure,
     first_interchange_failure,
+    orbit_keys,
 )
 from dmagma.words import (
     COUNTEREXAMPLE,
@@ -266,10 +267,32 @@ def test_slices_tile_the_representative_grid_in_lexicographic_order(sizes, cells
         assert first_failure(reps, fails_from, cells) == target
 
 
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_orbit_keys_are_equal_exactly_for_simultaneous_conjugates(length):
+    g = parse_group_spec("perm:(1 2),(1 2 3 4)")
+    conj = np.array([[g.conjugate(x, h) for h in g.elements()] for x in g.elements()])
+    key = orbit_keys(conj, length)
+    prefixes = set(itertools.product(range(6) if length == 3 else g.elements(), repeat=length))
+    same_key: dict = {}
+    for p in prefixes:
+        same_key.setdefault(key(p), set()).add(p)
+    for p in prefixes:
+        orbit = {tuple(g.conjugate(x, h) for x in p) for h in g.elements()}
+        assert same_key[key(p)] == orbit & prefixes, p
+
+
+def test_orbit_keys_stop_where_a_code_might_overflow():
+    conj = np.array([[0, 1], [1, 0]])  # C2 acting on itself by swapping (a stand-in)
+    assert orbit_keys(conj, 61) is not None
+    assert orbit_keys(conj, 62) is None  # 2^62 codes
+
+
 def test_no_table_scan_slice_exceeds_the_cell_cap(monkeypatch):
     sizes = []
 
-    def recording_first_failure(reps, failing, cells=SCAN_CELLS):
+    def recording_first_failure(reps, failing, cells=SCAN_CELLS, conjugates=None):
+        assert conjugates is None  # the table route reads nothing of G
+
         def wrapped(axes):
             sizes.append(int(np.prod(np.broadcast_shapes(*(np.shape(a) for a in axes)))))
             return failing(axes)

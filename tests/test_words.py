@@ -418,6 +418,107 @@ def test_word_tables_share_no_memory_with_the_table_route(corpus_groups):
             assert not np.shares_memory(table, star), spec
 
 
+def test_law_op_tables_and_classes_are_kept_on_the_group(monkeypatch):
+    # built on the first law check that needs them, in intp, and read again
+    # by later checks; the constructor builds neither
+    g = parse_group_spec("metacyclic:7,3,2")
+    assert "law_tables" not in vars(g) and "law_classes" not in vars(g)
+    seen = []
+
+    def recording_first_failure(reps, failing, cells=SCAN_CELLS, conjugates=None):
+        seen.append(reps)
+        return first_failure(reps, failing, cells, conjugates)
+
+    monkeypatch.setattr(dmagma.words, "first_failure", recording_first_failure)
+    law = builtin_law("L1")  # 21^4 > SCAN_CELLS, so its classes are derived
+    first = check_law_exhaustive(g, law)
+    tables = dict(g.law_tables)
+    assert set(tables) == {Bracket, Conjugate}  # the conjugates of a skipped prefix
+    assert all(t.dtype == np.intp and not t.flags.writeable for t in tables.values())
+    assert check_law_exhaustive(g, law) == first
+    assert all(a is b for a, b in zip(seen[0], seen[1]))
+    assert all(g.law_tables[kind] is t for kind, t in tables.items())
+    assert _word_tables(g, lower(parse_term("[x,y]")).kinds)[Bracket] is tables[Bracket]
+
+
+def test_conjugates_are_first_built_after_a_clean_prefix():
+    # chunks of 6 fix x as a scalar on S3; a failure at x = 1 costs no conjugate table
+    s3 = "perm:(1 2),(1 2 3)"
+    g = parse_group_spec(s3)
+    assert check_law_exhaustive(g, parse_law("x=y"), chunk_size=6).evaluations == 2
+    assert Conjugate not in g.law_tables
+    got = check_law_exhaustive(g, parse_law("[x^2,y]=1"), chunk_size=6)
+    assert got.evaluations == 14 and Conjugate in g.law_tables
+
+
+def simultaneous_orbits(g, length) -> int:
+    """Orbits of G on G^length under simultaneous conjugation, counted with scalar lookups."""
+    return len({
+        min(tuple(g.conjugate(x, h) for x in prefix) for h in g.elements())
+        for prefix in itertools.product(g.elements(), repeat=length)
+    })
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_a_law_that_holds_scans_one_prefix_per_conjugation_orbit(monkeypatch, no_sample_stream,
+                                                                 length):
+    # S3 has trivial centre, so its 6 elements are 6 classes of [x,y;z,u]; a
+    # chunk of 6^(4 - length) fixes the first `length` variables as scalars.
+    # The law holds (S3 is metabelian), and one slice per orbit of prefixes is
+    # scanned: 3, 11 and 49 of 6, 36 and 216.
+    slices = []
+
+    def recording_first_failure(reps, failing, cells=SCAN_CELLS, conjugates=None):
+        def wrapped(axes):
+            slices.append(sum(np.ndim(a) == 0 for a in axes))
+            return failing(axes)
+
+        return first_failure(reps, wrapped, cells, conjugates)
+
+    monkeypatch.setattr(dmagma.words, "first_failure", recording_first_failure)
+    g, law = parse_group_spec("perm:(1 2),(1 2 3)"), parse_law("[x,y;z,u]=1")
+    chunk = 6 ** (4 - length)
+    assert check_law_exhaustive(g, law, chunk_size=chunk) == flat_index_scan(g, law)
+    assert slices == [length] * simultaneous_orbits(g, length) == [length] * [3, 11, 49][length - 1]
+    slices.clear()
+    got = check_law_sampled(g, law, 300, 1, chunk_size=chunk)  # settled on the class grid
+    assert got == Verdict(HOLDS_SAMPLED, 300, None, 300, 1)
+    assert len(slices) == [3, 11, 49][length - 1]
+
+
+def merge_orbit(monkeypatch, g, into: str, merged: str):
+    """Make `tables.orbit_keys` give the one-element prefix `merged` the orbit key of `into`."""
+    real = dmagma.tables.orbit_keys
+
+    def merging(conj, length):
+        key = real(conj, length)
+        a, b = (key((g.index_of(name),)) for name in (into, merged))
+        return lambda prefix: a if key(prefix) == b else key(prefix)
+
+    monkeypatch.setattr(dmagma.tables, "orbit_keys", merging)
+
+
+def keys_from_products(monkeypatch, g, into, merged):
+    """Read the orbit keys from the product table x*g instead of the conjugates x^g."""
+    monkeypatch.setattr(dmagma.words, "_conjugate_table", lambda group: group.mul.astype(np.intp))
+
+
+@pytest.mark.parametrize("mutate", [merge_orbit, keys_from_products])
+def test_a_wrong_orbit_key_is_caught(monkeypatch, mutate):
+    # With x fixed as a scalar, [x^2,y] first fails at x = (1 2 3), after the
+    # clean prefixes 1 and (1 2). Either mutant merges (1 2 3) with (1 2),
+    # which is not conjugate to it (orders 3 and 2), so the scan skips the
+    # failing prefix and its conjugate (1 3 2) and reports the law as holding.
+    g, law = parse_group_spec("perm:(1 2),(1 2 3)"), parse_law("[x^2,y]=1")
+    want, stream = flat_index_scan(g, law), stream_scan(g, law, 300, 1)
+    assert check_law_exhaustive(g, law, chunk_size=6) == want == naive_check(g, law)
+    assert check_law_sampled(g, law, 300, 1, chunk_size=6) == stream
+    assert want.status == stream.status == COUNTEREXAMPLE
+    mutate(monkeypatch, g, "(1 2)", "(1 2 3)")
+    assert check_law_exhaustive(g, law, chunk_size=6) != want
+    assert check_law_sampled(g, law, 300, 1, chunk_size=6) != stream
+
+
 def test_chunked_scan_is_deterministic():
     g = make_dihedral(4)
     law = parse_law("[x,y,z]=1")
@@ -494,12 +595,14 @@ def test_a_sampled_scan_draws_a_short_first_slice(monkeypatch):
     sizes = []
     real = dmagma.words.scan_sampled
 
-    def recording_scan_sampled(variables, names, failing, count, seed, reps, chunk=SCAN_CELLS):
+    def recording_scan_sampled(
+        variables, names, failing, count, seed, reps, chunk=SCAN_CELLS, conjugates=None
+    ):
         def wrapped(axes):
             sizes.append(int(np.prod(np.broadcast_shapes(*(np.shape(a) for a in axes)))))
             return failing(axes)
 
-        return real(variables, names, wrapped, count, seed, reps, chunk)
+        return real(variables, names, wrapped, count, seed, reps, chunk, conjugates)
 
     monkeypatch.setattr(dmagma.words, "scan_sampled", recording_scan_sampled)
     # S4's L3 grid (24^5 tuples) is larger than 8 * 10^5, so the stream is drawn
