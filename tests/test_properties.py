@@ -209,7 +209,9 @@ def test_sampled_scan_matches_a_scalar_walk_of_the_stream(g, lhs, rhs, count, se
 
 
 @pytest.mark.parametrize("text,count,chunk,drawn", [
-    ("[x,y;z,u]=1", 300, 7, False), ("[x,y;z,u]=1", 100, SCAN_CELLS, True), ("[x,y]=1", 300, 7, True),
+    ("[x,y;z,u]=1", 300, 7, False),
+    ("[x,y;z,u]=1", 100, SCAN_CELLS, True),
+    ("[x,y]=1", 300, 7, True),
 ])
 def test_the_sampled_examples_take_both_routes(drawn_seeds, text, count, chunk, drawn):
     law = parse_law(text)

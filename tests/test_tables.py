@@ -282,7 +282,7 @@ def test_orbit_keys_are_equal_exactly_for_simultaneous_conjugates(length):
 
 
 def test_orbit_keys_stop_where_a_code_might_overflow():
-    conj = np.array([[0, 1], [1, 0]])  # C2 acting on itself by swapping (a stand-in)
+    conj = np.array([[0, 0], [1, 1]])  # C2: each element is its only conjugate
     assert orbit_keys(conj, 61) is not None
     assert orbit_keys(conj, 62) is None  # 2^62 codes
 

@@ -433,7 +433,7 @@ def test_law_op_tables_and_classes_are_kept_on_the_group(monkeypatch):
     law = builtin_law("L1")  # 21^4 > SCAN_CELLS, so its classes are derived
     first = check_law_exhaustive(g, law)
     tables = dict(g.law_tables)
-    assert set(tables) == {Bracket, Conjugate}  # the conjugates of a skipped prefix
+    assert set(tables) == {Bracket, Conjugate}  # the conjugates the orbit keys read
     assert all(t.dtype == np.intp and not t.flags.writeable for t in tables.values())
     assert check_law_exhaustive(g, law) == first
     assert all(a is b for a, b in zip(seen[0], seen[1]))
@@ -479,42 +479,45 @@ def test_a_law_that_holds_scans_one_prefix_per_conjugation_orbit(monkeypatch, no
     g, law = parse_group_spec("perm:(1 2),(1 2 3)"), parse_law("[x,y;z,u]=1")
     chunk = 6 ** (4 - length)
     assert check_law_exhaustive(g, law, chunk_size=chunk) == flat_index_scan(g, law)
-    assert slices == [length] * simultaneous_orbits(g, length) == [length] * [3, 11, 49][length - 1]
+    orbits = simultaneous_orbits(g, length)
+    assert slices == [length] * orbits and orbits == [3, 11, 49][length - 1]
     slices.clear()
     got = check_law_sampled(g, law, 300, 1, chunk_size=chunk)  # settled on the class grid
     assert got == Verdict(HOLDS_SAMPLED, 300, None, 300, 1)
-    assert len(slices) == [3, 11, 49][length - 1]
+    assert len(slices) == orbits
 
 
-def merge_orbit(monkeypatch, g, into: str, merged: str):
-    """Make `tables.orbit_keys` give the one-element prefix `merged` the orbit key of `into`."""
+def merge_orbits(monkeypatch, g):
+    """Make `tables.orbit_keys` give the one-element prefix (1 2 3) the orbit key of (1 2)."""
     real = dmagma.tables.orbit_keys
 
     def merging(conj, length):
         key = real(conj, length)
-        a, b = (key((g.index_of(name),)) for name in (into, merged))
+        a, b = (key((g.index_of(name),)) for name in ("(1 2)", "(1 2 3)"))
         return lambda prefix: a if key(prefix) == b else key(prefix)
 
     monkeypatch.setattr(dmagma.tables, "orbit_keys", merging)
 
 
-def keys_from_products(monkeypatch, g, into, merged):
+def keys_from_products(monkeypatch, g):
     """Read the orbit keys from the product table x*g instead of the conjugates x^g."""
-    monkeypatch.setattr(dmagma.words, "_conjugate_table", lambda group: group.mul.astype(np.intp))
+    products = g.mul.astype(np.intp)
+    monkeypatch.setattr(dmagma.words, "_conjugate_table", lambda group: products)
 
 
-@pytest.mark.parametrize("mutate", [merge_orbit, keys_from_products])
+@pytest.mark.parametrize("mutate", [merge_orbits, keys_from_products])
 def test_a_wrong_orbit_key_is_caught(monkeypatch, mutate):
     # With x fixed as a scalar, [x^2,y] first fails at x = (1 2 3), after the
     # clean prefixes 1 and (1 2). Either mutant merges (1 2 3) with (1 2),
     # which is not conjugate to it (orders 3 and 2), so the scan skips the
-    # failing prefix and its conjugate (1 3 2) and reports the law as holding.
+    # failing prefix and its conjugate (1 3 2) and reports the law as holding;
+    # the product-table mutant merges every prefix into one orbit.
     g, law = parse_group_spec("perm:(1 2),(1 2 3)"), parse_law("[x^2,y]=1")
     want, stream = flat_index_scan(g, law), stream_scan(g, law, 300, 1)
     assert check_law_exhaustive(g, law, chunk_size=6) == want == naive_check(g, law)
     assert check_law_sampled(g, law, 300, 1, chunk_size=6) == stream
     assert want.status == stream.status == COUNTEREXAMPLE
-    mutate(monkeypatch, g, "(1 2)", "(1 2 3)")
+    mutate(monkeypatch, g)
     assert check_law_exhaustive(g, law, chunk_size=6) != want
     assert check_law_sampled(g, law, 300, 1, chunk_size=6) != stream
 
