@@ -65,5 +65,9 @@ def word_double(g: FiniteGroup, word: WordPair | Term | str) -> DoubleMagma:
 
 
 def ring_commutator_double(r: FiniteRing) -> DoubleMagma:
-    """Double magma with x*y = <x,y> = xy - yx and x•y = <y,x>."""
-    return _double(r.bracket_table(), r.names, label=f"ring-commutator({r.label})")
+    """Double magma with x*y = <x,y> = xy - yx and x•y = <y,x>.
+
+    Built as xy + (-y)x, apart from the `r.bracket_table()` the ring laws scan.
+    """
+    star = r.add.reshape(-1)[flat_cells(r.mul, r.mul[r.neg].T, r.order)]  # [x, y] -> xy + (-y)x
+    return _double(star, r.names, label=f"ring-commutator({r.label})")

@@ -40,7 +40,7 @@ from .tables import (
     DEFAULT_ORDER_BUDGET,
     as_table,
     carrier_names,
-    check_order_budget,
+    check_order,
     first_associativity_failure,
     gather,
     is_latin,
@@ -362,18 +362,18 @@ def _power_name(letter: str, e: int) -> str:
     return f"{letter}{e}"
 
 
-def make_cyclic(n: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteGroup:
+def make_cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n with names 1, a, a2, ..."""
     if n < 1:
         raise ValueError("cyclic group order must be at least 1")
-    check_order_budget(n, order_budget, "cyclic group")
+    check_order(n, "cyclic group")
     mul = np.add.outer(np.arange(n, dtype=np.int32), np.arange(n, dtype=np.int32))
     mul %= n
     names = ["1"] + [_power_name("a", i) for i in range(1, n)]
     return FiniteGroup(mul, names, label=f"cyclic:{n}")
 
 
-def make_metacyclic(m: int, n: int, r: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteGroup:
+def make_metacyclic(m: int, n: int, r: int) -> FiniteGroup:
     """Group of order m*n on elements a^i b^j with b a b^-1 = a^r.
 
     The product is (i, j)(k, l) = (i + k*r^j mod m, j + l mod n); elements are
@@ -390,7 +390,7 @@ def make_metacyclic(m: int, n: int, r: int, order_budget: int = DEFAULT_ORDER_BU
             f"metacyclic parameters need r^n = 1 (mod m); got {r}^{n} = {rn} (mod {m})"
         )
     order = m * n
-    check_order_budget(order, order_budget, "metacyclic group")
+    check_order(order, "metacyclic group")
     # As a 4-D array [j, i, l, k]: ((j + l) mod n) * m + (i + k*r^j) mod m, built
     # from an n x n and an n x m x m part. No partial value reaches m*m.
     dtype = np.int32 if m * m < 2**31 else np.int64
@@ -409,11 +409,11 @@ def make_metacyclic(m: int, n: int, r: int, order_budget: int = DEFAULT_ORDER_BU
     return FiniteGroup(mul, names, label=f"metacyclic:{m},{n},{r}")
 
 
-def make_dihedral(m: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteGroup:
+def make_dihedral(m: int) -> FiniteGroup:
     """Dihedral group of order 2m, as the metacyclic group with b a b^-1 = a^{m-1}."""
     if m < 1:
         raise ValueError("dihedral parameter must be at least 1")
-    g = make_metacyclic(m, 2, m - 1 if m > 1 else 0, order_budget)
+    g = make_metacyclic(m, 2, m - 1 if m > 1 else 0)
     g.label = f"dihedral:{m}"
     return g
 
@@ -427,13 +427,13 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def make_heisenberg(p: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteGroup:
+def make_heisenberg(p: int) -> FiniteGroup:
     """Nonabelian group of order p^3 on triples with a shear in the last slot.
 
     (x1,y1,z1)(x2,y2,z2) = (x1+x2, y1+y2, z1+z2+x1*y2), all mod p.
     """
     order = p**3
-    check_order_budget(order, order_budget, "heisenberg group")
+    check_order(order, "heisenberg group")
     if not _is_prime(p):
         raise ValueError(f"heisenberg parameter must be prime, got {p}")
     # As a 6-D array [x1, y1, z1, x2, y2, z2], from a part in x and y and one in x1, z, y2.
@@ -490,7 +490,7 @@ def _cycle_name(images0, labels) -> str:
     return "".join("(" + " ".join(str(labels[p]) for p in c) + ")" for c in cycles)
 
 
-def make_from_permutations(generators, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteGroup:
+def make_from_permutations(generators) -> FiniteGroup:
     """Closure of the given permutations under composition.
 
     Each generator is a 1-based image tuple over {1..k} (see perm_from_cycles).
@@ -506,10 +506,10 @@ def make_from_permutations(generators, order_budget: int = DEFAULT_ORDER_BUDGET)
         k = max(k, len(g))
         gens.append(g)
     gens = [tuple(v - 1 for v in g) + tuple(range(len(g), k)) for g in gens]
-    return _permutation_group(gens, range(1, k + 1), order_budget)
+    return _permutation_group(gens, range(1, k + 1))
 
 
-def _permutation_group(gens, labels, order_budget: int) -> FiniteGroup:
+def _permutation_group(gens, labels) -> FiniteGroup:
     """The group generated by 0-based image tuples over the points 0..len(labels)-1.
 
     The closure runs breadth first, one level at a time: element b enters as
@@ -535,9 +535,9 @@ def _permutation_group(gens, labels, order_budget: int) -> FiniteGroup:
             key = buf[c * width : (c + 1) * width]
             b = index.get(key)
             if b is None:
-                if len(index) >= order_budget:
+                if len(index) >= DEFAULT_ORDER_BUDGET:
                     raise ValueError(
-                        f"permutation closure exceeds order budget {order_budget} "
+                        f"permutation closure exceeds order budget {DEFAULT_ORDER_BUDGET} "
                         f"(partial size {len(index) + 1})"
                     )
                 b = index[key] = len(index)
@@ -563,10 +563,10 @@ def _permutation_group(gens, labels, order_budget: int) -> FiniteGroup:
     return FiniteGroup(cols.T, names, label="perm-closure")
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteGroup:
+def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product on pairs, indexed g*|H| + h."""
     order = g.order * h.order
-    check_order_budget(order, order_budget, "direct product")
+    check_order(order, "direct product")
     mul = np.empty((g.order, h.order, g.order, h.order), dtype=np.int32)  # [a1, b1, a2, b2]
     np.multiply(g.mul[:, None, :, None], h.order, out=mul)
     mul += h.mul[:, None, :]
@@ -655,44 +655,44 @@ def _parse_perm_generators(cur: _Cursor) -> tuple[list[tuple[int, ...]], list[in
     return gens, points
 
 
-def _parse_spec(cur: _Cursor, order_budget: int) -> FiniteGroup:
+def _parse_spec(cur: _Cursor) -> FiniteGroup:
     head = cur.word()
     cur.expect(":")
     if head == "cyclic":
-        return make_cyclic(cur.number(), order_budget)
+        return make_cyclic(cur.number())
     if head == "dihedral":
-        return make_dihedral(cur.number(), order_budget)
+        return make_dihedral(cur.number())
     if head == "metacyclic":
         m = cur.number()
         cur.expect(",")
         n = cur.number()
         cur.expect(",")
         r = cur.number()
-        return make_metacyclic(m, n, r, order_budget)
+        return make_metacyclic(m, n, r)
     if head == "heisenberg":
-        return make_heisenberg(cur.number(), order_budget)
+        return make_heisenberg(cur.number())
     if head == "perm":
         try:
             gens, points = _parse_perm_generators(cur)
-            return _permutation_group([tuple(v - 1 for v in g) for g in gens], points, order_budget)
+            return _permutation_group([tuple(v - 1 for v in g) for g in gens], points)
         except ValueError as e:
             raise SpecError(str(e)) from None
     if head == "product":
-        left = _parse_spec(cur, order_budget)
+        left = _parse_spec(cur)
         cur.expect(",")
-        right = _parse_spec(cur, order_budget)
-        return direct_product(left, right, order_budget)
+        right = _parse_spec(cur)
+        return direct_product(left, right)
     raise SpecError(
         f"unknown group spec '{head}' "
         "(expected cyclic, dihedral, metacyclic, heisenberg, perm, or product)"
     )
 
 
-def parse_group_spec(spec: str, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteGroup:
+def parse_group_spec(spec: str) -> FiniteGroup:
     """Build a group from its mini-syntax string, e.g. 'dihedral:8'."""
     cur = _Cursor(spec)
     try:
-        g = _parse_spec(cur, order_budget)
+        g = _parse_spec(cur)
     except ValueError as e:
         if isinstance(e, SpecError):
             raise

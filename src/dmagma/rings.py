@@ -8,7 +8,7 @@ evaluator decides them. Iterated brackets nest to the left,
 
 Matrix rings are built one supported entry at a time, each a broadcast term
 over the digits it reads (`_matrix_ring_from_entries`), after their order n^d
-and their d entries per element have both passed the order budget.
+and their d entries per element have both passed the fixed order budget.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ from .tables import (
     SCAN_CELLS,
     as_table,
     carrier_names,
-    check_order_budget,
-    check_power_budget,
+    check_order,
+    check_power_order,
     first_associativity_failure,
     first_failure,
     flat_cells,
-    gather,
     is_latin,
     light_associative,
     magma_generators,
@@ -62,23 +61,27 @@ RING_WORD_LAWS = {
 RING_LAWS = tuple(RING_WORD_LAWS)
 
 
-def _generator_checks_pass(add: np.ndarray, mul: np.ndarray) -> bool:
-    """Ring axioms past the Latin and commutativity checks, in O(|A| n^2).
+def _right_distributes(add: np.ndarray, mul: np.ndarray, gens) -> bool:
+    """(y+a)x = yx + ax for all x, y and each a in `gens`, in O(|gens| n^2).
 
-    A generates (R,+). Addition is associative by Light's test over A. A map f
-    with f(y+a) = f(y) + f(a) for all y and every a in A is additive, so the
-    right distributive law follows from (y+a)x = yx + ax for all x, y and each
-    a in A. Then x -> x(y+a) - xy - xa is additive too, so the left law needs
-    only x in A: b(y+a) = by + ba for all y and b, a in A. The associator is
-    then additive in each argument, so A^3 decides associativity of the product.
+    Over generators of (R,+) this is the right distributive law, since a map f
+    with f(y+a) = f(y) + f(a) for every generator a is additive; on the
+    transpose of `mul` it is the left law.
     """
-    gens = magma_generators(add)
-    if not light_associative(add, gens):
+    flat = add.reshape(-1)  # add is commutative, so row a of add maps y to y+a
+    return all(np.array_equal(mul[add[a]], flat[flat_cells(mul, mul[a], len(add))]) for a in gens)
+
+
+def _generator_checks_pass(add: np.ndarray, mul: np.ndarray, gens) -> bool:
+    """The product's ring axioms over generators A of an abelian (R,+), in O(|A| n^2).
+
+    The right distributive law is `_right_distributes`. Then x -> x(y+a) -
+    xy - xa is additive too, so the left law needs only x in A: b(y+a) = by +
+    ba for all y and b, a in A. The associator is then additive in each
+    argument, so A^3 decides associativity of the product.
+    """
+    if not _right_distributes(add, mul, gens):
         return False
-    flat = add.reshape(-1)
-    for a in gens:  # (y+a)x = yx + ax; add is commutative, so row a of add maps y to y+a
-        if not np.array_equal(mul[add[a]], flat[flat_cells(mul, mul[a], len(add))]):
-            return False
     g = np.asarray(gens)
     rows = mul[g]  # [b, y] -> by
     if not np.array_equal(rows[:, add[g]], add[rows[:, None, :], rows[:, g][:, :, None]]):  # b(y+a)
@@ -90,10 +93,10 @@ def _generator_checks_pass(add: np.ndarray, mul: np.ndarray) -> bool:
 class FiniteRing:
     """A finite (not necessarily unital) ring given by dense add and mul tables.
 
-    Tables are validated in O(|A| n^2) for a generating set A of (R,+). A
-    table that fails is rescanned in full, so the error names the first
-    failing axiom in the fixed order below and, for the product, the first
-    non-associative triple.
+    Tables are validated in O(|A| n^2) for a generating set A of (R,+), and
+    the error names the first failing axiom in the fixed order below. Only a
+    product that fails is scanned in full, to name its first non-associative
+    triple; a distributive law is then named by its exact check over A.
     """
 
     def __init__(self, add, mul, names, label: str | None = None):
@@ -105,18 +108,20 @@ class FiniteRing:
             raise ValueError("addition table is not a Latin square")
         if not np.array_equal(add, add.T):
             raise ValueError("addition must be commutative")
-        valid = _generator_checks_pass(add, mul)
-        if not valid and first_associativity_failure(add) is not None:
+        gens = magma_generators(add)
+        if not light_associative(add, gens):
             raise ValueError("addition must be associative")
         zero = two_sided_identity(add)
         if zero is None:
             raise ValueError("addition has no zero element")
-        neg = np.argmax(add == zero, axis=1).astype(np.int32)
-        neg.setflags(write=False)
-        if not valid:
+        if not _generator_checks_pass(add, mul, gens):
             bad = first_associativity_failure(mul)
             if bad is not None:
                 raise ValueError(f"multiplication is not associative at {bad}")
+            side = "right" if _right_distributes(add, np.ascontiguousarray(mul.T), gens) else "left"
+            raise ValueError(f"multiplication does not {side}-distribute over addition")
+        neg = np.argmax(add == zero, axis=1).astype(np.int32)
+        neg.setflags(write=False)
         self.order = n
         self.add = add
         self.mul = mul
@@ -126,25 +131,6 @@ class FiniteRing:
         self._bracket.setflags(write=False)
         self.names = names
         self.label = label if label is not None else f"ring-of-order-{n}"
-        if not valid:
-            self._check_distributive()
-
-    def _check_distributive(self):
-        a, m = self.add.astype(np.intp), self.mul.astype(np.intp)
-        reps = [np.arange(self.order)] * 3
-
-        def left(axes):  # x*(y+z) == x*y + x*z
-            x, y, z = axes
-            return gather(m, x, gather(a, y, z)) != gather(a, gather(m, x, y), gather(m, x, z))
-
-        def right(axes):  # (x+y)*z == x*z + y*z
-            x, y, z = axes
-            return gather(m, gather(a, x, y), z) != gather(a, gather(m, x, z), gather(m, y, z))
-
-        if first_failure(reps, left) is not None:
-            raise ValueError("multiplication does not left-distribute over addition")
-        if first_failure(reps, right) is not None:
-            raise ValueError("multiplication does not right-distribute over addition")
 
     def __repr__(self):
         return f"FiniteRing({self.label!r}, order={self.order})"
@@ -167,18 +153,18 @@ def lie_bracket(r: FiniteRing, x: int, y: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def make_zmod(n: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteRing:
+def make_zmod(n: int) -> FiniteRing:
     """Integers mod n with the usual tables."""
     if n < 1:
         raise ValueError("modulus must be at least 1")
-    check_order_budget(n, order_budget, "zmod ring")
+    check_order(n, "zmod ring")
     idx = np.arange(n, dtype=np.int64)
     add = (idx[:, None] + idx[None, :]) % n
     mul = (idx[:, None] * idx[None, :]) % n
     return FiniteRing(add, mul, [str(i) for i in range(n)], label=f"zmod:{n}")
 
 
-def _matrix_ring_from_entries(kind: str, k: int, n: int, order_budget: int) -> FiniteRing:
+def _matrix_ring_from_entries(kind: str, k: int, n: int) -> FiniteRing:
     """Ring `kind:k,n` of all ("matrix") or upper-triangular ("uppertri") k x k matrices mod n.
 
     Its d supported positions (k^2, or k(k+1)/2) are held to the order budget
@@ -195,9 +181,9 @@ def _matrix_ring_from_entries(kind: str, k: int, n: int, order_budget: int) -> F
     """
     label, upper = f"{kind}:{k},{n}", kind == "uppertri"
     d = k * (k + 1) // 2 if upper else k * k
-    check_power_budget(n, d, order_budget, label)
-    if d > order_budget:
-        raise ValueError(f"{label} has {d} entries per element, exceeding the order budget {order_budget}")
+    check_power_order(n, d, label)
+    if d > DEFAULT_ORDER_BUDGET:
+        raise ValueError(f"{label} has {d} entries per element, exceeding the order budget {DEFAULT_ORDER_BUDGET}")
     positions = [(i, j) for i in range(k) for j in range(i if upper else 0, k)]
     slot = {pos: s for s, pos in enumerate(positions)}
     order = n**d
@@ -225,37 +211,40 @@ def _matrix_ring_from_entries(kind: str, k: int, n: int, order_budget: int) -> F
     return FiniteRing(add.reshape(order, order), mul.reshape(order, order), names, label=label)
 
 
-def make_matrix_ring(k: int, n: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteRing:
+def make_matrix_ring(k: int, n: int) -> FiniteRing:
     """Full ring of k x k matrices over the integers mod n."""
     if k < 1 or n < 1:
         raise ValueError("matrix ring needs k >= 1 and n >= 1")
-    return _matrix_ring_from_entries("matrix", k, n, order_budget)
+    return _matrix_ring_from_entries("matrix", k, n)
 
 
-def make_upper_triangular(k: int, n: int, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteRing:
+def make_upper_triangular(k: int, n: int) -> FiniteRing:
     """Subring of upper-triangular k x k matrices over the integers mod n."""
     if k < 1 or n < 1:
         raise ValueError("upper-triangular ring needs k >= 1 and n >= 1")
-    return _matrix_ring_from_entries("uppertri", k, n, order_budget)
+    return _matrix_ring_from_entries("uppertri", k, n)
 
 
-def parse_ring_spec(spec: str, order_budget: int = DEFAULT_ORDER_BUDGET) -> FiniteRing:
+def parse_ring_spec(spec: str) -> FiniteRing:
     """Build a ring from its mini-syntax: zmod:n | matrix:k,n | uppertri:k,n."""
     text = spec.strip()
     head, sep, args = text.partition(":")
     if not sep:
         raise SpecError(f"ring spec {spec!r} needs the form name:args")
-    try:
-        numbers = [int(a) for a in args.split(",")] if args else []
-    except ValueError:
-        raise SpecError(f"ring spec {spec!r}: arguments must be integers") from None
+    words = args.split(",") if args else []
+    try:  # decimal digits only, as in group specs; int() alone also takes a sign or "_"
+        numbers = [int(a) for a in words if a.strip().isdecimal()]
+    except ValueError:  # more digits than int() converts
+        numbers = []
+    if len(numbers) != len(words):
+        raise SpecError(f"ring spec {spec!r}: arguments must be integers")
     try:
         if head == "zmod" and len(numbers) == 1:
-            return make_zmod(numbers[0], order_budget)
+            return make_zmod(*numbers)
         if head == "matrix" and len(numbers) == 2:
-            return make_matrix_ring(*numbers, order_budget=order_budget)
+            return make_matrix_ring(*numbers)
         if head == "uppertri" and len(numbers) == 2:
-            return make_upper_triangular(*numbers, order_budget=order_budget)
+            return make_upper_triangular(*numbers)
     except ValueError as e:
         raise SpecError(f"{spec!r}: {e}") from None
     raise SpecError(

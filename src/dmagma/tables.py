@@ -4,8 +4,11 @@ Everything here works on plain ``n x n`` integer arrays whose entries are
 element indices, so the same scans back groups, rings and bare magmas.
 Scans report the lexicographically first failing tuple, which keeps
 witnesses deterministic regardless of slice size. The generator-based tests
-(`magma_generators`, `light_associative`) only answer yes or no; callers that
-need a witness fall back to the full scans. `magma_generators` tries element
+(`magma_generators`, `light_associative`) only answer yes or no; a
+constructor that must name a non-associative triple runs the full scan
+(`first_associativity_failure`) on the table that failed them. Constructors
+refuse a carrier over `DEFAULT_ORDER_BUDGET` elements before building it
+(`check_order`, `check_power_order`). `magma_generators` tries element
 0 last and grows what it reaches semi-naively, so a group's identity is never
 a generator and a cyclic run is reached in log n rounds; the constructors
 validate with its generators, and the subgroup series take the few
@@ -67,25 +70,25 @@ SCAN_CELLS = 1 << 14
 # Most full trailing axes a `first_failure` slice spans (numpy allows 64).
 MAX_AXES = 32
 
-# Largest carrier the group and ring constructors build by default.
+# Largest carrier the group and ring constructors build.
 DEFAULT_ORDER_BUDGET = 1024
 
 
-def check_order_budget(order: int, budget: int, what: str) -> None:
-    if order > budget:
-        raise ValueError(f"{what} has order {order}, exceeding the order budget {budget}")
+def check_order(order: int, what: str) -> None:
+    if order > DEFAULT_ORDER_BUDGET:
+        raise ValueError(f"{what} has order {order}, exceeding the order budget {DEFAULT_ORDER_BUDGET}")
 
 
-def check_power_budget(base: int, exp: int, budget: int, what: str) -> None:
-    """check_order_budget for order base**exp, without computing a power sure to exceed it.
+def check_power_order(base: int, exp: int, what: str) -> None:
+    """check_order for order base**exp, without computing a power sure to exceed it.
 
-    With base >= 2, base**exp >= 2**exp > budget once exp reaches the budget's
-    bit length. From exponent 64 on, such an order is named as base^exp;
-    smaller powers are computed and named in full.
+    With base >= 2 and exp >= 64, base**exp >= 2**64 is far over the budget;
+    such an order is named as base^exp. Smaller powers are computed and named
+    in full.
     """
-    if base > 1 and exp >= max(budget.bit_length(), 64):
-        raise ValueError(f"{what} has order {base}^{exp}, exceeding the order budget {budget}")
-    check_order_budget(base**exp, budget, what)
+    if base > 1 and exp >= 64:
+        raise ValueError(f"{what} has order {base}^{exp}, exceeding the order budget {DEFAULT_ORDER_BUDGET}")
+    check_order(base**exp, what)
 
 
 def carrier_names(names, order: int) -> tuple[str, ...]:

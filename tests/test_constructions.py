@@ -12,7 +12,8 @@ from dmagma.constructions import (
 from dmagma.fixtures import C3_BULLET_ROWS, C3_STAR_ROWS, D8_STAR_ROWS, named_rows
 from dmagma.groups import make_cyclic, make_dihedral, parse_group_spec
 from dmagma.magmas import is_associative, is_commutative, is_proper, satisfies_interchange
-from dmagma.rings import make_matrix_ring, make_zmod
+from dmagma.rings import make_matrix_ring, make_zmod, parse_ring_spec
+from dmagma.suite import check_ring_rci
 from dmagma.words import parse_term
 
 
@@ -105,6 +106,31 @@ def test_ring_commutator_double_matrix_rings():
     r = make_matrix_ring(2, 3)
     bk = r.bracket_table()
     assert r.add[bk[x, y], bk[x, y]] != r.zero  # 2<x,y> != 0 at the witness
+
+
+# the rings of the benchmark workloads, besides the corpus rings
+BENCHMARK_RINGS = ("zmod:6", "matrix:2,2", "uppertri:2,3", "matrix:2,3", "uppertri:2,4", "zmod:125",
+                   "uppertri:3,2", "uppertri:2,5", "matrix:2,4", "uppertri:2,7")
+
+
+def test_ring_star_table_is_built_apart_from_the_law_bracket(corpus_rings):
+    # The table route scans a star table of its own, so the ring laws'
+    # bracket table cannot make both routes wrong at once.
+    for spec, r in corpus_rings + [(spec, parse_ring_spec(spec)) for spec in BENCHMARK_RINGS]:
+        star, bracket = ring_commutator_double(r).star.op, r.bracket_table()
+        assert not np.shares_memory(star, bracket), spec
+        assert np.array_equal(star, bracket), spec
+
+
+def test_a_corrupted_law_bracket_makes_the_ring_routes_disagree(monkeypatch):
+    r = make_zmod(6)
+    assert check_ring_rci(r, "zmod:6").passed
+    bad = np.array(r.bracket_table())
+    bad[1, 2] = 1  # zmod:6 is commutative, so every bracket is 0
+    monkeypatch.setattr(r, "bracket_table", lambda: bad)
+    result = check_ring_rci(r, "zmod:6")
+    assert not result.passed
+    assert result.details["proper_witness_agreement"] is False
 
 
 def test_ring_bullet_mirrors_star():

@@ -191,9 +191,12 @@ def test_perm_empty_generators():
 
 
 def test_perm_budget_reports_partial_size():
-    gens = [perm_from_cycles([[1, 2]], 5), perm_from_cycles([[1, 2, 3, 4, 5]], 5)]
-    with pytest.raises(ValueError, match="partial size"):
-        make_from_permutations(gens, order_budget=50)
+    # S7 has order 5040; the closure stops at the first element past the budget of 1024
+    gens = [perm_from_cycles([[1, 2]], 7), perm_from_cycles([[1, 2, 3, 4, 5, 6, 7]], 7)]
+    with pytest.raises(ValueError, match=r"^permutation closure exceeds order budget 1024 \(partial size 1025\)$"):
+        make_from_permutations(gens)
+    with pytest.raises(SpecError, match=r"partial size 1025\)$"):
+        parse_group_spec("perm:(1 2),(1 2 3 4 5 6 7)")
 
 
 def test_perm_spec_degree_is_the_number_of_points_written():
@@ -471,7 +474,8 @@ def test_parse_group_spec_perm_inside_product():
 
 
 def test_parse_group_spec_errors():
-    for bad in ("nope:3", "cyclic", "cyclic:x", "cyclic:3trailing", "cyclic:0", "product:cyclic:2"):
+    for bad in ("nope:3", "cyclic", "cyclic:x", "cyclic:3trailing", "cyclic:0", "product:cyclic:2",
+                "cyclic:1_0", "cyclic:+6"):
         with pytest.raises(SpecError):
             parse_group_spec(bad)
 

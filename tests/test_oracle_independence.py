@@ -43,6 +43,8 @@ SHARED_SCAN_PATH = {
     "subgroup_closure", "normal_closure", "derived_series", "lower_central_series",
     # the unchecked term constructor, the series' generating sets and the series cache
     "_trusted", "_generators", "_derived_series", "_lower_central_series",
+    # the table validation over generators that `table_oracles.cubic_ring_error` checks
+    "magma_generators", "light_associative", "_generator_checks_pass", "_right_distributes",
 }
 
 ORACLES = (

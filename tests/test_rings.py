@@ -22,9 +22,9 @@ from dmagma.rings import (
     make_zmod,
     parse_ring_spec,
 )
-from dmagma.tables import SCAN_CELLS, first_failure, is_latin
+from dmagma.tables import SCAN_CELLS, first_failure
 from dmagma.words import builtin_law, check_law_exhaustive
-from table_oracles import cubic_associativity_scan
+from table_oracles import cubic_associativity_scan, cubic_ring_error
 from test_groups import swap_two_cells
 
 
@@ -112,19 +112,19 @@ def test_budget_checks():
 
 
 def test_budget_refuses_before_building():
-    # An order n^d whose exponent reaches 64 and the budget's bit length is
-    # over budget for any n >= 2; it is named as n^d, never computed.
+    # An order n^d whose exponent reaches 64 is over budget for any n >= 2;
+    # it is named as n^d, never computed.
     with pytest.raises(SpecError, match=r"has order 99999\^4999999999950000000000, exceeding"):
         parse_ring_spec("uppertri:99999999999,99999")
     with pytest.raises(SpecError, match=r"has order 2\^9999999999800000000001, exceeding"):
         parse_ring_spec("matrix:99999999999,2")
-    with pytest.raises(ValueError, match=r"has order 2\^66, exceeding the order budget \d+$"):
-        make_upper_triangular(11, 2, order_budget=2**65)
+    with pytest.raises(ValueError, match=r"^uppertri:11,2 has order 2\^66, exceeding the order budget 1024$"):
+        make_upper_triangular(11, 2)
     # Smaller exponents are computed and named as before.
     with pytest.raises(SpecError, match=r"^'matrix:4,2': matrix:4,2 has order 65536, exceeding"):
         parse_ring_spec("matrix:4,2")
-    with pytest.raises(ValueError, match=r"has order 1000000000000, exceeding the order budget"):
-        make_matrix_ring(2, 1000, order_budget=10**11)
+    with pytest.raises(ValueError, match=r"^matrix:2,1000 has order 1000000000000, exceeding the order budget 1024$"):
+        make_matrix_ring(2, 1000)
 
 
 def test_order_1_matrix_rings_hold_their_entries_to_the_budget():
@@ -137,9 +137,6 @@ def test_order_1_matrix_rings_hold_their_entries_to_the_budget():
     for k, build, d in ((33, make_matrix_ring, 1089), (45, make_upper_triangular, 1035)):
         with pytest.raises(ValueError, match=rf"has {d} entries per element, exceeding the order budget 1024$"):
             build(k, 1)
-    assert make_matrix_ring(3, 1, order_budget=9).order == 1
-    with pytest.raises(ValueError, match=r"^matrix:3,1 has 9 entries per element, exceeding the order budget 8$"):
-        make_matrix_ring(3, 1, order_budget=8)
 
 
 @pytest.mark.parametrize("build", [
@@ -167,8 +164,15 @@ def test_parse_ring_spec():
     assert parse_ring_spec("zmod:6").order == 6
     assert parse_ring_spec("matrix:2,2").order == 16
     assert parse_ring_spec("uppertri:2,3").order == 27
+    assert parse_ring_spec("matrix:2, 2").order == 16
     for bad in ("nope:2", "zmod", "zmod:x", "matrix:2", "zmod:0"):
         with pytest.raises(SpecError):
+            parse_ring_spec(bad)
+    # Arguments are decimal digits only, as in group specs: int() alone would
+    # read "1_0" as 10 and "+6" as 6, and "²" is no digit to int().
+    for bad in ("zmod:1_0", "zmod:+6", "zmod:-6", "matrix:2,+2", "uppertri:2_0,2", "zmod:²",
+                "zmod:" + "9" * 5000):
+        with pytest.raises(SpecError, match=r"arguments must be integers$"):
             parse_ring_spec(bad)
 
 
@@ -561,35 +565,8 @@ def test_unknown_ring_law():
 # --- fast table validation against the full scans --------------------------------
 
 
-def full_scan_ring_error(add, mul) -> str | None:
-    """The message of the O(n^3) check sequence FiniteRing used to run, or None.
-
-    Each distributive law is checked over every (x, y, z) at once, left before
-    right, so a table failing both is always reported as not left-distributive.
-    """
-    add, mul = np.asarray(add, dtype=np.int32), np.asarray(mul, dtype=np.int32)
-    if not is_latin(add):
-        return "addition table is not a Latin square"
-    if not np.array_equal(add, add.T):
-        return "addition must be commutative"
-    if cubic_associativity_scan(add) is not None:
-        return "addition must be associative"
-    if not np.all(add == np.arange(len(add))[None, :], axis=1).any():
-        return "addition has no zero element"
-    bad = cubic_associativity_scan(mul)
-    if bad is not None:
-        return f"multiplication is not associative at {bad}"
-    # [x, y, z]: x(y+z) against xy + xz
-    if not np.array_equal(mul[:, add], add[mul[:, :, None], mul[:, None, :]]):
-        return "multiplication does not left-distribute over addition"
-    # [y, z, x]: (y+z)x against yx + zx
-    if not np.array_equal(mul[add], add[mul[:, None, :], mul[None, :, :]]):
-        return "multiplication does not right-distribute over addition"
-    return None
-
-
 def assert_ring_validation_matches(add, mul):
-    want = full_scan_ring_error(add, mul)
+    want = cubic_ring_error(add, mul)
     names = [str(i) for i in range(len(add))]
     if want is None:
         FiniteRing(add, mul, names)
@@ -658,19 +635,28 @@ def test_fast_validation_on_random_commutative_loops():
     assert errors == {None, "addition must be associative"}
 
 
-@pytest.mark.parametrize("spec", ["zmod:6", "matrix:2,2", "uppertri:2,3"])
+@pytest.mark.parametrize("spec", ["zmod:6", "zmod:12", "matrix:2,2", "uppertri:2,3"])
 def test_fast_validation_on_structured_products(spec):
     r = parse_ring_spec(spec)
     n = r.order
     rows, cols = np.indices((n, n))
     # the bracket is bilinear but not associative; projections fail one distributive law
     for mul, fails in (
-        (r.bracket_table(), "associative at" if spec != "zmod:6" else None),
+        (r.bracket_table(), "associative at" if not spec.startswith("zmod") else None),
         (rows, "left-distribute"),
         (cols, "right-distribute"),
     ):
         err = assert_ring_validation_matches(r.add, mul)
         assert err is None if fails is None else fails in err
+    # For an idempotent f, xy = f(x) and xy = f(y) are associative. xy = f(x)
+    # fails the left law once f is not 0; xy = f(y) fails the right law, and
+    # the left one too unless f is additive.
+    rng = random.Random(spec)
+    for _ in range(4):
+        image = [0, *rng.sample(range(1, n), rng.randrange(1, n))]
+        f = np.array([x if x in image else rng.choice(image) for x in range(n)])
+        assert "left-distribute" in assert_ring_validation_matches(r.add, f[rows])
+        assert "distribute" in assert_ring_validation_matches(r.add, f[cols])
 
 
 def test_left_distributivity_is_named_first_on_large_tables():
@@ -690,38 +676,24 @@ def test_fast_validation_on_every_constructor(corpus_rings):
         make_zmod(1), make_zmod(9), make_matrix_ring(1, 5), make_upper_triangular(3, 2),
     ]
     for r in rings:
-        assert full_scan_ring_error(r.add, r.mul) is None, r.label
+        assert cubic_ring_error(r.add, r.mul) is None, r.label
 
 
-@pytest.mark.parametrize("spec", ["zmod:12", "uppertri:2,3", "matrix:2,4"])
+@pytest.mark.parametrize("spec", ["zmod:12", "uppertri:2,3", "matrix:2,2", "matrix:2,4"])
 def test_swapped_products_fail_validation_on_constructed_rings(spec):
     # At order 256 a valid table takes only the generator checks. Swapping two
-    # products must still fail: at the cubic scan's first non-associative
-    # triple, or else at a distributive law.
+    # products must still fail, with the error the cubic oracle names.
     r = parse_ring_spec(spec)
     rng = random.Random(spec)
-    distributive = {"multiplication does not left-distribute over addition",
-                    "multiplication does not right-distribute over addition"}
     for _ in range(3):
-        t = swap_two_cells(np.array(r.mul), rng)
-        with pytest.raises(ValueError) as err:
-            FiniteRing(r.add, t, r.names)
-        bad = cubic_associativity_scan(t)
-        if bad is None:
-            assert str(err.value) in distributive
-        else:
-            assert str(err.value) == f"multiplication is not associative at {bad}"
+        assert assert_ring_validation_matches(r.add, swap_two_cells(np.array(r.mul), rng)) is not None
 
 
 def test_valid_ring_tables_skip_the_cubic_scans(monkeypatch):
     def cubic_scan(table):
         raise AssertionError("valid table reached the O(n^3) associativity scan")
 
-    def distributive_scan(self):
-        raise AssertionError("valid table reached the O(n^3) distributive scans")
-
     monkeypatch.setattr(dmagma.rings, "first_associativity_failure", cubic_scan)
-    monkeypatch.setattr(FiniteRing, "_check_distributive", distributive_scan)
     assert parse_ring_spec("matrix:2,3").order == 81
 
 
