@@ -46,6 +46,7 @@ from .tables import (
     is_latin,
     light_associative,
     magma_generators,
+    spec_number,
 )
 
 
@@ -619,7 +620,7 @@ class _Cursor:
             self.pos += 1
         if self.pos == start:
             raise SpecError(f"expected a number at position {start} in {self.text!r}")
-        return int(self.text[start : self.pos])
+        return spec_number(self.text[start : self.pos], f"the number at position {start}")
 
 
 def _parse_perm_generators(cur: _Cursor) -> tuple[list[tuple[int, ...]], list[int]]:

@@ -21,20 +21,20 @@ import io
 import json
 import re
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .errors import BudgetExceededError
 from .tables import (
     as_table,
     carrier_names,
     first_associativity_failure,
-    first_interchange_failure,
     first_mismatch,
+    interchange_scan,
     two_sided_identity,
     two_sided_zero,
 )
-from .words import DEFAULT_EVAL_BUDGET, Verdict, exhaustive_verdict
+from .words import DEFAULT_EVAL_BUDGET, Verdict, decide, exhaustive_verdict
 
 
 class Magma:
@@ -77,14 +77,11 @@ def is_associative(m: Magma) -> Verdict:
 
 
 def satisfies_interchange(d: DoubleMagma, budget: int = DEFAULT_EVAL_BUDGET) -> Verdict:
-    """Scan (w*x)•(y*z) = (w•y)*(x•z) over all quadruples in lexicographic order."""
-    n = d.order
-    total = n**4
-    if total > budget:
-        raise BudgetExceededError(
-            f"interchange scan on order {n} needs {total} checks (budget {budget})"
-        )
-    return exhaustive_verdict(first_interchange_failure(d.star.op, d.bullet.op), "wxyz", d.names)
+    """Scan (w*x)•(y*z) = (w•y)*(x•z) over all quadruples in lexicographic order,
+    if the n^4 of them fit `budget` (`words.decide`)."""
+    return decide("wxyz", d.names, budget, lambda total: (
+        f"interchange scan on order {d.order} needs {total} checks (budget {budget})"
+    ), partial(interchange_scan, d.star.op, d.bullet.op))
 
 
 def find_identity(m: Magma) -> int | None:

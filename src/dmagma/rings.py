@@ -14,23 +14,23 @@ and their d entries per element have both passed the fixed order budget.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 import numpy as np
 
 from .errors import SpecError
 from .tables import (
     DEFAULT_ORDER_BUDGET,
-    SCAN_CELLS,
     as_table,
     carrier_names,
     check_order,
     check_power_order,
     first_associativity_failure,
-    first_failure,
     flat_cells,
     is_latin,
     light_associative,
     magma_generators,
+    spec_number,
     two_sided_identity,
 )
 from .words import (
@@ -44,8 +44,7 @@ from .words import (
     _law_scan,
     builtin_law,
     check_sampling,
-    exhaustive_verdict,
-    scan_sampled,
+    decide,
 )
 
 _DEFAULT_SAMPLES = 10**6
@@ -231,13 +230,10 @@ def parse_ring_spec(spec: str) -> FiniteRing:
     head, sep, args = text.partition(":")
     if not sep:
         raise SpecError(f"ring spec {spec!r} needs the form name:args")
-    words = args.split(",") if args else []
-    try:  # decimal digits only, as in group specs; int() alone also takes a sign or "_"
-        numbers = [int(a) for a in words if a.strip().isdecimal()]
-    except ValueError:  # more digits than int() converts
-        numbers = []
-    if len(numbers) != len(words):
+    words = [a.strip() for a in args.split(",")] if args else []
+    if not all(a.isdecimal() for a in words):  # as in group specs; int() also takes a sign or "_"
         raise SpecError(f"ring spec {spec!r}: arguments must be integers")
+    numbers = [spec_number(a, f"ring spec argument {i}") for i, a in enumerate(words, 1)]
     try:
         if head == "zmod" and len(numbers) == 1:
             return make_zmod(*numbers)
@@ -257,13 +253,8 @@ def parse_ring_spec(spec: str) -> FiniteRing:
 # ---------------------------------------------------------------------------
 
 
-def check_ring_law(
-    r: FiniteRing,
-    name: str,
-    budget: int = DEFAULT_EVAL_BUDGET,
-    sample_count: int = _DEFAULT_SAMPLES,
-    seed: int = 1,
-) -> Verdict:
+def check_ring_law(r: FiniteRing, name: str, budget: int = DEFAULT_EVAL_BUDGET,
+                   sample_count: int = _DEFAULT_SAMPLES, seed: int = 1) -> Verdict:
     """Decide one of the registry laws on the ring by brute force.
 
     RCI    : <w,x;y,z> = <w,y;x,z>   (CI)
@@ -277,7 +268,7 @@ def check_ring_law(
     read in (R,+) with the Lie bracket as its commutator, and scanned on one
     representative per class of elements with equal bracket rows and columns
     (`words._law_scan`). A law of k variables with n^k > budget is sampled
-    instead (`words.scan_sampled`).
+    instead, from `sample_count` rows of `seed` (`words.decide`).
     """
     check_sampling(sample_count, seed)
     if name not in RING_WORD_LAWS:
@@ -286,7 +277,5 @@ def check_ring_law(
     law = builtin_law(RING_WORD_LAWS[name])
     lie = {Product: r.add, Inverse: r.neg, IdentityLiteral: np.asarray(r.zero, dtype=np.intp),
            Bracket: r.bracket_table(), IntPower: r.add.diagonal()}
-    reps, failing = _law_scan(law, lie, r.order, SCAN_CELLS)
-    if r.order ** len(law.variables) > budget:
-        return scan_sampled(law.variables, r.names, failing, sample_count, seed, reps)
-    return exhaustive_verdict(first_failure(reps, failing), law.variables, r.names)
+    scan = partial(_law_scan, law, lie, r.order)
+    return decide(law.variables, r.names, budget, None, scan, (sample_count, seed))

@@ -1,19 +1,21 @@
-"""Low-level chunked scans over dense operation tables.
+"""Low-level sliced scans over dense operation tables.
 
 Everything here works on plain ``n x n`` integer arrays whose entries are
 element indices, so the same scans back groups, rings and bare magmas.
 Scans report the lexicographically first failing tuple, which keeps
-witnesses deterministic regardless of slice size. The generator-based tests
-(`magma_generators`, `light_associative`) only answer yes or no; a
-constructor that must name a non-associative triple runs the full scan
-(`first_associativity_failure`) on the table that failed them. Constructors
-refuse a carrier over `DEFAULT_ORDER_BUDGET` elements before building it
-(`check_order`, `check_power_order`). `magma_generators` tries element
-0 last and grows what it reaches semi-naively, so a group's identity is never
-a generator and a cyclic run is reached in log n rounds; the constructors
-validate with its generators, and the subgroup series take the few
-generators of a large term from it. Builders index flat tables through
-`flat_cells`, in int32 while the n^2 cells fit; scans gather through
+witnesses deterministic regardless of slice size, the one constant
+`SCAN_CELLS`; whether a grid is scanned at all is `words.decide`'s rule. The
+generator-based tests (`magma_generators`, `light_associative`) only answer
+yes or no; a constructor that must name a non-associative triple runs the
+full scan (`first_associativity_failure`) on the table that failed them.
+Constructors refuse a carrier over `DEFAULT_ORDER_BUDGET` elements before
+building it (`check_order`, `check_power_order`), and spec parsers a number
+of more than `MAX_SPEC_DIGITS` digits (`spec_number`). `magma_generators`
+tries element 0 last and grows what it reaches semi-naively, so a group's
+identity is never a generator and a cyclic run is reached in log n rounds;
+the constructors validate with its generators, and the subgroup series take
+the few generators of a large term from it. Builders index flat tables
+through `flat_cells`, in int32 while the n^2 cells fit; scans gather through
 `gather`, in intp.
 
 Every exhaustive scan visits one representative per class of
@@ -60,11 +62,13 @@ import math
 
 import numpy as np
 
-# Most tuples one slice of a lexicographic scan (`first_failure`) holds. A
-# slice's intp temporaries (`gather`) take fresh pages on every slice from
-# 2^15 cells on: dihedral:16 CI had 320-350 page faults and took 1.3-1.5 ms
-# per scan at 2^15-2^16, none and 0.52 ms at 2^14, and 0.61 and 0.90 ms at
-# 2^13 and 2^12 (more slices; 2 vCPUs of an Intel Xeon, numpy 2.4).
+from .errors import SpecError
+
+# Most tuples one slice of a scan holds, read whenever a scan runs. A slice's
+# intp temporaries (`gather`) take fresh pages on every slice from 2^15 cells
+# on: dihedral:16 CI had 320-350 page faults and took 1.3-1.5 ms per scan at
+# 2^15-2^16, none and 0.52 ms at 2^14, and 0.61 and 0.90 ms at 2^13 and 2^12
+# (more slices; 2 vCPUs of an Intel Xeon, numpy 2.4).
 SCAN_CELLS = 1 << 14
 
 # Most full trailing axes a `first_failure` slice spans (numpy allows 64).
@@ -72,6 +76,9 @@ MAX_AXES = 32
 
 # Largest carrier the group and ring constructors build.
 DEFAULT_ORDER_BUDGET = 1024
+
+# Most digits of a number in a group or ring spec; int() refuses past 4300.
+MAX_SPEC_DIGITS = 100
 
 
 def check_order(order: int, what: str) -> None:
@@ -89,6 +96,13 @@ def check_power_order(base: int, exp: int, what: str) -> None:
     if base > 1 and exp >= 64:
         raise ValueError(f"{what} has order {base}^{exp}, exceeding the order budget {DEFAULT_ORDER_BUDGET}")
     check_order(base**exp, what)
+
+
+def spec_number(digits: str, what: str) -> int:
+    """int(digits) for a run of decimal digits, refused past `MAX_SPEC_DIGITS` before converting."""
+    if len(digits) > MAX_SPEC_DIGITS:
+        raise SpecError(f"{what} has {len(digits)} digits, more than the limit of {MAX_SPEC_DIGITS}")
+    return int(digits)
 
 
 def carrier_names(names, order: int) -> tuple[str, ...]:
@@ -211,9 +225,7 @@ def orbit_keys(conj: np.ndarray, length: int):
     return key
 
 
-def first_failure(
-    reps, failing, cells: int = SCAN_CELLS, conjugates=None
-) -> tuple[int, ...] | None:
+def first_failure(reps, failing, conjugates=None) -> tuple[int, ...] | None:
     """Lexicographically first tuple of reps[0] x ... x reps[k-1] where `failing` holds.
 
     `reps` holds one ascending index array per variable. `failing(axes)` gets
@@ -222,8 +234,8 @@ def first_failure(
     The trailing variables (at most `MAX_AXES`) get one full axis each, so a
     subterm costs the product of its own variables' ranges; the leading ones
     are fixed as scalars, and the one in between is cut into blocks, so one
-    slice holds at most `cells` tuples (a block of one element is a scalar
-    too). Slices are visited in lexicographic order, and the first true cell
+    slice holds at most `SCAN_CELLS` tuples, read at each call (a block of one
+    element is a scalar too). Slices are visited in lexicographic order, and the first true cell
     of the C-order ravel of the first failing slice is the answer. With no
     variables, `failing([])` is called once and the empty tuple is the only
     candidate.
@@ -235,7 +247,7 @@ def first_failure(
     once the first prefix has scanned clean, so a failure in it costs nothing
     extra.
     """
-    k = len(reps)
+    k, cells = len(reps), SCAN_CELLS
     if k == 0:
         return () if np.any(failing([])) else None
     free, trail = 0, 1  # full trailing axes, and the tuples they span
@@ -288,10 +300,12 @@ def first_associativity_failure(table: np.ndarray) -> tuple[int, int, int] | Non
     return first_failure(reps, failing)
 
 
-def first_interchange_failure(s: np.ndarray, b: np.ndarray) -> tuple[int, ...] | None:
-    """First (w, x, y, z), lexicographic, with (w*x)•(y*z) != (w•y)*(x•z).
+def interchange_scan(s: np.ndarray, b: np.ndarray):
+    """Class representatives of (w, x, y, z) and the `failing` callback of the interchange scan.
 
-    `s` is the star table (*) and `b` the bullet table (•).
+    `failing` is true where (w*x)•(y*z) != (w•y)*(x•z), for the star table
+    `s` (*) and the bullet table `b` (•); `first_failure` on the two gives the
+    first failing quadruple, lexicographic. Nothing but the two tables is read.
     """
     lines = [{("*", i), ("•", j)} for j in (0, 1) for i in (0, 1)]  # w, x, y, z
     reps = class_reps({"*": s, "•": b}, lines, len(s))
@@ -302,7 +316,7 @@ def first_interchange_failure(s: np.ndarray, b: np.ndarray) -> tuple[int, ...] |
         lhs = gather(b, gather(s, w, x), gather(s, y, z))
         return lhs != gather(s, gather(b, w, y), gather(b, x, z))
 
-    return first_failure(reps, failing)
+    return reps, failing
 
 
 def magma_generators(table: np.ndarray) -> list[int]:

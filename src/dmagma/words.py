@@ -14,6 +14,9 @@ conjugation. Comma lists inside brackets nest to the left, [x,y,z] = [[x,y],z],
 and the semicolon form is [u...; v...] = [leftnest(u), leftnest(v)]. The only
 constant is "1", the identity. Syntax trees deeper than MAX_DEPTH are a
 ParseError.
+
+One rule (`decide`) admits every budgeted scan: the group laws here, the ring
+laws of `rings` and the interchange scan of `magmas`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import numpy as np
 
 from .errors import BudgetExceededError, ParseError, SpecError, UnboundVariableError
 from .groups import FiniteGroup
-from .tables import SCAN_CELLS, class_reps, first_failure, gather
+from . import tables as _tables
+from .tables import class_reps, first_failure, gather
 
 DEFAULT_EVAL_BUDGET = 10**8
 MAX_EXPONENT = 32
@@ -565,7 +569,7 @@ class Verdict:
     For counterexamples found by exhaustive scans the witness is the
     lexicographically smallest failing assignment and `evaluations` is its
     1-based position in lexicographic order (deterministic regardless of
-    internal chunking); for clean exhaustive passes it is the full count.
+    slice size); for clean exhaustive passes it is the full count.
     """
 
     status: str
@@ -627,24 +631,16 @@ def check_sampling(count: int, seed: int) -> None:
         raise ValueError(f"sampling seed must be non-negative, got {seed}")
 
 
-def scan_sampled(
-    variables: tuple[str, ...],
-    names,
-    failing,
-    count: int,
-    seed: int,
-    reps,
-    chunk: int = SCAN_CELLS,
-    conjugates=None,
-) -> Verdict:
+def scan_sampled(variables: tuple[str, ...], names, failing, count: int, seed: int, reps,
+                 conjugates=None) -> Verdict:
     """Scan `count` seeded pseudo-random assignments of range(n)^k for a failure, n = len(names).
 
     `failing(axes)` gets one index array per variable and returns a boolean
     array, broadcastable to the shape they span, that is true where the law
     fails. Assignments are the rows of `rng.integers` draws of `_FIRST_DRAW`
-    rows, then twice as many each time up to `chunk`, so an early failure
-    costs a short draw; the rows do not depend on the cuts, so the witness
-    and the evaluation count depend on (seed, count) only. A found
+    rows, then twice as many each time up to `tables.SCAN_CELLS`, so an early
+    failure costs a short draw; the rows do not depend on the cuts, so the
+    witness and the evaluation count depend on (seed, count) only. A found
     counterexample is definitive; a clean pass is evidence, not proof.
 
     `reps` holds the law's class representatives (`_law_scan`). When their
@@ -656,13 +652,13 @@ def scan_sampled(
     check_sampling(count, seed)
     passed = Verdict(HOLDS_SAMPLED, evaluations=count, sample_count=count, seed=seed)
     small = math.prod(map(len, reps)) <= _GRID_PER_SAMPLE * count
-    if small and first_failure(reps, failing, chunk, conjugates) is None:
+    if small and first_failure(reps, failing, conjugates) is None:
         return passed
-    rng = np.random.default_rng(seed)
-    done, step = 0, min(_FIRST_DRAW, chunk)
+    rng, cap = np.random.default_rng(seed), _tables.SCAN_CELLS
+    done, step = 0, min(_FIRST_DRAW, cap)
     while done < count:
         size = min(step, count - done)
-        step = min(2 * step, chunk)
+        step = min(2 * step, cap)
         sample = rng.integers(0, len(names), size=(size, len(variables)), dtype=np.int64)
         bad = np.broadcast_to(failing(list(sample.T)), (size,))
         if bad.any():
@@ -673,7 +669,7 @@ def scan_sampled(
     return passed
 
 
-def _law_scan(law: Law, tables: dict[type, np.ndarray], n: int, cells: int, known=None):
+def _law_scan(law: Law, tables: dict[type, np.ndarray], n: int, known=None):
     """Class representatives and the `failing` callback of every law scan.
 
     `failing(axes)` is lhs != rhs (`run_ops` on the op tables `tables` of a
@@ -681,15 +677,16 @@ def _law_scan(law: Law, tables: dict[type, np.ndarray], n: int, cells: int, know
     give equal law values, so each variable scans the smallest element of each
     class (`tables.class_reps`). The first failure is a tuple of
     representatives (see `tables`), so the witness and position are those of
-    the full grid. When that grid fits in one slice of `cells`, the classes
-    would save nothing and are not computed. `known` keeps the classes of
-    earlier scans on the same tables (`tables.class_reps`).
+    the full grid. When that grid fits in one slice (`tables.SCAN_CELLS`), the
+    classes would save nothing and are not computed. `known` keeps the classes
+    of earlier scans on the same tables (`tables.class_reps`).
 
     `run_ops` reads the tables cast to intp once per scan (no copy for those
     already intp), so that every gather index is intp (`tables.gather`).
     """
     low, k = law.lowering, len(law.variables)
-    reps = class_reps(tables, low.lines.values(), n, known) if n**k > cells else [np.arange(n)] * k
+    whole = n**k <= _tables.SCAN_CELLS  # the grid fits one slice
+    reps = [np.arange(n)] * k if whole else class_reps(tables, low.lines.values(), n, known)
     wide = {kind: tables[kind].astype(np.intp, copy=False) for kind in low.kinds}
 
     def failing(axes):
@@ -699,47 +696,48 @@ def _law_scan(law: Law, tables: dict[type, np.ndarray], n: int, cells: int, know
     return reps, failing
 
 
-def _group_law_scan(group: FiniteGroup, law: Law, cells: int):
+def _group_law_scan(group: FiniteGroup, law: Law):
     """`_law_scan` on the group's op tables, with the classes kept on the group,
     and the `conjugates` hook of `tables.first_failure`."""
     tables = _word_tables(group, law.lowering.kinds)
-    reps, failing = _law_scan(law, tables, group.order, cells, group.law_classes)
+    reps, failing = _law_scan(law, tables, group.order, group.law_classes)
     return reps, failing, partial(_conjugate_table, group)
 
 
-def check_law_exhaustive(
-    group: FiniteGroup,
-    law: Law,
-    budget: int = DEFAULT_EVAL_BUDGET,
-    chunk_size: int = SCAN_CELLS,
-) -> Verdict:
+def decide(variables, names, budget: int, refusal, scan, sampling=None) -> Verdict:
+    """Verdict of a brute-force check over names^k, k = len(variables), under `budget`.
+
+    The one rule that admits a scan: a grid of n^k <= budget assignments is
+    scanned exhaustively (`tables.first_failure`, `exhaustive_verdict`); a
+    larger one is sampled (`scan_sampled`) when `sampling` = (count, seed) is
+    given, and otherwise refused with BudgetExceededError(refusal(n^k))
+    before `scan` is called. `scan()` builds what the scan reads and returns
+    (reps, failing), or (reps, failing, conjugates) for a group law.
+    """
+    total = len(names) ** len(variables)
+    if total > budget and sampling is None:
+        raise BudgetExceededError(refusal(total))
+    reps, failing, *hook = scan()
+    if total > budget:
+        return scan_sampled(variables, names, failing, *sampling, reps, *hook)
+    return exhaustive_verdict(first_failure(reps, failing, *hook), variables, names)
+
+
+def check_law_exhaustive(group: FiniteGroup, law: Law, budget: int = DEFAULT_EVAL_BUDGET) -> Verdict:
     """Scan every assignment in lexicographic element order, first variable
-    most significant, in slices of at most `chunk_size` (`tables.first_failure`).
+    most significant, if the n^k of them fit `budget` (`decide`).
 
     Only one representative per class of elements the law cannot tell apart
     is visited (`_law_scan`), and prefixes conjugate to one already scanned
     clean are skipped (`tables.first_failure`); the witness and `evaluations`
     are those of the full n^k scan.
     """
-    n = group.order
-    total = n ** len(law.variables)
-    if total > budget:
-        raise BudgetExceededError(
-            f"law {law} over order {n} needs {total} evaluations "
-            f"(budget {budget}); use check_law_sampled"
-        )
-    reps, failing, conjugates = _group_law_scan(group, law, chunk_size)
-    bad = first_failure(reps, failing, chunk_size, conjugates)
-    return exhaustive_verdict(bad, law.variables, group.names)
+    return decide(law.variables, group.names, budget, lambda total: (
+        f"law {law} over order {group.order} needs {total} evaluations "
+        f"(budget {budget}); use check_law_sampled"), partial(_group_law_scan, group, law))
 
 
-def check_law_sampled(
-    group: FiniteGroup,
-    law: Law,
-    count: int,
-    seed: int,
-    chunk_size: int = SCAN_CELLS,
-) -> Verdict:
+def check_law_sampled(group: FiniteGroup, law: Law, count: int, seed: int) -> Verdict:
     """Check `count` seeded pseudo-random assignments (`scan_sampled`).
 
     A found counterexample is definitive; a clean pass is evidence, not proof.
@@ -747,9 +745,8 @@ def check_law_sampled(
     representatives without drawing the stream; it still means that the
     `count` seeded rows all hold, and nothing more.
     """
-    reps, failing, conjugates = _group_law_scan(group, law, chunk_size)
-    names = group.names
-    return scan_sampled(law.variables, names, failing, count, seed, reps, chunk_size, conjugates)
+    reps, failing, conjugates = _group_law_scan(group, law)
+    return scan_sampled(law.variables, group.names, failing, count, seed, reps, conjugates)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,26 @@ def test_group_bad_spec_exits_2(capsys):
     assert rc == 2 and "error:" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("group", "cyclic:" + "9" * 5000), "the number at position 7 has 5000 digits"),
+    (("group", "product:cyclic:2,perm:(1 " + "9" * 101 + ")"), "the number at position 25 has 101 digits"),
+    (("ring", "zmod:" + "9" * 5000, "--law", "RCI"), "ring spec argument 1 has 5000 digits"),
+    (("ring", "matrix:2," + "9" * 101, "--law", "RCI"), "ring spec argument 2 has 101 digits"),
+])
+def test_overlong_spec_numbers_are_refused_by_the_digit_limit(capsys, argv, message):
+    # checked before int(), which refuses more than 4300 digits with advice
+    # about the interpreter's own limit
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}, more than the limit of 100\n"
+    assert "set_int_max_str_digits" not in err and "Traceback" not in err
+
+
+def test_a_spec_number_at_the_digit_limit_is_read(capsys):
+    rc, out, _ = run(capsys, "group", "perm:(1 " + "9" * 100 + ")")
+    assert rc == 0 and "order: 2\n" in out
+
+
 # --- law ------------------------------------------------------------------------
 
 

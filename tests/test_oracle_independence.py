@@ -25,6 +25,8 @@ import word_oracles
 SHARED_SCAN_PATH = {
     "first_failure", "exhaustive_verdict", "check_law_exhaustive", "check_law_sampled",
     "check_ring_law",
+    # the one budget rule that admits every scan, and the table route's interchange scan
+    "decide", "interchange_scan",
     # the law lowering, its op-list runner, the scan helper and the law registry,
     # which ring laws and word doubles read as well
     "lower", "Lowering", "lowering", "run_ops", "_law_scan", "_word_tables", "scan_sampled",

@@ -1,12 +1,14 @@
 """Property-based tests for the structural invariants."""
 
 import math
+from unittest.mock import patch
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 
+import dmagma.tables
 from dmagma.constructions import commutator_double
 from dmagma.groups import (
     make_cyclic,
@@ -165,7 +167,8 @@ def test_class_representative_scan_matches_the_full_scan_oracles(g, lhs, rhs, ch
     law = Law(lhs, rhs)
     total = g.order ** len(law.variables)
     assume(chunk < total <= 5000)  # the classes are computed, and the oracles stay quick
-    got = check_law_exhaustive(g, law, chunk_size=chunk)
+    with patch.object(dmagma.tables, "SCAN_CELLS", chunk):
+        got = check_law_exhaustive(g, law)
     assert got == flat_index_scan(g, law)
     if total <= 500:
         assert got == naive_check(g, law)
@@ -182,7 +185,8 @@ def test_orbit_skipping_scan_matches_the_full_scan_oracles(g, lhs, rhs, length):
     assume(g.order > 1 and length <= k and g.order**k <= 5000)
     reps = class_reps(_word_tables(g, low.kinds), low.lines.values(), g.order)
     chunk = math.prod(len(r) for r in reps[length:])
-    got = check_law_exhaustive(g, law, chunk_size=chunk)
+    with patch.object(dmagma.tables, "SCAN_CELLS", chunk):
+        got = check_law_exhaustive(g, law)
     assert got == flat_index_scan(g, law)
     if g.order**k <= 500:
         assert got == naive_check(g, law)
@@ -205,7 +209,8 @@ def test_sampled_scan_matches_a_scalar_walk_of_the_stream(g, lhs, rhs, count, se
     # examples take each route.
     law = Law(lhs, rhs)
     want = stream_scan(g, law, count, seed)
-    assert check_law_sampled(g, law, count, seed, chunk_size=chunk) == want
+    with patch.object(dmagma.tables, "SCAN_CELLS", chunk):
+        assert check_law_sampled(g, law, count, seed) == want
 
 
 @pytest.mark.parametrize("text,count,chunk,drawn", [
@@ -213,8 +218,9 @@ def test_sampled_scan_matches_a_scalar_walk_of_the_stream(g, lhs, rhs, count, se
     ("[x,y;z,u]=1", 100, SCAN_CELLS, True),
     ("[x,y]=1", 300, 7, True),
 ])
-def test_the_sampled_examples_take_both_routes(drawn_seeds, text, count, chunk, drawn):
+def test_the_sampled_examples_take_both_routes(monkeypatch, drawn_seeds, text, count, chunk, drawn):
     law = parse_law(text)
-    got = check_law_sampled(S3, law, count, 5, chunk_size=chunk)
+    monkeypatch.setattr(dmagma.tables, "SCAN_CELLS", chunk)
+    got = check_law_sampled(S3, law, count, 5)
     assert drawn_seeds == ([5] if drawn else [])
     assert got == stream_scan(S3, law, count, 5)

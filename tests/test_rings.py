@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import dmagma.rings
+import dmagma.tables
 import dmagma.words
 from dmagma.errors import SpecError
 from dmagma.groups import FiniteGroup, parse_group_spec
@@ -170,10 +171,12 @@ def test_parse_ring_spec():
             parse_ring_spec(bad)
     # Arguments are decimal digits only, as in group specs: int() alone would
     # read "1_0" as 10 and "+6" as 6, and "²" is no digit to int().
-    for bad in ("zmod:1_0", "zmod:+6", "zmod:-6", "matrix:2,+2", "uppertri:2_0,2", "zmod:²",
-                "zmod:" + "9" * 5000):
+    for bad in ("zmod:1_0", "zmod:+6", "zmod:-6", "matrix:2,+2", "uppertri:2_0,2", "zmod:²"):
         with pytest.raises(SpecError, match=r"arguments must be integers$"):
             parse_ring_spec(bad)
+    # A number is held to the digit limit before int(), which refuses past 4300 digits.
+    with pytest.raises(SpecError, match=r"^ring spec argument 1 has 5000 digits, more than the limit of 100$"):
+        parse_ring_spec("zmod:" + "9" * 5000)
 
 
 # --- bracket structure ----------------------------------------------------------
@@ -384,17 +387,18 @@ def class_smallest(table, axis) -> list[int]:
 def test_no_law_scan_slice_exceeds_the_cell_cap(monkeypatch):
     sizes, hooks, scalars = [], [], []
 
-    def recording_first_failure(reps, failing, cells=SCAN_CELLS, conjugates=None):
+    def recording_first_failure(reps, failing, conjugates=None):
         hooks.append(conjugates)
+        cells = dmagma.tables.SCAN_CELLS  # the slice size this scan reads
 
         def wrapped(axes):
             sizes.append((cells, int(np.prod(np.broadcast_shapes(*(np.shape(a) for a in axes))))))
             scalars.append(sum(np.ndim(a) == 0 for a in axes))
             return failing(axes)
 
-        return first_failure(reps, wrapped, cells, conjugates)
+        return first_failure(reps, wrapped, conjugates)
 
-    monkeypatch.setattr(dmagma.rings, "first_failure", recording_first_failure)
+    # the walker every law scan reaches, ring laws included, through `words.decide`
     monkeypatch.setattr(dmagma.words, "first_failure", recording_first_failure)
     # Both hold, so every slice of the grid of class representatives is visited:
     # ALT3M <x,y;x,z> reads x by its bracket row and y, z by their columns,
@@ -426,7 +430,8 @@ def test_no_law_scan_slice_exceeds_the_cell_cap(monkeypatch):
         assert reps == class_smallest(comm, 1)
         sizes.clear()
         scalars.clear()
-        verdict = check_law_exhaustive(g, builtin_law("CI"), chunk_size=chunk)  # CI holds
+        monkeypatch.setattr(dmagma.tables, "SCAN_CELLS", chunk)
+        verdict = check_law_exhaustive(g, builtin_law("CI"))  # CI holds
         assert verdict.evaluations == g.order**4
         fixed = scalars[0]  # the slices' scalar prefix length, the same in every slice
         assert set(scalars) == {fixed}

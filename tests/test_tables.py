@@ -1,9 +1,9 @@
 """Representative table scans against the plain full scans.
 
-`first_associativity_failure` and `first_interchange_failure` visit one element
-per class of indistinguishable lines. The oracles in `table_oracles` visit
-every triple or quadruple; both must report the same first failure, so the
-verdicts agree in status, evaluations and witness.
+`first_associativity_failure` and the interchange scan (`interchange_scan`)
+visit one element per class of indistinguishable lines. The oracles in
+`table_oracles` visit every triple or quadruple; both must report the same
+first failure, so the verdicts agree in status, evaluations and witness.
 """
 
 import itertools
@@ -23,7 +23,7 @@ from dmagma.tables import (
     class_reps,
     first_associativity_failure,
     first_failure,
-    first_interchange_failure,
+    interchange_scan,
     orbit_keys,
 )
 from dmagma.words import (
@@ -93,7 +93,7 @@ ORDER_TWO = [
 
 def test_order_two_tables_and_pairs():
     for s, b in itertools.product(ORDER_TWO, repeat=2):
-        assert first_interchange_failure(s, b) == quartic_interchange_scan(s, b)
+        assert first_failure(*interchange_scan(s, b)) == quartic_interchange_scan(s, b)
     for t in ORDER_TWO:
         assert_scans_match(double(t, t))
 
@@ -182,7 +182,7 @@ def line(s, b, name):
 def test_interchange_witness_needs_both_lines_of_its_variable(variable, shared):
     s, b = (np.array(t, dtype=np.int32) for t in LINE_CASES[variable, shared])
     want = quartic_interchange_scan(s, b)
-    assert first_interchange_failure(s, b) == want
+    assert first_failure(*interchange_scan(s, b)) == want
     names = ("star row", "bullet row", "star column", "bullet column")
     lines_of = {"w": names[:2], "x": names[1:3], "y": (names[0], names[3]), "z": names[2:]}
     other = next(m for m in lines_of[variable] if m != shared)
@@ -233,7 +233,7 @@ def test_witness_in_the_last_cell():
     assert is_associative(Magma(t, "abcd")).evaluations == 4**3
     s = np.array([[0, 0, 0], [1, 0, 1], [0, 0, 1]], dtype=np.int32)
     b = np.array([[0, 0, 0], [0, 0, 0], [0, 0, 2]], dtype=np.int32)
-    assert quartic_interchange_scan(s, b) == first_interchange_failure(s, b) == (2, 2, 2, 2)
+    assert quartic_interchange_scan(s, b) == first_failure(*interchange_scan(s, b)) == (2, 2, 2, 2)
     assert satisfies_interchange(double(s, b)).evaluations == 3**4
 
 
@@ -241,7 +241,8 @@ def test_witness_in_the_last_cell():
     "sizes,cells",
     [((3, 3, 3), 1), ((2, 5, 3), 7), ((4, 1, 6), 30), ((5, 2), 100), ((3,), 2), ((), 1)],
 )
-def test_slices_tile_the_representative_grid_in_lexicographic_order(sizes, cells):
+def test_slices_tile_the_representative_grid_in_lexicographic_order(monkeypatch, sizes, cells):
+    monkeypatch.setattr(dmagma.tables, "SCAN_CELLS", cells)
     rng = np.random.default_rng(len(sizes) * cells)
     reps = [np.sort(rng.choice(9, size=m, replace=False)) for m in sizes]
     grid = list(itertools.product(*(r.tolist() for r in reps)))
@@ -254,7 +255,7 @@ def test_slices_tile_the_representative_grid_in_lexicographic_order(sizes, cells
         seen.extend(tuple(int(c[i]) for c in cols) for i in np.ndindex(shape))
         return np.zeros(shape, dtype=bool)
 
-    assert first_failure(reps, record, cells) is None
+    assert first_failure(reps, record) is None
     assert seen == grid
     for target in (grid[0], grid[len(grid) // 2], grid[-1]):
         def fails_from(axes):
@@ -264,7 +265,7 @@ def test_slices_tile_the_representative_grid_in_lexicographic_order(sizes, cells
                 key = key * 9 + a
             return key >= sum(d * 9 ** (len(target) - 1 - i) for i, d in enumerate(target))
 
-        assert first_failure(reps, fails_from, cells) == target
+        assert first_failure(reps, fails_from) == target
 
 
 @pytest.mark.parametrize("length", [1, 2, 3])
@@ -290,19 +291,19 @@ def test_orbit_keys_stop_where_a_code_might_overflow():
 def test_no_table_scan_slice_exceeds_the_cell_cap(monkeypatch):
     sizes = []
 
-    def recording_first_failure(reps, failing, cells=SCAN_CELLS, conjugates=None):
+    def recording_first_failure(reps, failing, conjugates=None):
         assert conjugates is None  # the table route reads nothing of G
 
         def wrapped(axes):
             sizes.append(int(np.prod(np.broadcast_shapes(*(np.shape(a) for a in axes)))))
             return failing(axes)
 
-        return first_failure(reps, wrapped, cells)
+        return first_failure(reps, wrapped)
 
     monkeypatch.setattr(dmagma.tables, "first_failure", recording_first_failure)
     g = parse_group_spec("cyclic:42")
     assert first_associativity_failure(g.mul) is None  # 42^3 > SCAN_CELLS
-    assert first_interchange_failure(g.mul, g.mul) is None
+    assert dmagma.tables.first_failure(*interchange_scan(g.mul, g.mul)) is None
     assert sum(sizes) == 42**3 + 42**4
     assert max(sizes) <= SCAN_CELLS
 

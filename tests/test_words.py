@@ -6,12 +6,15 @@ which share nothing with the vectorized scan path.
 
 import dataclasses
 import itertools
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dmagma.magmas
+import dmagma.tables
 import dmagma.words
 from dmagma.constructions import commutator_double
 from dmagma.errors import (
@@ -21,6 +24,7 @@ from dmagma.errors import (
     UnboundVariableError,
 )
 from dmagma.groups import make_cyclic, make_dihedral, make_metacyclic, parse_group_spec
+from dmagma.magmas import satisfies_interchange
 from dmagma.suite import DEFAULT_GROUPS, IDENTITY_LAWS
 from dmagma.tables import SCAN_CELLS, first_failure
 from dmagma.words import (
@@ -268,7 +272,8 @@ def test_broadcast_scan_matches_flat_index_scan(spec):
         for chunk in (1, 7, n, 1 << 20):
             if total > chunk * DIFFERENTIAL_SLICES:
                 continue
-            assert check_law_exhaustive(g, law, chunk_size=chunk) == want, (text, chunk)
+            with patch.object(dmagma.tables, "SCAN_CELLS", chunk):
+                assert check_law_exhaustive(g, law) == want, (text, chunk)
             scanned += 1
     assert scanned >= len(DIFFERENTIAL_LAWS) // 2
 
@@ -297,9 +302,10 @@ def test_dropping_a_line_of_the_class_derivation_is_caught(monkeypatch, spec, te
                                                            axis):
     g, law = parse_group_spec(spec), parse_law(text)
     want = flat_index_scan(g, law)
-    assert check_law_exhaustive(g, law, chunk_size=7) == want
+    monkeypatch.setattr(dmagma.tables, "SCAN_CELLS", 7)
+    assert check_law_exhaustive(g, law) == want
     drop_line(monkeypatch, law, variable, (kind, axis))
-    assert check_law_exhaustive(g, law, chunk_size=7) != want
+    assert check_law_exhaustive(g, law) != want
 
 
 def test_broadcast_scan_edge_laws():
@@ -312,16 +318,17 @@ def test_broadcast_scan_edge_laws():
     assert got["[x,y]^-3=[y,x]^3"] == Verdict(HOLDS_EXHAUSTIVE, 64)
 
 
-def lexicographic_scan(n, variables, names, failing, cells):
+def lexicographic_scan(n, variables, names, failing):
     """The exhaustive scan behind every law check: the walker, then the verdict."""
-    bad = first_failure([np.arange(n)] * len(variables), failing, cells)
+    bad = first_failure([np.arange(n)] * len(variables), failing)
     return exhaustive_verdict(bad, variables, names)
 
 
 @pytest.mark.parametrize(
     "n,k,cells", [(3, 4, 1), (3, 4, 7), (5, 3, 30), (4, 2, 100), (2, 5, 3), (7, 1, 4), (3, 0, 1)]
 )
-def test_scan_slices_tile_the_grid_in_lexicographic_order(n, k, cells):
+def test_scan_slices_tile_the_grid_in_lexicographic_order(monkeypatch, n, k, cells):
+    monkeypatch.setattr(dmagma.tables, "SCAN_CELLS", cells)
     variables = tuple("abcde"[:k])
     names = [f"e{i}" for i in range(n)]
     seen = []
@@ -333,7 +340,7 @@ def test_scan_slices_tile_the_grid_in_lexicographic_order(n, k, cells):
         seen.extend(np.broadcast_to(flat, shape).ravel().tolist())
         return np.zeros(shape, dtype=bool)
 
-    assert lexicographic_scan(n, variables, names, record, cells) == Verdict(HOLDS_EXHAUSTIVE, n**k)
+    assert lexicographic_scan(n, variables, names, record) == Verdict(HOLDS_EXHAUSTIVE, n**k)
     assert seen == list(range(n**k))
     for target in (0, 1, n**k // 2 + 1, n**k - 1):
         if target >= n**k:
@@ -341,7 +348,7 @@ def test_scan_slices_tile_the_grid_in_lexicographic_order(n, k, cells):
         def fails_at(axes):
             flat = sum(a * n ** (k - 1 - i) for i, a in enumerate(axes))
             return np.asarray(flat) >= target  # every later assignment fails too
-        got = lexicographic_scan(n, variables, names, fails_at, cells)
+        got = lexicographic_scan(n, variables, names, fails_at)
         witness = {v: names[target // n ** (k - 1 - i) % n] for i, v in enumerate(variables)}
         assert got == Verdict(COUNTEREXAMPLE, target + 1, witness)
 
@@ -368,7 +375,8 @@ def test_broadcast_scan_matches_naive_oracle_on_random_laws(lhs, rhs, g):
     law = Law(_fold_variables(lhs, keep), _fold_variables(rhs, keep))
     want = naive_check(g, law)
     for chunk in (1, 7, 1 << 20):
-        assert check_law_exhaustive(g, law, chunk_size=chunk) == want
+        with patch.object(dmagma.tables, "SCAN_CELLS", chunk):
+            assert check_law_exhaustive(g, law) == want
 
 
 @given(terms, terms, st.integers(0, len(GROUPS) - 1), st.integers(0, 2**32 - 1))
@@ -425,9 +433,9 @@ def test_law_op_tables_and_classes_are_kept_on_the_group(monkeypatch):
     assert "law_tables" not in vars(g) and "law_classes" not in vars(g)
     seen = []
 
-    def recording_first_failure(reps, failing, cells=SCAN_CELLS, conjugates=None):
+    def recording_first_failure(reps, failing, conjugates=None):
         seen.append(reps)
-        return first_failure(reps, failing, cells, conjugates)
+        return first_failure(reps, failing, conjugates)
 
     monkeypatch.setattr(dmagma.words, "first_failure", recording_first_failure)
     law = builtin_law("L1")  # 21^4 > SCAN_CELLS, so its classes are derived
@@ -441,13 +449,14 @@ def test_law_op_tables_and_classes_are_kept_on_the_group(monkeypatch):
     assert _word_tables(g, lower(parse_term("[x,y]")).kinds)[Bracket] is tables[Bracket]
 
 
-def test_conjugates_are_first_built_after_a_clean_prefix():
+def test_conjugates_are_first_built_after_a_clean_prefix(monkeypatch):
     # chunks of 6 fix x as a scalar on S3; a failure at x = 1 costs no conjugate table
+    monkeypatch.setattr(dmagma.tables, "SCAN_CELLS", 6)
     s3 = "perm:(1 2),(1 2 3)"
     g = parse_group_spec(s3)
-    assert check_law_exhaustive(g, parse_law("x=y"), chunk_size=6).evaluations == 2
+    assert check_law_exhaustive(g, parse_law("x=y")).evaluations == 2
     assert Conjugate not in g.law_tables
-    got = check_law_exhaustive(g, parse_law("[x^2,y]=1"), chunk_size=6)
+    got = check_law_exhaustive(g, parse_law("[x^2,y]=1"))
     assert got.evaluations == 14 and Conjugate in g.law_tables
 
 
@@ -468,21 +477,21 @@ def test_a_law_that_holds_scans_one_prefix_per_conjugation_orbit(monkeypatch, no
     # scanned: 3, 11 and 49 of 6, 36 and 216.
     slices = []
 
-    def recording_first_failure(reps, failing, cells=SCAN_CELLS, conjugates=None):
+    def recording_first_failure(reps, failing, conjugates=None):
         def wrapped(axes):
             slices.append(sum(np.ndim(a) == 0 for a in axes))
             return failing(axes)
 
-        return first_failure(reps, wrapped, cells, conjugates)
+        return first_failure(reps, wrapped, conjugates)
 
     monkeypatch.setattr(dmagma.words, "first_failure", recording_first_failure)
     g, law = parse_group_spec("perm:(1 2),(1 2 3)"), parse_law("[x,y;z,u]=1")
-    chunk = 6 ** (4 - length)
-    assert check_law_exhaustive(g, law, chunk_size=chunk) == flat_index_scan(g, law)
+    monkeypatch.setattr(dmagma.tables, "SCAN_CELLS", 6 ** (4 - length))
+    assert check_law_exhaustive(g, law) == flat_index_scan(g, law)
     orbits = simultaneous_orbits(g, length)
     assert slices == [length] * orbits and orbits == [3, 11, 49][length - 1]
     slices.clear()
-    got = check_law_sampled(g, law, 300, 1, chunk_size=chunk)  # settled on the class grid
+    got = check_law_sampled(g, law, 300, 1)  # settled on the class grid
     assert got == Verdict(HOLDS_SAMPLED, 300, None, 300, 1)
     assert len(slices) == orbits
 
@@ -514,18 +523,22 @@ def test_a_wrong_orbit_key_is_caught(monkeypatch, mutate):
     # the product-table mutant merges every prefix into one orbit.
     g, law = parse_group_spec("perm:(1 2),(1 2 3)"), parse_law("[x^2,y]=1")
     want, stream = flat_index_scan(g, law), stream_scan(g, law, 300, 1)
-    assert check_law_exhaustive(g, law, chunk_size=6) == want == naive_check(g, law)
-    assert check_law_sampled(g, law, 300, 1, chunk_size=6) == stream
+    monkeypatch.setattr(dmagma.tables, "SCAN_CELLS", 6)
+    assert check_law_exhaustive(g, law) == want == naive_check(g, law)
+    assert check_law_sampled(g, law, 300, 1) == stream
     assert want.status == stream.status == COUNTEREXAMPLE
     mutate(monkeypatch, g)
-    assert check_law_exhaustive(g, law, chunk_size=6) != want
-    assert check_law_sampled(g, law, 300, 1, chunk_size=6) != stream
+    assert check_law_exhaustive(g, law) != want
+    assert check_law_sampled(g, law, 300, 1) != stream
 
 
 def test_chunked_scan_is_deterministic():
     g = make_dihedral(4)
     law = parse_law("[x,y,z]=1")
-    verdicts = {check_law_exhaustive(g, law, chunk_size=c) for c in (1, 7, 64, 1 << 20)}
+    verdicts = set()
+    for c in (1, 7, 64, 1 << 20):
+        with patch.object(dmagma.tables, "SCAN_CELLS", c):
+            verdicts.add(check_law_exhaustive(g, law))
     assert len(verdicts) == 1
 
 
@@ -540,7 +553,10 @@ def test_sampled_stream_does_not_depend_on_chunk_size():
     ]
     for spec, text in cases:
         g, law = parse_group_spec(spec), parse_law(text)
-        verdicts = [check_law_sampled(g, law, 3000, 4, chunk_size=c) for c in (1, 7, 1000, 1 << 20)]
+        verdicts = []
+        for c in (1, 7, 1000, 1 << 20):
+            with patch.object(dmagma.tables, "SCAN_CELLS", c):
+                verdicts.append(check_law_sampled(g, law, 3000, 4))
         assert all(v == verdicts[0] for v in verdicts), (spec, text)
 
 
@@ -598,14 +614,12 @@ def test_a_sampled_scan_draws_a_short_first_slice(monkeypatch):
     sizes = []
     real = dmagma.words.scan_sampled
 
-    def recording_scan_sampled(
-        variables, names, failing, count, seed, reps, chunk=SCAN_CELLS, conjugates=None
-    ):
+    def recording_scan_sampled(variables, names, failing, count, seed, reps, conjugates=None):
         def wrapped(axes):
             sizes.append(int(np.prod(np.broadcast_shapes(*(np.shape(a) for a in axes)))))
             return failing(axes)
 
-        return real(variables, names, wrapped, count, seed, reps, chunk, conjugates)
+        return real(variables, names, wrapped, count, seed, reps, conjugates)
 
     monkeypatch.setattr(dmagma.words, "scan_sampled", recording_scan_sampled)
     # S4's L3 grid (24^5 tuples) is larger than 8 * 10^5, so the stream is drawn
@@ -620,7 +634,8 @@ def test_a_sampled_scan_draws_a_short_first_slice(monkeypatch):
     for chunk, want in cases:
         sizes.clear()
         count = sum(want)
-        got = check_law_sampled(g, builtin_law("L3"), count, 4, chunk_size=chunk)
+        monkeypatch.setattr(dmagma.tables, "SCAN_CELLS", chunk)
+        got = check_law_sampled(g, builtin_law("L3"), count, 4)
         assert got == Verdict(HOLDS_SAMPLED, count, None, count, 4)
         assert sizes == want
 
@@ -656,6 +671,47 @@ def test_budget_exceeded_suggests_sampling():
     g = make_dihedral(8)
     with pytest.raises(BudgetExceededError, match="sampled"):
         check_law_exhaustive(g, builtin_law("CI"), budget=1000)
+
+
+def test_one_budget_rule_scans_up_to_the_budget_and_refuses_past_it():
+    # `words.decide` admits every budgeted checker: a grid of n^k == budget is
+    # scanned exhaustively, and at n^k == budget + 1 a law or interchange scan
+    # is refused (a ring law samples there instead, as
+    # test_rings.test_every_ring_law_samples_exactly_past_its_budget checks)
+    g, law = parse_group_spec(S4), builtin_law("3M_I")
+    want = check_law_exhaustive(g, law)
+    assert want.status == COUNTEREXAMPLE and check_law_exhaustive(g, law, budget=24**3) == want
+    with pytest.raises(BudgetExceededError) as e:
+        check_law_exhaustive(g, law, budget=24**3 - 1)
+    assert str(e.value) == ("law [[x,y],[x,z]]=1 over order 24 needs 13824 evaluations "
+                            "(budget 13823); use check_law_sampled")
+    d = commutator_double(make_dihedral(4))
+    assert satisfies_interchange(d, budget=8**4) == satisfies_interchange(d) == Verdict(
+        HOLDS_EXHAUSTIVE, 8**4
+    )
+    with pytest.raises(BudgetExceededError) as e:
+        satisfies_interchange(d, budget=8**4 - 1)
+    assert str(e.value) == "interchange scan on order 8 needs 4096 checks (budget 4095)"
+
+
+def test_a_refused_scan_builds_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a scan past the budget")
+
+    monkeypatch.setattr(dmagma.words, "_word_tables", refuse)
+    monkeypatch.setattr(dmagma.words, "class_reps", refuse)
+    monkeypatch.setattr(dmagma.magmas, "interchange_scan", refuse)
+    g = make_dihedral(8)
+    with pytest.raises(BudgetExceededError):
+        check_law_exhaustive(g, builtin_law("CI"), budget=16**4 - 1)
+    assert not g.law_tables and not g.law_classes
+    with pytest.raises(AssertionError, match="past the budget"):  # within budget, the scan is built
+        check_law_exhaustive(g, builtin_law("CI"), budget=16**4)
+    d = commutator_double(g)
+    with pytest.raises(BudgetExceededError):
+        satisfies_interchange(d, budget=16**4 - 1)
+    with pytest.raises(AssertionError, match="past the budget"):
+        satisfies_interchange(d, budget=16**4)
 
 
 def test_sampled_is_deterministic_and_consistent():
