@@ -9,7 +9,6 @@ catalog of structural equivalences over a corpus of groups and rings.
 from .constructions import WordPair, commutator_double, ring_commutator_double, word_double
 from .errors import BudgetExceededError, ParseError, SpecError, UnboundVariableError
 from .groups import (
-    DEFAULT_ORDER_BUDGET,
     FiniteGroup,
     SubgroupSet,
     derived_series,
@@ -66,9 +65,9 @@ from .suite import (
     Report,
     run_corpus,
 )
+from .tables import DEFAULT_EVAL_BUDGET, DEFAULT_ORDER_BUDGET, Verdict
 from .words import (
     BUILTIN_LAWS,
-    DEFAULT_EVAL_BUDGET,
     Bracket,
     Conjugate,
     IdentityLiteral,
@@ -78,7 +77,6 @@ from .words import (
     Product,
     Term,
     Variable,
-    Verdict,
     builtin_law,
     check_law_exhaustive,
     check_law_sampled,

@@ -40,15 +40,8 @@ from .magmas import (
 )
 from .rings import RING_LAWS, check_ring_law, parse_ring_spec
 from .suite import CorpusConfig, run_corpus
-from .words import (
-    BUILTIN_LAWS,
-    DEFAULT_EVAL_BUDGET,
-    builtin_law,
-    check_law_exhaustive,
-    check_law_sampled,
-    check_sampling,
-    parse_law,
-)
+from .tables import DEFAULT_EVAL_BUDGET, DEFAULT_SAMPLES, DEFAULT_SEED, check_sampling
+from .words import BUILTIN_LAWS, builtin_law, check_law_exhaustive, check_law_sampled, parse_law
 
 USAGE_ERROR = 2
 PROPERTY_FAILS = 1
@@ -220,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"a law like '[x,y;x,z]=1' or a registry name ({', '.join(sorted(BUILTIN_LAWS))})",
     )
     p.add_argument("--sampled", action="store_true", help="sample instead of exhausting")
-    p.add_argument("--samples", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--budget", type=int, default=DEFAULT_EVAL_BUDGET)
     p.set_defaults(fn=cmd_law)
 
@@ -248,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ring", help="check a bracket law on a ring")
     p.add_argument("spec", help="zmod:n | matrix:k,n | uppertri:k,n")
     p.add_argument("--law", required=True, choices=RING_LAWS)
-    p.add_argument("--samples", type=int, default=10**6)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--budget", type=int, default=DEFAULT_EVAL_BUDGET)
     p.set_defaults(fn=cmd_ring)
 

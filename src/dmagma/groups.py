@@ -91,9 +91,6 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def name(self, x: int) -> str:
-        return self.names[x]
-
     def index_of(self, name: str) -> int:
         try:
             return self._name_index[name]
@@ -393,14 +390,14 @@ def make_metacyclic(m: int, n: int, r: int) -> FiniteGroup:
     order = m * n
     check_order(order, "metacyclic group")
     # As a 4-D array [j, i, l, k]: ((j + l) mod n) * m + (i + k*r^j) mod m, built
-    # from an n x n and an n x m x m part. No partial value reaches m*m.
-    dtype = np.int32 if m * m < 2**31 else np.int64
-    i, j = np.arange(m, dtype=dtype), np.arange(n, dtype=dtype)
-    rpow = np.array([pow(r, e, m) for e in range(n)], dtype=dtype)
+    # from an n x n and an n x m x m part, in int32: under the order budget no
+    # partial value reaches m*m <= 2^20.
+    i, j = np.arange(m, dtype=np.int32), np.arange(n, dtype=np.int32)
+    rpow = np.array([pow(r, e, m) for e in range(n)], dtype=np.int32)
     high = np.add.outer(j, j) % n * m  # [j, l]
     low = np.multiply.outer(rpow, i)[:, None, :] + i[:, None]  # [j, i, k]
     low %= m
-    mul = np.empty((n, m, n, m), dtype=dtype)
+    mul = np.empty((n, m, n, m), dtype=np.int32)
     np.add(high[:, None, :, None], low[:, :, None, :], out=mul)
     mul = mul.reshape(order, order)
     names = []

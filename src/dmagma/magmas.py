@@ -11,7 +11,8 @@ so elements whose lines agree there give equal checks. The scans visit the
 smallest element of each such class, in lexicographic order; the first
 failure of the full scan is always among these tuples, so the witness and
 its position (`evaluations`) are those of the full n^3 or n^4 scan, and a
-clean pass reports the full count. See `tables` for the argument.
+clean pass reports the full count. See `tables` for the argument, and for
+the budget rule and the verdicts, which this module takes from there alone.
 """
 
 from __future__ import annotations
@@ -26,15 +27,18 @@ from functools import partial
 import numpy as np
 
 from .tables import (
+    DEFAULT_EVAL_BUDGET,
+    Verdict,
     as_table,
     carrier_names,
+    decide,
+    exhaustive_verdict,
     first_associativity_failure,
     first_mismatch,
     interchange_scan,
     two_sided_identity,
     two_sided_zero,
 )
-from .words import DEFAULT_EVAL_BUDGET, Verdict, decide, exhaustive_verdict
 
 
 class Magma:
@@ -78,7 +82,7 @@ def is_associative(m: Magma) -> Verdict:
 
 def satisfies_interchange(d: DoubleMagma, budget: int = DEFAULT_EVAL_BUDGET) -> Verdict:
     """Scan (w*x)•(y*z) = (w•y)*(x•z) over all quadruples in lexicographic order,
-    if the n^4 of them fit `budget` (`words.decide`)."""
+    if the n^4 of them fit `budget` (`tables.decide`)."""
     return decide("wxyz", d.names, budget, lambda total: (
         f"interchange scan on order {d.order} needs {total} checks (budget {budget})"
     ), partial(interchange_scan, d.star.op, d.bullet.op))

@@ -20,11 +20,17 @@ import numpy as np
 
 from .errors import SpecError
 from .tables import (
+    DEFAULT_EVAL_BUDGET,
     DEFAULT_ORDER_BUDGET,
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
+    Verdict,
     as_table,
     carrier_names,
     check_order,
     check_power_order,
+    check_sampling,
+    decide,
     first_associativity_failure,
     flat_cells,
     is_latin,
@@ -33,21 +39,7 @@ from .tables import (
     spec_number,
     two_sided_identity,
 )
-from .words import (
-    DEFAULT_EVAL_BUDGET,
-    Bracket,
-    IdentityLiteral,
-    IntPower,
-    Inverse,
-    Product,
-    Verdict,
-    _law_scan,
-    builtin_law,
-    check_sampling,
-    decide,
-)
-
-_DEFAULT_SAMPLES = 10**6
+from .words import Bracket, IdentityLiteral, IntPower, Inverse, Product, _law_scan, builtin_law
 
 # Each ring law is a builtin commutator law read in the Lie ring: <x,y> for [x,y].
 RING_WORD_LAWS = {
@@ -110,9 +102,7 @@ class FiniteRing:
         gens = magma_generators(add)
         if not light_associative(add, gens):
             raise ValueError("addition must be associative")
-        zero = two_sided_identity(add)
-        if zero is None:
-            raise ValueError("addition has no zero element")
+        zero = two_sided_identity(add)  # an associative quasigroup is a group
         if not _generator_checks_pass(add, mul, gens):
             bad = first_associativity_failure(mul)
             if bad is not None:
@@ -133,9 +123,6 @@ class FiniteRing:
 
     def __repr__(self):
         return f"FiniteRing({self.label!r}, order={self.order})"
-
-    def name(self, x: int) -> str:
-        return self.names[x]
 
     def bracket_table(self) -> np.ndarray:
         """Read-only table of <x,y> = xy - yx, computed once per ring."""
@@ -191,16 +178,15 @@ def _matrix_ring_from_entries(kind: str, k: int, n: int) -> FiniteRing:
     names = [template.format(*e) for e in itertools.product([str(v) for v in range(n)], repeat=d)]
     if n == 1:  # every entry is 0 and both tables are [[0]], whatever k is
         return FiniteRing([[0]], [[0]], names, label=label)
-    # No partial value reaches max(order, k * n * n); int32 arithmetic is several times faster.
-    dtype = np.int32 if max(order, k * n * n) < 2**31 else np.int64
-
+    # In int32, several times faster than int64: under the order budget no
+    # partial value reaches max(order, k * n * n) <= 2^20.
     def entry(pos, side):  # entry pos of the left (side 0) or right (side 1) factor, on its axis
         shape = [1] * (2 * d)
         shape[side * d + slot[pos]] = n
-        return np.arange(n, dtype=dtype).reshape(shape)
+        return np.arange(n, dtype=np.int32).reshape(shape)
 
-    add = np.zeros((n,) * (2 * d), dtype=dtype)
-    mul = np.zeros((n,) * (2 * d), dtype=dtype)
+    add = np.zeros((n,) * (2 * d), dtype=np.int32)
+    mul = np.zeros((n,) * (2 * d), dtype=np.int32)
     for s, (i, j) in enumerate(positions):
         weight = n ** (d - 1 - s)
         add += (entry((i, j), 0) + entry((i, j), 1)) % n * weight
@@ -254,7 +240,7 @@ def parse_ring_spec(spec: str) -> FiniteRing:
 
 
 def check_ring_law(r: FiniteRing, name: str, budget: int = DEFAULT_EVAL_BUDGET,
-                   sample_count: int = _DEFAULT_SAMPLES, seed: int = 1) -> Verdict:
+                   sample_count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> Verdict:
     """Decide one of the registry laws on the ring by brute force.
 
     RCI    : <w,x;y,z> = <w,y;x,z>   (CI)
@@ -268,7 +254,7 @@ def check_ring_law(r: FiniteRing, name: str, budget: int = DEFAULT_EVAL_BUDGET,
     read in (R,+) with the Lie bracket as its commutator, and scanned on one
     representative per class of elements with equal bracket rows and columns
     (`words._law_scan`). A law of k variables with n^k > budget is sampled
-    instead, from `sample_count` rows of `seed` (`words.decide`).
+    instead, from `sample_count` rows of `seed` (`tables.decide`).
     """
     check_sampling(sample_count, seed)
     if name not in RING_WORD_LAWS:

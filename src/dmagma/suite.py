@@ -38,15 +38,8 @@ from .magmas import (
     satisfies_interchange,
 )
 from .rings import check_ring_law, parse_ring_spec
-from .words import (
-    DEFAULT_EVAL_BUDGET,
-    Verdict,
-    builtin_law,
-    check_law_exhaustive,
-    check_law_sampled,
-    check_sampling,
-    parse_law,
-)
+from .tables import DEFAULT_EVAL_BUDGET, DEFAULT_SAMPLES, DEFAULT_SEED, Verdict, check_sampling
+from .words import builtin_law, check_law_exhaustive, check_law_sampled, parse_law
 
 FIXTURE_CHECKS = ("golden_tables", "eh_audit")
 RING_CHECKS = ("ring_rci",)
@@ -108,7 +101,7 @@ class GroupFacts:
     """
 
     def __init__(self, g: FiniteGroup, budget: int = DEFAULT_EVAL_BUDGET,
-                 sample_count: int = 10**6, seed: int = 1):
+                 sample_count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED):
         self.g, self.budget, self.sample_count, self.seed = g, budget, sample_count, seed
         self._laws: dict[str, Verdict] = {}
 
@@ -437,8 +430,8 @@ def check_ring_rci(
     r,
     label: str,
     budget: int = DEFAULT_EVAL_BUDGET,
-    sample_count: int = 10**6,
-    seed: int = 1,
+    sample_count: int = DEFAULT_SAMPLES,
+    seed: int = DEFAULT_SEED,
 ) -> CheckResult:
     """RCI <=> (ALT3M and DOUBLE2), with the table-level interchange scan agreeing."""
     rci = check_ring_law(r, "RCI", budget, sample_count, seed)
@@ -497,8 +490,8 @@ class CorpusConfig:
     rings: tuple[str, ...] = DEFAULT_RINGS
     checks: tuple[str, ...] = ALL_CHECKS
     budget: int = DEFAULT_EVAL_BUDGET
-    sample_count: int = 10**6
-    seed: int = 1
+    sample_count: int = DEFAULT_SAMPLES
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         self.groups = tuple(self.groups)

@@ -4,7 +4,7 @@ Everything here works on plain ``n x n`` integer arrays whose entries are
 element indices, so the same scans back groups, rings and bare magmas.
 Scans report the lexicographically first failing tuple, which keeps
 witnesses deterministic regardless of slice size, the one constant
-`SCAN_CELLS`; whether a grid is scanned at all is `words.decide`'s rule. The
+`SCAN_CELLS`; whether a grid is scanned at all is `decide`'s rule. The
 generator-based tests (`magma_generators`, `light_associative`) only answer
 yes or no; a constructor that must name a non-associative triple runs the
 full scan (`first_associativity_failure`) on the table that failed them.
@@ -53,16 +53,29 @@ The walker skips a prefix whose orbit under simultaneous conjugation
 and the verdict are those of the full scan, found in one pass. Only group-law
 scans pass the conjugate table: (R,+) of a ring law has no conjugation to
 use, and the table scans (interchange, associativity) stay independent of G.
+
+One rule (`decide`) admits every budgeted scan, of the group laws of `words`,
+the ring laws of `rings` and the interchange of `magmas`: a grid of n^k <=
+budget tuples is scanned by `first_failure`, a larger one is sampled
+(`scan_sampled`) when a sample count and seed are given, and otherwise refused
+before anything is built. A sampled scan first scans a small class grid, whose
+clean pass settles the verdict, or else draws a seeded stream whose witness
+depends on (seed, count) alone; a clean pass is evidence, not proof. Every
+scan ends in a `Verdict` (`exhaustive_verdict`, `scan_sampled`), and
+`DEFAULT_EVAL_BUDGET`, `DEFAULT_SAMPLES` and `DEFAULT_SEED` are every caller's
+defaults. The table route (`magmas`) takes its verdicts from here, never from
+the word language.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import BudgetExceededError, SpecError
 
 # Most tuples one slice of a scan holds, read whenever a scan runs. A slice's
 # intp temporaries (`gather`) take fresh pages on every slice from 2^15 cells
@@ -73,6 +86,22 @@ SCAN_CELLS = 1 << 14
 
 # Most full trailing axes a `first_failure` slice spans (numpy allows 64).
 MAX_AXES = 32
+
+# Most tuples a budgeted scan visits before it is sampled or refused (`decide`),
+# and the sample count and seed of a sampled scan, unless the caller sets them.
+DEFAULT_EVAL_BUDGET = 10**8
+DEFAULT_SAMPLES = 10**6
+DEFAULT_SEED = 1
+
+# A sampled law scan first scans the grid of class representatives when that
+# grid has at most this many tuples per requested sample (`scan_sampled`).
+# Measured on 2 vCPUs of an Intel Xeon (Python 3.11, numpy 2.4): the grid
+# costs 7-11 ns per tuple (metacyclic:7,3,2 L3: 21^5 tuples in 31 ms) and a
+# drawn row 66-102 ns (10^6 rows of L2 in 66 ms, of L3 in 94-102 ms), so a
+# clean grid scan costs no more than the sampling it replaces.
+_GRID_PER_SAMPLE = 8
+# Rows of a sampled scan's first draw; each later one doubles (`scan_sampled`).
+_FIRST_DRAW = 64
 
 # Largest carrier the group and ring constructors build.
 DEFAULT_ORDER_BUDGET = 1024
@@ -116,8 +145,9 @@ def carrier_names(names, order: int) -> tuple[str, ...]:
 
 
 def as_table(op, order: int | None = None) -> np.ndarray:
-    """Coerce to a read-only square int32 table and range-check entries."""
-    table = np.ascontiguousarray(np.asarray(op, dtype=np.int32))
+    """A read-only square int32 table of element indices. Entries must be integers,
+    not bools, and are range-checked before the cast, which could wrap or raise."""
+    table = np.asarray(op)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise ValueError(f"operation table must be square, got shape {table.shape}")
     n = table.shape[0]
@@ -125,8 +155,10 @@ def as_table(op, order: int | None = None) -> np.ndarray:
         raise ValueError(f"table has order {n}, expected {order}")
     if n == 0:
         raise ValueError("empty carrier")
-    if table.min() < 0 or table.max() >= n:
+    # Read as unsigned, a negative entry is huge, so one max checks both bounds.
+    if table.dtype.kind not in "iu" or table.view(table.dtype.str.replace("i", "u")).max() >= n:
         raise ValueError("table entries must be element indices in [0, order)")
+    table = np.ascontiguousarray(table, dtype=np.int32)
     table.setflags(write=False)
     return table
 
@@ -286,6 +318,141 @@ def first_failure(reps, failing, conjugates=None) -> tuple[int, ...] | None:
             if keys is not None:
                 clean = {keys(prefix)}
     return None
+
+
+# ---------------------------------------------------------------------------
+# verdicts, sampling and admission
+# ---------------------------------------------------------------------------
+
+HOLDS_EXHAUSTIVE = "holds-exhaustive"
+HOLDS_SAMPLED = "holds-sampled"
+COUNTEREXAMPLE = "counterexample"
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of a universally quantified check.
+
+    For counterexamples found by exhaustive scans the witness is the
+    lexicographically smallest failing assignment and `evaluations` is its
+    1-based position in lexicographic order (deterministic regardless of
+    slice size); for clean exhaustive passes it is the full count.
+    """
+
+    status: str
+    evaluations: int
+    witness: dict[str, str] | None = None
+    sample_count: int | None = None
+    seed: int | None = None
+
+    @property
+    def holds(self) -> bool:
+        return self.status != COUNTEREXAMPLE
+
+    def to_dict(self) -> dict:
+        out: dict = {"status": self.status, "evaluations": self.evaluations}
+        if self.witness is not None:
+            out["witness"] = dict(self.witness)
+        if self.sample_count is not None:
+            out["sample_count"] = self.sample_count
+        if self.seed is not None:
+            out["seed"] = self.seed
+        return out
+
+    def describe(self) -> str:
+        if self.status == COUNTEREXAMPLE:
+            bindings = ", ".join(f"{k}={v}" for k, v in self.witness.items())
+            mode = f" (sampled, seed={self.seed})" if self.seed is not None else ""
+            return f"counterexample{mode} after {self.evaluations} evaluations: {bindings}"
+        if self.status == HOLDS_SAMPLED:
+            return f"holds-sampled (count={self.sample_count}, seed={self.seed}; not a proof)"
+        return f"holds-exhaustive ({self.evaluations} evaluations)"
+
+
+def _witness_dict(variables: tuple[str, ...], digits, names) -> dict[str, str]:
+    return {v: names[int(d)] for v, d in zip(variables, digits)}
+
+
+def exhaustive_verdict(bad, variables, names) -> Verdict:
+    """Verdict of a lexicographic scan over names^k that first failed at `bad`, or never.
+
+    `bad` is a tuple of element indices, one per variable, or None
+    (`first_failure`); `evaluations` is its 1-based position in the full
+    grid, or the size of the grid when nothing failed.
+    """
+    n = len(names)
+    if bad is None:
+        return Verdict(HOLDS_EXHAUSTIVE, evaluations=n ** len(variables))
+    pos = 0
+    for d in bad:
+        pos = pos * n + d
+    witness = _witness_dict(variables, bad, names)
+    return Verdict(COUNTEREXAMPLE, evaluations=pos + 1, witness=witness)
+
+
+def check_sampling(count: int, seed: int) -> None:
+    """Refuse a sample count below 1 or a negative seed, before any path decides whether to draw."""
+    if count < 1:
+        raise ValueError("sample count must be at least 1")
+    if seed < 0:
+        raise ValueError(f"sampling seed must be non-negative, got {seed}")
+
+
+def scan_sampled(variables: tuple[str, ...], names, failing, count: int, seed: int, reps,
+                 conjugates=None) -> Verdict:
+    """Scan `count` seeded pseudo-random assignments of range(n)^k for a failure, n = len(names).
+
+    `failing(axes)` gets one index array per variable and returns a boolean
+    array, broadcastable to the shape they span, that is true where the law
+    fails. Assignments are the rows of `rng.integers` draws of `_FIRST_DRAW`
+    rows, then twice as many each time up to `SCAN_CELLS`, so an early
+    failure costs a short draw; the rows do not depend on the cuts, so the
+    witness and the evaluation count depend on (seed, count) only. A found
+    counterexample is definitive; a clean pass is evidence, not proof.
+
+    `reps` holds the law's class representatives (`words._law_scan`). When their
+    grid has at most `_GRID_PER_SAMPLE` * count tuples, it is scanned first,
+    skipping prefixes by `conjugates` as `first_failure` does: if none fails,
+    no tuple of range(n)^k fails, so no drawn row could, and the
+    verdict the stream would give is returned without drawing it.
+    """
+    check_sampling(count, seed)
+    passed = Verdict(HOLDS_SAMPLED, evaluations=count, sample_count=count, seed=seed)
+    small = math.prod(map(len, reps)) <= _GRID_PER_SAMPLE * count
+    if small and first_failure(reps, failing, conjugates) is None:
+        return passed
+    rng, cap = np.random.default_rng(seed), SCAN_CELLS
+    done, step = 0, min(_FIRST_DRAW, cap)
+    while done < count:
+        size = min(step, count - done)
+        step = min(2 * step, cap)
+        sample = rng.integers(0, len(names), size=(size, len(variables)), dtype=np.int64)
+        bad = np.broadcast_to(failing(list(sample.T)), (size,))
+        if bad.any():
+            hit = int(np.argmax(bad))
+            witness = _witness_dict(variables, sample[hit], names)
+            return Verdict(COUNTEREXAMPLE, done + hit + 1, witness, count, seed)
+        done += size
+    return passed
+
+
+def decide(variables, names, budget: int, refusal, scan, sampling=None) -> Verdict:
+    """Verdict of a brute-force check over names^k, k = len(variables), under `budget`.
+
+    The one rule that admits a scan: a grid of n^k <= budget assignments is
+    scanned exhaustively (`first_failure`, `exhaustive_verdict`); a larger
+    one is sampled (`scan_sampled`) when `sampling` = (count, seed) is
+    given, and otherwise refused with BudgetExceededError(refusal(n^k))
+    before `scan` is called. `scan()` builds what the scan reads and returns
+    (reps, failing), or (reps, failing, conjugates) for a group law.
+    """
+    total = len(names) ** len(variables)
+    if total > budget and sampling is None:
+        raise BudgetExceededError(refusal(total))
+    reps, failing, *hook = scan()
+    if total > budget:
+        return scan_sampled(variables, names, failing, *sampling, reps, *hook)
+    return exhaustive_verdict(first_failure(reps, failing, *hook), variables, names)
 
 
 def first_associativity_failure(table: np.ndarray) -> tuple[int, int, int] | None:

@@ -14,39 +14,25 @@ conjugation. Comma lists inside brackets nest to the left, [x,y,z] = [[x,y],z],
 and the semicolon form is [u...; v...] = [leftnest(u), leftnest(v)]. The only
 constant is "1", the identity. Syntax trees deeper than MAX_DEPTH are a
 ParseError.
-
-One rule (`decide`) admits every budgeted scan: the group laws here, the ring
-laws of `rings` and the interchange scan of `magmas`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Mapping
 
 import numpy as np
 
-from .errors import BudgetExceededError, ParseError, SpecError, UnboundVariableError
-from .groups import FiniteGroup
 from . import tables as _tables
-from .tables import class_reps, first_failure, gather
+from .errors import ParseError, SpecError, UnboundVariableError
+from .groups import FiniteGroup
+from .tables import DEFAULT_EVAL_BUDGET, Verdict, class_reps, decide, gather, scan_sampled
 
-DEFAULT_EVAL_BUDGET = 10**8
 MAX_EXPONENT = 32
 # Deepest syntax tree a law may have; evaluating and printing terms recurses
 # once per level, so this keeps every consumer far from Python's stack limit.
 MAX_DEPTH = 100
-# A sampled law scan first scans the grid of class representatives when that
-# grid has at most this many tuples per requested sample (`scan_sampled`).
-# Measured on 2 vCPUs of an Intel Xeon (Python 3.11, numpy 2.4): the grid
-# costs 7-11 ns per tuple (metacyclic:7,3,2 L3: 21^5 tuples in 31 ms) and a
-# drawn row 66-102 ns (10^6 rows of L2 in 66 ms, of L3 in 94-102 ms), so a
-# clean grid scan costs no more than the sampling it replaces.
-_GRID_PER_SAMPLE = 8
-# Rows of a sampled scan's first draw; each later one doubles (`scan_sampled`).
-_FIRST_DRAW = 64
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +309,13 @@ class _Parser:
                 raise ParseError("expected an integer exponent after the sign", pos)
         if kind == "int":
             self.advance()
-            k = sign * int(val)
-            if abs(k) > MAX_EXPONENT:
-                raise ParseError(f"power exponent {k} out of range +-{MAX_EXPONENT}", pos)
+            digits = val.lstrip("0") or "0"
+            # a literal longer than MAX_EXPONENT is refused before int() reads it
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                shown = digits if len(digits) <= 12 else f"{digits[:12]}... ({len(digits)} digits)"
+                raise ParseError(f"power exponent {'-' * (sign < 0)}{shown} out of range "
+                                 f"+-{MAX_EXPONENT}", pos)
+            k = sign * int(digits)
             if k == -1:
                 return Inverse(base)
             return IntPower(base, k)
@@ -554,119 +544,8 @@ def run_ops(low: Lowering, tables: dict[type, np.ndarray], axes) -> list[np.ndar
 
 
 # ---------------------------------------------------------------------------
-# verdicts and law checking
+# law checking
 # ---------------------------------------------------------------------------
-
-HOLDS_EXHAUSTIVE = "holds-exhaustive"
-HOLDS_SAMPLED = "holds-sampled"
-COUNTEREXAMPLE = "counterexample"
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a universally quantified check.
-
-    For counterexamples found by exhaustive scans the witness is the
-    lexicographically smallest failing assignment and `evaluations` is its
-    1-based position in lexicographic order (deterministic regardless of
-    slice size); for clean exhaustive passes it is the full count.
-    """
-
-    status: str
-    evaluations: int
-    witness: dict[str, str] | None = None
-    sample_count: int | None = None
-    seed: int | None = None
-
-    @property
-    def holds(self) -> bool:
-        return self.status != COUNTEREXAMPLE
-
-    def to_dict(self) -> dict:
-        out: dict = {"status": self.status, "evaluations": self.evaluations}
-        if self.witness is not None:
-            out["witness"] = dict(self.witness)
-        if self.sample_count is not None:
-            out["sample_count"] = self.sample_count
-        if self.seed is not None:
-            out["seed"] = self.seed
-        return out
-
-    def describe(self) -> str:
-        if self.status == COUNTEREXAMPLE:
-            bindings = ", ".join(f"{k}={v}" for k, v in self.witness.items())
-            mode = f" (sampled, seed={self.seed})" if self.seed is not None else ""
-            return f"counterexample{mode} after {self.evaluations} evaluations: {bindings}"
-        if self.status == HOLDS_SAMPLED:
-            return f"holds-sampled (count={self.sample_count}, seed={self.seed}; not a proof)"
-        return f"holds-exhaustive ({self.evaluations} evaluations)"
-
-
-def _witness_dict(variables: tuple[str, ...], digits, names) -> dict[str, str]:
-    return {v: names[int(d)] for v, d in zip(variables, digits)}
-
-
-def exhaustive_verdict(bad, variables, names) -> Verdict:
-    """Verdict of a lexicographic scan over names^k that first failed at `bad`, or never.
-
-    `bad` is a tuple of element indices, one per variable, or None
-    (`tables.first_failure`); `evaluations` is its 1-based position in the
-    full grid, or the size of the grid when nothing failed.
-    """
-    n = len(names)
-    if bad is None:
-        return Verdict(HOLDS_EXHAUSTIVE, evaluations=n ** len(variables))
-    pos = 0
-    for d in bad:
-        pos = pos * n + d
-    witness = _witness_dict(variables, bad, names)
-    return Verdict(COUNTEREXAMPLE, evaluations=pos + 1, witness=witness)
-
-
-def check_sampling(count: int, seed: int) -> None:
-    """Refuse a sample count below 1 or a negative seed, before any path decides whether to draw."""
-    if count < 1:
-        raise ValueError("sample count must be at least 1")
-    if seed < 0:
-        raise ValueError(f"sampling seed must be non-negative, got {seed}")
-
-
-def scan_sampled(variables: tuple[str, ...], names, failing, count: int, seed: int, reps,
-                 conjugates=None) -> Verdict:
-    """Scan `count` seeded pseudo-random assignments of range(n)^k for a failure, n = len(names).
-
-    `failing(axes)` gets one index array per variable and returns a boolean
-    array, broadcastable to the shape they span, that is true where the law
-    fails. Assignments are the rows of `rng.integers` draws of `_FIRST_DRAW`
-    rows, then twice as many each time up to `tables.SCAN_CELLS`, so an early
-    failure costs a short draw; the rows do not depend on the cuts, so the
-    witness and the evaluation count depend on (seed, count) only. A found
-    counterexample is definitive; a clean pass is evidence, not proof.
-
-    `reps` holds the law's class representatives (`_law_scan`). When their
-    grid has at most `_GRID_PER_SAMPLE` * count tuples, it is scanned first,
-    skipping prefixes by `conjugates` as `tables.first_failure` does: if none
-    fails, no tuple of range(n)^k fails, so no drawn row could, and the
-    verdict the stream would give is returned without drawing it.
-    """
-    check_sampling(count, seed)
-    passed = Verdict(HOLDS_SAMPLED, evaluations=count, sample_count=count, seed=seed)
-    small = math.prod(map(len, reps)) <= _GRID_PER_SAMPLE * count
-    if small and first_failure(reps, failing, conjugates) is None:
-        return passed
-    rng, cap = np.random.default_rng(seed), _tables.SCAN_CELLS
-    done, step = 0, min(_FIRST_DRAW, cap)
-    while done < count:
-        size = min(step, count - done)
-        step = min(2 * step, cap)
-        sample = rng.integers(0, len(names), size=(size, len(variables)), dtype=np.int64)
-        bad = np.broadcast_to(failing(list(sample.T)), (size,))
-        if bad.any():
-            hit = int(np.argmax(bad))
-            witness = _witness_dict(variables, sample[hit], names)
-            return Verdict(COUNTEREXAMPLE, done + hit + 1, witness, count, seed)
-        done += size
-    return passed
 
 
 def _law_scan(law: Law, tables: dict[type, np.ndarray], n: int, known=None):
@@ -704,28 +583,9 @@ def _group_law_scan(group: FiniteGroup, law: Law):
     return reps, failing, partial(_conjugate_table, group)
 
 
-def decide(variables, names, budget: int, refusal, scan, sampling=None) -> Verdict:
-    """Verdict of a brute-force check over names^k, k = len(variables), under `budget`.
-
-    The one rule that admits a scan: a grid of n^k <= budget assignments is
-    scanned exhaustively (`tables.first_failure`, `exhaustive_verdict`); a
-    larger one is sampled (`scan_sampled`) when `sampling` = (count, seed) is
-    given, and otherwise refused with BudgetExceededError(refusal(n^k))
-    before `scan` is called. `scan()` builds what the scan reads and returns
-    (reps, failing), or (reps, failing, conjugates) for a group law.
-    """
-    total = len(names) ** len(variables)
-    if total > budget and sampling is None:
-        raise BudgetExceededError(refusal(total))
-    reps, failing, *hook = scan()
-    if total > budget:
-        return scan_sampled(variables, names, failing, *sampling, reps, *hook)
-    return exhaustive_verdict(first_failure(reps, failing, *hook), variables, names)
-
-
 def check_law_exhaustive(group: FiniteGroup, law: Law, budget: int = DEFAULT_EVAL_BUDGET) -> Verdict:
     """Scan every assignment in lexicographic element order, first variable
-    most significant, if the n^k of them fit `budget` (`decide`).
+    most significant, if the n^k of them fit `budget` (`tables.decide`).
 
     Only one representative per class of elements the law cannot tell apart
     is visited (`_law_scan`), and prefixes conjugate to one already scanned
@@ -738,7 +598,7 @@ def check_law_exhaustive(group: FiniteGroup, law: Law, budget: int = DEFAULT_EVA
 
 
 def check_law_sampled(group: FiniteGroup, law: Law, count: int, seed: int) -> Verdict:
-    """Check `count` seeded pseudo-random assignments (`scan_sampled`).
+    """Check `count` seeded pseudo-random assignments (`tables.scan_sampled`).
 
     A found counterexample is definitive; a clean pass is evidence, not proof.
     A `holds-sampled` verdict may be settled on the grid of class
@@ -770,9 +630,8 @@ BUILTIN_LAWS: dict[str, str] = {
 }
 
 
-@lru_cache(maxsize=None)
 def builtin_law(name: str) -> Law:
-    """Look up a named law from the registry."""
+    """Look up a named law from the registry; `parse_law` returns the same Law each time."""
     try:
         return parse_law(BUILTIN_LAWS[name])
     except KeyError:

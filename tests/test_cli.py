@@ -107,6 +107,26 @@ def test_law_parse_error_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("exponent,position,shown", [
+    ("9" * 5000, 6, "999999999999... (5000 digits)"),
+    ("-" + "0" * 5000 + "33", 7, "-33"),
+    ("-" + "0" * 5000 + "1" * 5000, 7, "-111111111111... (5000 digits)"),
+], ids=["nines", "zeros-then-33", "zeros-then-ones"])
+def test_a_long_law_exponent_is_refused_before_it_is_converted(capsys, exponent, position, shown):
+    # int() refuses literals past 4300 digits; the parser refuses them first, by length
+    rc, out, err = run(capsys, "law", "dihedral:4", f"[x,y]^{exponent}=1")
+    assert rc == 2 and out == ""
+    assert err == f"error: power exponent {shown} out of range +-32 (at position {position})\n"
+    assert "set_int_max_str_digits" not in err
+
+
+def test_leading_zeros_of_a_law_exponent_are_dropped(capsys):
+    rc, out, _ = run(capsys, "law", "dihedral:4", "x^003=1")
+    assert rc == 1 and "law: x^3=1" in out
+    rc, out, _ = run(capsys, "law", "dihedral:4", "x^-" + "0" * 5000 + "3=1")
+    assert rc == 1 and "law: x^-3=1" in out
+
+
 def test_law_nested_too_deep_exit_2(capsys):
     deep = "(" * 3000 + "x" + ")" * 3000 + "=1"
     rc, out, err = run(capsys, "law", "cyclic:3", deep)

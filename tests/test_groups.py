@@ -341,6 +341,15 @@ def test_closures_reject_seeds_out_of_range():
             SubgroupSet(frozenset({0, bad}), g)
 
 
+def test_subgroup_sets_and_element_names_are_checked():
+    g = make_dihedral(4)
+    with pytest.raises(ValueError, match="^subgroup must contain the identity$"):
+        SubgroupSet(frozenset({1}), g)
+    assert g.index_of(g.names[3]) == 3
+    with pytest.raises(ValueError, match="^no element named 'zz'$"):
+        g.index_of("zz")
+
+
 def test_subgroup_members_must_be_integers():
     # a float or a string is refused, never truncated to an index
     g = make_cyclic(6)
@@ -435,6 +444,16 @@ def test_constructed_tables_satisfy_invariants(corpus_groups):
         assert np.array_equal(mul[0], idx) and np.array_equal(mul[:, 0], idx), spec
         assert all(mul[x, g.inv[x]] == 0 for x in range(n)), spec
         assert len(set(g.names)) == n and g.names[0] == "1", spec
+
+
+def test_perm_from_cycles_errors():
+    assert perm_from_cycles([(1, 2)], 3) == (2, 1, 3)
+    with pytest.raises(ValueError, match="^cycle points must be positive integers$"):
+        perm_from_cycles([(0, 1)])
+    with pytest.raises(ValueError, match="^cycles must be disjoint"):
+        perm_from_cycles([(1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="^cycle point 5 exceeds domain size 3$"):
+        perm_from_cycles([(1, 5)], 3)
 
 
 def test_rejects_non_group_tables():

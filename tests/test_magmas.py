@@ -11,6 +11,7 @@ from dmagma.fixtures import two_element_fixture
 from dmagma.groups import make_cyclic, make_dihedral, parse_group_spec
 from dmagma.magmas import (
     DoubleMagma,
+    EckmannHiltonReport,
     Magma,
     eckmann_hilton_audit,
     find_identity,
@@ -27,7 +28,7 @@ from dmagma.magmas import (
     superscript_names,
 )
 from dmagma.rings import parse_ring_spec
-from dmagma.tables import gather, light_associative, magma_generators
+from dmagma.tables import HOLDS_EXHAUSTIVE, Verdict, gather, light_associative, magma_generators
 from table_oracles import cubic_associativity_scan
 
 
@@ -170,6 +171,16 @@ def test_audit_flags_inconsistency_on_a_forged_double():
         assert "FATAL" in report.summary()
     else:
         assert report.consistent
+
+
+def test_audit_summary_names_the_failed_conclusions():
+    # no table passes the hypotheses and fails a conclusion, so the report is built directly
+    report = EckmannHiltonReport("1", "t", Verdict(HOLDS_EXHAUSTIVE, 16), True, (),
+                                 {"star-associative": True, "operations-identical": False,
+                                  "identities-coincide": False})
+    assert not report.consistent
+    assert report.summary() == ("FATAL INCONSISTENCY: hypotheses hold but conclusions fail: "
+                                "identities-coincide, operations-identical")
 
 
 # --- exporters -------------------------------------------------------------------

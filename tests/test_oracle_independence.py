@@ -1,13 +1,17 @@
 """The scalar and full-scan oracles share no code with the scans they check.
 
 Every exhaustive scan runs through one walker (`tables.first_failure`) and one
-verdict builder (`words.exhaustive_verdict`), and every group or ring law is
+verdict builder (`tables.exhaustive_verdict`), and every group or ring law is
 evaluated by one runner of its lowered op list (`words.lower`, `words.run_ops`)
 from one registry of builtin laws. A bug there would show in every verdict at
 once, so the oracles that cross-check those verdicts, the scalar `evaluate`
 among them, must reach their answers without them, or through the law
 checkers that call them. The same holds for the old structure builders
 and subgroup series kept in `structure_oracles`.
+
+The two routes of the suite stay apart in the program too: the table route
+(`magmas`, and the commutator doubles it scans) uses nothing of the word
+language in `words`.
 """
 
 import ast
@@ -16,6 +20,8 @@ import textwrap
 
 import pytest
 
+import dmagma.constructions
+import dmagma.magmas
 import dmagma.words
 import structure_oracles
 import table_oracles
@@ -82,3 +88,29 @@ def referenced_names(obj) -> set[str]:
 @pytest.mark.parametrize("oracle", ORACLES, ids=lambda o: o.__name__)
 def test_oracle_does_not_use_the_scan_path_it_checks(oracle):
     assert not referenced_names(oracle) & SHARED_SCAN_PATH
+
+
+def defined_names(module) -> set[str]:
+    """The names a module's own top level defines: functions, classes and assigned names."""
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_the_table_route_uses_no_word_code():
+    for node in ast.walk(ast.parse(inspect.getsource(dmagma.magmas))):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module not in ("words", "dmagma.words"), ast.unparse(node)
+        elif isinstance(node, ast.Import):
+            assert all(a.name != "dmagma.words" for a in node.names), ast.unparse(node)
+    word_names = defined_names(dmagma.words)
+    assert {"Verdict", "decide", "lower", "run_ops", "_word_tables"} & word_names == {
+        "lower", "run_ops", "_word_tables"}
+    c = dmagma.constructions
+    for fn in (c.commutator_double, c.ring_commutator_double, c._double):
+        assert not referenced_names(fn) & word_names, fn.__name__

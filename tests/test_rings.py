@@ -9,7 +9,6 @@ import pytest
 
 import dmagma.rings
 import dmagma.tables
-import dmagma.words
 from dmagma.errors import SpecError
 from dmagma.groups import FiniteGroup, parse_group_spec
 from dmagma.magmas import Magma
@@ -159,6 +158,10 @@ def test_ring_validation_rejects_bad_tables():
     # additive group of Z2 but a multiplication that fails distributivity
     with pytest.raises(ValueError, match="distribute"):
         FiniteRing([[0, 1], [1, 0]], [[1, 1], [1, 1]], ["0", "1"])
+    # S3's product is a Latin square, but no ring's addition
+    s3 = parse_group_spec("dihedral:3").mul
+    with pytest.raises(ValueError, match="^addition must be commutative$"):
+        FiniteRing(s3, np.zeros_like(s3), [str(i) for i in range(6)])
 
 
 def test_parse_ring_spec():
@@ -169,6 +172,10 @@ def test_parse_ring_spec():
     for bad in ("nope:2", "zmod", "zmod:x", "matrix:2", "zmod:0"):
         with pytest.raises(SpecError):
             parse_ring_spec(bad)
+    with pytest.raises(SpecError, match=r"^'matrix:0,2': matrix ring needs k >= 1 and n >= 1$"):
+        parse_ring_spec("matrix:0,2")
+    with pytest.raises(SpecError, match=r"^'uppertri:0,2': upper-triangular ring needs k >= 1 and n >= 1$"):
+        parse_ring_spec("uppertri:0,2")
     # Arguments are decimal digits only, as in group specs: int() alone would
     # read "1_0" as 10 and "+6" as 6, and "²" is no digit to int().
     for bad in ("zmod:1_0", "zmod:+6", "zmod:-6", "matrix:2,+2", "uppertri:2_0,2", "zmod:²"):
@@ -283,8 +290,8 @@ def _scalar_ring_scan(r, name):
     for pos, combo in enumerate(combos):
         if value(*combo) != r.zero:
             witness = {v: r.names[i] for v, i in zip(variables, combo)}
-            return dmagma.words.Verdict("counterexample", pos + 1, witness)
-    return dmagma.words.Verdict("holds-exhaustive", r.order ** len(variables))
+            return dmagma.tables.Verdict("counterexample", pos + 1, witness)
+    return dmagma.tables.Verdict("holds-exhaustive", r.order ** len(variables))
 
 
 def _scalar_ring_stream(r, name, count, seed):
@@ -295,8 +302,8 @@ def _scalar_ring_stream(r, name, count, seed):
     for pos, row in enumerate(rows):
         if value(*(int(a) for a in row)) != r.zero:
             witness = {v: r.names[i] for v, i in zip(variables, row)}
-            return dmagma.words.Verdict("counterexample", pos + 1, witness, count, seed)
-    return dmagma.words.Verdict("holds-sampled", count, None, count, seed)
+            return dmagma.tables.Verdict("counterexample", pos + 1, witness, count, seed)
+    return dmagma.tables.Verdict("holds-sampled", count, None, count, seed)
 
 
 def reversed_labels(r):
@@ -342,7 +349,7 @@ MULTI_SLICE_RING_VERDICTS = (
 
 @pytest.mark.parametrize("spec,name,status,evaluations,witness", MULTI_SLICE_RING_VERDICTS)
 def test_multi_slice_ring_verdicts_are_pinned(spec, name, status, evaluations, witness):
-    want = dmagma.words.Verdict(status, evaluations, witness)
+    want = dmagma.tables.Verdict(status, evaluations, witness)
     assert check_ring_law(parse_ring_spec(spec), name) == want
 
 
@@ -354,7 +361,7 @@ def test_dropping_a_line_of_a_ring_law_derivation_is_caught(
     monkeypatch, spec, name, status, evaluations, witness
 ):
     r = parse_ring_spec(spec)
-    want = dmagma.words.Verdict(status, evaluations, witness)
+    want = dmagma.tables.Verdict(status, evaluations, witness)
     law = builtin_law(dmagma.rings.RING_WORD_LAWS[name])
     lines = law.lowering.lines
     for v, ls in lines.items():
@@ -398,8 +405,8 @@ def test_no_law_scan_slice_exceeds_the_cell_cap(monkeypatch):
 
         return first_failure(reps, wrapped, conjugates)
 
-    # the walker every law scan reaches, ring laws included, through `words.decide`
-    monkeypatch.setattr(dmagma.words, "first_failure", recording_first_failure)
+    # the walker every law scan reaches, ring laws included, through `tables.decide`
+    monkeypatch.setattr(dmagma.tables, "first_failure", recording_first_failure)
     # Both hold, so every slice of the grid of class representatives is visited:
     # ALT3M <x,y;x,z> reads x by its bracket row and y, z by their columns,
     # DOUBLE2 2<w,x;y,z> reads w, y by their rows and x, z by their columns.
@@ -493,7 +500,7 @@ def test_sampled_fallback_reports_the_first_failing_row_of_the_stream(spec, name
     pos = next(i for i, row in enumerate(rows) if value(*(int(a) for a in row)) != r.zero)
     assert pos + 1 == position
     witness = {var: r.names[i] for var, i in zip(variables, rows[pos])}
-    assert v == dmagma.words.Verdict("counterexample", position, witness, 100_000, seed)
+    assert v == dmagma.tables.Verdict("counterexample", position, witness, 100_000, seed)
 
 
 @pytest.mark.parametrize("name,status", [("RCI", "counterexample"), ("DOUBLE2", "holds-sampled")])
@@ -505,10 +512,10 @@ def test_sampled_scan_of_a_relabelled_ring_matches_a_scalar_walk_of_the_stream(n
     variables, value = _scalar_ring_law(r, name)
     pos = next((i for i, row in enumerate(rows) if value(*(int(a) for a in row)) != r.zero), None)
     if pos is None:
-        assert v == dmagma.words.Verdict("holds-sampled", 20_000, None, 20_000, 2)
+        assert v == dmagma.tables.Verdict("holds-sampled", 20_000, None, 20_000, 2)
     else:
         witness = {var: r.names[i] for var, i in zip(variables, rows[pos])}
-        assert v == dmagma.words.Verdict("counterexample", pos + 1, witness, 20_000, 2)
+        assert v == dmagma.tables.Verdict("counterexample", pos + 1, witness, 20_000, 2)
 
 
 # (ring, law, sample count, seed, whether the stream is drawn): a commutative
@@ -550,15 +557,15 @@ def test_sampled_fallback_matches_a_scalar_walk_of_the_stream(drawn_seeds, spec,
 def test_every_ring_law_samples_exactly_past_its_budget(name):
     r = make_zmod(6)
     k = len(builtin_law(dmagma.rings.RING_WORD_LAWS[name]).variables)
-    assert check_ring_law(r, name, budget=6**k) == dmagma.words.Verdict("holds-exhaustive", 6**k)
+    assert check_ring_law(r, name, budget=6**k) == dmagma.tables.Verdict("holds-exhaustive", 6**k)
     got = check_ring_law(r, name, budget=6**k - 1, sample_count=50, seed=4)
-    assert got == dmagma.words.Verdict("holds-sampled", 50, None, 50, 4)
+    assert got == dmagma.tables.Verdict("holds-sampled", 50, None, 50, 4)
 
 
 @pytest.mark.parametrize("name", ["RCI", "DOUBLE2"])
 def test_a_clean_class_grid_settles_the_sampled_fallback_without_drawing(no_sample_stream, name):
     r = make_zmod(125)
-    want = dmagma.words.Verdict("holds-sampled", 10**6, None, 10**6, 1)
+    want = dmagma.tables.Verdict("holds-sampled", 10**6, None, 10**6, 1)
     assert check_ring_law(r, name, budget=1) == want
 
 

@@ -198,6 +198,14 @@ def test_bad_spec_recorded_without_aborting():
     assert not report.passed  # an unparseable entry fails the run
 
 
+def test_bad_ring_spec_recorded_without_aborting():
+    config = CorpusConfig(groups=(), rings=("zmod:0", "zmod:2"), checks=("ring_rci",))
+    report = run_corpus(config)
+    assert report.errors == [{"structure": "zmod:0", "error": "'zmod:0': modulus must be at least 1"}]
+    assert [r.structure for r in report.results] == ["zmod:2"]
+    assert not report.passed
+
+
 def test_reports_are_byte_identical_across_runs():
     config = CorpusConfig(
         groups=("dihedral:3", "heisenberg:3"),
@@ -365,6 +373,9 @@ def test_config_rejects_unknown_keys_and_checks(tmp_path):
         CorpusConfig.from_file(path)
     path.write_text("{not json")
     with pytest.raises(SpecError, match="malformed"):
+        CorpusConfig.from_file(path)
+    path.write_text('["cyclic:3"]')
+    with pytest.raises(SpecError, match="malformed config .*: expected a JSON object$"):
         CorpusConfig.from_file(path)
     with pytest.raises(SpecError, match="unknown checks"):
         CorpusConfig(checks=("prop_1_1", "nope"))

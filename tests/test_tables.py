@@ -19,21 +19,18 @@ from dmagma.groups import FiniteGroup, parse_group_spec
 from dmagma.magmas import DoubleMagma, Magma, is_associative, satisfies_interchange
 from dmagma.rings import RING_LAWS, FiniteRing, check_ring_law, parse_ring_spec
 from dmagma.tables import (
+    COUNTEREXAMPLE,
+    HOLDS_EXHAUSTIVE,
     SCAN_CELLS,
+    Verdict,
+    as_table,
     class_reps,
     first_associativity_failure,
     first_failure,
     interchange_scan,
     orbit_keys,
 )
-from dmagma.words import (
-    COUNTEREXAMPLE,
-    HOLDS_EXHAUSTIVE,
-    Verdict,
-    check_law_exhaustive,
-    check_law_sampled,
-    parse_law,
-)
+from dmagma.words import check_law_exhaustive, check_law_sampled, parse_law
 from table_oracles import cubic_associativity_scan, quartic_interchange_scan, scan_verdict
 from test_properties import perm_groups
 
@@ -404,3 +401,47 @@ def test_rejected_ring_table_keeps_its_error_text():
     with pytest.raises(ValueError) as err:
         FiniteRing(r.add, r.bracket_table(), r.names)
     assert str(err.value) == "multiplication is not associative at (1, 1, 3)"
+
+
+ENTRIES = "table entries must be element indices in [0, order)"
+
+
+@pytest.mark.parametrize("op", [
+    [[0.7, 1.2], [1, 0]],  # floats, which an int32 cast would truncate to [[0, 1], [1, 0]]
+    [[0, 1.9], [1, 0]],
+    [["0", "1"], ["1", "0"]],
+    [[False, True], [True, False]],
+    [[0, 2**40], [1, 0]],  # past int32, where the cast would raise OverflowError
+    [[0, 2**70], [1, 0]],  # past int64: an object array
+    [[0, -1], [1, 0]],
+    [[0, 2], [1, 0]],
+], ids=["floats", "one-float", "strings", "bools", "past-int32", "past-int64", "negative", "too-large"])
+def test_table_entries_must_be_integer_element_indices(op):
+    with pytest.raises(ValueError) as err:
+        Magma(op, ("1", "a"))
+    assert str(err.value) == ENTRIES
+    with pytest.raises(ValueError) as err:
+        FiniteGroup(op, ("1", "a"))
+    assert str(err.value) == ENTRIES
+
+
+def test_tables_of_every_integer_dtype_are_read_as_int32():
+    for dtype in (np.int8, np.uint8, np.int64, np.uint64, ">i4"):
+        m = Magma(np.array([[0, 1], [1, 0]], dtype=dtype), ("1", "a"))
+        assert m.op.dtype == np.int32 and m.op.tolist() == [[0, 1], [1, 0]]
+        assert not m.op.flags.writeable
+        bad = [[0, 2], [1, 0]] if np.dtype(dtype).kind == "u" else [[0, -1], [1, 0]]
+        with pytest.raises(ValueError, match=r"^table entries must be element indices"):
+            Magma(np.array(bad, dtype=dtype), ("1", "a"))
+
+
+@pytest.mark.parametrize("op,order,message", [
+    ([0, 1], None, "operation table must be square, got shape (2,)"),
+    ([[0, 1, 0], [1, 0, 1]], None, "operation table must be square, got shape (2, 3)"),
+    ([[0]], 2, "table has order 1, expected 2"),
+    (np.zeros((0, 0), dtype=int), None, "empty carrier"),
+])
+def test_table_shape_errors(op, order, message):
+    with pytest.raises(ValueError) as err:
+        as_table(op, order)
+    assert str(err.value) == message

@@ -26,12 +26,17 @@ from dmagma.errors import (
 from dmagma.groups import make_cyclic, make_dihedral, make_metacyclic, parse_group_spec
 from dmagma.magmas import satisfies_interchange
 from dmagma.suite import DEFAULT_GROUPS, IDENTITY_LAWS
-from dmagma.tables import SCAN_CELLS, first_failure
-from dmagma.words import (
-    BUILTIN_LAWS,
+from dmagma.tables import (
     COUNTEREXAMPLE,
     HOLDS_EXHAUSTIVE,
     HOLDS_SAMPLED,
+    SCAN_CELLS,
+    Verdict,
+    exhaustive_verdict,
+    first_failure,
+)
+from dmagma.words import (
+    BUILTIN_LAWS,
     MAX_DEPTH,
     Bracket,
     Conjugate,
@@ -42,13 +47,11 @@ from dmagma.words import (
     Product,
     Term,
     Variable,
-    Verdict,
     _word_tables,
     builtin_law,
     check_law_exhaustive,
     check_law_sampled,
     evaluate,
-    exhaustive_verdict,
     free_variables,
     lower,
     parse_law,
@@ -109,6 +112,8 @@ def test_parse_errors():
         ("[x]", "two"),
         ("x^40", "out of range"),
         ("x^", "after"),
+        ("x^-y", r"expected an integer exponent after the sign \(at position 3\)"),
+        ("x*", r"expected a term, found 'end of input' \(at position 2\)"),
         ("2", "constant"),
         ("(x", "expected"),
         ("x)", "trailing"),
@@ -131,6 +136,10 @@ def test_parse_law():
 
 
 def test_parse_law_equals_sign_errors():
+    with pytest.raises(ParseError, match="^empty input$"):
+        parse_law(" ")
+    with pytest.raises(ParseError, match=r"^unexpected trailing input '\)' \(at position 3\)$"):
+        parse_law("x=y)")
     with pytest.raises(ParseError, match="'='"):
         parse_law("[x,y]")
     with pytest.raises(ParseError, match="exactly one"):
@@ -437,7 +446,7 @@ def test_law_op_tables_and_classes_are_kept_on_the_group(monkeypatch):
         seen.append(reps)
         return first_failure(reps, failing, conjugates)
 
-    monkeypatch.setattr(dmagma.words, "first_failure", recording_first_failure)
+    monkeypatch.setattr(dmagma.tables, "first_failure", recording_first_failure)
     law = builtin_law("L1")  # 21^4 > SCAN_CELLS, so its classes are derived
     first = check_law_exhaustive(g, law)
     tables = dict(g.law_tables)
@@ -484,7 +493,7 @@ def test_a_law_that_holds_scans_one_prefix_per_conjugation_orbit(monkeypatch, no
 
         return first_failure(reps, wrapped, conjugates)
 
-    monkeypatch.setattr(dmagma.words, "first_failure", recording_first_failure)
+    monkeypatch.setattr(dmagma.tables, "first_failure", recording_first_failure)
     g, law = parse_group_spec("perm:(1 2),(1 2 3)"), parse_law("[x,y;z,u]=1")
     monkeypatch.setattr(dmagma.tables, "SCAN_CELLS", 6 ** (4 - length))
     assert check_law_exhaustive(g, law) == flat_index_scan(g, law)
@@ -674,7 +683,7 @@ def test_budget_exceeded_suggests_sampling():
 
 
 def test_one_budget_rule_scans_up_to_the_budget_and_refuses_past_it():
-    # `words.decide` admits every budgeted checker: a grid of n^k == budget is
+    # `tables.decide` admits every budgeted checker: a grid of n^k == budget is
     # scanned exhaustively, and at n^k == budget + 1 a law or interchange scan
     # is refused (a ring law samples there instead, as
     # test_rings.test_every_ring_law_samples_exactly_past_its_budget checks)

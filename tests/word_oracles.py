@@ -12,10 +12,8 @@ import itertools
 
 import numpy as np
 
+from dmagma.tables import COUNTEREXAMPLE, HOLDS_EXHAUSTIVE, HOLDS_SAMPLED, Verdict
 from dmagma.words import (
-    COUNTEREXAMPLE,
-    HOLDS_EXHAUSTIVE,
-    HOLDS_SAMPLED,
     Bracket,
     Conjugate,
     IdentityLiteral,
@@ -23,7 +21,6 @@ from dmagma.words import (
     Inverse,
     Product,
     Variable,
-    Verdict,
     evaluate,
 )
 
