@@ -170,15 +170,8 @@ def cmd_suite(args) -> int:
         config = CorpusConfig.from_file(args.config)
     else:
         config = CorpusConfig()
-    overrides = {}
-    if args.checks is not None:
-        overrides["checks"] = tuple(s.strip() for s in args.checks.split(","))
-    if args.budget is not None:
-        overrides["budget"] = args.budget
-    if args.samples is not None:
-        overrides["sample_count"] = args.samples
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(CorpusConfig)
+                 if getattr(args, f.name, None) is not None}
     config = dataclasses.replace(config, **overrides)  # validates the overrides too
     start = time.perf_counter()
     report = run_corpus(config)
@@ -248,9 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run the verification suite over a corpus")
     p.add_argument("config", nargs="?", help="JSON corpus config (defaults built in)")
-    p.add_argument("--checks", help="comma-separated check ids to run")
+    p.add_argument("--checks", type=lambda s: tuple(c.strip() for c in s.split(",")),
+                   help="comma-separated check ids to run")
     p.add_argument("--budget", type=int)
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=int, dest="sample_count", metavar="SAMPLES")
     p.add_argument("--seed", type=int)
     p.add_argument("--text", default="dmagma-report.txt", help="human-readable report path")
     p.add_argument("--json", default="dmagma-report.json", help="machine-readable report path")

@@ -118,6 +118,7 @@ class FiniteRing:
         self.zero = zero
         self._bracket = add.reshape(-1)[flat_cells(mul, neg[mul.T], n)]  # xy + (-yx)
         self._bracket.setflags(write=False)
+        self._law_classes = (self._bracket, {})  # the bracket they came from, and the classes
         self.names = names
         self.label = label if label is not None else f"ring-of-order-{n}"
 
@@ -253,15 +254,20 @@ def check_ring_law(r: FiniteRing, name: str, budget: int = DEFAULT_EVAL_BUDGET,
     Each is the builtin word law named in parentheses (`RING_WORD_LAWS`),
     read in (R,+) with the Lie bracket as its commutator, and scanned on one
     representative per class of elements with equal bracket rows and columns
-    (`words._law_scan`). A law of k variables with n^k > budget is sampled
-    instead, from `sample_count` rows of `seed` (`tables.decide`).
+    (`words._law_scan`). The ring keeps those classes for its next law calls
+    while `r.bracket_table()` returns the array they were derived from. A law
+    of k variables with n^k > budget is sampled instead, from `sample_count`
+    rows of `seed` (`tables.decide`).
     """
     check_sampling(sample_count, seed)
     if name not in RING_WORD_LAWS:
         known = ", ".join(RING_LAWS)
         raise SpecError(f"unknown ring law {name!r}; known laws: {known}")
     law = builtin_law(RING_WORD_LAWS[name])
+    bracket = r.bracket_table()
+    if r._law_classes[0] is not bracket:  # classes of another bracket table cannot be kept
+        r._law_classes = (bracket, {})
     lie = {Product: r.add, Inverse: r.neg, IdentityLiteral: np.asarray(r.zero, dtype=np.intp),
-           Bracket: r.bracket_table(), IntPower: r.add.diagonal()}
-    scan = partial(_law_scan, law, lie, r.order)
+           Bracket: bracket, IntPower: r.add.diagonal()}
+    scan = partial(_law_scan, law, lie, r.order, r._law_classes[1])
     return decide(law.variables, r.names, budget, None, scan, (sample_count, seed))

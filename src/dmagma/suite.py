@@ -70,6 +70,12 @@ RECORDED_CLAIMS = {"dihedral:8": {"proper_double_semigroup": True}}
 _VACUOUS = "hypothesis fails; implication is vacuous here"
 
 
+def _fields_dict(obj) -> dict:
+    """A dataclass's fields by name, with its lists and tuples as fresh lists."""
+    values = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {k: list(v) if isinstance(v, (list, tuple)) else v for k, v in values.items()}
+
+
 @dataclass
 class CheckResult:
     check: str
@@ -79,13 +85,7 @@ class CheckResult:
     notes: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "structure": self.structure,
-            "passed": self.passed,
-            "details": self.details,
-            "notes": list(self.notes),
-        }
+        return _fields_dict(self)
 
     def headline(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -484,7 +484,12 @@ ALL_CHECKS = FIXTURE_CHECKS + tuple(_GROUP_CHECK_FUNCTIONS) + RING_CHECKS
 
 @dataclass
 class CorpusConfig:
-    """What to run: structure specs, check ids, scan budgets, and the sampling seed."""
+    """What to run: structure specs, check ids, scan budgets, and the sampling seed.
+
+    The fields are the suite's only list of settings, and `__post_init__` the
+    only check on them: library calls, config files and CLI overrides
+    (`dataclasses.replace`) all pass through it.
+    """
 
     groups: tuple[str, ...] = DEFAULT_GROUPS
     rings: tuple[str, ...] = DEFAULT_RINGS
@@ -494,9 +499,17 @@ class CorpusConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        self.groups = tuple(self.groups)
-        self.rings = tuple(self.rings)
-        self.checks = tuple(self.checks)
+        for f in fields(self):  # tuple defaults mark the lists of strings; the rest are ints
+            value = getattr(self, f.name)
+            if not isinstance(f.default, tuple):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise SpecError(f"malformed config: {f.name!r} must be a JSON integer")
+            elif isinstance(value, (list, tuple)) and all(isinstance(s, str) for s in value):
+                setattr(self, f.name, tuple(value))
+            else:
+                raise SpecError(f"malformed config: {f.name!r} must be a JSON list of strings")
+        if not self.checks:
+            raise SpecError("malformed config: 'checks' must name at least one check")
         unknown = [c for c in self.checks if c not in ALL_CHECKS]
         if unknown:
             raise SpecError(f"unknown checks {unknown}; known: {', '.join(ALL_CHECKS)}")
@@ -517,30 +530,10 @@ class CorpusConfig:
         unknown = set(raw) - known
         if unknown:
             raise SpecError(f"unknown config keys {sorted(unknown)}; known: {sorted(known)}")
-        kwargs = {}
-        for key in ("groups", "rings", "checks"):
-            if key in raw:
-                if not isinstance(raw[key], list) or not all(isinstance(s, str) for s in raw[key]):
-                    raise SpecError(
-                        f"malformed config {path}: {key!r} must be a JSON list of strings"
-                    )
-                kwargs[key] = tuple(raw[key])
-        for key in ("budget", "sample_count", "seed"):
-            if key in raw:
-                if not isinstance(raw[key], int) or isinstance(raw[key], bool):
-                    raise SpecError(f"malformed config {path}: {key!r} must be a JSON integer")
-                kwargs[key] = raw[key]
-        return cls(**kwargs)
+        return cls(**raw)
 
     def to_dict(self) -> dict:
-        return {
-            "groups": list(self.groups),
-            "rings": list(self.rings),
-            "checks": list(self.checks),
-            "budget": self.budget,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-        }
+        return _fields_dict(self)
 
 
 @dataclass

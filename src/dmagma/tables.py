@@ -145,8 +145,9 @@ def carrier_names(names, order: int) -> tuple[str, ...]:
 
 
 def as_table(op, order: int | None = None) -> np.ndarray:
-    """A read-only square int32 table of element indices. Entries must be integers,
-    not bools, and are range-checked before the cast, which could wrap or raise."""
+    """A read-only square int32 copy of a table of element indices. Entries must be
+    integers, not bools, and are range-checked before the cast, which could wrap or
+    raise. The copy leaves the caller's array writable and apart from the table."""
     table = np.asarray(op)
     if table.ndim != 2 or table.shape[0] != table.shape[1]:
         raise ValueError(f"operation table must be square, got shape {table.shape}")
@@ -158,7 +159,7 @@ def as_table(op, order: int | None = None) -> np.ndarray:
     # Read as unsigned, a negative entry is huge, so one max checks both bounds.
     if table.dtype.kind not in "iu" or table.view(table.dtype.str.replace("i", "u")).max() >= n:
         raise ValueError("table entries must be element indices in [0, order)")
-    table = np.ascontiguousarray(table, dtype=np.int32)
+    table = np.array(table, dtype=np.int32, order="C")
     table.setflags(write=False)
     return table
 

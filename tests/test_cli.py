@@ -459,6 +459,18 @@ def test_suite_empty_check_list_exits_2(tmp_path, capsys):
         assert not (tmp_path / "r.json").exists()
 
 
+def test_suite_config_with_no_checks_exits_2(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"checks": []}))
+    rc, out, err = run(
+        capsys, "suite", str(config),
+        "--text", str(tmp_path / "r.txt"), "--json", str(tmp_path / "r.json"),
+    )
+    assert (rc, out) == (2, "")
+    assert err == "error: malformed config: 'checks' must name at least one check\n"
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.txt").exists()
+
+
 # --- hostile specs in a child process ---------------------------------------------
 
 _CHILD_MEMORY = 2 << 30  # bytes of address space for the child

@@ -9,6 +9,7 @@ import pytest
 
 import dmagma.rings
 import dmagma.tables
+import dmagma.words
 from dmagma.errors import SpecError
 from dmagma.groups import FiniteGroup, parse_group_spec
 from dmagma.magmas import Magma
@@ -208,6 +209,24 @@ def test_bracket_table_is_built_once_and_read_only():
         bk[0, 0] = 1
     pairs = itertools.product(range(r.order), repeat=2)
     assert all(bk[x, y] == lie_bracket(r, x, y) for x, y in pairs)
+
+
+def test_a_ring_keeps_its_law_classes_between_calls(monkeypatch):
+    r = parse_ring_spec("matrix:2,3")  # 81^3 > SCAN_CELLS: the wider laws scan classes
+    first = {name: check_ring_law(r, name) for name in RING_LAWS}
+    fresh = {name: check_ring_law(parse_ring_spec("matrix:2,3"), name) for name in RING_LAWS}
+    derived, real = [], dmagma.words.class_reps
+
+    def counting_class_reps(tables, lines, n, known=None):
+        kept = set(known)
+        reps = real(tables, lines, n, known)
+        derived.append(set(known) - kept)
+        return reps
+
+    monkeypatch.setattr(dmagma.words, "class_reps", counting_class_reps)
+    again = {name: check_ring_law(r, name) for name in RING_LAWS}
+    assert derived and not any(derived)  # classes were read, none derived again
+    assert again == first == fresh
 
 
 def test_bracket_jacobi_identity():

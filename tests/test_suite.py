@@ -1,5 +1,6 @@
 """The verification suite: individual checks, the corpus runner, and reports."""
 
+import dataclasses
 import hashlib
 import json
 from collections import Counter
@@ -364,6 +365,40 @@ def test_config_from_file(tmp_path):
 def test_default_config_file_mirrors_the_defaults():
     path = Path(__file__).resolve().parent.parent / "configs" / "default.json"
     assert CorpusConfig.from_file(path) == CorpusConfig()
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("groups", "cyclic:3", "must be a JSON list of strings"),
+    ("checks", "prop_1_1", "must be a JSON list of strings"),
+    ("rings", ("zmod:4", 4), "must be a JSON list of strings"),
+    ("budget", True, "must be a JSON integer"),
+    ("sample_count", "10", "must be a JSON integer"),
+    ("seed", 2.9, "must be a JSON integer"),
+    ("checks", [], "must name at least one check"),
+])
+def test_config_values_are_checked_on_every_path(tmp_path, key, value, message):
+    # the library call, a config file and an override all pass one validator
+    text = f"malformed config: {key!r} {message}"
+    with pytest.raises(SpecError) as err:
+        CorpusConfig(**{key: value})
+    assert str(err.value) == text
+    with pytest.raises(SpecError) as err:
+        dataclasses.replace(CorpusConfig(), **{key: value})
+    assert str(err.value) == text
+    if not isinstance(value, tuple):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(SpecError) as err:
+            CorpusConfig.from_file(path)
+        assert str(err.value) == text
+
+
+def test_config_stores_lists_as_tuples_and_writes_them_as_lists():
+    config = CorpusConfig(groups=["cyclic:3"], rings=[], checks=["prop_1_1"])
+    assert (config.groups, config.rings, config.checks) == (("cyclic:3",), (), ("prop_1_1",))
+    raw = config.to_dict()
+    assert (raw["groups"], raw["rings"], raw["checks"]) == (["cyclic:3"], [], ["prop_1_1"])
+    assert CorpusConfig(**raw) == config
 
 
 def test_config_rejects_unknown_keys_and_checks(tmp_path):

@@ -435,6 +435,19 @@ def test_tables_of_every_integer_dtype_are_read_as_int32():
             Magma(np.array(bad, dtype=dtype), ("1", "a"))
 
 
+def test_structures_copy_the_callers_tables():
+    # an int32, C-contiguous table needs no cast, but is still copied
+    add = np.array([[0, 1], [1, 0]], dtype=np.int32)
+    mul = np.array([[0, 0], [0, 1]], dtype=np.int32)
+    r = FiniteRing(add, mul, ("0", "1"))
+    built = [(Magma(add, ("1", "a")).op, add), (FiniteGroup(add, ("1", "a")).mul, add),
+             (r.add, add), (r.mul, mul)]
+    add[0, 0], mul[1, 1] = 1, 0  # the caller's arrays stay writable
+    for table, own in built:
+        assert not np.shares_memory(table, own) and not table.flags.writeable
+    assert [t.tolist() for t, _ in built] == [[[0, 1], [1, 0]]] * 3 + [[[0, 0], [0, 1]]]
+
+
 @pytest.mark.parametrize("op,order,message", [
     ([0, 1], None, "operation table must be square, got shape (2,)"),
     ([[0, 1, 0], [1, 0, 1]], None, "operation table must be square, got shape (2, 3)"),
