@@ -25,6 +25,9 @@ already normal, so no normal closure is taken (see
 series once, on first use, and keeps them (two cached properties); the
 lower central series starts from the derived series' G'. The series read
 only `mul` and `inv`.
+
+Word-law scans read `law_tables` and `law_classes`, as on a ring
+(`words._law_scan`), and the constructor builds neither.
 """
 
 from __future__ import annotations
@@ -137,7 +140,7 @@ class FiniteGroup:
 
     @cached_property
     def law_tables(self) -> dict:
-        """Derived op tables of word-law scans by node type (`words._word_tables`)."""
+        """Read-only intp op tables of word-law scans by node type (`words._word_tables`)."""
         return {}
 
     @cached_property

@@ -4,7 +4,8 @@ The bracket <x,y> = xy - yx drives everything here. The registry's bracket
 laws are builtin commutator laws of `words` read in the Lie ring: (R,+)
 stands for the group, with <x,y> in place of [x,y], so the one word-law
 evaluator decides them. Iterated brackets nest to the left,
-<x,y,z> = <<x,y>,z>, as on the group side.
+<x,y,z> = <<x,y>,z>, as on the group side. Law scans read a ring's
+`law_tables` and `law_classes`, as on a group (`words._law_scan`).
 
 Matrix rings are built one supported entry at a time, each a broadcast term
 over the digits it reads (`_matrix_ring_from_entries`), after their order n^d
@@ -14,7 +15,7 @@ and their d entries per element have both passed the fixed order budget.
 from __future__ import annotations
 
 import itertools
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .tables import (
     spec_number,
     two_sided_identity,
 )
-from .words import Bracket, IdentityLiteral, IntPower, Inverse, Product, _law_scan, builtin_law
+from .words import Bracket, IdentityLiteral, Inverse, Product, _law_scan, builtin_law
 
 # Each ring law is a builtin commutator law read in the Lie ring: <x,y> for [x,y].
 RING_WORD_LAWS = {
@@ -116,18 +117,31 @@ class FiniteRing:
         self.mul = mul
         self.neg = neg
         self.zero = zero
-        self._bracket = add.reshape(-1)[flat_cells(mul, neg[mul.T], n)]  # xy + (-yx)
-        self._bracket.setflags(write=False)
-        self._law_classes = (self._bracket, {})  # the bracket they came from, and the classes
         self.names = names
         self.label = label if label is not None else f"ring-of-order-{n}"
 
     def __repr__(self):
         return f"FiniteRing({self.label!r}, order={self.order})"
 
+    @cached_property
+    def law_tables(self) -> dict:
+        """The op tables of ring-law scans by node type, in read-only intp: (R,+)
+        as the group, and the Lie bracket <x,y> = xy + (-yx) as its commutator."""
+        add, neg = self.add.astype(np.intp), self.neg.astype(np.intp)
+        tables = {Product: add, Inverse: neg, IdentityLiteral: np.asarray(self.zero, dtype=np.intp),
+                  Bracket: add.reshape(-1)[flat_cells(self.mul, neg[self.mul.T], self.order)]}
+        for table in tables.values():
+            table.setflags(write=False)
+        return tables
+
+    @cached_property
+    def law_classes(self) -> dict:
+        """Class representatives of ring-law scans by line set (`tables.class_reps`)."""
+        return {}
+
     def bracket_table(self) -> np.ndarray:
-        """Read-only table of <x,y> = xy - yx, computed once per ring."""
-        return self._bracket
+        """Read-only intp table of <x,y> = xy - yx, the one the ring laws scan."""
+        return self.law_tables[Bracket]
 
 
 def lie_bracket(r: FiniteRing, x: int, y: int) -> int:
@@ -252,22 +266,15 @@ def check_ring_law(r: FiniteRing, name: str, budget: int = DEFAULT_EVAL_BUDGET,
     exactly a pair witnessing that the commutation double magma on R is proper.
 
     Each is the builtin word law named in parentheses (`RING_WORD_LAWS`),
-    read in (R,+) with the Lie bracket as its commutator, and scanned on one
-    representative per class of elements with equal bracket rows and columns
-    (`words._law_scan`). The ring keeps those classes for its next law calls
-    while `r.bracket_table()` returns the array they were derived from. A law
-    of k variables with n^k > budget is sampled instead, from `sample_count`
-    rows of `seed` (`tables.decide`).
+    read in (R,+) with the Lie bracket as its commutator (`r.law_tables`),
+    and scanned on one representative per class of elements with equal
+    bracket rows and columns (`words._law_scan`), kept in `r.law_classes`.
+    A law of k variables with n^k > budget is sampled instead, from
+    `sample_count` rows of `seed` (`tables.decide`).
     """
     check_sampling(sample_count, seed)
     if name not in RING_WORD_LAWS:
         known = ", ".join(RING_LAWS)
         raise SpecError(f"unknown ring law {name!r}; known laws: {known}")
     law = builtin_law(RING_WORD_LAWS[name])
-    bracket = r.bracket_table()
-    if r._law_classes[0] is not bracket:  # classes of another bracket table cannot be kept
-        r._law_classes = (bracket, {})
-    lie = {Product: r.add, Inverse: r.neg, IdentityLiteral: np.asarray(r.zero, dtype=np.intp),
-           Bracket: bracket, IntPower: r.add.diagonal()}
-    scan = partial(_law_scan, law, lie, r.order, r._law_classes[1])
-    return decide(law.variables, r.names, budget, None, scan, (sample_count, seed))
+    return decide(law.variables, r.names, budget, None, partial(_law_scan, law, r), (sample_count, seed))

@@ -14,6 +14,11 @@ conjugation. Comma lists inside brackets nest to the left, [x,y,z] = [[x,y],z],
 and the semicolon form is [u...; v...] = [leftnest(u), leftnest(v)]. The only
 constant is "1", the identity. Syntax trees deeper than MAX_DEPTH are a
 ParseError.
+
+Laws are lowered to op lists, powers squared by products (`lower`). Every law
+scan, of a group or a ring, reads one interface (`_law_scan`): `law_tables`, a
+read-only intp op table per node type, and `law_classes`, kept on the
+structure from its first law scan on.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from typing import Mapping
 
 import numpy as np
 
-from . import tables as _tables
 from .errors import ParseError, SpecError, UnboundVariableError
 from .groups import FiniteGroup
 from .tables import DEFAULT_EVAL_BUDGET, Verdict, class_reps, decide, gather, scan_sampled
@@ -140,8 +144,8 @@ class Law:
 class Lowering:
     """Terms lowered to one op list in evaluation order (`lower`).
 
-    Op i = (kind, a, b) fills slot i: variable a, the identity, the inverse or
-    square (IntPower) of slot a, or slots a and b combined. `kinds` are the
+    Op i = (kind, a, b) fills slot i: variable a, the identity, the inverse of
+    slot a, or slots a and b combined. `kinds` are the
     node types whose tables the ops read, every op's but Variable. `lines`
     maps each variable to the (node type, axis) lines it is read through, a
     bracket's or conjugate's row (axis 0) or column (axis 1), or to None when
@@ -194,7 +198,7 @@ def lower(*terms: Term) -> Lowering:
                         acc = cur if acc is None else emit((Product, acc, cur))
                     k >>= 1
                     if k:
-                        cur = emit((IntPower, cur, None))
+                        cur = emit((Product, cur, cur))
                 done.append(emit((IdentityLiteral, None, None)) if acc is None else acc)
                 continue
             else:
@@ -486,34 +490,27 @@ def evaluate(term: Term, group: FiniteGroup, assignment: Mapping[str, int]) -> i
     raise TypeError(f"not a term: {term!r}")
 
 
-def _word_tables(group: FiniteGroup, kinds) -> dict[type, np.ndarray]:
-    """The op tables of a group law, keyed by node type.
+def _word_tables(structure, kinds) -> dict[type, np.ndarray]:
+    """`structure.law_tables`, holding the op table of each node type in `kinds` (`Lowering.kinds`).
 
-    Product, Inverse and IdentityLiteral are G's own `mul`, `inv` and its
-    identity as a 0-d array. comm[x,y] = [x,y], conj[x,y] = x^y = y^-1 x y and
-    sq[x] = x*x are derived from `mul` and `inv` alone, each only if its type
-    is in `kinds` (`Lowering.kinds`), in intp, and kept on the group once
-    built (`FiniteGroup.law_tables`): the table-level route
-    (`constructions.commutator_double`) builds its own commutator table, so
+    A ring's are its own (`FiniteRing.law_tables`). A group's `mul`, `inv` and identity
+    are cast to intp on its first law scan, and comm[x,y] = [x,y] and conj[x,y] = x^y =
+    y^-1 x y are derived from those two alone, each on the first scan that needs it. The
+    table route (`constructions.commutator_double`) builds its own commutator table, so
     that the two routes stay independent.
     """
-    mul, inv, e = group.mul, group.inv, np.asarray(group.identity, dtype=np.intp)
-    tables = {Product: mul, Inverse: inv, IdentityLiteral: e}
-    kept = group.law_tables
-    for kind in kinds & {Bracket, Conjugate, IntPower}:
-        if kind not in kept:
-            x = np.arange(group.order)[:, None]
-            y = x.T
-            if kind is Bracket:
-                table = mul[mul[inv[x], inv[y]], mul]
-            elif kind is Conjugate:
-                table = mul[mul[inv[y], x], y]
-            else:
-                table = mul.diagonal()
-            kept[kind] = table.astype(np.intp)
-            kept[kind].setflags(write=False)
-        tables[kind] = kept[kind]
-    return tables
+    kept = structure.law_tables
+    if not kept:  # a group's first law scan
+        kept.update({Product: structure.mul.astype(np.intp), Inverse: structure.inv.astype(np.intp),
+                     IdentityLiteral: np.asarray(structure.identity, dtype=np.intp)})
+    for kind in kinds - kept.keys():  # a group's bracket or conjugate table
+        mul, inv = kept[Product], kept[Inverse]
+        x = np.arange(len(mul))[:, None]
+        y = x.T
+        kept[kind] = mul[mul[inv[x], inv[y]], mul] if kind is Bracket else mul[mul[inv[y], x], y]
+    for table in kept.values():
+        table.setflags(write=False)
+    return kept
 
 
 def _conjugate_table(group: FiniteGroup) -> np.ndarray:
@@ -526,8 +523,8 @@ def run_ops(low: Lowering, tables: dict[type, np.ndarray], axes) -> list[np.ndar
 
     Returns one array per root. `tables` maps each node type of `low.kinds`
     to its op table (`_word_tables`): a product or bracket table is read at
-    two slots, an inverse or square list at one, and the identity is a 0-d
-    array. A ring law reads (R,+) this way, with the Lie bracket table as
+    two slots, an inverse list at one, and the identity is a 0-d array. A
+    ring law reads (R,+) this way, with the Lie bracket table as
     `tables[Bracket]`.
     """
     vals = []
@@ -536,7 +533,7 @@ def run_ops(low: Lowering, tables: dict[type, np.ndarray], axes) -> list[np.ndar
             vals.append(axes[a])
         elif kind is IdentityLiteral:
             vals.append(tables[kind])
-        elif b is None:  # an inverse or a square, one lookup
+        elif b is None:  # an inverse, one lookup
             vals.append(tables[kind][vals[a]])
         else:
             vals.append(gather(tables[kind], vals[a], vals[b]))
@@ -548,39 +545,31 @@ def run_ops(low: Lowering, tables: dict[type, np.ndarray], axes) -> list[np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _law_scan(law: Law, tables: dict[type, np.ndarray], n: int, known=None):
+def _law_scan(law: Law, structure):
     """Class representatives and the `failing` callback of every law scan.
 
-    `failing(axes)` is lhs != rhs (`run_ops` on the op tables `tables` of a
-    carrier of order n). Elements whose lines (`Lowering.lines`) all agree
-    give equal law values, so each variable scans the smallest element of each
-    class (`tables.class_reps`). The first failure is a tuple of
-    representatives (see `tables`), so the witness and position are those of
-    the full grid. When that grid fits in one slice (`tables.SCAN_CELLS`), the
-    classes would save nothing and are not computed. `known` keeps the classes
-    of earlier scans on the same tables (`tables.class_reps`).
-
-    `run_ops` reads the tables cast to intp once per scan (no copy for those
-    already intp), so that every gather index is intp (`tables.gather`).
+    `structure` is a group, or a ring read as (R,+) with its Lie bracket.
+    `failing(axes)` is lhs != rhs, by `run_ops` on `structure.law_tables`.
+    Elements whose lines (`Lowering.lines`) all agree give equal law values,
+    so each variable scans the smallest element of each class
+    (`tables.class_reps`), kept in `structure.law_classes`. The first failure
+    is a tuple of representatives (see `tables`), so the witness and position
+    are those of the full grid.
     """
-    low, k = law.lowering, len(law.variables)
-    whole = n**k <= _tables.SCAN_CELLS  # the grid fits one slice
-    reps = [np.arange(n)] * k if whole else class_reps(tables, low.lines.values(), n, known)
-    wide = {kind: tables[kind].astype(np.intp, copy=False) for kind in low.kinds}
+    low = law.lowering
+    tables = _word_tables(structure, low.kinds)
+    reps = class_reps(tables, low.lines.values(), structure.order, structure.law_classes)
 
     def failing(axes):
-        lhs, rhs = run_ops(low, wide, axes)
+        lhs, rhs = run_ops(low, tables, axes)
         return lhs != rhs
 
     return reps, failing
 
 
 def _group_law_scan(group: FiniteGroup, law: Law):
-    """`_law_scan` on the group's op tables, with the classes kept on the group,
-    and the `conjugates` hook of `tables.first_failure`."""
-    tables = _word_tables(group, law.lowering.kinds)
-    reps, failing = _law_scan(law, tables, group.order, group.law_classes)
-    return reps, failing, partial(_conjugate_table, group)
+    """`_law_scan` on the group, and the `conjugates` hook of `tables.first_failure`."""
+    return (*_law_scan(law, group), partial(_conjugate_table, group))
 
 
 def check_law_exhaustive(group: FiniteGroup, law: Law, budget: int = DEFAULT_EVAL_BUDGET) -> Verdict:

@@ -9,6 +9,12 @@ check on some group. The counts per verdict class and the specs refused by the
 evaluation budget, with their refusal texts, are pinned in
 `census_expected.json`. The refused count is the reach a budget change may
 lower and must never raise.
+
+The ring census does the same for the Lie-commutator construction: every
+subring of `matrix:2,2` and `matrix:2,3` that two elements generate under +
+and · is relabelled into a `FiniteRing`, which validates its tables, and runs
+`check_ring_rci` at the defaults. Its counts are pinned in
+`ring_census_expected.json`.
 """
 
 import itertools
@@ -16,11 +22,16 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
+
 from dmagma.errors import BudgetExceededError
 from dmagma.groups import parse_group_spec
-from dmagma.suite import GroupFacts, check_cor_1_7, check_cor_1_8, check_theorem_1_6
+from dmagma.rings import FiniteRing, parse_ring_spec
+from dmagma.suite import GroupFacts, check_cor_1_7, check_cor_1_8, check_ring_rci, check_theorem_1_6
+from dmagma.tables import COUNTEREXAMPLE
 
 EXPECTED = json.loads((Path(__file__).parent / "census_expected.json").read_text())
+RING_EXPECTED = json.loads((Path(__file__).parent / "ring_census_expected.json").read_text())
 CHECKS = (check_theorem_1_6, check_cor_1_7, check_cor_1_8)
 
 
@@ -93,3 +104,54 @@ def test_census_of_the_subgroups_of_s4_and_s5():
         assert failed == [], k
         assert {"groups": len(groups), **counts, "refused": refused} == EXPECTED[str(k)]
     assert time.process_time() - start < 2  # CPU seconds, so a busy machine does not fail it
+
+
+def subring_members(r, a: int, b: int) -> np.ndarray:
+    """The ascending members of the subring of r generated by a and b, closed under + and ·."""
+    mask = np.zeros(r.order, dtype=bool)
+    mask[[a, b]] = True
+    while True:
+        members = np.flatnonzero(mask)
+        cells = np.ix_(members, members)
+        mask[r.add[cells]] = True
+        mask[r.mul[cells]] = True
+        if mask.sum() == len(members):
+            return members
+
+
+def subrings(r) -> list[FiniteRing]:
+    """Each distinct subring of r generated by two elements, relabelled into a FiniteRing.
+
+    A pair with a = b generates a subring of one generator, a = b = 0 the zero ring.
+    """
+    found: dict = {}
+    for a in range(r.order):
+        for b in range(a, r.order):
+            members = subring_members(r, a, b)
+            found.setdefault(members.tobytes(), members)
+    rings = []
+    for members in found.values():
+        index = np.empty(r.order, dtype=np.intp)
+        index[members] = np.arange(len(members))
+        cells = np.ix_(members, members)
+        names = [r.names[i] for i in members]
+        rings.append(FiniteRing(index[r.add[cells]], index[r.mul[cells]], names))
+    return rings
+
+
+def test_ring_census_of_two_generated_subrings():
+    for spec, expected in RING_EXPECTED.items():
+        r, failed = parse_ring_spec(spec), []
+        counts = dict.fromkeys(("subrings", "rci", "proper", "proper_rci"), 0)
+        for s in subrings(r):
+            result = check_ring_rci(s, spec)
+            if not result.passed:
+                failed.append(result.headline())
+            rci = result.details["RCI"]["status"] != COUNTEREXAMPLE
+            proper = result.details["proper"]
+            counts["subrings"] += 1
+            counts["rci"] += rci
+            counts["proper"] += proper
+            counts["proper_rci"] += rci and proper
+        assert failed == [], spec
+        assert counts == expected, spec

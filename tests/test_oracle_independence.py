@@ -38,10 +38,11 @@ SHARED_SCAN_PATH = {
     "lower", "Lowering", "lowering", "run_ops", "_law_scan", "_word_tables", "scan_sampled",
     "builtin_law", "BUILTIN_LAWS", "RING_WORD_LAWS",
     # the class derivation that picks which assignments a law scan visits, the
-    # orbit keys that skip prefixes conjugate to a clean one, and the per-group
-    # op tables and classes of group-law scans
+    # orbit keys that skip prefixes conjugate to a clean one, and the op tables
+    # and classes that groups and rings keep for their law scans, the ring's
+    # bracket among them
     "lines", "class_reps", "orbit_keys", "_conjugate_table", "_group_law_scan",
-    "law_tables", "law_classes",
+    "law_tables", "law_classes", "bracket_table",
     # the flat-take kernel of every scan, closure and series
     "gather",
     # the structure builders and subgroup series that `structure_oracles` checks
@@ -114,3 +115,13 @@ def test_the_table_route_uses_no_word_code():
     c = dmagma.constructions
     for fn in (c.commutator_double, c.ring_commutator_double, c._double):
         assert not referenced_names(fn) & word_names, fn.__name__
+
+
+@pytest.mark.parametrize("obj", [
+    dmagma.constructions.commutator_double, dmagma.constructions.ring_commutator_double,
+    dmagma.constructions._double, dmagma.magmas,
+], ids=lambda o: o.__name__)
+def test_the_table_route_reads_no_law_scan_table(obj):
+    # the tables and classes kept for law scans, the ring's bracket among them,
+    # feed only the word route
+    assert not referenced_names(obj) & {"law_tables", "law_classes", "bracket_table"}

@@ -212,7 +212,7 @@ def test_bracket_table_is_built_once_and_read_only():
 
 
 def test_a_ring_keeps_its_law_classes_between_calls(monkeypatch):
-    r = parse_ring_spec("matrix:2,3")  # 81^3 > SCAN_CELLS: the wider laws scan classes
+    r = parse_ring_spec("matrix:2,3")
     first = {name: check_ring_law(r, name) for name in RING_LAWS}
     fresh = {name: check_ring_law(parse_ring_spec("matrix:2,3"), name) for name in RING_LAWS}
     derived, real = [], dmagma.words.class_reps

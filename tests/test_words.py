@@ -6,6 +6,7 @@ which share nothing with the vectorized scan path.
 
 import dataclasses
 import itertools
+from functools import partial
 from unittest.mock import patch
 
 import numpy as np
@@ -25,6 +26,7 @@ from dmagma.errors import (
 )
 from dmagma.groups import make_cyclic, make_dihedral, make_metacyclic, parse_group_spec
 from dmagma.magmas import satisfies_interchange
+from dmagma.rings import RING_LAWS, check_ring_law, parse_ring_spec
 from dmagma.suite import DEFAULT_GROUPS, IDENTITY_LAWS
 from dmagma.tables import (
     COUNTEREXAMPLE,
@@ -155,10 +157,11 @@ def test_lowering_numbers_variables_and_merges_equal_subterms():
     low = lower(parse_term("[x,y]*[x,y]^2"), parse_term("[z,y]^-1"))
     assert low.variables == ("x", "y", "z")
     xy = low.ops.index((Bracket, 0, 1))
-    # [x,y] is one slot; its square and the product reuse it
+    # [x,y] is one slot; its square, a product, and the outer product reuse it
     assert low.ops.count((Bracket, 0, 1)) == 1
-    assert (IntPower, xy, None) in low.ops
-    assert low.kinds == {Bracket, IntPower, Product, Inverse}
+    square = low.ops.index((Product, xy, xy))
+    assert (Product, xy, square) in low.ops
+    assert low.kinds == {Bracket, Product, Inverse}
     assert low.lines == {"x": {(Bracket, 0)}, "y": {(Bracket, 1)}, "z": {(Bracket, 0)}}
     assert len(low.roots) == 2
     # a variable read whole anywhere keeps every element; one read nowhere is one class
@@ -408,21 +411,23 @@ def test_word_tables_match_scalar_commutator_and_conjugate(corpus_groups):
         cells = list(itertools.product(g.elements(), repeat=2))
         assert [tables[Bracket][x, y] for x, y in cells] == [g.commutator(x, y) for x, y in cells]
         assert [tables[Conjugate][x, y] for x, y in cells] == [g.conjugate(x, y) for x, y in cells]
-        assert list(tables[IntPower]) == [g.product(x, x) for x in g.elements()]
 
 
 def test_word_tables_are_built_only_for_the_nodes_a_law_uses():
     g = make_dihedral(4)
     def tables(*texts):
-        return _word_tables(g, lower(*map(parse_term, texts)).kinds)
+        return set(_word_tables(g, lower(*map(parse_term, texts)).kinds))
 
-    # G's own tables are passed as they are; only the derived ones are built
-    own = tables("x*y^-1", "x y")
-    assert own.keys() == {Product, Inverse, IdentityLiteral}
-    assert own[Product] is g.mul and own[Inverse] is g.inv and own[IdentityLiteral] == g.identity
-    assert set(tables("x*y^-1", "(x y)^3")) - own.keys() == {IntPower}
-    assert set(tables("[x,y]", "1")) - own.keys() == {Bracket}
-    assert set(tables("x", "y^x")) - own.keys() == {Conjugate}
+    # G's own tables are intp copies; only the derived ones a law reads are built
+    own = {Product, Inverse, IdentityLiteral}
+    assert tables("x*y^-1", "(x y)^3") == own
+    kept = g.law_tables
+    assert all(t.dtype == np.intp and not t.flags.writeable for t in kept.values())
+    assert not np.shares_memory(kept[Product], g.mul) and not np.shares_memory(kept[Inverse], g.inv)
+    assert np.array_equal(kept[Product], g.mul) and np.array_equal(kept[Inverse], g.inv)
+    assert kept[IdentityLiteral] == g.identity
+    assert tables("x", "y^x") == own | {Conjugate}
+    assert tables("[x,y]", "1") == own | {Conjugate, Bracket}
 
 
 def test_word_tables_share_no_memory_with_the_table_route(corpus_groups):
@@ -447,15 +452,54 @@ def test_law_op_tables_and_classes_are_kept_on_the_group(monkeypatch):
         return first_failure(reps, failing, conjugates)
 
     monkeypatch.setattr(dmagma.tables, "first_failure", recording_first_failure)
-    law = builtin_law("L1")  # 21^4 > SCAN_CELLS, so its classes are derived
+    law = builtin_law("L1")
     first = check_law_exhaustive(g, law)
     tables = dict(g.law_tables)
-    assert set(tables) == {Bracket, Conjugate}  # the conjugates the orbit keys read
+    # G's own tables, the bracket L1 reads and the conjugates the orbit keys read
+    assert set(tables) == {Product, Inverse, IdentityLiteral, Bracket, Conjugate}
     assert all(t.dtype == np.intp and not t.flags.writeable for t in tables.values())
     assert check_law_exhaustive(g, law) == first
     assert all(a is b for a, b in zip(seen[0], seen[1]))
     assert all(g.law_tables[kind] is t for kind, t in tables.items())
     assert _word_tables(g, lower(parse_term("[x,y]")).kinds)[Bracket] is tables[Bracket]
+
+
+def _group_law_check(g, name):
+    return check_law_exhaustive(g, builtin_law(name))
+
+
+@pytest.mark.parametrize("build,check,laws", [
+    (partial(parse_group_spec, "metacyclic:7,3,2"), _group_law_check, ["L1", "CI", "SQUARE", "3M_III"]),
+    (partial(parse_ring_spec, "matrix:2,3"), check_ring_law, list(RING_LAWS)),
+], ids=["group", "ring"])
+def test_a_second_law_call_copies_no_table_and_derives_no_class(monkeypatch, build, check, laws):
+    # groups and rings keep the same two things: the intp op tables and the classes
+    s = build()
+    assert "law_tables" not in vars(s) and "law_classes" not in vars(s)  # the constructor built neither
+    first = [check(s, name) for name in laws]
+    tables, classes = dict(s.law_tables), dict(s.law_classes)
+    assert all(t.dtype == np.intp and not t.flags.writeable for t in tables.values())
+    read, derived = [], []
+    real_run_ops, real_class_reps = dmagma.words.run_ops, dmagma.words.class_reps
+
+    def recording_run_ops(low, op_tables, axes):
+        read.extend(op_tables.values())
+        return real_run_ops(low, op_tables, axes)
+
+    def counting_class_reps(op_tables, lines, n, known=None):
+        kept = set(known)
+        reps = real_class_reps(op_tables, lines, n, known)
+        derived.append(set(known) - kept)
+        return reps
+
+    monkeypatch.setattr(dmagma.words, "run_ops", recording_run_ops)
+    monkeypatch.setattr(dmagma.words, "class_reps", counting_class_reps)
+    assert [check(s, name) for name in laws] == first
+    assert read and all(any(t is kept for kept in tables.values()) for t in read)
+    assert s.law_tables.keys() == tables.keys()
+    assert all(s.law_tables[kind] is t for kind, t in tables.items())
+    assert len(derived) == len(laws) and not any(derived)
+    assert all(s.law_classes[key] is reps for key, reps in classes.items())
 
 
 def test_conjugates_are_first_built_after_a_clean_prefix(monkeypatch):
@@ -814,12 +858,13 @@ def test_terms_at_the_depth_limit_still_work():
 
 
 def test_sampled_checks_refuse_negative_seeds_on_both_paths(drawn_seeds):
-    # CI on dihedral:4 holds on its class grid: at count 1000 that grid settles
-    # the verdict without drawing, at count 100 the stream is drawn
+    # CI on dihedral:4 holds on its class grid of 4^4 tuples: at count 1000 that
+    # grid settles the verdict without drawing, at count 10 (8 * 10 < 4^4) the
+    # stream is drawn
     g, law = make_dihedral(4), builtin_law("CI")
-    for count in (1000, 100):
+    for count in (1000, 10):
         with pytest.raises(ValueError, match="^sampling seed must be non-negative, got -1$"):
             check_law_sampled(g, law, count, -1)
     assert drawn_seeds == []
-    assert [check_law_sampled(g, law, count, 0).holds for count in (1000, 100)] == [True, True]
+    assert [check_law_sampled(g, law, count, 0).holds for count in (1000, 10)] == [True, True]
     assert drawn_seeds == [0]
