@@ -503,13 +503,15 @@ def _word_tables(structure, kinds) -> dict[type, np.ndarray]:
     if not kept:  # a group's first law scan
         kept.update({Product: structure.mul.astype(np.intp), Inverse: structure.inv.astype(np.intp),
                      IdentityLiteral: np.asarray(structure.identity, dtype=np.intp)})
+        for table in kept.values():
+            table.setflags(write=False)
     for kind in kinds - kept.keys():  # a group's bracket or conjugate table
         mul, inv = kept[Product], kept[Inverse]
         x = np.arange(len(mul))[:, None]
         y = x.T
-        kept[kind] = mul[mul[inv[x], inv[y]], mul] if kind is Bracket else mul[mul[inv[y], x], y]
-    for table in kept.values():
+        table = mul[mul[inv[x], inv[y]], mul] if kind is Bracket else mul[mul[inv[y], x], y]
         table.setflags(write=False)
+        kept[kind] = table
     return kept
 
 
@@ -534,7 +536,7 @@ def run_ops(low: Lowering, tables: dict[type, np.ndarray], axes) -> list[np.ndar
         elif kind is IdentityLiteral:
             vals.append(tables[kind])
         elif b is None:  # an inverse, one lookup
-            vals.append(tables[kind][vals[a]])
+            vals.append(tables[kind].take(vals[a]))
         else:
             vals.append(gather(tables[kind], vals[a], vals[b]))
     return [vals[r] for r in low.roots]

@@ -161,12 +161,43 @@ def test_perm_specs_build_the_closure_of_their_generators(gens):
     assert parse_group_spec(perm_spec(gens)).order == len(closure)
 
 
-@given(perm_groups, terms, terms, st.sampled_from([1, 7, 64]))
-@settings(max_examples=60, deadline=None)
-def test_class_representative_scan_matches_the_full_scan_oracles(g, lhs, rhs, chunk):
-    law = Law(lhs, rhs)
+S3 = parse_group_spec("perm:(1 2),(1 2 3)")
+METABELIAN = Law(*map(parse_term, ("[x,y;z,u]", "1")))  # holds in S3
+
+# S3 laws and slice sizes whose first failure lies in a block of the lead
+# variable that holds more than one element and less than all of it: x in
+# blocks [0,1], [2,3], [4,5], failing at x = 2; z in [0..4], [5], failing at
+# z = 2; y as x in the first, failing at y = 2. The last two read neither x nor
+# u, so `failing` broadcasts over those axes.
+BLOCK_WITNESSES = [("[x^2,y]=1", 12), ("x^0*y*z=z*y*u^0", 5), ("x^0*[y^2,z]=u^0", 12)]
+
+
+def with_ghost(lhs, rhs, where):
+    """The law lhs = rhs with a variable read by neither side, first, last or not at all.
+
+    `m` is a name `terms` never draws, and m^0 lowers to the identity.
+    """
+    ghost = IntPower(Variable("m"), 0)
+    if where == "first":
+        return Law(Product(ghost, lhs), rhs)
+    return Law(lhs, Product(rhs, ghost) if where == "last" else rhs)
+
+
+@given(perm_groups, terms, terms, st.sampled_from([None, "first", "last"]),
+       st.sampled_from([1, 5, 7, 64, 1 << 14]))
+@example(S3, parse_term("x^0*y"), parse_term("y*z^0"), None, 5)
+@example(S3, parse_term("x*y"), parse_term("y*x"), "first", 1 << 14)
+@example(S3, parse_term("[x,y]"), IdentityLiteral(), "last", 12)
+@settings(max_examples=80, deadline=None)
+def test_class_representative_scan_matches_the_full_scan_oracles(g, lhs, rhs, ghost, chunk):
+    # The slice sizes cut the grid every way: all scalars, blocks of one or
+    # more lead elements, and one slice for the whole grid. A failing slice's
+    # first cell is read from its prefix scalars, its block of the lead
+    # variable and the trailing representative arrays, with index 0 along an
+    # axis `failing` does not span, such as the ghost variable's.
+    law = with_ghost(lhs, rhs, ghost)
     total = g.order ** len(law.variables)
-    assume(chunk < total <= 5000)  # the classes are computed, and the oracles stay quick
+    assume(total <= 5000)  # the oracles stay quick
     with patch.object(dmagma.tables, "SCAN_CELLS", chunk):
         got = check_law_exhaustive(g, law)
     assert got == flat_index_scan(g, law)
@@ -192,8 +223,27 @@ def test_orbit_skipping_scan_matches_the_full_scan_oracles(g, lhs, rhs, length):
         assert got == naive_check(g, law)
 
 
-S3 = parse_group_spec("perm:(1 2),(1 2 3)")
-METABELIAN = Law(*map(parse_term, ("[x,y;z,u]", "1")))  # holds in S3
+@pytest.mark.parametrize("text,chunk", BLOCK_WITNESSES)
+def test_the_block_examples_fail_inside_a_cut_lead_block(monkeypatch, text, chunk):
+    real, last = dmagma.tables.first_failure, []
+
+    def recording(reps, failing, conjugates=None):
+        def wrapped(axes):
+            last[:] = [reps, axes]
+            return failing(axes)
+
+        return real(reps, wrapped, conjugates)
+
+    monkeypatch.setattr(dmagma.tables, "first_failure", recording)
+    monkeypatch.setattr(dmagma.tables, "SCAN_CELLS", chunk)
+    law = parse_law(text)
+    got = check_law_exhaustive(S3, law)
+    assert got == naive_check(S3, law) and got.status == "counterexample"
+    reps, axes = last
+    lead = sum(np.ndim(a) == 0 for a in axes)  # the scalars come first
+    block = np.ravel(axes[lead]).tolist()
+    assert 1 < len(block) < len(reps[lead])
+    assert S3.index_of(got.witness[law.variables[lead]]) in block
 
 
 @given(perm_groups, terms, terms, st.integers(1, 300), st.integers(0, 2**32 - 1),

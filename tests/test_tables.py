@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import dmagma.groups
 import dmagma.tables
+import dmagma.words
 from dmagma.constructions import commutator_double, ring_commutator_double, word_double
 from dmagma.groups import FiniteGroup, parse_group_spec
 from dmagma.magmas import DoubleMagma, Magma, is_associative, satisfies_interchange
@@ -308,14 +310,18 @@ def test_no_table_scan_slice_exceeds_the_cell_cap(monkeypatch):
 def test_every_scan_takes_intp_cells_with_intp_indices(monkeypatch):
     # An int32 index is converted on every take, and int32 index arithmetic
     # overflows once n * n exceeds 2^31 (n > 46340). The tables are intp
-    # copies, so that the values taken are intp indices already.
-    take, dtypes = np.take, []
+    # copies, so that the values taken are intp indices already. The spy
+    # stands in for `gather` wherever the scans look it up, and records the
+    # table, both indices and the flat cell index of every read.
+    gather, dtypes = dmagma.tables.gather, []
 
-    def spy(a, indices, *args, **kwargs):
-        dtypes.extend((np.asarray(a).dtype, np.asarray(indices).dtype))
-        return take(a, indices, *args, **kwargs)
+    def spy(table, a, b):
+        dtypes.extend((table.dtype, np.asarray(a).dtype, np.asarray(b).dtype,
+                       np.asarray(a * table.shape[1] + b).dtype))
+        return gather(table, a, b)
 
-    monkeypatch.setattr(np, "take", spy)
+    for module in (dmagma.tables, dmagma.words, dmagma.groups):
+        monkeypatch.setattr(module, "gather", spy)
 
     def takes(*scans) -> list:
         dtypes.clear()

@@ -60,7 +60,7 @@ from dmagma.words import (
     parse_term,
     to_string,
 )
-from test_properties import GROUPS, perm_groups, terms
+from test_properties import BLOCK_WITNESSES, GROUPS, S3, perm_groups, terms
 from test_rings import drop_line, line_class_counts
 from word_oracles import flat_index_scan, naive_check, stream_scan
 
@@ -583,6 +583,25 @@ def test_a_wrong_orbit_key_is_caught(monkeypatch, mutate):
     mutate(monkeypatch, g)
     assert check_law_exhaustive(g, law) != want
     assert check_law_sampled(g, law, 300, 1) != stream
+
+
+@pytest.mark.parametrize("text,chunk", BLOCK_WITNESSES)
+def test_a_block_coordinate_decoded_one_off_is_caught(monkeypatch, text, chunk):
+    # In each example `failing` spans every axis of the failing slice, so the
+    # first coordinate `first_failure` unravels is the witness's place in its
+    # block of the lead variable. The mutant reads the element after it.
+    g, law = S3, parse_law(text)
+    want = flat_index_scan(g, law)
+    monkeypatch.setattr(dmagma.tables, "SCAN_CELLS", chunk)
+    assert check_law_exhaustive(g, law) == want
+    unravel = np.unravel_index
+
+    def one_off(index, shape):
+        first, *rest = unravel(index, shape)
+        return (first + 1, *rest)
+
+    monkeypatch.setattr(np, "unravel_index", one_off)
+    assert check_law_exhaustive(g, law) != want
 
 
 def test_chunked_scan_is_deterministic():
