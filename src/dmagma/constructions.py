@@ -37,15 +37,15 @@ class WordPair:
 
 def _double(star_table: np.ndarray, names, label: str) -> DoubleMagma:
     star = Magma(star_table, names, symbol="*")
-    bullet = Magma(star_table.T.copy(), names, symbol="•")
+    bullet = Magma(star_table.T, names, symbol="•")  # as_table makes the one copy
     return DoubleMagma(star, bullet, label=label)
 
 
 def commutator_double(g: FiniteGroup) -> DoubleMagma:
     """Double magma with x*y = [x,y] and x•y = [y,x] on the carrier of G."""
     n, flat = g.order, g.mul.reshape(-1)
-    left = flat[flat_cells(g.inv[:, None], g.inv, n)]  # x^-1 y^-1
-    star = flat[flat_cells(left, g.mul, n)]  # (x^-1 y^-1)(xy)
+    left = np.take(g.mul[g.inv], g.inv, axis=1)  # x^-1 y^-1
+    star = flat.take(flat_cells(left, g.mul, n))  # (x^-1 y^-1)(xy)
     return _double(star, g.names, label=f"commutator({g.label})")
 
 
@@ -69,5 +69,5 @@ def ring_commutator_double(r: FiniteRing) -> DoubleMagma:
 
     Built as xy + (-y)x, apart from the `r.bracket_table()` the ring laws scan.
     """
-    star = r.add.reshape(-1)[flat_cells(r.mul, r.mul[r.neg].T, r.order)]  # [x, y] -> xy + (-y)x
+    star = r.add.reshape(-1).take(flat_cells(r.mul, r.mul[r.neg].T, r.order))  # [x, y] -> xy + (-y)x
     return _double(star, r.names, label=f"ring-commutator({r.label})")

@@ -2,10 +2,15 @@
 
 Elements are plain integer indices 0..n-1 with the identity pinned at index 0,
 so every group operation is a table lookup. Constructors validate the table
-eagerly: Latin square and identity by full O(n^2) scans, associativity by
-Light's test over a small generating set S in O(|S| n^2). Only a rejected
-table pays for the O(n^3) scan that names the first failing (x, y, z).
-Downstream brute-force scans can then trust the tables blindly.
+eagerly and accept it when element 0 is a two-sided identity, every row holds
+it, and Light's test over a small generating set S passes, in O(|S| n^2).
+That is exact: Light's test makes the table a monoid, and in a finite monoid
+xy = e and yz = e give x = x(yz) = (xy)z = z, so every element is invertible
+and the table, a group's, is a Latin square. A refused table is diagnosed in
+the fixed order Latin (by sorting), identity, associative, so its message is
+the one those full checks give; only one that reaches the last pays for the
+O(n^3) scan that names the first failing (x, y, z). Downstream brute-force
+scans can then trust the tables blindly.
 
 Each constructor checks its order against the order budget before it builds
 anything. Tables are built by array arithmetic into int32 arrays, the
@@ -49,6 +54,7 @@ from .tables import (
     is_latin,
     light_associative,
     magma_generators,
+    right_inverses,
     spec_number,
 )
 
@@ -69,17 +75,12 @@ class FiniteGroup:
         names = carrier_names(names, n)
         if names[0] != "1":
             raise ValueError("the identity (element 0) must be named '1'")
-        if not is_latin(table):
-            raise ValueError("multiplication table is not a Latin square")
         idx = np.arange(n, dtype=table.dtype)
-        if not (np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)):
-            raise ValueError("element 0 is not a two-sided identity")
-        if not light_associative(table, magma_generators(table)):
-            bad = first_associativity_failure(table)
-            raise ValueError(f"multiplication is not associative at {bad}")
-        inv = np.argmax(table == 0, axis=1).astype(np.int32)
-        inv.setflags(write=False)
-        # Latin square + identity row already force two-sidedness of inv.
+        identity = np.array_equal(table[0], idx) and np.array_equal(table[:, 0], idx)
+        # A monoid whose every row holds the identity is a group (module docstring).
+        inv = right_inverses(table, 0) if identity else None
+        if inv is None or not light_associative(table, magma_generators(table)):
+            raise ValueError(_table_error(table, identity))
         self.order = n
         self.mul = table
         self.inv = inv
@@ -165,6 +166,19 @@ class FiniteGroup:
             return head
         everything = np.arange(self.order, dtype=np.int64)
         return _commutator_series(self, head, lambda cur: everything)
+
+
+def _table_error(table: np.ndarray, identity: bool) -> str:
+    """Why a refused multiplication table is no group, checked in a fixed order.
+
+    A Latin table with identity 0 is refused only by Light's test, so it is
+    not associative and the full scan names a failing triple.
+    """
+    if not is_latin(table):
+        return "multiplication table is not a Latin square"
+    if not identity:
+        return "element 0 is not a two-sided identity"
+    return f"multiplication is not associative at {first_associativity_failure(table)}"
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,12 @@ evaluator decides them. Iterated brackets nest to the left,
 <x,y,z> = <<x,y>,z>, as on the group side. Law scans read a ring's
 `law_tables` and `law_classes`, as on a group (`words._law_scan`).
 
+The constructor accepts (R,+) as an abelian group without sorting: a
+two-sided zero, a symmetric table, a zero in every row and Light's test over
+generators of (R,+) make it a commutative monoid in which every element has
+an inverse. Only a refused addition is diagnosed in the fixed order Latin,
+commutative, associative, so each error message is the one those checks give.
+
 Matrix rings are built one supported entry at a time, each a broadcast term
 over the digits it reads (`_matrix_ring_from_entries`), after their order n^d
 and their d entries per element have both passed the fixed order budget.
@@ -37,6 +43,7 @@ from .tables import (
     is_latin,
     light_associative,
     magma_generators,
+    right_inverses,
     spec_number,
     two_sided_identity,
 )
@@ -82,12 +89,28 @@ def _generator_checks_pass(add: np.ndarray, mul: np.ndarray, gens) -> bool:
     return np.array_equal(mul[ab][:, :, g], rows[:, ab])  # (ab)c = a(bc)
 
 
+def _addition_error(add: np.ndarray, symmetric: bool) -> str:
+    """Why a refused addition table is no abelian group, checked in a fixed order.
+
+    A commutative Latin table is refused only by Light's test: an associative
+    Latin square is a group, with a zero in every row.
+    """
+    if not is_latin(add):
+        return "addition table is not a Latin square"
+    if not symmetric:
+        return "addition must be commutative"
+    return "addition must be associative"
+
+
 class FiniteRing:
     """A finite (not necessarily unital) ring given by dense add and mul tables.
 
     Tables are validated in O(|A| n^2) for a generating set A of (R,+), and
-    the error names the first failing axiom in the fixed order below. Only a
-    product that fails is scanned in full, to name its first non-associative
+    the error names the first failing axiom in the fixed order below. The
+    addition is accepted as a group the way `FiniteGroup` accepts one: a
+    two-sided zero, a symmetric table, a zero in every row and Light's test
+    over A. Only a refused addition is sorted to test the Latin property. Only
+    a product that fails is scanned in full, to name its first non-associative
     triple; a distributive law is then named by its exact check over A.
     """
 
@@ -96,22 +119,19 @@ class FiniteRing:
         n = add.shape[0]
         mul = as_table(mul, n)
         names = carrier_names(names, n)
-        if not is_latin(add):
-            raise ValueError("addition table is not a Latin square")
-        if not np.array_equal(add, add.T):
-            raise ValueError("addition must be commutative")
+        zero = two_sided_identity(add)
+        # A commutative monoid whose every row holds its zero is an abelian group.
+        symmetric = np.array_equal(add, add.T)
+        neg = right_inverses(add, zero) if zero is not None and symmetric else None
         gens = magma_generators(add)
-        if not light_associative(add, gens):
-            raise ValueError("addition must be associative")
-        zero = two_sided_identity(add)  # an associative quasigroup is a group
+        if neg is None or not light_associative(add, gens):
+            raise ValueError(_addition_error(add, symmetric))
         if not _generator_checks_pass(add, mul, gens):
             bad = first_associativity_failure(mul)
             if bad is not None:
                 raise ValueError(f"multiplication is not associative at {bad}")
             side = "right" if _right_distributes(add, np.ascontiguousarray(mul.T), gens) else "left"
             raise ValueError(f"multiplication does not {side}-distribute over addition")
-        neg = np.argmax(add == zero, axis=1).astype(np.int32)
-        neg.setflags(write=False)
         self.order = n
         self.add = add
         self.mul = mul

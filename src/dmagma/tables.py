@@ -529,8 +529,10 @@ def light_associative(table: np.ndarray, gens) -> bool:
     Exact when `gens` generates the magma, because the elements a passing the
     test are closed under the product (Clifford & Preston, The Algebraic
     Theory of Semigroups I, 1961). Costs O(|gens| n^2) instead of O(n^3).
+    The left side gathers rows xa of the table; the right side gathers its
+    columns ay, by `take` along axis 1.
     """
-    return all(np.array_equal(table[table[:, a]], table[:, table[a]]) for a in gens)
+    return all(np.array_equal(table[table[:, a]], np.take(table, table[a], axis=1)) for a in gens)
 
 
 def _first_true(mask: np.ndarray) -> int | None:
@@ -544,13 +546,41 @@ def first_mismatch(a: np.ndarray, b: np.ndarray) -> tuple[int, int] | None:
     return None if flat is None else divmod(flat, a.shape[0])
 
 
+def right_inverses(table: np.ndarray, e: int) -> np.ndarray | None:
+    """For each x the first y with xy = e, as read-only int32, or None if a row lacks e."""
+    hits = table == e
+    inv = np.argmax(hits, axis=1)
+    if not hits[np.arange(len(table)), inv].all():
+        return None
+    inv = inv.astype(np.int32)
+    inv.setflags(write=False)
+    return inv
+
+
+def _first_column_match(table: np.ndarray, rows: np.ndarray, want) -> int | None:
+    """The first r of `rows` whose column of `table` equals `want`, broadcast over those columns."""
+    cols = np.take(table, rows, axis=1)  # [x, i] -> table[x, rows[i]]
+    hit = _first_true(np.all(cols == want, axis=0))
+    return None if hit is None else int(rows[hit])
+
+
 def two_sided_identity(table: np.ndarray) -> int | None:
-    """The unique two-sided identity element e (row e and column e are 0..n-1), if any."""
+    """The unique two-sided identity element e (row e and column e are 0..n-1), if any.
+
+    Rows are compared first, reading the table in order; only the columns of
+    the rows that pass are read.
+    """
     idx = np.arange(table.shape[0], dtype=table.dtype)
-    return _first_true(np.all(table == idx, axis=1) & np.all(table.T == idx, axis=1))
+    rows = np.flatnonzero(np.all(table == idx, axis=1))
+    return _first_column_match(table, rows, idx[:, None])
 
 
 def two_sided_zero(table: np.ndarray) -> int | None:
-    """The first element z with z*x = x*z = z for all x (row z and column z all z), if any."""
-    idx = np.arange(table.shape[0], dtype=table.dtype)[:, None]
-    return _first_true(np.all(table == idx, axis=1) & np.all(table.T == idx, axis=1))
+    """The first element z with z*x = x*z = z for all x (row z and column z all z), if any.
+
+    Rows are compared first, reading the table in order; only the columns of
+    the rows that pass are read.
+    """
+    idx = np.arange(table.shape[0], dtype=table.dtype)
+    rows = np.flatnonzero(np.all(table == idx[:, None], axis=1))
+    return _first_column_match(table, rows, rows)

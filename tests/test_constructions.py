@@ -12,7 +12,7 @@ from dmagma.constructions import (
 from dmagma.fixtures import C3_BULLET_ROWS, C3_STAR_ROWS, D8_STAR_ROWS, named_rows
 from dmagma.groups import make_cyclic, make_dihedral, parse_group_spec
 from dmagma.magmas import is_associative, is_commutative, is_proper, satisfies_interchange
-from dmagma.rings import make_matrix_ring, make_zmod, parse_ring_spec
+from dmagma.rings import lie_bracket, make_matrix_ring, make_zmod, parse_ring_spec
 from dmagma.suite import check_ring_rci
 from dmagma.words import Bracket, parse_term
 
@@ -26,6 +26,32 @@ def test_bullet_is_entrywise_inverse_of_star(corpus_groups):
     for spec, g in corpus_groups:
         d = commutator_double(g)
         assert np.array_equal(d.bullet.op, g.inv[d.star.op]), spec
+
+
+def test_star_cells_are_commutators(corpus_groups):
+    for spec, g in corpus_groups:
+        star = commutator_double(g).star.op.tolist()
+        n = g.order
+        assert star == [[g.commutator(x, y) for y in range(n)] for x in range(n)], spec
+
+
+def test_ring_star_cells_are_lie_brackets(corpus_rings):
+    for spec, r in corpus_rings:
+        star = ring_commutator_double(r).star.op.tolist()
+        n = r.order
+        assert star == [[lie_bracket(r, x, y) for y in range(n)] for x in range(n)], spec
+
+
+def test_bullet_is_the_transposed_star_as_a_read_only_int32_table(corpus_groups, corpus_rings):
+    doubles = [commutator_double(g) for _, g in corpus_groups]
+    doubles += [ring_commutator_double(r) for _, r in corpus_rings]
+    doubles += [word_double(g, "a*b^-1") for _, g in corpus_groups if g.order <= 24]
+    for d in doubles:
+        assert np.array_equal(d.bullet.op, d.star.op.T), d.label
+        for op in (d.star.op, d.bullet.op):
+            assert op.dtype == np.int32, d.label
+            assert op.flags.c_contiguous and not op.flags.writeable, d.label
+        assert not np.shares_memory(d.star.op, d.bullet.op), d.label
 
 
 def test_trivial_group_double():

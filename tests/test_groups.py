@@ -10,6 +10,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dmagma.groups
 from dmagma.errors import SpecError
@@ -654,6 +656,40 @@ def test_swapped_cells_fail_validation_on_constructed_groups(spec):
             "multiplication table is not a Latin square")
     errors = [assert_group_validation_matches(switch_an_intercalate(mul, rng)) for _ in range(3)]
     assert all(e and "not associative at" in e for e in errors)
+
+
+def test_a_monoid_without_inverses_is_refused_as_not_latin():
+    # 0 is a two-sided identity and the table is associative, but row 1 has no 0:
+    # the accept test needs every row to hold the identity.
+    assert assert_group_validation_matches([[0, 1], [1, 1]]) == (
+        "multiplication table is not a Latin square")
+
+
+def test_every_order_3_table_with_an_identity_border_gets_the_full_scan_message():
+    outcomes = set()
+    for cells in itertools.product(range(3), repeat=4):
+        mul = np.array([[0, 1, 2], [1, *cells[:2]], [2, *cells[2:]]])
+        outcomes.add(assert_group_validation_matches(mul))
+    assert outcomes == {None, "multiplication table is not a Latin square"}
+
+
+@st.composite
+def bordered_tables(draw):
+    """A table of order 4-6 with row and column 0 equal to 0..n-1 and a 0 in every row."""
+    n = draw(st.integers(4, 6))
+    cells = draw(st.lists(st.integers(0, n - 1), min_size=(n - 1) ** 2, max_size=(n - 1) ** 2))
+    zeros = draw(st.lists(st.integers(1, n - 1), min_size=n - 1, max_size=n - 1))
+    t = np.zeros((n, n), dtype=np.int64)
+    t[0], t[:, 0] = np.arange(n), np.arange(n)
+    t[1:, 1:] = np.reshape(cells, (n - 1, n - 1))
+    t[np.arange(1, n), zeros] = 0
+    return t
+
+
+@given(bordered_tables())
+@settings(max_examples=200, deadline=None)
+def test_bordered_tables_with_a_zero_in_every_row_get_the_full_scan_message(mul):
+    assert_group_validation_matches(mul)
 
 
 def test_valid_group_tables_skip_the_cubic_scan(monkeypatch):

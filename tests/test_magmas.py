@@ -28,7 +28,15 @@ from dmagma.magmas import (
     superscript_names,
 )
 from dmagma.rings import parse_ring_spec
-from dmagma.tables import HOLDS_EXHAUSTIVE, Verdict, gather, light_associative, magma_generators
+from dmagma.tables import (
+    HOLDS_EXHAUSTIVE,
+    Verdict,
+    gather,
+    light_associative,
+    magma_generators,
+    two_sided_identity,
+    two_sided_zero,
+)
 from table_oracles import cubic_associativity_scan
 
 
@@ -123,6 +131,43 @@ def test_word_double_star_has_no_zero_or_identity():
     wd = word_double(make_cyclic(3), "a*b^-1")
     assert find_zero(wd.star) is None
     assert find_identity(wd.star) is None
+
+
+def identity_by_definition(t) -> int | None:
+    n = len(t)
+    return next((e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))), None)
+
+
+def zero_by_definition(t) -> int | None:
+    n = len(t)
+    return next((z for z in range(n) if all(t[z][x] == z == t[x][z] for x in range(n))), None)
+
+
+def test_two_sided_identity_and_zero_match_their_definitions():
+    # Random tables, with some rows and columns overwritten by identity (x -> x)
+    # or zero (x -> z) lines, so several rows are candidates and few pass.
+    rng = np.random.default_rng(3)
+    found, crowded = {"identity": set(), "zero": set()}, 0
+    for _ in range(3000):
+        n = int(rng.integers(1, 7))
+        t = rng.integers(0, n, size=(n, n))
+        zero = rng.random() < 0.5
+        for e in np.flatnonzero(rng.random(n) < 0.4):
+            t[e] = e if zero else np.arange(n)
+        for e in np.flatnonzero(rng.random(n) < 0.4):
+            t[:, e] = e if zero else np.arange(n)
+        t = t.astype(np.int32)
+        rows = t.tolist()
+        if zero:
+            crowded += sum(all(v == z for v in rows[z]) for z in range(n)) >= 2
+            got, want = two_sided_zero(t), zero_by_definition(rows)
+        else:
+            crowded += sum(rows[e] == list(range(n)) for e in range(n)) >= 2
+            got, want = two_sided_identity(t), identity_by_definition(rows)
+        assert got == want, (t, zero)
+        found["zero" if zero else "identity"].add(want is None)
+    assert found == {"identity": {True, False}, "zero": {True, False}}
+    assert crowded >= 100
 
 
 def test_star_of_commutation_double_never_has_identity(corpus_groups):

@@ -54,6 +54,8 @@ SHARED_SCAN_PATH = {
     "_trusted", "_generators", "_derived_series", "_lower_central_series",
     # the table validation over generators that `table_oracles.cubic_ring_error` checks
     "magma_generators", "light_associative", "_generator_checks_pass", "_right_distributes",
+    # the accept test of group and ring tables, and the diagnosis of a refused one
+    "right_inverses", "_table_error", "_addition_error",
 }
 
 ORACLES = (

@@ -608,6 +608,15 @@ def assert_ring_validation_matches(add, mul):
     return want
 
 
+@pytest.mark.parametrize("add", [
+    [[0, 1, 2], [1, 0, 0], [2, 0, 0]],  # symmetric, a zero, a 0 in every row, not Latin
+    [[0, 1], [1, 1]],  # a commutative monoid whose row 1 has no zero
+])
+def test_a_refused_addition_keeps_the_latin_message(add):
+    mul = np.zeros((len(add), len(add)), dtype=np.int64)
+    assert assert_ring_validation_matches(add, mul) == "addition table is not a Latin square"
+
+
 def random_commutative_loop(n: int, rng: random.Random) -> np.ndarray:
     """A random symmetric Latin square whose row and column 0 are 0..n-1."""
     t = np.full((n, n), -1)
