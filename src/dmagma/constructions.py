@@ -16,7 +16,7 @@ from .groups import FiniteGroup
 from .magmas import DoubleMagma, Magma
 from .rings import FiniteRing
 from .tables import flat_cells
-from .words import Term, _word_tables, free_variables, lower, parse_term, run_ops
+from .words import Term, free_variables, lower, parse_term, run_ops
 
 WORD_VARIABLES = ("a", "b")
 
@@ -59,7 +59,7 @@ def word_double(g: FiniteGroup, word: WordPair | Term | str) -> DoubleMagma:
     idx = np.arange(n)
     axes = {"a": idx[:, None], "b": idx[None, :]}  # one broadcast axis per variable
     low = lower(word.term)
-    star = run_ops(low, _word_tables(g, low.kinds), [axes[v] for v in low.variables])[0]
+    star = run_ops(low, g.law_tables, [axes[v] for v in low.variables])[0]
     star = np.broadcast_to(star, (n, n))
     return _double(star, g.names, label=f"word({g.label})")
 

@@ -32,7 +32,8 @@ lower central series starts from the derived series' G'. The series read
 only `mul` and `inv`.
 
 Word-law scans read `law_tables` and `law_classes`, as on a ring
-(`words._law_scan`), and the constructor builds neither.
+(`words._law_scan`). The constructor builds neither; the first law scan
+builds all five op tables at once, the bracket and conjugate tables included.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .tables import (
     right_inverses,
     spec_number,
 )
+from .words import Bracket, Conjugate, IdentityLiteral, Inverse, Product
 
 
 class FiniteGroup:
@@ -141,8 +143,19 @@ class FiniteGroup:
 
     @cached_property
     def law_tables(self) -> dict:
-        """Read-only intp op tables of word-law scans by node type (`words._word_tables`)."""
-        return {}
+        """The op tables of word-law scans by node type, in read-only intp: G's own
+        product, inverse and identity, and comm[x,y] = [x,y] and conj[x,y] = x^y =
+        y^-1 x y derived from those two alone. The table route
+        (`constructions.commutator_double`) builds its own commutator table, so
+        the two routes stay independent."""
+        mul, inv = self.mul.astype(np.intp), self.inv.astype(np.intp)
+        x = np.arange(self.order)[:, None]
+        y = x.T
+        tables = {Product: mul, Inverse: inv, IdentityLiteral: np.asarray(self.identity, dtype=np.intp),
+                  Bracket: mul[mul[inv[x], inv[y]], mul], Conjugate: mul[mul[inv[y], x], y]}
+        for table in tables.values():
+            table.setflags(write=False)
+        return tables
 
     @cached_property
     def law_classes(self) -> dict:

@@ -53,8 +53,9 @@ continuations of P onto those of P^g, so P^g cannot hold a failure either.
 The walker skips a prefix whose orbit under simultaneous conjugation
 (`orbit_keys`) already holds a clean prefix: the first failure, its position
 and the verdict are those of the full scan, found in one pass. Only group-law
-scans pass the conjugate table: (R,+) of a ring law has no conjugation to
-use, and the table scans (interchange, associativity) stay independent of G.
+scans pass the conjugate table, one of the group's own `law_tables`: (R,+) of
+a ring law has no conjugation to use, and the table scans (interchange,
+associativity) stay independent of G.
 
 One rule (`decide`) admits every budgeted scan, of the group laws of `words`,
 the ring laws of `rings` and the interchange of `magmas`: a grid of n^k <=
@@ -277,12 +278,11 @@ def first_failure(reps, failing, conjugates=None) -> tuple[int, ...] | None:
     that cell's coordinates. With no variables, `failing([])` is called once
     and the empty tuple is the only candidate.
 
-    `conjugates`, for a group law only, returns the conjugate table
+    `conjugates`, for a group law only, is the conjugate table
     conj[x, g] = x^g of the group. A prefix of scalars whose orbit under
     simultaneous conjugation holds one already scanned clean is then skipped
-    (see the module docstring). The table and the keys are first asked for
-    once the first prefix has scanned clean, so a failure in it costs nothing
-    extra.
+    (see the module docstring). The orbit keys are first computed once the
+    first prefix has scanned clean, so a failure in it computes none.
     """
     k, cells = len(reps), SCAN_CELLS
     if k == 0:
@@ -322,7 +322,7 @@ def first_failure(reps, failing, conjugates=None) -> tuple[int, ...] | None:
         if clean is not None:
             clean.add(key)
         elif conjugates is not None:  # the first prefix scanned clean
-            keys, conjugates = orbit_keys(conjugates(), fixed), None
+            keys, conjugates = orbit_keys(conjugates, fixed), None
             if keys is not None:
                 clean = {keys(prefix)}
     return None
@@ -407,7 +407,7 @@ def check_sampling(count: int, seed: int) -> None:
 
 
 def scan_sampled(variables: tuple[str, ...], names, failing, count: int, seed: int, reps,
-                 conjugates=None) -> Verdict:
+                 conjugates) -> Verdict:
     """Scan `count` seeded pseudo-random assignments of range(n)^k for a failure, n = len(names).
 
     `failing(axes)` gets one index array per variable and returns a boolean
@@ -452,15 +452,16 @@ def decide(variables, names, budget: int, refusal, scan, sampling=None) -> Verdi
     one is sampled (`scan_sampled`) when `sampling` = (count, seed) is
     given, and otherwise refused with BudgetExceededError(refusal(n^k))
     before `scan` is called. `scan()` builds what the scan reads and returns
-    (reps, failing), or (reps, failing, conjugates) for a group law.
+    (reps, failing, conjugates): the conjugate table of a group law, by which
+    the scan skips prefixes, or None.
     """
     total = len(names) ** len(variables)
     if total > budget and sampling is None:
         raise BudgetExceededError(refusal(total))
-    reps, failing, *hook = scan()
+    reps, failing, conjugates = scan()
     if total > budget:
-        return scan_sampled(variables, names, failing, *sampling, reps, *hook)
-    return exhaustive_verdict(first_failure(reps, failing, *hook), variables, names)
+        return scan_sampled(variables, names, failing, *sampling, reps, conjugates)
+    return exhaustive_verdict(first_failure(reps, failing, conjugates), variables, names)
 
 
 def first_associativity_failure(table: np.ndarray) -> tuple[int, int, int] | None:
@@ -476,11 +477,13 @@ def first_associativity_failure(table: np.ndarray) -> tuple[int, int, int] | Non
 
 
 def interchange_scan(s: np.ndarray, b: np.ndarray):
-    """Class representatives of (w, x, y, z) and the `failing` callback of the interchange scan.
+    """(reps, failing, None) of the interchange scan, as `decide` takes them.
 
-    `failing` is true where (w*x)•(y*z) != (w•y)*(x•z), for the star table
-    `s` (*) and the bullet table `b` (•); `first_failure` on the two gives the
-    first failing quadruple, lexicographic. Nothing but the two tables is read.
+    `reps` holds the class representatives of (w, x, y, z), and `failing` is
+    true where (w*x)•(y*z) != (w•y)*(x•z), for the star table `s` (*) and the
+    bullet table `b` (•); `first_failure` on them gives the first failing
+    quadruple, lexicographic. Nothing but the two tables is read, so no
+    conjugate table is passed.
     """
     lines = [{("*", i), ("•", j)} for j in (0, 1) for i in (0, 1)]  # w, x, y, z
     reps = class_reps({"*": s, "•": b}, lines, len(s))
@@ -491,7 +494,7 @@ def interchange_scan(s: np.ndarray, b: np.ndarray):
         lhs = gather(b, gather(s, w, x), gather(s, y, z))
         return lhs != gather(s, gather(b, w, y), gather(b, x, z))
 
-    return reps, failing
+    return reps, failing, None
 
 
 def magma_generators(table: np.ndarray) -> list[int]:

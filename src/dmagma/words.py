@@ -16,22 +16,25 @@ constant is "1", the identity. Syntax trees deeper than MAX_DEPTH are a
 ParseError.
 
 Laws are lowered to op lists, powers squared by products (`lower`). Every law
-scan, of a group or a ring, reads one interface (`_law_scan`): `law_tables`, a
-read-only intp op table per node type, and `law_classes`, kept on the
-structure from its first law scan on.
+scan, of a group or a ring, reads one interface (`_law_scan`): `law_tables`,
+the read-only intp op table of every node type the structure offers, built by
+the structure itself on its first law scan, and `law_classes`, kept on it from
+then on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .errors import ParseError, SpecError, UnboundVariableError
-from .groups import FiniteGroup
 from .tables import DEFAULT_EVAL_BUDGET, Verdict, class_reps, decide, gather, scan_sampled
+
+if TYPE_CHECKING:
+    from .groups import FiniteGroup
 
 MAX_EXPONENT = 32
 # Deepest syntax tree a law may have; evaluating and printing terms recurses
@@ -145,17 +148,15 @@ class Lowering:
     """Terms lowered to one op list in evaluation order (`lower`).
 
     Op i = (kind, a, b) fills slot i: variable a, the identity, the inverse of
-    slot a, or slots a and b combined. `kinds` are the
-    node types whose tables the ops read, every op's but Variable. `lines`
-    maps each variable to the (node type, axis) lines it is read through, a
-    bracket's or conjugate's row (axis 0) or column (axis 1), or to None when
-    some op or root reads it whole.
+    slot a, or slots a and b combined. `lines` maps each variable to the
+    (node type, axis) lines it is read through, a bracket's or conjugate's
+    row (axis 0) or column (axis 1), or to None when some op or root reads
+    it whole.
     """
 
     variables: tuple[str, ...]
     ops: tuple[tuple, ...]
     roots: tuple[int, ...]
-    kinds: frozenset
     lines: Mapping[str, frozenset | None]
 
 
@@ -218,8 +219,7 @@ def lower(*terms: Term) -> Lowering:
         if ops[s][0] is Variable:
             v = variables[ops[s][1]]
             lines[v] = None if line is None or lines[v] is None else lines[v] | {line}
-    kinds = frozenset(op[0] for op in ops) - {Variable}
-    return Lowering(variables, ops, tuple(roots), kinds, lines)
+    return Lowering(variables, ops, tuple(roots), lines)
 
 
 # ---------------------------------------------------------------------------
@@ -490,43 +490,13 @@ def evaluate(term: Term, group: FiniteGroup, assignment: Mapping[str, int]) -> i
     raise TypeError(f"not a term: {term!r}")
 
 
-def _word_tables(structure, kinds) -> dict[type, np.ndarray]:
-    """`structure.law_tables`, holding the op table of each node type in `kinds` (`Lowering.kinds`).
-
-    A ring's are its own (`FiniteRing.law_tables`). A group's `mul`, `inv` and identity
-    are cast to intp on its first law scan, and comm[x,y] = [x,y] and conj[x,y] = x^y =
-    y^-1 x y are derived from those two alone, each on the first scan that needs it. The
-    table route (`constructions.commutator_double`) builds its own commutator table, so
-    that the two routes stay independent.
-    """
-    kept = structure.law_tables
-    if not kept:  # a group's first law scan
-        kept.update({Product: structure.mul.astype(np.intp), Inverse: structure.inv.astype(np.intp),
-                     IdentityLiteral: np.asarray(structure.identity, dtype=np.intp)})
-        for table in kept.values():
-            table.setflags(write=False)
-    for kind in kinds - kept.keys():  # a group's bracket or conjugate table
-        mul, inv = kept[Product], kept[Inverse]
-        x = np.arange(len(mul))[:, None]
-        y = x.T
-        table = mul[mul[inv[x], inv[y]], mul] if kind is Bracket else mul[mul[inv[y], x], y]
-        table.setflags(write=False)
-        kept[kind] = table
-    return kept
-
-
-def _conjugate_table(group: FiniteGroup) -> np.ndarray:
-    """conj[x, g] = x^g, which group-law scans skip prefixes by (`tables.first_failure`)."""
-    return _word_tables(group, {Conjugate})[Conjugate]
-
-
 def run_ops(low: Lowering, tables: dict[type, np.ndarray], axes) -> list[np.ndarray]:
     """Evaluate lowered terms on broadcast index arrays, one per variable.
 
-    Returns one array per root. `tables` maps each node type of `low.kinds`
-    to its op table (`_word_tables`): a product or bracket table is read at
-    two slots, an inverse list at one, and the identity is a 0-d array. A
-    ring law reads (R,+) this way, with the Lie bracket table as
+    Returns one array per root. `tables` maps each node type the ops read
+    to its op table (a structure's `law_tables`): a product or bracket table
+    is read at two slots, an inverse list at one, and the identity is a 0-d
+    array. A ring law reads (R,+) this way, with the Lie bracket table as
     `tables[Bracket]`.
     """
     vals = []
@@ -548,7 +518,7 @@ def run_ops(low: Lowering, tables: dict[type, np.ndarray], axes) -> list[np.ndar
 
 
 def _law_scan(law: Law, structure):
-    """Class representatives and the `failing` callback of every law scan.
+    """(reps, failing, conjugates) of every law scan, as `tables.decide` takes them.
 
     `structure` is a group, or a ring read as (R,+) with its Lie bracket.
     `failing(axes)` is lhs != rhs, by `run_ops` on `structure.law_tables`.
@@ -556,22 +526,19 @@ def _law_scan(law: Law, structure):
     so each variable scans the smallest element of each class
     (`tables.class_reps`), kept in `structure.law_classes`. The first failure
     is a tuple of representatives (see `tables`), so the witness and position
-    are those of the full grid.
+    are those of the full grid. `conjugates` is the structure's conjugate
+    table, by which `tables.first_failure` skips prefixes: a group's, and
+    None for a ring, whose tables hold none.
     """
     low = law.lowering
-    tables = _word_tables(structure, low.kinds)
+    tables = structure.law_tables
     reps = class_reps(tables, low.lines.values(), structure.order, structure.law_classes)
 
     def failing(axes):
         lhs, rhs = run_ops(low, tables, axes)
         return lhs != rhs
 
-    return reps, failing
-
-
-def _group_law_scan(group: FiniteGroup, law: Law):
-    """`_law_scan` on the group, and the `conjugates` hook of `tables.first_failure`."""
-    return (*_law_scan(law, group), partial(_conjugate_table, group))
+    return reps, failing, tables.get(Conjugate)
 
 
 def check_law_exhaustive(group: FiniteGroup, law: Law, budget: int = DEFAULT_EVAL_BUDGET) -> Verdict:
@@ -585,7 +552,7 @@ def check_law_exhaustive(group: FiniteGroup, law: Law, budget: int = DEFAULT_EVA
     """
     return decide(law.variables, group.names, budget, lambda total: (
         f"law {law} over order {group.order} needs {total} evaluations "
-        f"(budget {budget}); use check_law_sampled"), partial(_group_law_scan, group, law))
+        f"(budget {budget}); use check_law_sampled"), partial(_law_scan, law, group))
 
 
 def check_law_sampled(group: FiniteGroup, law: Law, count: int, seed: int) -> Verdict:
@@ -596,7 +563,7 @@ def check_law_sampled(group: FiniteGroup, law: Law, count: int, seed: int) -> Ve
     representatives without drawing the stream; it still means that the
     `count` seeded rows all hold, and nothing more.
     """
-    reps, failing, conjugates = _group_law_scan(group, law)
+    reps, failing, conjugates = _law_scan(law, group)
     return scan_sampled(law.variables, group.names, failing, count, seed, reps, conjugates)
 
 

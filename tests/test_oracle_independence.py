@@ -35,14 +35,13 @@ SHARED_SCAN_PATH = {
     "decide", "interchange_scan",
     # the law lowering, its op-list runner, the scan helper and the law registry,
     # which ring laws and word doubles read as well
-    "lower", "Lowering", "lowering", "run_ops", "_law_scan", "_word_tables", "scan_sampled",
+    "lower", "Lowering", "lowering", "run_ops", "_law_scan", "scan_sampled",
     "builtin_law", "BUILTIN_LAWS", "RING_WORD_LAWS",
     # the class derivation that picks which assignments a law scan visits, the
     # orbit keys that skip prefixes conjugate to a clean one, and the op tables
     # and classes that groups and rings keep for their law scans, the ring's
     # bracket among them
-    "lines", "class_reps", "orbit_keys", "_conjugate_table", "_group_law_scan",
-    "law_tables", "law_classes", "bracket_table",
+    "lines", "class_reps", "orbit_keys", "law_tables", "law_classes", "bracket_table",
     # the flat-take kernel of every scan, closure and series
     "gather",
     # the structure builders and subgroup series that `structure_oracles` checks
@@ -112,8 +111,8 @@ def test_the_table_route_uses_no_word_code():
         elif isinstance(node, ast.Import):
             assert all(a.name != "dmagma.words" for a in node.names), ast.unparse(node)
     word_names = defined_names(dmagma.words)
-    assert {"Verdict", "decide", "lower", "run_ops", "_word_tables"} & word_names == {
-        "lower", "run_ops", "_word_tables"}
+    assert {"Verdict", "decide", "lower", "run_ops", "_law_scan"} & word_names == {
+        "lower", "run_ops", "_law_scan"}
     c = dmagma.constructions
     for fn in (c.commutator_double, c.ring_commutator_double, c._double):
         assert not referenced_names(fn) & word_names, fn.__name__

@@ -27,7 +27,6 @@ from dmagma.words import (
     Law,
     Product,
     Variable,
-    _word_tables,
     check_law_exhaustive,
     check_law_sampled,
     evaluate,
@@ -107,7 +106,7 @@ def test_scalar_and_batch_evaluation_agree(term, pick):
     scalar = evaluate(term, g, assignment)
     low = lower(term)
     axes = [np.array([assignment[v]], dtype=np.int32) for v in low.variables]
-    (value,) = run_ops(low, _word_tables(g, low.kinds), axes)
+    (value,) = run_ops(low, g.law_tables, axes)
     batch = int(np.broadcast_to(value, (1,))[0])
     assert scalar == batch
 
@@ -214,7 +213,7 @@ def test_orbit_skipping_scan_matches_the_full_scan_oracles(g, lhs, rhs, length):
     law = Law(lhs, rhs)
     k, low = len(law.variables), law.lowering
     assume(g.order > 1 and length <= k and g.order**k <= 5000)
-    reps = class_reps(_word_tables(g, low.kinds), low.lines.values(), g.order)
+    reps = class_reps(g.law_tables, low.lines.values(), g.order)
     chunk = math.prod(len(r) for r in reps[length:])
     with patch.object(dmagma.tables, "SCAN_CELLS", chunk):
         got = check_law_exhaustive(g, law)

@@ -49,7 +49,6 @@ from dmagma.words import (
     Product,
     Term,
     Variable,
-    _word_tables,
     builtin_law,
     check_law_exhaustive,
     check_law_sampled,
@@ -161,7 +160,7 @@ def test_lowering_numbers_variables_and_merges_equal_subterms():
     assert low.ops.count((Bracket, 0, 1)) == 1
     square = low.ops.index((Product, xy, xy))
     assert (Product, xy, square) in low.ops
-    assert low.kinds == {Bracket, Product, Inverse}
+    assert {op[0] for op in low.ops} == {Variable, Bracket, Product, Inverse}
     assert low.lines == {"x": {(Bracket, 0)}, "y": {(Bracket, 1)}, "z": {(Bracket, 0)}}
     assert len(low.roots) == 2
     # a variable read whole anywhere keeps every element; one read nowhere is one class
@@ -407,34 +406,36 @@ def test_sampled_verdict_never_contradicts_exhaustive(lhs, rhs, pick, seed):
 
 def test_word_tables_match_scalar_commutator_and_conjugate(corpus_groups):
     for spec, g in corpus_groups:
-        tables = _word_tables(g, lower(parse_term("[x,y]*x^y*x^3")).kinds)
+        tables = g.law_tables
         cells = list(itertools.product(g.elements(), repeat=2))
         assert [tables[Bracket][x, y] for x, y in cells] == [g.commutator(x, y) for x, y in cells]
         assert [tables[Conjugate][x, y] for x, y in cells] == [g.conjugate(x, y) for x, y in cells]
 
 
-def test_word_tables_are_built_only_for_the_nodes_a_law_uses():
+def test_a_group_builds_all_five_law_tables_once_on_first_use():
     g = make_dihedral(4)
-    def tables(*texts):
-        return set(_word_tables(g, lower(*map(parse_term, texts)).kinds))
-
-    # G's own tables are intp copies; only the derived ones a law reads are built
-    own = {Product, Inverse, IdentityLiteral}
-    assert tables("x*y^-1", "(x y)^3") == own
+    assert "law_tables" not in vars(g)  # the constructor builds none
+    # the first law scan builds every table, the bracket and conjugates it does
+    # not read among them, as intp copies of G's own tables and derived from them
+    check_law_exhaustive(g, parse_law("x*y^-1=(x y)^3"))
     kept = g.law_tables
+    assert set(kept) == {Product, Inverse, IdentityLiteral, Bracket, Conjugate}
     assert all(t.dtype == np.intp and not t.flags.writeable for t in kept.values())
-    assert not np.shares_memory(kept[Product], g.mul) and not np.shares_memory(kept[Inverse], g.inv)
+    assert not any(np.shares_memory(t, own) for t in kept.values() for own in (g.mul, g.inv))
     assert np.array_equal(kept[Product], g.mul) and np.array_equal(kept[Inverse], g.inv)
     assert kept[IdentityLiteral] == g.identity
-    assert tables("x", "y^x") == own | {Conjugate}
-    assert tables("[x,y]", "1") == own | {Conjugate, Bracket}
+    tables = dict(kept)
+    for text in ("x=y^x", "[x,y]=1", "x^2=y^2"):  # later scans build nothing
+        check_law_exhaustive(g, parse_law(text))
+    assert g.law_tables is kept and kept.keys() == tables.keys()
+    assert all(kept[kind] is t for kind, t in tables.items())
 
 
 def test_word_tables_share_no_memory_with_the_table_route(corpus_groups):
     # the law route and commutator_double must stay two independent computations
     for spec, g in corpus_groups:
         star = commutator_double(g).star.op
-        tables = _word_tables(g, lower(parse_term("[x,y]^z")).kinds)
+        tables = g.law_tables
         assert np.array_equal(tables[Bracket], star), spec
         for table in tables.values():
             assert not np.shares_memory(table, star), spec
@@ -461,7 +462,6 @@ def test_law_op_tables_and_classes_are_kept_on_the_group(monkeypatch):
     assert check_law_exhaustive(g, law) == first
     assert all(a is b for a, b in zip(seen[0], seen[1]))
     assert all(g.law_tables[kind] is t for kind, t in tables.items())
-    assert _word_tables(g, lower(parse_term("[x,y]")).kinds)[Bracket] is tables[Bracket]
 
 
 def _group_law_check(g, name):
@@ -502,15 +502,22 @@ def test_a_second_law_call_copies_no_table_and_derives_no_class(monkeypatch, bui
     assert all(s.law_classes[key] is reps for key, reps in classes.items())
 
 
-def test_conjugates_are_first_built_after_a_clean_prefix(monkeypatch):
-    # chunks of 6 fix x as a scalar on S3; a failure at x = 1 costs no conjugate table
+def test_orbit_keys_are_first_computed_after_a_clean_prefix(monkeypatch):
+    # chunks of 6 fix x as a scalar on S3; a failure at x = 1 computes no orbit keys
     monkeypatch.setattr(dmagma.tables, "SCAN_CELLS", 6)
-    s3 = "perm:(1 2),(1 2 3)"
-    g = parse_group_spec(s3)
+    calls, real = [], dmagma.tables.orbit_keys
+
+    def counting_orbit_keys(conj, length):
+        calls.append(conj)
+        return real(conj, length)
+
+    monkeypatch.setattr(dmagma.tables, "orbit_keys", counting_orbit_keys)
+    g = parse_group_spec("perm:(1 2),(1 2 3)")
     assert check_law_exhaustive(g, parse_law("x=y")).evaluations == 2
-    assert Conjugate not in g.law_tables
-    got = check_law_exhaustive(g, parse_law("[x^2,y]=1"))
-    assert got.evaluations == 14 and Conjugate in g.law_tables
+    assert calls == []
+    # the prefix x = 1 scans clean, and x = (1 2 3) fails after it
+    assert check_law_exhaustive(g, parse_law("[x^2,y]=1")).evaluations == 14
+    assert len(calls) == 1 and calls[0] is g.law_tables[Conjugate]
 
 
 def simultaneous_orbits(g, length) -> int:
@@ -563,8 +570,7 @@ def merge_orbits(monkeypatch, g):
 
 def keys_from_products(monkeypatch, g):
     """Read the orbit keys from the product table x*g instead of the conjugates x^g."""
-    products = g.mul.astype(np.intp)
-    monkeypatch.setattr(dmagma.words, "_conjugate_table", lambda group: products)
+    monkeypatch.setitem(g.law_tables, Conjugate, g.law_tables[Product])
 
 
 @pytest.mark.parametrize("mutate", [merge_orbits, keys_from_products])
@@ -583,6 +589,40 @@ def test_a_wrong_orbit_key_is_caught(monkeypatch, mutate):
     mutate(monkeypatch, g)
     assert check_law_exhaustive(g, law) != want
     assert check_law_sampled(g, law, 300, 1) != stream
+
+
+def test_a_group_law_hands_the_walker_its_own_conjugate_table(monkeypatch):
+    # group laws pass the group's kept conjugate table on the exhaustive and the
+    # sampled path; ring laws and the interchange scan pass None
+    hooks = []
+    real_first, real_sampled = dmagma.tables.first_failure, dmagma.tables.scan_sampled
+
+    def recording_first_failure(reps, failing, conjugates=None):
+        hooks.append(("walk", conjugates))
+        return real_first(reps, failing, conjugates)
+
+    def recording_scan_sampled(variables, names, failing, count, seed, reps, conjugates=None):
+        hooks.append(("sample", conjugates))
+        return real_sampled(variables, names, failing, count, seed, reps, conjugates)
+
+    monkeypatch.setattr(dmagma.tables, "first_failure", recording_first_failure)
+    monkeypatch.setattr(dmagma.tables, "scan_sampled", recording_scan_sampled)
+    monkeypatch.setattr(dmagma.words, "scan_sampled", recording_scan_sampled)
+    g = parse_group_spec("metacyclic:7,3,2")
+    check_law_exhaustive(g, builtin_law("L1"))
+    conj = g.law_tables[Conjugate]
+    assert [kind for kind, _ in hooks] == ["walk"] and hooks[0][1] is conj
+    hooks.clear()
+    check_law_sampled(g, builtin_law("L3"), 10**4, 1)  # a grid of 21^5 tuples: the stream
+    assert [kind for kind, _ in hooks] == ["sample"] and hooks[0][1] is conj
+    hooks.clear()
+    r = parse_ring_spec("matrix:2,2")
+    check_ring_law(r, "ALT3M")
+    # past the budget RCI is sampled, and its small class grid is walked first
+    check_ring_law(r, "RCI", budget=16**4 - 1)
+    satisfies_interchange(commutator_double(g))
+    assert [kind for kind, _ in hooks] == ["walk", "sample", "walk", "walk"]
+    assert all(c is None for _, c in hooks)
 
 
 @pytest.mark.parametrize("text,chunk", BLOCK_WITNESSES)
@@ -770,13 +810,12 @@ def test_a_refused_scan_builds_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("built a scan past the budget")
 
-    monkeypatch.setattr(dmagma.words, "_word_tables", refuse)
     monkeypatch.setattr(dmagma.words, "class_reps", refuse)
     monkeypatch.setattr(dmagma.magmas, "interchange_scan", refuse)
     g = make_dihedral(8)
     with pytest.raises(BudgetExceededError):
         check_law_exhaustive(g, builtin_law("CI"), budget=16**4 - 1)
-    assert not g.law_tables and not g.law_classes
+    assert "law_tables" not in vars(g) and "law_classes" not in vars(g)
     with pytest.raises(AssertionError, match="past the budget"):  # within budget, the scan is built
         check_law_exhaustive(g, builtin_law("CI"), budget=16**4)
     d = commutator_double(g)
