@@ -15,7 +15,7 @@ import numpy as np
 from .groups import FiniteGroup
 from .magmas import DoubleMagma, Magma
 from .rings import FiniteRing
-from .tables import flat_cells
+from .tables import gather
 from .words import Term, free_variables, lower, parse_term, run_ops
 
 WORD_VARIABLES = ("a", "b")
@@ -43,9 +43,8 @@ def _double(star_table: np.ndarray, names, label: str) -> DoubleMagma:
 
 def commutator_double(g: FiniteGroup) -> DoubleMagma:
     """Double magma with x*y = [x,y] and x•y = [y,x] on the carrier of G."""
-    n, flat = g.order, g.mul.reshape(-1)
-    left = np.take(g.mul[g.inv], g.inv, axis=1)  # x^-1 y^-1
-    star = flat.take(flat_cells(left, g.mul, n))  # (x^-1 y^-1)(xy)
+    left = gather(g.mul, g.inv[:, None], g.inv)  # x^-1 y^-1
+    star = gather(g.mul, left, g.mul)  # (x^-1 y^-1)(xy)
     return _double(star, g.names, label=f"commutator({g.label})")
 
 
@@ -69,5 +68,5 @@ def ring_commutator_double(r: FiniteRing) -> DoubleMagma:
 
     Built as xy + (-y)x, apart from the `r.bracket_table()` the ring laws scan.
     """
-    star = r.add.reshape(-1).take(flat_cells(r.mul, r.mul[r.neg].T, r.order))  # [x, y] -> xy + (-y)x
+    star = gather(r.add, r.mul, r.mul[r.neg].T)  # [x, y] -> xy + (-y)x
     return _double(star, r.names, label=f"ring-commutator({r.label})")

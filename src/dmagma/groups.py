@@ -152,7 +152,8 @@ class FiniteGroup:
         x = np.arange(self.order)[:, None]
         y = x.T
         tables = {Product: mul, Inverse: inv, IdentityLiteral: np.asarray(self.identity, dtype=np.intp),
-                  Bracket: mul[mul[inv[x], inv[y]], mul], Conjugate: mul[mul[inv[y], x], y]}
+                  Bracket: gather(mul, gather(mul, inv[x], inv[y]), mul),
+                  Conjugate: gather(mul, gather(mul, inv[y], x), y)}
         for table in tables.values():
             table.setflags(write=False)
         return tables
@@ -308,7 +309,7 @@ def _generators(g: FiniteGroup, members: np.ndarray) -> np.ndarray:
         return np.asarray(magma_generators(g.mul), dtype=np.int64)
     local = np.zeros(g.order, dtype=np.int32)
     local[members] = np.arange(len(members), dtype=np.int32)
-    return members[magma_generators(local[g.mul[np.ix_(members, members)]])]
+    return members[magma_generators(local[gather(g.mul, members[:, None], members)])]
 
 
 def _commutator_series(g: FiniteGroup, terms, right) -> tuple[SubgroupSet, ...]:
@@ -329,7 +330,7 @@ def _commutator_series(g: FiniteGroup, terms, right) -> tuple[SubgroupSet, ...]:
     while True:
         ys = right(cur)
         xs = (cur if len(cur) * len(ys) < _ALL_MEMBERS_BELOW else _generators(g, cur))[:, None]
-        nxt = _closure(g, mul[mul[inv[xs], inv[ys]], mul[xs, ys]])
+        nxt = _closure(g, gather(mul, gather(mul, inv[xs], inv[ys]), gather(mul, xs, ys)))
         if len(nxt) == len(cur):
             return tuple(terms)
         terms.append(nxt)
@@ -374,7 +375,7 @@ def has_exponent_2(s: SubgroupSet) -> bool:
     """True iff every member squares to the identity."""
     g = s.owner
     idx = _indices(s.members)
-    return bool((g.mul[idx, idx] == g.identity).all())
+    return bool((gather(g.mul, idx, idx) == g.identity).all())
 
 
 # ---------------------------------------------------------------------------
@@ -577,14 +578,15 @@ def _permutation_group(gens, labels) -> FiniteGroup:
         start += len(frontier)
         perms.append(prods[new])
     n = len(index)
-    right_maps = np.concatenate(right).T  # [g, x] -> x * g
+    # [g, x] -> x * g, built in C order so that `gather` ravels it without a copy
+    right_maps = np.concatenate([r.T for r in right], axis=1)
     parent, via = np.array(parent), np.array(via)
     cols = np.empty((n, n), dtype=np.int32)  # cols[b] = mul[:, b]
     cols[0] = np.arange(n)
     lo = 1
     for level in perms[1:]:
         hi = lo + len(level)
-        cols[lo:hi] = right_maps[via[lo:hi, None], cols[parent[lo:hi]]]
+        cols[lo:hi] = gather(right_maps, via[lo:hi, None], cols[parent[lo:hi]])
         lo = hi
     elements = np.concatenate(perms).tolist()
     names = [_cycle_name(p, labels) for p in elements]

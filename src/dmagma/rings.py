@@ -39,7 +39,7 @@ from .tables import (
     check_sampling,
     decide,
     first_associativity_failure,
-    flat_cells,
+    gather,
     is_latin,
     light_associative,
     magma_generators,
@@ -67,8 +67,8 @@ def _right_distributes(add: np.ndarray, mul: np.ndarray, gens) -> bool:
     with f(y+a) = f(y) + f(a) for every generator a is additive; on the
     transpose of `mul` it is the left law.
     """
-    flat = add.reshape(-1)  # add is commutative, so row a of add maps y to y+a
-    return all(np.array_equal(mul[add[a]], flat[flat_cells(mul, mul[a], len(add))]) for a in gens)
+    # add is commutative, so row a of add maps y to y+a
+    return all(np.array_equal(mul[add[a]], gather(add, mul, mul[a])) for a in gens)
 
 
 def _generator_checks_pass(add: np.ndarray, mul: np.ndarray, gens) -> bool:
@@ -82,11 +82,11 @@ def _generator_checks_pass(add: np.ndarray, mul: np.ndarray, gens) -> bool:
     if not _right_distributes(add, mul, gens):
         return False
     g = np.asarray(gens)
-    rows = mul[g]  # [b, y] -> by
-    if not np.array_equal(rows[:, add[g]], add[rows[:, None, :], rows[:, g][:, :, None]]):  # b(y+a)
+    ab = gather(mul, g[:, None], g)  # [a, b] -> ab
+    if not np.array_equal(gather(mul, g[:, None, None], add[g]),
+                          gather(add, mul[g][:, None, :], ab[:, :, None])):  # b(y+a) = by + ba
         return False
-    ab = mul[np.ix_(g, g)]
-    return np.array_equal(mul[ab][:, :, g], rows[:, ab])  # (ab)c = a(bc)
+    return np.array_equal(gather(mul, ab[:, :, None], g), gather(mul, g[:, None, None], ab))  # (ab)c = a(bc)
 
 
 def _addition_error(add: np.ndarray, symmetric: bool) -> str:
@@ -149,7 +149,7 @@ class FiniteRing:
         as the group, and the Lie bracket <x,y> = xy + (-yx) as its commutator."""
         add, neg = self.add.astype(np.intp), self.neg.astype(np.intp)
         tables = {Product: add, Inverse: neg, IdentityLiteral: np.asarray(self.zero, dtype=np.intp),
-                  Bracket: add.reshape(-1)[flat_cells(self.mul, neg[self.mul.T], self.order)]}
+                  Bracket: gather(add, self.mul, neg[self.mul.T])}
         for table in tables.values():
             table.setflags(write=False)
         return tables

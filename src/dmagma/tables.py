@@ -14,11 +14,12 @@ of more than `MAX_SPEC_DIGITS` digits (`spec_number`). `magma_generators`
 tries element 0 last and grows what it reaches semi-naively, so a group's
 identity is never a generator and a cyclic run is reached in log n rounds;
 the constructors validate with its generators, and the subgroup series take
-the few generators of a large term from it. Builders index flat tables
-through `flat_cells`, in int32 while the n^2 cells fit. Every op of a scan is
-one `gather`, a single `take` from the flat intp table at the intp cells
-a * n + b, and a failing slice's first cell is decoded from the slice's own
-axes: the prefix scalars, the lead block and the representative arrays.
+the few generators of a large term from it. Every cellwise read of an op
+table at index arrays, by a builder, a closure, a series or a scan, is one
+`gather`: a single `take` from the flat table at the cells a * n + b. A
+scan's op reads an intp table at intp cells, and a failing slice's first
+cell is decoded from the slice's own axes: the prefix scalars, the lead
+block and the representative arrays.
 
 Every exhaustive scan visits one representative per class of
 indistinguishable elements, and one function derives the classes of every
@@ -159,6 +160,8 @@ def as_table(op, order: int | None = None) -> np.ndarray:
         raise ValueError(f"table has order {n}, expected {order}")
     if n == 0:
         raise ValueError("empty carrier")
+    if n > 46340:  # n^2 > 2^31: the int32 cells a * n + b of `gather` could overflow
+        raise ValueError(f"table has order {n}; an order over 46340 has more than 2^31 cells")
     # Read as unsigned, a negative entry is huge, so one max checks both bounds.
     if table.dtype.kind not in "iu" or table.view(table.dtype.str.replace("i", "u")).max() >= n:
         raise ValueError("table entries must be element indices in [0, order)")
@@ -170,24 +173,17 @@ def as_table(op, order: int | None = None) -> np.ndarray:
 def gather(table: np.ndarray, a, b) -> np.ndarray:
     """table[a, b] for broadcastable index arrays or scalars, as one take from the flat table.
 
-    Scans pass intp tables and intp indices, so the flat index a * n + b cannot
-    overflow and the values taken are intp indices already. Measured on
-    dihedral:16's intp table (2 vCPUs of an Intel Xeon, numpy 2.4), one call
-    costs 1.8-2.2 us on one cell, where `np.take` with an `np.asarray` cast
-    cost 3.4-3.9 us, and 1.40-1.45 ns per cell on 2^14 cells (1.46-1.52).
+    Scans pass intp tables and intp indices, so the values taken are intp
+    indices already. Builders mostly pass a structure's int32 tables and
+    indices, and their cells a * n + b stay in int32 without overflow:
+    `as_table` refuses an order over 46340, so the largest cell, n * n - 1, is
+    below 2^31. `take` casts int32 cells to an intp copy, so such a read holds
+    12 bytes per cell besides its result. Measured on dihedral:16's intp table
+    (2 vCPUs of an Intel Xeon, numpy 2.4), one call costs 1.8-2.2 us on one
+    cell, where `np.take` with an `np.asarray` cast cost 3.4-3.9 us, and
+    1.40-1.45 ns per cell on 2^14 cells (1.46-1.52).
     """
     return table.ravel().take(a * table.shape[1] + b)
-
-
-def flat_cells(a: np.ndarray, b, n: int) -> np.ndarray:
-    """a * n + b, the cells of a flattened n x n table for index arrays a and b.
-
-    `a` is int32 or intp. The arithmetic stays in int32 while n * n <= 2^31,
-    where the largest cell, n * n - 1, cannot overflow, and is intp beyond.
-    Builders index with it: 2-D fancy indexing of an int32 table casts each
-    index array to a fresh intp one, and the extra pages cost time.
-    """
-    return (a if n * n <= 2**31 else a.astype(np.intp)) * n + b
 
 
 def is_latin(table: np.ndarray) -> bool:

@@ -58,14 +58,25 @@ MUTANTS = [
      ["tests/test_rings.py", "tests/test_magmas.py"]),
     # a group's law bracket built as y^-1 x^-1 x y instead of x^-1 y^-1 x y
     ("groups",
-     "Bracket: mul[mul[inv[x], inv[y]], mul]",
-     "Bracket: mul[mul[inv[y], inv[x]], mul]",
+     "Bracket: gather(mul, gather(mul, inv[x], inv[y]), mul)",
+     "Bracket: gather(mul, gather(mul, inv[y], inv[x]), mul)",
      ["tests/test_words.py"]),
     # a group's law conjugate built as y x y^-1 instead of y^-1 x y
     ("groups",
-     "Conjugate: mul[mul[inv[y], x], y]",
-     "Conjugate: mul[mul[y, x], inv[y]]",
+     "Conjugate: gather(mul, gather(mul, inv[y], x), y)",
+     "Conjugate: gather(mul, gather(mul, y, x), inv[y])",
      ["tests/test_words.py"]),
+    # the cells of `gather` strided by the row count, which only a table with
+    # fewer rows than columns, a permutation closure's right maps, tells apart
+    ("tables",
+     "return table.ravel().take(a * table.shape[1] + b)",
+     "return table.ravel().take(a * table.shape[0] + b)",
+     ["tests/test_groups.py"]),
+    # a table of more than 2^31 cells, whose int32 cells would overflow, accepted
+    ("tables",
+     "if n > 46340:",
+     "if False:",
+     ["tests/test_tables.py"]),
 ]
 
 

@@ -1,4 +1,4 @@
-"""In-process CLI fuzz: drawn `group`, `law`, `ring` and `magma` argv never crash.
+"""CLI fuzz: drawn `group`, `law`, `ring`, `magma` and `suite` runs never crash.
 
 Each argv is drawn from the group and ring spec grammars and the law grammar,
 with huge, negative and malformed numbers mixed into specs, exponents, seeds,
@@ -7,17 +7,38 @@ exit code is 0, 1 or 2 (argparse's own refusals exit 2 too) and stderr never
 reports an internal error. Budgets and sample counts stay at most 10^6, and
 the spec numbers a valid spec can use stay small, so every drawn run ends in
 milliseconds; the huge values go where they must be refused.
+
+A second, smaller draw runs each case in its own process, which runs the CLI
+as `python -m dmagma.cli` does, with `suite` runs over drawn config files
+among them. The child alone gets an address-space limit and a wall-time
+limit, and a case passes only if it exits 0, 1 or 2 with no traceback or
+internal error on stderr: a crash that escapes `main`, a signal or either
+limit fails it.
 """
 
 import contextlib
 import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
+import dmagma
 from dmagma.cli import main
 from dmagma.rings import RING_LAWS
+from dmagma.suite import ALL_CHECKS
 from dmagma.words import BUILTIN_LAWS
+
+try:
+    import resource  # noqa: F401  POSIX only; the child limits its address space with it
+except ImportError:
+    resource = None
 
 HUGE = str(10**30)
 
@@ -120,3 +141,62 @@ def test_drawn_argv_exit_0_1_or_2_without_an_internal_error(argv):
             rc = e.code
     assert rc in (0, 1, 2), (argv, rc, err.getvalue())
     assert "internal error" not in err.getvalue(), argv
+
+
+# A child's limits: 2 GiB of address space and 60 s of wall time.
+CHILD_ADDRESS_SPACE = 2 << 30
+CHILD_TIMEOUT_S = 60
+
+# Suite configs over small structures, so every drawn run ends well under a
+# second. The four keys a config always has replace the defaults, which would
+# run all twelve default groups. Broken configs are drawn about a quarter of
+# the time, so most drawn suites run their checks.
+suite_configs = st.fixed_dictionaries(
+    {
+        "groups": st.lists(_mostly(["cyclic:1", "cyclic:4", "dihedral:3", "heisenberg:3",
+                                    "product:cyclic:2,cyclic:2", "perm:(1 2),(1 2 3 4)"],
+                                   ["cyclic:0", "dihedral:x", "nope:1", HUGE]), max_size=3),
+        "rings": st.lists(_mostly(["zmod:2", "zmod:6", "uppertri:2,2", "matrix:2,2"],
+                                  ["zmod:0", "matrix:x"]), max_size=2),
+        "checks": st.lists(_mostly(ALL_CHECKS, ["nope"]), min_size=1, max_size=3),
+        "sample_count": _mostly([1, 100, 1000], [0, -1, "100"]),
+    },
+    optional={"budget": _mostly([1, 1000, 10**6], [0, -1, True, 1.5]),
+              "seed": _mostly([0, 1, 7], [-1, 2**70])},
+).map(json.dumps)
+broken_configs = st.sampled_from(["", "{", "[]", "null", '{"groups": "cyclic:3"}', '{"checks": []}',
+                                  '{"nope": 1}'])
+suite_argv = st.builds(
+    lambda config, extra: (["suite", "config.json", "--text", "report.txt", "--json", "report.json",
+                            *extra], config),
+    st.one_of(suite_configs, suite_configs, suite_configs, broken_configs),
+    st.one_of(st.just([]), st.builds(lambda b: ["--budget", b], budgets),
+              st.builds(lambda n: ["--samples", n], flag_numbers)),
+)
+
+
+# The child limits its own address space before it imports dmagma, then runs
+# the CLI as `python -m dmagma.cli` would. A `preexec_fn` would run Python
+# between fork and exec in this process, which is unsafe beside BLAS threads.
+CHILD = ("import resource, runpy; "
+         f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_ADDRESS_SPACE}, {CHILD_ADDRESS_SPACE})); "
+         "runpy.run_module('dmagma.cli', run_name='__main__', alter_sys=True)")
+
+
+@pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
+@given(st.one_of(st.one_of(group_argv, law_argv, ring_argv, magma_argv).map(lambda a: (a, None)),
+                 suite_argv))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+def test_a_drawn_run_in_a_child_process_exits_0_1_or_2_within_its_limits(case):
+    argv, config = case
+    # the child finds this dmagma; one BLAS thread keeps its address space small
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(Path(dmagma.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            Path(tmp, "config.json").write_text(config, encoding="utf-8")
+        run = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=tmp, env=env,
+                             capture_output=True, text=True, timeout=CHILD_TIMEOUT_S)
+    assert run.returncode in (0, 1, 2), (argv, config, run.returncode, run.stderr)
+    assert "Traceback" not in run.stderr and "internal error" not in run.stderr, (argv, config, run.stderr)

@@ -113,6 +113,8 @@ def test_word_pair_rejects_foreign_variables():
 
 def test_word_pair_accepts_any_two_variable_word():
     assert word_double(make_cyclic(3), "1").star.op.tolist() == [[0] * 3] * 3
+    g = parse_group_spec("dihedral:3")  # a bare Term is a word too
+    assert np.array_equal(word_double(g, parse_term("[a,b]")).star.op, word_double(g, "[a,b]").star.op)
     one_var = word_double(make_cyclic(3), "a^2")
     assert np.array_equal(one_var.star.op, np.tile([[0], [2], [1]], (1, 3)))
 

@@ -99,6 +99,14 @@ def test_metacyclic_degenerate_is_cyclic():
     assert np.array_equal(g.mul, make_cyclic(5).mul)
 
 
+def test_metacyclic_and_dihedral_reject_parameters_below_1():
+    for m, n in ((0, 2), (3, 0)):
+        with pytest.raises(ValueError, match="^metacyclic parameters m, n must be at least 1$"):
+            make_metacyclic(m, n, 1)
+    with pytest.raises(ValueError, match="^dihedral parameter must be at least 1$"):
+        make_dihedral(0)
+
+
 def test_metacyclic_rejects_bad_congruence():
     with pytest.raises(ValueError, match=r"2\^3"):
         make_metacyclic(5, 3, 2)
@@ -363,7 +371,8 @@ def test_subgroup_members_must_be_integers():
             SubgroupSet(frozenset({0, bad}), g)
     two = np.int64(2)
     assert subgroup_closure(g, [two]).members == normal_closure(g, [two]).members == {0, 2, 4}
-    assert SubgroupSet(frozenset({0, 2, np.int64(4)}), g).members == {0, 2, 4}
+    h = SubgroupSet(frozenset({0, 2, np.int64(4)}), g)
+    assert h.members == {0, 2, 4} and 4 in h and 3 not in h
 
 
 def test_normal_closure_abelian_equals_subgroup_closure():
@@ -450,6 +459,7 @@ def test_constructed_tables_satisfy_invariants(corpus_groups):
 
 def test_perm_from_cycles_errors():
     assert perm_from_cycles([(1, 2)], 3) == (2, 1, 3)
+    assert perm_from_cycles([(1, 3)]) == (3, 2, 1)  # the domain ends at the largest point
     with pytest.raises(ValueError, match="^cycle points must be positive integers$"):
         perm_from_cycles([(0, 1)])
     with pytest.raises(ValueError, match="^cycles must be disjoint"):

@@ -67,6 +67,8 @@ def test_commutative_verdicts():
     assert is_commutative(abelian.star).holds
 
     d3 = commutator_double(parse_group_spec("dihedral:3"))
+    assert repr(d3) == "DoubleMagma('commutator(dihedral:3)', order=6)"
+    assert repr(d3.star) == "Magma(order=6, symbol='*')"
     v = is_commutative(d3.star)
     assert v.status == "counterexample"
     x, y = v.witness["x"], v.witness["y"]
@@ -354,3 +356,7 @@ def test_gather_matches_fancy_indexing():
             for a_, b_ in ((a, b), (np.asarray(a, np.int32), np.asarray(b, np.int32))):
                 got = gather(table, a_, b_)
                 assert got.dtype == dtype and np.array_equal(got, table[a_, b_])
+        # |gens| x n, like the right maps of a permutation closure: cells stride by n
+        right_maps = rng.integers(0, 6, size=(3, 6)).astype(dtype)
+        a, b = rng.integers(0, 3, size=(4, 1)), rng.integers(0, 6, size=(4, 6))
+        assert np.array_equal(gather(right_maps, a, b), right_maps[a, b])

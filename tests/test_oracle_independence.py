@@ -42,7 +42,8 @@ SHARED_SCAN_PATH = {
     # and classes that groups and rings keep for their law scans, the ring's
     # bracket among them
     "lines", "class_reps", "orbit_keys", "law_tables", "law_classes", "bracket_table",
-    # the flat-take kernel of every scan, closure and series
+    # the one cellwise read of an op table: every builder, closure, series and
+    # scan indexes a table at index arrays through it
     "gather",
     # the structure builders and subgroup series that `structure_oracles` checks
     "_matrix_ring_from_entries", "_permutation_group", "make_from_permutations",

@@ -57,6 +57,7 @@ def test_zmod_basics():
     r = make_zmod(1)
     assert r.order == 1 and r.zero == 0
     r6 = make_zmod(6)
+    assert repr(r6) == "FiniteRing('zmod:6', order=6)"
     assert np.all(r6.bracket_table() == 0)
     r4 = make_zmod(4)
     assert r4.mul[2, 2] == 0

@@ -464,3 +464,14 @@ def test_table_shape_errors(op, order, message):
     with pytest.raises(ValueError) as err:
         as_table(op, order)
     assert str(err.value) == message
+
+
+def test_a_table_of_over_2_31_cells_is_refused_before_its_entries_are_read():
+    # The int32 cells a * n + b that `gather` takes overflow past order 46340.
+    # The broadcast views allocate nothing. Their entries are all out of range,
+    # so a range check made before the bound gives its own message, and so
+    # does a missing bound, without copying the table to 8.6 GB of int32.
+    with pytest.raises(ValueError, match=r"^table has order 46341; an order over 46340 has"):
+        as_table(np.broadcast_to(np.int32(-1), (46341, 46341)))
+    with pytest.raises(ValueError, match=r"^table entries must be element indices"):
+        as_table(np.broadcast_to(np.int32(-1), (46340, 46340)))  # the largest order passes the bound
