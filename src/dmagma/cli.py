@@ -107,8 +107,8 @@ def _build_double(args):
 
 def cmd_magma(args) -> int:
     dm = _build_double(args)
+    side = dm.star if args.op == "star" else dm.bullet
     if args.check is None:
-        side = dm.star if args.op == "star" else dm.bullet
         if args.format == "text":
             print(render_text(side, superscripts=args.superscripts))
         elif args.format == "csv":
@@ -120,7 +120,6 @@ def cmd_magma(args) -> int:
             sys.stdout.write(render_structured(doc))
         return OK
 
-    side = dm.star if args.op == "star" else dm.bullet
     if args.check == "interchange":
         verdict = satisfies_interchange(dm, args.budget)
         print(f"interchange: {verdict.describe()}")

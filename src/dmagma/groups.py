@@ -23,13 +23,13 @@ Subgroups rest on one closure step, `_grow`, which adds all products and
 inverses to a member set in a boolean mask: a set is a subgroup iff the step
 adds nothing, and closures repeat it to a fixed point. A public `SubgroupSet`
 runs that test on construction; the closures and series build their terms
-unchecked (`_trusted`), since their last step already added nothing. Series
-terms are closures of the commutators of generators of the previous term,
-already normal, so no normal closure is taken (see
-`_commutator_series`). Each group computes its derived and lower central
-series once, on first use, and keeps them (two cached properties); the
-lower central series starts from the derived series' G'. The series read
-only `mul` and `inv`.
+unchecked (`_trusted`) from the ascending index array `_closure` returns,
+since its last step already added nothing. Series terms are closures of the
+commutators of generators of the previous term, already normal, so no normal
+closure is taken (see `_commutator_series`). Each group computes its derived
+and lower central series once, on first use, and keeps them (two cached
+properties); the lower central series starts from the derived series' G'.
+The series read only `mul` and `inv`.
 
 Word-law scans read `law_tables` and `law_classes`, as on a ring
 (`words._law_scan`). The constructor builds neither; the first law scan
@@ -258,8 +258,8 @@ def _trusted(g: FiniteGroup, idx: np.ndarray) -> SubgroupSet:
     return s
 
 
-def _closure(g: FiniteGroup, seed: np.ndarray) -> SubgroupSet:
-    """The subgroup generated by the members of the index array `seed` and the identity."""
+def _closure(g: FiniteGroup, seed: np.ndarray) -> np.ndarray:
+    """Ascending member indices of the subgroup generated by the index array `seed` and the identity."""
     if seed.size and (seed.min() < 0 or seed.max() >= g.order):
         raise ValueError("subgroup members out of range")
     mask = np.zeros(g.order, dtype=bool)
@@ -268,12 +268,12 @@ def _closure(g: FiniteGroup, seed: np.ndarray) -> SubgroupSet:
     cur = np.flatnonzero(mask)
     while len(nxt := _grow(g, cur)) != len(cur):
         cur = nxt
-    return _trusted(g, cur)
+    return cur
 
 
 def subgroup_closure(g: FiniteGroup, seed) -> SubgroupSet:
     """Smallest subgroup containing `seed` (always includes the identity)."""
-    return _closure(g, _indices(seed))
+    return _trusted(g, _closure(g, _indices(seed)))
 
 
 def normal_closure(g: FiniteGroup, seed) -> SubgroupSet:
@@ -282,9 +282,9 @@ def normal_closure(g: FiniteGroup, seed) -> SubgroupSet:
     The G-conjugates of the subgroup generated by `seed` form a
     conjugation-stable set, whose generated subgroup is automatically normal.
     """
-    h = _indices(subgroup_closure(g, seed).members)
+    h = _closure(g, _indices(seed))
     ys = np.arange(g.order, dtype=np.int64)[:, None]
-    return _closure(g, gather(g.mul, gather(g.mul, g.inv[ys], h), ys))  # [y, i] -> y^-1 h_i y
+    return _trusted(g, _closure(g, gather(g.mul, gather(g.mul, g.inv[ys], h), ys)))  # [y, i] -> y^-1 h_i y
 
 
 # A series step pairs every member of H with R while it takes fewer than this
@@ -297,7 +297,7 @@ _ALL_MEMBERS_BELOW = 1 << 14
 
 
 def _generators(g: FiniteGroup, members: np.ndarray) -> np.ndarray:
-    """A generating set of the subgroup whose sorted member indices are `members`.
+    """A generating set of the subgroup whose ascending member indices (`_closure`) are `members`.
 
     `magma_generators` of the subgroup's own table picks a few (2 or 3 for the
     benchmark groups), so the next series term costs |S| n commutators
@@ -326,15 +326,15 @@ def _commutator_series(g: FiniteGroup, terms, right) -> tuple[SubgroupSet, ...]:
     """
     mul, inv = g.mul, g.inv
     terms = list(terms)
-    cur = _indices(terms[-1].members)
+    cur = np.array(terms[-1].sorted_members(), dtype=np.int64)
     while True:
         ys = right(cur)
         xs = (cur if len(cur) * len(ys) < _ALL_MEMBERS_BELOW else _generators(g, cur))[:, None]
         nxt = _closure(g, gather(mul, gather(mul, inv[xs], inv[ys]), gather(mul, xs, ys)))
         if len(nxt) == len(cur):
             return tuple(terms)
-        terms.append(nxt)
-        cur = _indices(nxt.members)
+        terms.append(_trusted(g, nxt))
+        cur = nxt
 
 
 def derived_series(g: FiniteGroup) -> list[SubgroupSet]:

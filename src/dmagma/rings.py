@@ -36,7 +36,6 @@ from .tables import (
     carrier_names,
     check_order,
     check_power_order,
-    check_sampling,
     decide,
     first_associativity_failure,
     gather,
@@ -290,9 +289,8 @@ def check_ring_law(r: FiniteRing, name: str, budget: int = DEFAULT_EVAL_BUDGET,
     and scanned on one representative per class of elements with equal
     bracket rows and columns (`words._law_scan`), kept in `r.law_classes`.
     A law of k variables with n^k > budget is sampled instead, from
-    `sample_count` rows of `seed` (`tables.decide`).
+    `sample_count` rows of `seed`; `tables.decide` checks both.
     """
-    check_sampling(sample_count, seed)
     if name not in RING_WORD_LAWS:
         known = ", ".join(RING_LAWS)
         raise SpecError(f"unknown ring law {name!r}; known laws: {known}")

@@ -59,13 +59,14 @@ a ring law has no conjugation to use, and the table scans (interchange,
 associativity) stay independent of G.
 
 One rule (`decide`) admits every budgeted scan, of the group laws of `words`,
-the ring laws of `rings` and the interchange of `magmas`: a grid of n^k <=
-budget tuples is scanned by `first_failure`, a larger one is sampled
-(`scan_sampled`) when a sample count and seed are given, and otherwise refused
-before anything is built. A sampled scan first scans a small class grid, whose
-clean pass settles the verdict, or else draws a seeded stream whose witness
-depends on (seed, count) alone; a clean pass is evidence, not proof. Every
-scan ends in a `Verdict` (`exhaustive_verdict`, `scan_sampled`), and
+the ring laws of `rings` and the interchange of `magmas`, and it alone checks
+a sample count and seed and calls the sampler: a grid of n^k <= budget tuples
+is scanned by `first_failure`, a larger one is sampled when a sample count and
+seed are given, and otherwise refused before anything is built. A sampled
+check first walks a small class grid, whose clean pass settles the verdict,
+or else draws a seeded stream (`scan_sampled`) whose witness depends on
+(seed, count) alone; a clean pass is evidence, not proof. Every scan ends in a
+`Verdict` (`exhaustive_verdict`, `scan_sampled`), and
 `DEFAULT_EVAL_BUDGET`, `DEFAULT_SAMPLES` and `DEFAULT_SEED` are every caller's
 defaults. The table route (`magmas`) takes its verdicts from here, never from
 the word language.
@@ -97,8 +98,8 @@ DEFAULT_EVAL_BUDGET = 10**8
 DEFAULT_SAMPLES = 10**6
 DEFAULT_SEED = 1
 
-# A sampled law scan first scans the grid of class representatives when that
-# grid has at most this many tuples per requested sample (`scan_sampled`).
+# A sampled check first walks the grid of class representatives when that
+# grid has at most this many tuples per requested sample (`decide`).
 # Measured on 2 vCPUs of an Intel Xeon (Python 3.11, numpy 2.4): the grid
 # costs 7-11 ns per tuple (metacyclic:7,3,2 L3: 21^5 tuples in 31 ms) and a
 # drawn row 66-102 ns (10^6 rows of L2 in 66 ms, of L3 in 94-102 ms), so a
@@ -402,8 +403,7 @@ def check_sampling(count: int, seed: int) -> None:
         raise ValueError(f"sampling seed must be non-negative, got {seed}")
 
 
-def scan_sampled(variables: tuple[str, ...], names, failing, count: int, seed: int, reps,
-                 conjugates) -> Verdict:
+def scan_sampled(variables: tuple[str, ...], names, failing, count: int, seed: int) -> Verdict:
     """Scan `count` seeded pseudo-random assignments of range(n)^k for a failure, n = len(names).
 
     `failing(axes)` gets one index array per variable and returns a boolean
@@ -413,18 +413,8 @@ def scan_sampled(variables: tuple[str, ...], names, failing, count: int, seed: i
     failure costs a short draw; the rows do not depend on the cuts, so the
     witness and the evaluation count depend on (seed, count) only. A found
     counterexample is definitive; a clean pass is evidence, not proof.
-
-    `reps` holds the law's class representatives (`words._law_scan`). When their
-    grid has at most `_GRID_PER_SAMPLE` * count tuples, it is scanned first,
-    skipping prefixes by `conjugates` as `first_failure` does: if none fails,
-    no tuple of range(n)^k fails, so no drawn row could, and the
-    verdict the stream would give is returned without drawing it.
+    `decide`, which checks (count, seed), is its only caller.
     """
-    check_sampling(count, seed)
-    passed = Verdict(HOLDS_SAMPLED, evaluations=count, sample_count=count, seed=seed)
-    small = math.prod(map(len, reps)) <= _GRID_PER_SAMPLE * count
-    if small and first_failure(reps, failing, conjugates) is None:
-        return passed
     rng, cap = np.random.default_rng(seed), SCAN_CELLS
     done, step = 0, min(_FIRST_DRAW, cap)
     while done < count:
@@ -437,27 +427,37 @@ def scan_sampled(variables: tuple[str, ...], names, failing, count: int, seed: i
             witness = _witness_dict(variables, sample[hit], names)
             return Verdict(COUNTEREXAMPLE, done + hit + 1, witness, count, seed)
         done += size
-    return passed
+    return Verdict(HOLDS_SAMPLED, evaluations=count, sample_count=count, seed=seed)
 
 
 def decide(variables, names, budget: int, refusal, scan, sampling=None) -> Verdict:
     """Verdict of a brute-force check over names^k, k = len(variables), under `budget`.
 
-    The one rule that admits a scan: a grid of n^k <= budget assignments is
-    scanned exhaustively (`first_failure`, `exhaustive_verdict`); a larger
-    one is sampled (`scan_sampled`) when `sampling` = (count, seed) is
-    given, and otherwise refused with BudgetExceededError(refusal(n^k))
+    The one rule that admits a scan, and the sampler's only caller. A given
+    `sampling` = (count, seed) is checked first (`check_sampling`); without
+    it, a grid of n^k > budget is refused with BudgetExceededError(refusal(n^k))
     before `scan` is called. `scan()` builds what the scan reads and returns
     (reps, failing, conjugates): the conjugate table of a group law, by which
-    the scan skips prefixes, or None.
+    `first_failure` skips prefixes, or None. A grid of n^k <= budget is
+    scanned exhaustively (`exhaustive_verdict`). A larger one is sampled: a
+    grid of representatives of at most `_GRID_PER_SAMPLE` * count tuples is
+    walked first, and if none fails, no drawn row could, so the stream's
+    `holds-sampled` verdict is returned undrawn; otherwise the seeded stream
+    is drawn (`scan_sampled`).
     """
     total = len(names) ** len(variables)
-    if total > budget and sampling is None:
+    if sampling is not None:
+        check_sampling(*sampling)
+    elif total > budget:
         raise BudgetExceededError(refusal(total))
     reps, failing, conjugates = scan()
-    if total > budget:
-        return scan_sampled(variables, names, failing, *sampling, reps, conjugates)
-    return exhaustive_verdict(first_failure(reps, failing, conjugates), variables, names)
+    if total <= budget:
+        return exhaustive_verdict(first_failure(reps, failing, conjugates), variables, names)
+    count, seed = sampling
+    small = math.prod(map(len, reps)) <= _GRID_PER_SAMPLE * count
+    if small and first_failure(reps, failing, conjugates) is None:
+        return Verdict(HOLDS_SAMPLED, evaluations=count, sample_count=count, seed=seed)
+    return scan_sampled(variables, names, failing, count, seed)
 
 
 def first_associativity_failure(table: np.ndarray) -> tuple[int, int, int] | None:

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .errors import ParseError, SpecError, UnboundVariableError
-from .tables import DEFAULT_EVAL_BUDGET, Verdict, class_reps, decide, gather, scan_sampled
+from .tables import DEFAULT_EVAL_BUDGET, Verdict, class_reps, decide, gather
 
 if TYPE_CHECKING:
     from .groups import FiniteGroup
@@ -556,15 +556,14 @@ def check_law_exhaustive(group: FiniteGroup, law: Law, budget: int = DEFAULT_EVA
 
 
 def check_law_sampled(group: FiniteGroup, law: Law, count: int, seed: int) -> Verdict:
-    """Check `count` seeded pseudo-random assignments (`tables.scan_sampled`).
+    """Check `count` seeded pseudo-random assignments: `tables.decide` with a budget of 0.
 
     A found counterexample is definitive; a clean pass is evidence, not proof.
     A `holds-sampled` verdict may be settled on the grid of class
     representatives without drawing the stream; it still means that the
     `count` seeded rows all hold, and nothing more.
     """
-    reps, failing, conjugates = _law_scan(law, group)
-    return scan_sampled(law.variables, group.names, failing, count, seed, reps, conjugates)
+    return decide(law.variables, group.names, 0, None, partial(_law_scan, law, group), (count, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,16 @@ MUTANTS = [
      "if n > 46340:",
      "if False:",
      ["tests/test_tables.py"]),
+    # a sample count below 1 or a negative seed let through to the sampler
+    ("tables",
+     "check_sampling(*sampling)",
+     "pass",
+     ["tests/test_rings.py", "tests/test_words.py"]),
+    # a sampled check that draws the stream without walking its small class grid
+    ("tables",
+     "if small and first_failure(reps, failing, conjugates) is None:",
+     "if False and small and first_failure(reps, failing, conjugates) is None:",
+     ["tests/test_words.py"]),
 ]
 
 

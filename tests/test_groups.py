@@ -414,6 +414,26 @@ def test_lower_central_series_examples():
     assert all(a > b for a, b in zip(sizes, sizes[1:]))
 
 
+G1024 = "perm:(1 2),(3 4),(1 3)(2 4),(5 6),(1 5)(2 6)(3 7)(4 8),(9 10),(9 11)(10 12)"
+
+
+@pytest.mark.parametrize("spec", ["dihedral:256", G1024])
+def test_series_find_generators_of_ascending_member_arrays(monkeypatch, spec):
+    # `_generators` relabels a term by its members' order; the closures hand
+    # it their own ascending arrays, never a frozenset's iteration order
+    seen, real = [], dmagma.groups._generators
+
+    def recording_generators(g, members):
+        seen.append(members.copy())
+        return real(g, members)
+
+    monkeypatch.setattr(dmagma.groups, "_generators", recording_generators)
+    g = parse_group_spec(spec)
+    derived_series(g)
+    lower_central_series(g)
+    assert seen and all(np.all(np.diff(m) > 0) for m in seen)
+
+
 def test_nilpotency_class_examples():
     assert nilpotency_class(make_cyclic(7)) == 1
     assert nilpotency_class(make_cyclic(1)) == 0

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dmagma.magmas
+import dmagma.rings
 import dmagma.tables
 import dmagma.words
 from dmagma.constructions import commutator_double
@@ -592,8 +593,9 @@ def test_a_wrong_orbit_key_is_caught(monkeypatch, mutate):
 
 
 def test_a_group_law_hands_the_walker_its_own_conjugate_table(monkeypatch):
-    # group laws pass the group's kept conjugate table on the exhaustive and the
-    # sampled path; ring laws and the interchange scan pass None
+    # group laws pass the group's kept conjugate table to the walker, on the
+    # exhaustive path and on the class grid of the sampled one; ring laws and
+    # the interchange scan pass None, and the stream takes no conjugate table
     hooks = []
     real_first, real_sampled = dmagma.tables.first_failure, dmagma.tables.scan_sampled
 
@@ -601,28 +603,70 @@ def test_a_group_law_hands_the_walker_its_own_conjugate_table(monkeypatch):
         hooks.append(("walk", conjugates))
         return real_first(reps, failing, conjugates)
 
-    def recording_scan_sampled(variables, names, failing, count, seed, reps, conjugates=None):
-        hooks.append(("sample", conjugates))
-        return real_sampled(variables, names, failing, count, seed, reps, conjugates)
+    def recording_scan_sampled(variables, names, failing, count, seed):
+        hooks.append(("sample", None))
+        return real_sampled(variables, names, failing, count, seed)
 
     monkeypatch.setattr(dmagma.tables, "first_failure", recording_first_failure)
     monkeypatch.setattr(dmagma.tables, "scan_sampled", recording_scan_sampled)
-    monkeypatch.setattr(dmagma.words, "scan_sampled", recording_scan_sampled)
     g = parse_group_spec("metacyclic:7,3,2")
     check_law_exhaustive(g, builtin_law("L1"))
     conj = g.law_tables[Conjugate]
     assert [kind for kind, _ in hooks] == ["walk"] and hooks[0][1] is conj
     hooks.clear()
-    check_law_sampled(g, builtin_law("L3"), 10**4, 1)  # a grid of 21^5 tuples: the stream
-    assert [kind for kind, _ in hooks] == ["sample"] and hooks[0][1] is conj
+    check_law_sampled(g, builtin_law("L3"), 10**6, 1)  # a grid of 21^5 <= 8 * 10^6 tuples: walked
+    assert [kind for kind, _ in hooks] == ["walk"] and hooks[0][1] is conj
+    hooks.clear()
+    check_law_sampled(g, builtin_law("L3"), 10**4, 1)  # 21^5 > 8 * 10^4: the stream only
+    assert [kind for kind, _ in hooks] == ["sample"]
     hooks.clear()
     r = parse_ring_spec("matrix:2,2")
     check_ring_law(r, "ALT3M")
-    # past the budget RCI is sampled, and its small class grid is walked first
+    # past the budget RCI is sampled: its small class grid is walked first, and
+    # holds a failure, so the stream is drawn
     check_ring_law(r, "RCI", budget=16**4 - 1)
     satisfies_interchange(commutator_double(g))
-    assert [kind for kind, _ in hooks] == ["walk", "sample", "walk", "walk"]
+    assert [kind for kind, _ in hooks] == ["walk", "walk", "sample", "walk"]
     assert all(c is None for _, c in hooks)
+
+
+def test_every_checker_takes_its_verdict_from_one_decide_call(monkeypatch):
+    # `tables.decide` is the one door to a verdict: every law and table checker
+    # calls it once, where its module binds it, and the stream
+    # (`tables.scan_sampled`) is drawn only from inside that call
+    decided, open_calls, streams = [], [], []
+    real_decide, real_sampled = dmagma.tables.decide, dmagma.tables.scan_sampled
+
+    def recording_decide(*args, **kwargs):
+        decided.append(args[0])
+        open_calls.append(None)
+        try:
+            return real_decide(*args, **kwargs)
+        finally:
+            open_calls.pop()
+
+    def recording_scan_sampled(*args):
+        streams.append(len(open_calls))
+        return real_sampled(*args)
+
+    for module in (dmagma.words, dmagma.rings, dmagma.magmas):
+        monkeypatch.setattr(module, "decide", recording_decide)
+    monkeypatch.setattr(dmagma.tables, "scan_sampled", recording_scan_sampled)
+    s4, d16, r = parse_group_spec(S4), parse_group_spec("dihedral:16"), parse_ring_spec("matrix:2,2")
+    cases = [
+        (partial(check_law_exhaustive, s4, builtin_law("3M_I")), 0),
+        (partial(check_law_sampled, s4, builtin_law("L3"), 10**5, 1), 1),  # 24^5 > 8 * 10^5: drawn
+        (partial(check_law_sampled, d16, builtin_law("L3"), 10**6, 1), 0),  # settled on its grid
+        (partial(check_ring_law, r, "RCI"), 0),
+        (partial(check_ring_law, r, "RCI", budget=16**4 - 1), 1),  # its grid fails: drawn
+        (partial(satisfies_interchange, commutator_double(s4)), 0),
+    ]
+    for check, drawn in cases:
+        decided.clear()
+        streams.clear()
+        check()
+        assert len(decided) == 1, check
+        assert streams == [1] * drawn, check
 
 
 @pytest.mark.parametrize("text,chunk", BLOCK_WITNESSES)
@@ -724,16 +768,16 @@ def test_dropping_a_line_misleads_the_sampled_grid_check(monkeypatch, text, vari
 
 def test_a_sampled_scan_draws_a_short_first_slice(monkeypatch):
     sizes = []
-    real = dmagma.words.scan_sampled
+    real = dmagma.tables.scan_sampled
 
-    def recording_scan_sampled(variables, names, failing, count, seed, reps, conjugates=None):
+    def recording_scan_sampled(variables, names, failing, count, seed):
         def wrapped(axes):
             sizes.append(int(np.prod(np.broadcast_shapes(*(np.shape(a) for a in axes)))))
             return failing(axes)
 
-        return real(variables, names, wrapped, count, seed, reps, conjugates)
+        return real(variables, names, wrapped, count, seed)
 
-    monkeypatch.setattr(dmagma.words, "scan_sampled", recording_scan_sampled)
+    monkeypatch.setattr(dmagma.tables, "scan_sampled", recording_scan_sampled)
     # S4's L3 grid (24^5 tuples) is larger than 8 * 10^5, so the stream is drawn
     # at once, and its row 3 fails
     g, law = parse_group_spec(S4), builtin_law("L3")
