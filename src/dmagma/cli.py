@@ -256,6 +256,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command != "suite" and args.budget < 1:  # a suite's config checks its own
+            raise ValueError(f"--budget must be at least 1, got {args.budget}")
         return args.fn(args)
     except (ParseError, SpecError, BudgetExceededError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -160,7 +160,7 @@ class FiniteGroup:
 
     @cached_property
     def law_classes(self) -> dict:
-        """Class representatives of word-law scans by line set (`tables.class_reps`)."""
+        """Word-law scans' class arrays by line set, and their walks by line-set tuple (`tables.Walk`)."""
         return {}
 
     @cached_property

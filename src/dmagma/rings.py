@@ -155,7 +155,7 @@ class FiniteRing:
 
     @cached_property
     def law_classes(self) -> dict:
-        """Class representatives of ring-law scans by line set (`tables.class_reps`)."""
+        """Ring-law scans' class arrays by line set, and their walks by line-set tuple (`tables.Walk`)."""
         return {}
 
     def bracket_table(self) -> np.ndarray:

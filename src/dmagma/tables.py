@@ -35,7 +35,9 @@ gives a tuple that still fails and is no larger, so that coordinate is its
 own representative: the first failure lies on the grid of representatives,
 and scanning that grid in lexicographic order (`first_failure`) returns it.
 The verdict remains a brute-force statement about the table alone; only
-checks that repeat an earlier one are skipped.
+checks that repeat an earlier one are skipped. The layout of the walk (`Walk`)
+is derived once per class grid: law scans keep it with their classes, and the
+table scans build theirs per call.
 
 Group and ring laws are scanned the same way (`words._law_scan`): a law reads
 a variable that is an argument of a bracket or conjugate through that table's
@@ -259,16 +261,43 @@ def orbit_keys(conj: np.ndarray, length: int):
     return key
 
 
+class Walk(tuple):
+    """A grid's reps, one ascending index array per variable, with the layout
+    `first_failure` walks on them under the `SCAN_CELLS` it was built with
+    (`cells`): the full trailing axes (`tail`), the lead blocks with their
+    decode lines (`blocks`), and the prefix reps as Python int lists."""
+
+    def __init__(self, reps):
+        k, self.cells = len(self), SCAN_CELLS
+        free, trail = 0, 1  # full trailing axes, and the tuples they span
+        while free < min(k - 1, MAX_AXES) and trail * len(self[k - 1 - free]) <= self.cells:
+            free, trail = free + 1, trail * len(self[k - 1 - free])
+        lead = k - 1 - free  # -1 with no variables: one empty prefix and one empty block
+        width = max(1, self.cells // trail)
+        self.tail = [r.reshape((-1,) + (1,) * (k - 1 - i)) for i, r in enumerate(self) if i > lead]
+        if width == 1 or lead < 0:
+            fixed, blocks = lead + 1, [[]]
+        else:
+            fixed = lead
+            blocks = [[self[lead][lo : lo + width].reshape((-1,) + (1,) * free)]
+                      for lo in range(0, len(self[lead]), width)]
+        # A failing slice's axes are the block's and the tail's: its decode lines.
+        self.blocks = [(b, [*(a.ravel() for a in b), *self[lead + 1 :]]) for b in blocks]
+        self.prefixes = [r.tolist() for r in self[:fixed]]
+        self.prefix_count = math.prod(map(len, self.prefixes))
+
+
 def first_failure(reps, failing, conjugates=None) -> tuple[int, ...] | None:
     """Lexicographically first tuple of reps[0] x ... x reps[k-1] where `failing` holds.
 
-    `reps` holds one ascending index array per variable. `failing(axes)` gets
-    one broadcastable index array per variable and returns a boolean array,
+    `reps` holds one ascending index array per variable; unless it is a `Walk`
+    built under the current `SCAN_CELLS`, its walk is built first. `failing(axes)`
+    gets one broadcastable index array per variable and returns a boolean array,
     broadcastable to the grid they span, that is true where the check fails.
     The trailing variables (at most `MAX_AXES`) get one full axis each, so a
     subterm costs the product of its own variables' ranges; the leading ones
-    are fixed as scalars, and the one in between is cut into blocks, so one
-    slice holds at most `SCAN_CELLS` tuples, read at each call (a block of one
+    are fixed as Python int scalars, and the one in between is cut into
+    blocks, so one slice holds at most `SCAN_CELLS` tuples (a block of one
     element is a scalar too). Slices are visited in lexicographic order, and
     the first true cell of the C-order ravel of the first failing slice is the
     answer, read from the prefix, the block and the representative arrays at
@@ -281,45 +310,28 @@ def first_failure(reps, failing, conjugates=None) -> tuple[int, ...] | None:
     (see the module docstring). The orbit keys are first computed once the
     first prefix has scanned clean, so a failure in it computes none.
     """
-    k, cells = len(reps), SCAN_CELLS
-    if k == 0:
-        return () if np.any(failing([])) else None
-    free, trail = 0, 1  # full trailing axes, and the tuples they span
-    while free < min(k - 1, MAX_AXES) and trail * len(reps[k - 1 - free]) <= cells:
-        free, trail = free + 1, trail * len(reps[k - 1 - free])
-    lead = k - 1 - free
-    width = max(1, cells // trail)
-    tail = [r.reshape((-1,) + (1,) * (k - 1 - i)) for i, r in enumerate(reps) if i > lead]
-    if width == 1:
-        fixed, blocks = lead + 1, [[]]
-    else:
-        fixed = lead
-        blocks = [
-            [reps[lead][lo : lo + width].reshape((-1,) + (1,) * free)]
-            for lo in range(0, len(reps[lead]), width)
-        ]
-    if math.prod(map(len, reps[:fixed])) < 2:  # one prefix: nothing to skip
+    walk = reps if isinstance(reps, Walk) and reps.cells == SCAN_CELLS else Walk(reps)
+    if walk.prefix_count < 2:  # one prefix: nothing to skip
         conjugates = None
     keys = clean = None  # the orbit keys, and those of the prefixes scanned clean
-    for prefix in itertools.product(*reps[:fixed]):
+    for prefix in itertools.product(*walk.prefixes):
         if clean is not None:
             key = keys(prefix)
             if key in clean:
                 continue
-        for block in blocks:
-            axes = [*prefix, *block, *tail]
-            bad = failing(axes)
-            if bad.any():
-                # The slice's axes are the block's and the tail's. `bad` may span
-                # fewer, or length 1 where it does not vary: index 0 there.
-                lines = [*(a.ravel() for a in block), *reps[lead + 1 :]]
-                hit = np.unravel_index(int(bad.argmax()), bad.shape)
+        for block, lines in walk.blocks:
+            # `bad` may span fewer axes than `lines`, or length 1 where it does
+            # not vary: index 0 there. Two bare scalars compare to a Python bool.
+            bad = np.asarray(failing([*prefix, *block, *walk.tail]))
+            i = bad.argmax()
+            if bad.ravel()[i]:
+                hit = np.unravel_index(i, bad.shape)
                 hit = (0,) * (len(lines) - bad.ndim) + hit
-                return (*map(int, prefix), *(int(v[i]) for v, i in zip(lines, hit)))
+                return (*prefix, *(int(v[j]) for v, j in zip(lines, hit)))
         if clean is not None:
             clean.add(key)
         elif conjugates is not None:  # the first prefix scanned clean
-            keys, conjugates = orbit_keys(conjugates, fixed), None
+            keys, conjugates = orbit_keys(conjugates, len(prefix)), None
             if keys is not None:
                 clean = {keys(prefix)}
     return None

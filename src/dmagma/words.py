@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .errors import ParseError, SpecError, UnboundVariableError
-from .tables import DEFAULT_EVAL_BUDGET, Verdict, class_reps, decide, gather
+from .tables import DEFAULT_EVAL_BUDGET, Verdict, Walk, class_reps, decide, gather
 
 if TYPE_CHECKING:
     from .groups import FiniteGroup
@@ -518,27 +518,30 @@ def run_ops(low: Lowering, tables: dict[type, np.ndarray], axes) -> list[np.ndar
 
 
 def _law_scan(law: Law, structure):
-    """(reps, failing, conjugates) of every law scan, as `tables.decide` takes them.
+    """(walk, failing, conjugates) of every law scan, as `tables.decide` takes them.
 
     `structure` is a group, or a ring read as (R,+) with its Lie bracket.
     `failing(axes)` is lhs != rhs, by `run_ops` on `structure.law_tables`.
     Elements whose lines (`Lowering.lines`) all agree give equal law values,
     so each variable scans the smallest element of each class
-    (`tables.class_reps`), kept in `structure.law_classes`. The first failure
-    is a tuple of representatives (see `tables`), so the witness and position
-    are those of the full grid. `conjugates` is the structure's conjugate
-    table, by which `tables.first_failure` skips prefixes: a group's, and
-    None for a ring, whose tables hold none.
+    (`tables.class_reps`); their walk (`tables.Walk`) is kept with them in
+    `structure.law_classes` under the law's tuple of line sets, so a later law
+    with that tuple builds nothing. The first failure is a tuple of
+    representatives (see `tables`), so the witness and position are those of
+    the full grid. `conjugates` is the structure's conjugate table, by which
+    `tables.first_failure` skips prefixes: a group's, and None for a ring.
     """
-    low = law.lowering
-    tables = structure.law_tables
-    reps = class_reps(tables, low.lines.values(), structure.order, structure.law_classes)
+    low, tables, kept = law.lowering, structure.law_tables, structure.law_classes
+    key = tuple(low.lines.values())
+    walk = kept.get(key)
+    if walk is None:
+        walk = kept[key] = Walk(class_reps(tables, key, structure.order, kept))
 
     def failing(axes):
         lhs, rhs = run_ops(low, tables, axes)
         return lhs != rhs
 
-    return reps, failing, tables.get(Conjugate)
+    return walk, failing, tables.get(Conjugate)
 
 
 def check_law_exhaustive(group: FiniteGroup, law: Law, budget: int = DEFAULT_EVAL_BUDGET) -> Verdict:

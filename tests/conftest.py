@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import dmagma.tables
+import dmagma.words
 from dmagma.groups import parse_group_spec
 from dmagma.rings import parse_ring_spec
 from dmagma.suite import DEFAULT_GROUPS, DEFAULT_RINGS
@@ -38,3 +40,22 @@ def no_sample_stream(monkeypatch):
         raise AssertionError(f"drew the sample stream of seed {seed}")
 
     monkeypatch.setattr(np.random, "default_rng", default_rng)
+
+
+@pytest.fixture
+def law_scan_builds(monkeypatch):
+    """What law scans build during the test: ("classes", lines) for each `class_reps`
+    call of `words._law_scan`, and ("walk", walk) for each `tables.Walk` built anywhere."""
+    built, real_class_reps, real_init = [], dmagma.words.class_reps, dmagma.tables.Walk.__init__
+
+    def class_reps(tables, lines, n, known=None):
+        built.append(("classes", lines))
+        return real_class_reps(tables, lines, n, known)
+
+    def init(self, reps):
+        real_init(self, reps)
+        built.append(("walk", self))
+
+    monkeypatch.setattr(dmagma.words, "class_reps", class_reps)
+    monkeypatch.setattr(dmagma.tables.Walk, "__init__", init)
+    return built

@@ -87,6 +87,17 @@ MUTANTS = [
      "if small and first_failure(reps, failing, conjugates) is None:",
      "if False and small and first_failure(reps, failing, conjugates) is None:",
      ["tests/test_words.py"]),
+    # law walks kept under the law's arity, so two laws with as many variables
+    # but other line sets share the first one's walk
+    ("words",
+     "walk = kept.get(key)\n    if walk is None:\n        walk = kept[key] =",
+     "walk = kept.get(len(low.variables))\n    if walk is None:\n        walk = kept[len(low.variables)] =",
+     ["tests/test_words.py"]),
+    # a walk's prefix lists without their last representative
+    ("tables",
+     "self.prefixes = [r.tolist() for r in self[:fixed]]",
+     "self.prefixes = [r.tolist()[:-1] for r in self[:fixed]]",
+     ["tests/test_properties.py", "tests/test_words.py"]),
 ]
 
 

@@ -433,6 +433,24 @@ def test_suite_budget_refusal_exits_2_without_a_report(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists() and not (tmp_path / "r.txt").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("group", "dihedral:4"),
+    ("law", "dihedral:4", "[x,y]=1"),
+    ("magma", "dihedral:4", "--check", "interchange"),
+    ("ring", "zmod:6", "--law", "ALT3M"),
+])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_a_budget_below_1_is_refused_before_anything_is_built(monkeypatch, capsys, argv, budget):
+    def refuse(*args):
+        raise AssertionError("built a structure for a refused budget")
+
+    monkeypatch.setattr(dmagma.cli, "parse_group_spec", refuse)
+    monkeypatch.setattr(dmagma.cli, "parse_ring_spec", refuse)
+    rc, out, err = run(capsys, *argv, "--budget", budget)
+    assert (rc, out) == (2, "")
+    assert err == f"error: --budget must be at least 1, got {budget}\n"
+
+
 def test_suite_missing_config_exits_2(tmp_path, capsys):
     rc, _, err = run(capsys, "suite", str(tmp_path / "absent.json"))
     assert rc == 2

@@ -212,21 +212,13 @@ def test_bracket_table_is_built_once_and_read_only():
     assert all(bk[x, y] == lie_bracket(r, x, y) for x, y in pairs)
 
 
-def test_a_ring_keeps_its_law_classes_between_calls(monkeypatch):
+def test_a_ring_keeps_its_law_classes_between_calls(law_scan_builds):
     r = parse_ring_spec("matrix:2,3")
     first = {name: check_ring_law(r, name) for name in RING_LAWS}
     fresh = {name: check_ring_law(parse_ring_spec("matrix:2,3"), name) for name in RING_LAWS}
-    derived, real = [], dmagma.words.class_reps
-
-    def counting_class_reps(tables, lines, n, known=None):
-        kept = set(known)
-        reps = real(tables, lines, n, known)
-        derived.append(set(known) - kept)
-        return reps
-
-    monkeypatch.setattr(dmagma.words, "class_reps", counting_class_reps)
+    law_scan_builds.clear()
     again = {name: check_ring_law(r, name) for name in RING_LAWS}
-    assert derived and not any(derived)  # classes were read, none derived again
+    assert law_scan_builds == []  # no class derived and no walk built again
     assert again == first == fresh
 
 

@@ -27,7 +27,7 @@ from dmagma.errors import (
 )
 from dmagma.groups import make_cyclic, make_dihedral, make_metacyclic, parse_group_spec
 from dmagma.magmas import satisfies_interchange
-from dmagma.rings import RING_LAWS, check_ring_law, parse_ring_spec
+from dmagma.rings import RING_LAWS, RING_WORD_LAWS, check_ring_law, parse_ring_spec
 from dmagma.suite import DEFAULT_GROUPS, IDENTITY_LAWS
 from dmagma.tables import (
     COUNTEREXAMPLE,
@@ -61,7 +61,7 @@ from dmagma.words import (
     to_string,
 )
 from test_properties import BLOCK_WITNESSES, GROUPS, S3, perm_groups, terms
-from test_rings import drop_line, line_class_counts
+from test_rings import _scalar_ring_scan, drop_line, line_class_counts
 from word_oracles import flat_index_scan, naive_check, stream_scan
 
 X, Y, Z, U = Variable("x"), Variable("y"), Variable("z"), Variable("u")
@@ -473,34 +473,109 @@ def _group_law_check(g, name):
     (partial(parse_group_spec, "metacyclic:7,3,2"), _group_law_check, ["L1", "CI", "SQUARE", "3M_III"]),
     (partial(parse_ring_spec, "matrix:2,3"), check_ring_law, list(RING_LAWS)),
 ], ids=["group", "ring"])
-def test_a_second_law_call_copies_no_table_and_derives_no_class(monkeypatch, build, check, laws):
-    # groups and rings keep the same two things: the intp op tables and the classes
+def test_a_second_law_call_copies_no_table_and_derives_no_class(monkeypatch, law_scan_builds,
+                                                                build, check, laws):
+    # groups and rings keep the same two things: the intp op tables, and the
+    # classes with the walk of their grid
     s = build()
     assert "law_tables" not in vars(s) and "law_classes" not in vars(s)  # the constructor built neither
     first = [check(s, name) for name in laws]
     tables, classes = dict(s.law_tables), dict(s.law_classes)
     assert all(t.dtype == np.intp and not t.flags.writeable for t in tables.values())
-    read, derived = [], []
-    real_run_ops, real_class_reps = dmagma.words.run_ops, dmagma.words.class_reps
+    read, real_run_ops = [], dmagma.words.run_ops
 
     def recording_run_ops(low, op_tables, axes):
         read.extend(op_tables.values())
         return real_run_ops(low, op_tables, axes)
 
-    def counting_class_reps(op_tables, lines, n, known=None):
-        kept = set(known)
-        reps = real_class_reps(op_tables, lines, n, known)
-        derived.append(set(known) - kept)
-        return reps
-
     monkeypatch.setattr(dmagma.words, "run_ops", recording_run_ops)
-    monkeypatch.setattr(dmagma.words, "class_reps", counting_class_reps)
+    law_scan_builds.clear()
     assert [check(s, name) for name in laws] == first
     assert read and all(any(t is kept for kept in tables.values()) for t in read)
     assert s.law_tables.keys() == tables.keys()
     assert all(s.law_tables[kind] is t for kind, t in tables.items())
-    assert len(derived) == len(laws) and not any(derived)
-    assert all(s.law_classes[key] is reps for key, reps in classes.items())
+    assert law_scan_builds == []  # no class derived and no walk built
+    assert s.law_classes.keys() == classes.keys()
+    assert all(s.law_classes[key] is kept for key, kept in classes.items())
+
+
+@pytest.mark.parametrize("build,check,laws", [
+    (partial(parse_group_spec, S4), _group_law_check, ["3M_I", "CLASS2"]),
+    (partial(parse_ring_spec, "matrix:2,3"), check_ring_law, ["ALT3M", "NILP2"]),
+], ids=["group", "ring"])
+def test_laws_with_equal_line_sets_share_one_walk(monkeypatch, law_scan_builds, build, check, laws):
+    # [x,y;x,z] and [x,y,z] read x by its bracket row and y, z by their
+    # columns: the first call derives the classes and builds their walk, kept
+    # on the structure, and the other law and every later call build nothing
+    s, words = build(), [RING_WORD_LAWS.get(name, name) for name in laws]
+    key, other = (tuple(builtin_law(w).lowering.lines.values()) for w in words)
+    assert key == other
+    walked, real = [], dmagma.tables.first_failure
+
+    def recording_first_failure(reps, failing, conjugates=None):
+        walked.append(reps)
+        return real(reps, failing, conjugates)
+
+    monkeypatch.setattr(dmagma.tables, "first_failure", recording_first_failure)
+    first = check(s, laws[0])
+    walk = s.law_classes[key]
+    assert law_scan_builds == [("classes", key), ("walk", walk)]
+    assert list(walk) == [s.law_classes[line_set] for line_set in key]
+    law_scan_builds.clear()
+    again = [check(s, name) for name in (laws[1], laws[0], laws[1])]
+    assert law_scan_builds == [] and again[1] == first
+    assert len(walked) == 4 and all(w is walk for w in walked)
+
+
+@pytest.mark.parametrize("build,check,laws", [
+    (partial(make_dihedral, 4), _group_law_check, ["3M_I", "CLASS2", "CI", "COMM_SQ", "L1"]),
+    (partial(parse_ring_spec, "uppertri:2,2"), check_ring_law, list(RING_LAWS)),
+], ids=["group", "ring"])
+def test_law_classes_stop_growing_over_repeated_calls(build, check, laws):
+    # at most one walk per distinct tuple of line sets, and one class array
+    # per line set: the first round keeps all there is
+    s = build()
+    first = [check(s, name) for name in laws]
+    kept = dict(s.law_classes)
+    for _ in range(1000):
+        for name in laws:
+            check(s, name)
+    assert len(s.law_classes) == len(kept)
+    assert all(s.law_classes[key] is value for key, value in kept.items())
+    assert [check(s, name) for name in laws] == first
+
+
+KEPT_WALK_LAWS = ["[x,y]=1", "x=y", "x*y=y*x", "[x,y;x,z]=1", "x^2=y^2*z^0", "[x,y]^2=1", "x^y=x"]
+
+
+@pytest.mark.parametrize("spec", ["cyclic:4", "dihedral:4", "perm:(1 2),(1 2 3)"])
+def test_kept_walks_give_the_verdicts_of_a_fresh_group(spec):
+    # laws of equal arity but other line sets, in both orders on one group:
+    # a walk kept for one must never serve another (on cyclic:4 "[x,y]=1"
+    # has one class per variable, and "x=y" fails at (0, 1))
+    g = parse_group_spec(spec)
+    laws = [parse_law(text) for text in KEPT_WALK_LAWS]
+    for law in [*laws, *reversed(laws)]:
+        got = check_law_exhaustive(g, law)
+        assert got == check_law_exhaustive(parse_group_spec(spec), law), (spec, str(law))
+        assert got == flat_index_scan(g, law) == naive_check(g, law), (spec, str(law))
+
+
+@pytest.mark.parametrize("spec", ["uppertri:2,2", "zmod:4"])
+def test_kept_walks_give_the_verdicts_of_a_fresh_ring(spec):
+    r = parse_ring_spec(spec)
+    for name in [*RING_LAWS, *reversed(RING_LAWS)]:
+        got = check_ring_law(r, name)
+        assert got == check_ring_law(parse_ring_spec(spec), name) == _scalar_ring_scan(r, name), name
+
+
+@pytest.mark.parametrize("text,cells", [("x=x", 1), ("x=x", 2), ("x*y=x*y", 1), ("x*y=x*y", 6)])
+def test_a_law_of_bare_prefix_scalars_holds(monkeypatch, text, cells):
+    # with `cells` = 1 every variable is a Python int prefix scalar, so x != x
+    # is a Python bool, which the walker reads through numpy
+    monkeypatch.setattr(dmagma.tables, "SCAN_CELLS", cells)
+    g, law = parse_group_spec("perm:(1 2),(1 2 3)"), parse_law(text)
+    assert check_law_exhaustive(g, law) == Verdict(HOLDS_EXHAUSTIVE, 6 ** len(law.variables))
 
 
 def test_orbit_keys_are_first_computed_after_a_clean_prefix(monkeypatch):
