@@ -14,7 +14,7 @@ import sys
 import time
 
 from .constructions import commutator_double, ring_commutator_double, word_double
-from .errors import BudgetExceededError, ParseError, SpecError
+from .errors import BudgetExceededError, SpecError
 from .groups import (
     derived_series,
     derived_subgroup,
@@ -75,8 +75,6 @@ def cmd_group(args) -> int:
 
 
 def cmd_law(args) -> int:
-    if args.sampled:  # refuse the sampling arguments before building the group
-        check_sampling(args.samples, args.seed)
     g = parse_group_spec(args.spec)
     if "=" in args.law:
         law = parse_law(args.law)
@@ -147,7 +145,6 @@ def cmd_magma(args) -> int:
 
 
 def cmd_ring(args) -> int:
-    check_sampling(args.samples, args.seed)  # before building the ring
     r = parse_ring_spec(args.spec)
     verdict = check_ring_law(r, args.law, args.budget, args.samples, args.seed)
     print(f"ring: {args.spec} (order {r.order})")
@@ -256,10 +253,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command != "suite" and args.budget < 1:  # a suite's config checks its own
+        # settings are refused before anything is built; a suite's config checks its own
+        if args.command != "suite" and args.budget < 1:
             raise ValueError(f"--budget must be at least 1, got {args.budget}")
+        if args.command in ("law", "ring"):
+            check_sampling(args.samples, args.seed)
         return args.fn(args)
-    except (ParseError, SpecError, BudgetExceededError, ValueError, OSError) as e:
+    except (BudgetExceededError, ValueError, OSError) as e:  # ParseError, SpecError too
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as e:  # never let a crash read as exit 1, "property fails"

@@ -628,28 +628,33 @@ class _Cursor:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def expect(self, ch: str):
+    def accept(self, ch: str) -> bool:
+        """Step past the next character if it is `ch`; say whether it was."""
         if self.peek() != ch:
-            raise SpecError(f"expected '{ch}' at position {self.pos} in {self.text!r}")
+            return False
         self.pos += 1
+        return True
+
+    def expect(self, ch: str):
+        if not self.accept(ch):
+            raise SpecError(f"expected '{ch}' at position {self.pos} in {self.text!r}")
+
+    def run(self, member, what: str) -> tuple[str, int]:
+        """The nonempty run of characters passing `member`, and where it starts."""
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and member(self.text[self.pos]):
+            self.pos += 1
+        if self.pos == start:
+            raise SpecError(f"expected {what} at position {start} in {self.text!r}")
+        return self.text[start : self.pos], start
 
     def word(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        if self.pos == start:
-            raise SpecError(f"expected a name at position {start} in {self.text!r}")
-        return self.text[start : self.pos]
+        return self.run(str.isalpha, "a name")[0]
 
     def number(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
-            self.pos += 1
-        if self.pos == start:
-            raise SpecError(f"expected a number at position {start} in {self.text!r}")
-        return spec_number(self.text[start : self.pos], f"the number at position {start}")
+        digits, start = self.run(str.isdecimal, "a number")
+        return spec_number(digits, f"the number at position {start}")
 
 
 def _parse_perm_generators(cur: _Cursor) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -657,8 +662,7 @@ def _parse_perm_generators(cur: _Cursor) -> tuple[list[tuple[int, ...]], list[in
     generators = []
     while cur.peek() == "(":
         cycles = []
-        while cur.peek() == "(":
-            cur.expect("(")
+        while cur.accept("("):
             cycle = [cur.number()]
             while cur.peek() not in (")", ""):
                 cycle.append(cur.number())
@@ -667,12 +671,8 @@ def _parse_perm_generators(cur: _Cursor) -> tuple[list[tuple[int, ...]], list[in
         generators.append(cycles)
         # a comma continues with the next generator only if one follows
         mark = cur.pos
-        if cur.peek() == ",":
-            cur.expect(",")
-            if cur.peek() != "(":
-                cur.pos = mark
-                break
-        else:
+        if not (cur.accept(",") and cur.peek() == "("):
+            cur.pos = mark
             break
     # Only the points written matter: relabel them 1..k in ascending order,
     # which keeps the closure order and the cycle names, and name them back.

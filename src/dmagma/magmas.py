@@ -184,28 +184,24 @@ def superscript_names(names) -> list[str]:
     ]
 
 
-def _display_names(m: Magma, superscripts: bool) -> list[str]:
-    return superscript_names(m.names) if superscripts else list(m.names)
+def _name_grid(m: Magma, superscripts: bool) -> list[list[str]]:
+    """The corner symbol and the names, then each element's name and its row of products."""
+    names = superscript_names(m.names) if superscripts else list(m.names)
+    return [[m.symbol] + names] + [[names[x]] + [names[v] for v in row]
+                                   for x, row in enumerate(m.op.tolist())]
 
 
 def render_text(m: Magma, superscripts: bool = False) -> str:
     """Aligned grid with the operation symbol in the corner and names on both edges."""
-    names = _display_names(m, superscripts)
-    rows = [[m.symbol] + names]
-    for x in range(m.order):
-        rows.append([names[x]] + [names[int(v)] for v in m.op[x]])
-    widths = [max(len(r[c]) for r in rows) for c in range(m.order + 1)]
+    rows = _name_grid(m, superscripts)
+    widths = [max(map(len, column)) for column in zip(*rows)]
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in rows)
 
 
 def render_csv(m: Magma, superscripts: bool = False) -> str:
     """CSV with a header row and column of element names."""
-    names = _display_names(m, superscripts)
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([m.symbol] + names)
-    for x in range(m.order):
-        writer.writerow([names[x]] + [names[int(v)] for v in m.op[x]])
+    csv.writer(buf, lineterminator="\n").writerows(_name_grid(m, superscripts))
     return buf.getvalue()
 
 

@@ -620,7 +620,7 @@ def run_corpus(config: CorpusConfig) -> Report:
     for spec in config.groups:
         try:
             groups.append((spec, parse_group_spec(spec)))
-        except (SpecError, ValueError) as e:
+        except ValueError as e:  # SpecError among them
             errors.append({"structure": spec, "error": str(e)})
     for spec, g in groups:
         facts = GroupFacts(g, config.budget, config.sample_count, config.seed)
@@ -632,7 +632,7 @@ def run_corpus(config: CorpusConfig) -> Report:
         for spec in config.rings:
             try:
                 ring = parse_ring_spec(spec)
-            except (SpecError, ValueError) as e:
+            except ValueError as e:  # SpecError among them
                 errors.append({"structure": spec, "error": str(e)})
                 continue
             results.append(

@@ -260,6 +260,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str):
+        if not text.strip():
+            raise ParseError("empty input")
         self.tokens = _tokenize(text)
         self.i = 0
         self.nesting = 0  # open "(" and "[" groups, which the parser recurses on
@@ -272,11 +274,23 @@ class _Parser:
         self.i += 1
         return tok
 
+    def accept(self, sym: str) -> bool:
+        """Step past the next token if it is the symbol `sym`; say whether it was."""
+        if self.tokens[self.i][:2] != ("sym", sym):
+            return False
+        self.i += 1
+        return True
+
     def expect_sym(self, sym: str):
-        kind, val, pos = self.peek()
-        if kind != "sym" or val != sym:
+        if not self.accept(sym):
+            _, val, pos = self.peek()
             raise ParseError(f"expected {sym!r}, found {val or 'end of input'!r}", pos)
-        self.advance()
+
+    def end(self):
+        """Refuse any input left after what was parsed."""
+        kind, val, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {val!r}", pos)
 
     def at_primary(self) -> bool:
         kind, val, _ = self.peek()
@@ -284,33 +298,20 @@ class _Parser:
 
     def term(self) -> Term:
         t = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "sym" and val == "*":
-                self.advance()
-                t = Product(t, self.factor())
-            elif self.at_primary():
-                t = Product(t, self.factor())
-            else:
-                return t
+        while self.accept("*") or self.at_primary():
+            t = Product(t, self.factor())
+        return t
 
     def factor(self) -> Term:
         base = self.primary()
-        kind, val, _ = self.peek()
-        if kind == "sym" and val == "^":
-            self.advance()
-            return self.exponent(base)
-        return base
+        return self.exponent(base) if self.accept("^") else base
 
     def exponent(self, base: Term) -> Term:
+        sign = -1 if self.accept("-") else 1
+        signed = sign < 0 or self.accept("+")
         kind, val, pos = self.peek()
-        sign = 1
-        if kind == "sym" and val in "+-":
-            sign = -1 if val == "-" else 1
-            self.advance()
-            kind, val, pos = self.peek()
-            if kind != "int":
-                raise ParseError("expected an integer exponent after the sign", pos)
+        if signed and kind != "int":
+            raise ParseError("expected an integer exponent after the sign", pos)
         if kind == "int":
             self.advance()
             digits = val.lstrip("0") or "0"
@@ -356,18 +357,16 @@ class _Parser:
             raise ParseError(f"term nests deeper than {MAX_DEPTH} levels", pos)
         return t
 
+    def terms(self) -> list[Term]:
+        """One or more comma-separated terms."""
+        terms = [self.term()]
+        while self.accept(","):
+            terms.append(self.term())
+        return terms
+
     def bracket(self, open_pos: int) -> Term:
-        left = [self.term()]
-        while self.peek()[:2] == ("sym", ","):
-            self.advance()
-            left.append(self.term())
-        right: list[Term] | None = None
-        if self.peek()[:2] == ("sym", ";"):
-            self.advance()
-            right = [self.term()]
-            while self.peek()[:2] == ("sym", ","):
-                self.advance()
-                right.append(self.term())
+        left = self.terms()
+        right = self.terms() if self.accept(";") else None
         self.expect_sym("]")
         if right is None:
             if len(left) < 2:
@@ -385,13 +384,9 @@ def _left_nest(terms: list[Term]) -> Term:
 
 def parse_term(text: str) -> Term:
     """Parse a single word; raises ParseError with a position on bad input."""
-    if not text.strip():
-        raise ParseError("empty input")
     p = _Parser(text)
     t = p.whole_term()
-    kind, val, pos = p.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected trailing input {val!r}", pos)
+    p.end()
     return t
 
 
@@ -402,20 +397,15 @@ def parse_law(text: str) -> Law:
     Laws are immutable, so a text parsed again returns the same Law, with the
     lowering it already holds (`Law.lowering`).
     """
-    if not text.strip():
-        raise ParseError("empty input")
     p = _Parser(text)
     lhs = p.whole_term()
-    kind, val, pos = p.peek()
-    if kind != "sym" or val != "=":
-        raise ParseError("a law needs '=' between two terms", pos)
-    p.advance()
+    if not p.accept("="):
+        raise ParseError("a law needs '=' between two terms", p.peek()[2])
     rhs = p.whole_term()
-    kind, val, pos = p.peek()
-    if kind == "sym" and val == "=":
+    pos = p.peek()[2]
+    if p.accept("="):
         raise ParseError("a law must contain exactly one '='", pos)
-    if kind != "end":
-        raise ParseError(f"unexpected trailing input {val!r}", pos)
+    p.end()
     return Law(lhs, rhs)
 
 
@@ -426,13 +416,9 @@ def parse_law(text: str) -> Law:
 
 def to_string(term: Term) -> str:
     """Render a term so that parsing the output rebuilds the identical tree."""
-    return _s_term(term)
-
-
-def _s_term(t: Term) -> str:
-    if isinstance(t, Product):
-        return f"{_s_term(t.left)}*{_s_factor(t.right)}"
-    return _s_factor(t)
+    if isinstance(term, Product):
+        return f"{to_string(term.left)}*{_s_factor(term.right)}"
+    return _s_factor(term)
 
 
 def _s_factor(t: Term) -> str:
@@ -454,8 +440,8 @@ def _s_primary(t: Term) -> str:
     if isinstance(t, IdentityLiteral):
         return "1"
     if isinstance(t, Bracket):
-        return f"[{_s_term(t.left)},{_s_term(t.right)}]"
-    return f"({_s_term(t)})"
+        return f"[{to_string(t.left)},{to_string(t.right)}]"
+    return f"({to_string(t)})"
 
 
 # ---------------------------------------------------------------------------

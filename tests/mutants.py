@@ -98,6 +98,27 @@ MUTANTS = [
      "self.prefixes = [r.tolist() for r in self[:fixed]]",
      "self.prefixes = [r.tolist()[:-1] for r in self[:fixed]]",
      ["tests/test_properties.py", "tests/test_words.py"]),
+    # a walk kept under one SCAN_CELLS walked again under another
+    ("tables",
+     "walk = reps if isinstance(reps, Walk) and reps.cells == SCAN_CELLS else Walk(reps)",
+     "walk = reps if isinstance(reps, Walk) else Walk(reps)",
+     ["tests/test_words.py"]),
+    # a word parser that steps past whatever symbol comes next (test modules
+    # that parse laws at import cannot be collected under it)
+    ("words",
+     'if self.tokens[self.i][:2] != ("sym", sym):',
+     'if self.tokens[self.i][0] != "sym":',
+     ["tests/test_cli.py"]),
+    # a spec cursor that reads an empty run as a name or a number
+    ("groups",
+     "if self.pos == start:",
+     "if False:",
+     ["tests/test_groups.py"]),
+    # `dmagma law` that scans in full past bad sampling settings
+    ("cli",
+     "check_sampling(args.samples, args.seed)",
+     "pass",
+     ["tests/test_cli.py"]),
 ]
 
 

@@ -330,6 +330,22 @@ def test_sampling_arguments_are_refused_before_building(monkeypatch, capsys):
     assert built == []
 
 
+@pytest.mark.parametrize("sampled", [[], ["--sampled"]], ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("setting,message", [
+    (["--seed", "-1"], "sampling seed must be non-negative, got -1"),
+    (["--samples", "0"], "sample count must be at least 1"),
+], ids=["seed", "samples"])
+def test_law_refuses_bad_sampling_settings_on_every_path(monkeypatch, capsys, sampled, setting,
+                                                         message):
+    # without --sampled the law would be scanned in full and report a counterexample
+    def refuse(*args):
+        raise AssertionError("built a group for refused sampling settings")
+
+    monkeypatch.setattr(dmagma.cli, "parse_group_spec", refuse)
+    argv = ["law", "dihedral:4", "[x,y]=1", *sampled, *setting]
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 # --- suite ----------------------------------------------------------------------
 
 

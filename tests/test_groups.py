@@ -531,6 +531,41 @@ def test_parse_group_spec_errors():
             parse_group_spec(bad)
 
 
+# Every refusal text of the group-spec reader, position included: each reaches
+# the user verbatim as the CLI's "error: ..." line.
+@pytest.mark.parametrize("spec,message", [
+    ("", "expected a name at position 0 in ''"),
+    ("nope:3", "unknown group spec 'nope' "
+     "(expected cyclic, dihedral, metacyclic, heisenberg, perm, or product)"),
+    ("cyclic", "expected ':' at position 6 in 'cyclic'"),
+    ("cyclic:x", "expected a number at position 7 in 'cyclic:x'"),
+    ("cyclic:+6", "expected a number at position 7 in 'cyclic:+6'"),
+    (" cyclic : ", "expected a number at position 10 in ' cyclic : '"),
+    ("cyclic:3trailing", "trailing input at position 8 in 'cyclic:3trailing'"),
+    ("dihedral:4 x", "trailing input at position 11 in 'dihedral:4 x'"),
+    ("cyclic:0", "'cyclic:0': cyclic group order must be at least 1"),
+    ("metacyclic:7 3 2", "expected ',' at position 13 in 'metacyclic:7 3 2'"),
+    ("perm:(1 2),", "trailing input at position 10 in 'perm:(1 2),'"),
+    ("perm:(1 2) , (1 3) ,", "trailing input at position 19 in 'perm:(1 2) , (1 3) ,'"),
+    ("perm:(1 2", "expected ')' at position 9 in 'perm:(1 2'"),
+    ("perm:()", "expected a number at position 6 in 'perm:()'"),
+    ("perm:(1 2)(", "expected a number at position 11 in 'perm:(1 2)('"),
+    ("perm:(0 1)", "cycle points must be positive integers"),
+    ("product:cyclic:2", "expected ',' at position 16 in 'product:cyclic:2'"),
+    ("product:perm:(1 2),,cyclic:2", "expected a name at position 19 in 'product:perm:(1 2),,cyclic:2'"),
+    ("product:product:cyclic:2,cyclic:2",
+     "expected ',' at position 33 in 'product:product:cyclic:2,cyclic:2'"),
+    ("product:cyclic:2,product:cyclic:3,",
+     "expected a name at position 34 in 'product:cyclic:2,product:cyclic:3,'"),
+    ("product: cyclic:2 , cyclic:3 ,cyclic:4",
+     "trailing input at position 29 in 'product: cyclic:2 , cyclic:3 ,cyclic:4'"),
+])
+def test_every_group_spec_refusal_has_its_exact_text(spec, message):
+    with pytest.raises(SpecError) as e:
+        parse_group_spec(spec)
+    assert str(e.value) == message
+
+
 def test_group_spec_numbers_are_decimal_digits():
     # "²" is a digit to str.isdigit but not to int(); it is no number at all
     for spec, pos in (("cyclic:²", 7), ("perm:(1 ²)", 8), ("dihedral:4²", 10)):

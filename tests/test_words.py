@@ -6,6 +6,7 @@ which share nothing with the vectorized scan path.
 
 import dataclasses
 import itertools
+import math
 from functools import partial
 from unittest.mock import patch
 
@@ -127,6 +128,45 @@ def test_parse_errors():
     ]:
         with pytest.raises(ParseError, match=what):
             parse_term(bad)
+
+
+# Every refusal text of the word reader, position included: each reaches the
+# user verbatim as `dmagma law`'s "error: ..." line.
+@pytest.mark.parametrize("parse,text,message", [
+    (parse_term, "", "empty input"),
+    (parse_term, " \t ", "empty input"),
+    (parse_term, "[x]", "a bracket needs at least two comma-separated terms (at position 0)"),
+    (parse_term, "x^40", "power exponent 40 out of range +-32 (at position 2)"),
+    (parse_term, "x^-0123456789012345678901",
+     "power exponent -123456789012... (21 digits) out of range +-32 (at position 3)"),
+    (parse_term, "x^", "expected an integer or a primary term after '^' (at position 2)"),
+    (parse_term, "x^+", "expected an integer exponent after the sign (at position 3)"),
+    (parse_term, "x^-y", "expected an integer exponent after the sign (at position 3)"),
+    (parse_term, "x*", "expected a term, found 'end of input' (at position 2)"),
+    (parse_term, "2", "'2' is not a term; the only constant is the identity '1' (at position 0)"),
+    (parse_term, "((x", "expected ')', found 'end of input' (at position 3)"),
+    (parse_term, "x y )", "unexpected trailing input ')' (at position 4)"),
+    (parse_term, "x$y", "unexpected character '$' (at position 1)"),
+    (parse_term, "[x,y", "expected ']', found 'end of input' (at position 4)"),
+    (parse_term, "[x,,y]", "expected a term, found ',' (at position 3)"),
+    (parse_term, "[x,y;]", "expected a term, found ']' (at position 5)"),
+    (parse_term, "[x,y;z,w", "expected ']', found 'end of input' (at position 8)"),
+    (parse_term, " [ x , y ] ] ", "unexpected trailing input ']' (at position 11)"),
+    (parse_term, "x^1^", "unexpected trailing input '^' (at position 3)"),
+    (parse_term, "x=y", "unexpected trailing input '=' (at position 1)"),
+    (parse_law, "  ", "empty input"),
+    (parse_law, "[x,y]", "a law needs '=' between two terms (at position 5)"),
+    (parse_law, "x = y = z", "a law must contain exactly one '=' (at position 6)"),
+    (parse_law, "x==y", "expected a term, found '=' (at position 2)"),
+    (parse_law, "x=", "expected a term, found 'end of input' (at position 2)"),
+    (parse_law, "[x,y]=1,", "unexpected trailing input ',' (at position 7)"),
+    (parse_law, " [x,y;x,z] = 1 2",
+     "'2' is not a term; the only constant is the identity '1' (at position 15)"),
+])
+def test_every_word_refusal_has_its_exact_text(parse, text, message):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert str(e.value) == message
 
 
 def test_parse_law():
@@ -567,6 +607,25 @@ def test_kept_walks_give_the_verdicts_of_a_fresh_ring(spec):
     for name in [*RING_LAWS, *reversed(RING_LAWS)]:
         got = check_ring_law(r, name)
         assert got == check_ring_law(parse_ring_spec(spec), name) == _scalar_ring_scan(r, name), name
+
+
+def test_a_walk_kept_under_other_scan_cells_is_laid_out_again(monkeypatch):
+    # the walk of CI on dihedral:8 is kept under the default SCAN_CELLS; read
+    # after the constant changes, it would hand the law slices past the new one
+    g, law = parse_group_spec("dihedral:8"), builtin_law("CI")
+    sizes, real_run_ops = [], dmagma.words.run_ops
+
+    def recording_run_ops(low, op_tables, axes):
+        sizes.append(math.prod(np.broadcast_shapes(*map(np.shape, axes))))
+        return real_run_ops(low, op_tables, axes)
+
+    monkeypatch.setattr(dmagma.words, "run_ops", recording_run_ops)
+    first = check_law_exhaustive(g, law)
+    assert max(sizes) > 7
+    sizes.clear()
+    monkeypatch.setattr(dmagma.tables, "SCAN_CELLS", 7)
+    assert check_law_exhaustive(g, law) == first
+    assert sizes and max(sizes) <= 7
 
 
 @pytest.mark.parametrize("text,cells", [("x=x", 1), ("x=x", 2), ("x*y=x*y", 1), ("x*y=x*y", 6)])
