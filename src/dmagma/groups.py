@@ -47,6 +47,7 @@ import numpy as np
 from .errors import SpecError
 from .tables import (
     DEFAULT_ORDER_BUDGET,
+    MAX_SPEC_DIGITS,
     as_table,
     carrier_names,
     check_order,
@@ -56,7 +57,6 @@ from .tables import (
     light_associative,
     magma_generators,
     right_inverses,
-    spec_number,
 )
 from .words import Bracket, Conjugate, IdentityLiteral, Inverse, Product
 
@@ -654,7 +654,28 @@ class _Cursor:
 
     def number(self) -> int:
         digits, start = self.run(str.isdecimal, "a number")
-        return spec_number(digits, f"the number at position {start}")
+        if len(digits) > MAX_SPEC_DIGITS:
+            raise SpecError(f"the number at position {start} has {len(digits)} digits, "
+                            f"more than the limit of {MAX_SPEC_DIGITS}")
+        return int(digits)
+
+    def end(self):
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise SpecError(f"trailing input at position {self.pos} in {self.text!r}")
+
+
+def _read_spec(spec: str, parse):
+    """parse(cursor) over all of a group or ring spec; a builder's ValueError names the spec."""
+    cur = _Cursor(spec)
+    try:
+        built = parse(cur)
+    except ValueError as e:
+        if isinstance(e, SpecError):  # the cursor's, which names a position
+            raise
+        raise SpecError(f"{spec!r}: {e}") from None
+    cur.end()
+    return built
 
 
 def _parse_perm_generators(cur: _Cursor) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -702,11 +723,8 @@ def _parse_spec(cur: _Cursor) -> FiniteGroup:
     if head == "heisenberg":
         return make_heisenberg(cur.number())
     if head == "perm":
-        try:
-            gens, points = _parse_perm_generators(cur)
-            return _permutation_group([tuple(v - 1 for v in g) for g in gens], points)
-        except ValueError as e:
-            raise SpecError(str(e)) from None
+        gens, points = _parse_perm_generators(cur)
+        return _permutation_group([tuple(v - 1 for v in g) for g in gens], points)
     if head == "product":
         left = _parse_spec(cur)
         cur.expect(",")
@@ -720,15 +738,6 @@ def _parse_spec(cur: _Cursor) -> FiniteGroup:
 
 def parse_group_spec(spec: str) -> FiniteGroup:
     """Build a group from its mini-syntax string, e.g. 'dihedral:8'."""
-    cur = _Cursor(spec)
-    try:
-        g = _parse_spec(cur)
-    except ValueError as e:
-        if isinstance(e, SpecError):
-            raise
-        raise SpecError(f"{spec!r}: {e}") from None
-    cur.skip_ws()
-    if cur.pos != len(cur.text):
-        raise SpecError(f"trailing input at position {cur.pos} in {spec!r}")
+    g = _read_spec(spec, _parse_spec)
     g.label = spec.strip()
     return g

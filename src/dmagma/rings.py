@@ -26,6 +26,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import SpecError
+from .groups import _read_spec
 from .tables import (
     DEFAULT_EVAL_BUDGET,
     DEFAULT_ORDER_BUDGET,
@@ -43,7 +44,6 @@ from .tables import (
     light_associative,
     magma_generators,
     right_inverses,
-    spec_number,
     two_sided_identity,
 )
 from .words import Bracket, IdentityLiteral, Inverse, Product, _law_scan, builtin_law
@@ -244,28 +244,22 @@ def make_upper_triangular(k: int, n: int) -> FiniteRing:
     return _matrix_ring_from_entries("uppertri", k, n)
 
 
+def _parse_ring(cur) -> FiniteRing:
+    head = cur.word()
+    cur.expect(":")
+    if head == "zmod":
+        return make_zmod(cur.number())
+    if head in ("matrix", "uppertri"):
+        k = cur.number()
+        cur.expect(",")
+        n = cur.number()
+        return make_matrix_ring(k, n) if head == "matrix" else make_upper_triangular(k, n)
+    raise SpecError(f"unknown ring spec {cur.text!r} (expected zmod:n, matrix:k,n, or uppertri:k,n)")
+
+
 def parse_ring_spec(spec: str) -> FiniteRing:
-    """Build a ring from its mini-syntax: zmod:n | matrix:k,n | uppertri:k,n."""
-    text = spec.strip()
-    head, sep, args = text.partition(":")
-    if not sep:
-        raise SpecError(f"ring spec {spec!r} needs the form name:args")
-    words = [a.strip() for a in args.split(",")] if args else []
-    if not all(a.isdecimal() for a in words):  # as in group specs; int() also takes a sign or "_"
-        raise SpecError(f"ring spec {spec!r}: arguments must be integers")
-    numbers = [spec_number(a, f"ring spec argument {i}") for i, a in enumerate(words, 1)]
-    try:
-        if head == "zmod" and len(numbers) == 1:
-            return make_zmod(*numbers)
-        if head == "matrix" and len(numbers) == 2:
-            return make_matrix_ring(*numbers)
-        if head == "uppertri" and len(numbers) == 2:
-            return make_upper_triangular(*numbers)
-    except ValueError as e:
-        raise SpecError(f"{spec!r}: {e}") from None
-    raise SpecError(
-        f"unknown ring spec {spec!r} (expected zmod:n, matrix:k,n, or uppertri:k,n)"
-    )
+    """Build a ring from its mini-syntax, zmod:n | matrix:k,n | uppertri:k,n, read as a group spec is."""
+    return _read_spec(spec, _parse_ring)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .magmas import (
     DoubleMagma,
     Magma,
     eckmann_hilton_audit,
-    find_identity,
     find_zero,
     is_associative,
     is_commutative,
@@ -379,7 +378,6 @@ def eh_audit_checks() -> list[CheckResult]:
     d = fixtures.two_element_fixture()
     report = eckmann_hilton_audit(d)
     proper, _ = is_proper(d)
-    star_id = find_identity(d.star)
     details = {
         "star_identity": report.star_identity,
         "bullet_identity": report.bullet_identity,
@@ -396,8 +394,8 @@ def eh_audit_checks() -> list[CheckResult]:
         not report.hypotheses_hold
         and report.consistent
         and proper
-        and star_id is not None
-        and find_identity(d.bullet) is None
+        and report.star_identity is not None
+        and report.bullet_identity is None
         and report.interchange.holds
     )
     results.append(
@@ -601,40 +599,40 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+def _parse_specs(specs, parse, errors: list[dict]) -> list[tuple]:
+    """(spec, structure) for each spec that parses; each refusal is appended to `errors`."""
+    built = []
+    for spec in specs:
+        try:
+            built.append((spec, parse(spec)))
+        except ValueError as e:  # SpecError among them
+            errors.append({"structure": spec, "error": str(e)})
+    return built
+
+
 def run_corpus(config: CorpusConfig) -> Report:
     """Run every selected check over every structure in the corpus.
 
-    Spec strings that fail to parse are recorded as errors without aborting
-    the rest of the run. Output order is deterministic: fixture checks, then
-    groups in config order, then rings.
+    Every spec is read first, whichever checks run; one that fails to parse is
+    recorded as an error without aborting the rest of the run. Output order is
+    deterministic: fixture checks, then groups in config order, then rings.
     """
-    results: list[CheckResult] = []
     errors: list[dict] = []
+    groups = _parse_specs(config.groups, parse_group_spec, errors)
+    rings = _parse_specs(config.rings, parse_ring_spec, errors)
 
+    results: list[CheckResult] = []
     if "golden_tables" in config.checks:
         results.extend(golden_table_checks())
     if "eh_audit" in config.checks:
         results.extend(eh_audit_checks())
-
-    groups: list[tuple[str, FiniteGroup]] = []
-    for spec in config.groups:
-        try:
-            groups.append((spec, parse_group_spec(spec)))
-        except ValueError as e:  # SpecError among them
-            errors.append({"structure": spec, "error": str(e)})
     for spec, g in groups:
         facts = GroupFacts(g, config.budget, config.sample_count, config.seed)
         for check, fn in _GROUP_CHECK_FUNCTIONS.items():
             if check in config.checks:
                 results.append(fn(facts, spec))
-
     if "ring_rci" in config.checks:
-        for spec in config.rings:
-            try:
-                ring = parse_ring_spec(spec)
-            except ValueError as e:  # SpecError among them
-                errors.append({"structure": spec, "error": str(e)})
-                continue
+        for spec, ring in rings:
             results.append(
                 check_ring_rci(ring, spec, config.budget, config.sample_count, config.seed)
             )

@@ -9,8 +9,8 @@ generator-based tests (`magma_generators`, `light_associative`) only answer
 yes or no; a constructor that must name a non-associative triple runs the
 full scan (`first_associativity_failure`) on the table that failed them.
 Constructors refuse a carrier over `DEFAULT_ORDER_BUDGET` elements before
-building it (`check_order`, `check_power_order`), and spec parsers a number
-of more than `MAX_SPEC_DIGITS` digits (`spec_number`). `magma_generators`
+building it (`check_order`, `check_power_order`), and the spec reader a
+number of more than `MAX_SPEC_DIGITS` digits. `magma_generators`
 tries element 0 last and grows what it reaches semi-naively, so a group's
 identity is never a generator and a cyclic run is reached in log n rounds;
 the constructors validate with its generators, and the subgroup series take
@@ -82,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, SpecError
+from .errors import BudgetExceededError
 
 # Most tuples one slice of a scan holds, read whenever a scan runs. A slice's
 # intp temporaries (`gather`) take fresh pages on every slice from 2^15 cells
@@ -91,7 +91,7 @@ from .errors import BudgetExceededError, SpecError
 # (more slices; 2 vCPUs of an Intel Xeon, numpy 2.4).
 SCAN_CELLS = 1 << 14
 
-# Most full trailing axes a `first_failure` slice spans (numpy allows 64).
+# Most axes a `first_failure` slice spans, its lead block's among them (numpy 1.x allows 32).
 MAX_AXES = 32
 
 # Most tuples a budgeted scan visits before it is sampled or refused (`decide`),
@@ -132,13 +132,6 @@ def check_power_order(base: int, exp: int, what: str) -> None:
     if base > 1 and exp >= 64:
         raise ValueError(f"{what} has order {base}^{exp}, exceeding the order budget {DEFAULT_ORDER_BUDGET}")
     check_order(base**exp, what)
-
-
-def spec_number(digits: str, what: str) -> int:
-    """int(digits) for a run of decimal digits, refused past `MAX_SPEC_DIGITS` before converting."""
-    if len(digits) > MAX_SPEC_DIGITS:
-        raise SpecError(f"{what} has {len(digits)} digits, more than the limit of {MAX_SPEC_DIGITS}")
-    return int(digits)
 
 
 def carrier_names(names, order: int) -> tuple[str, ...]:
@@ -270,7 +263,7 @@ class Walk(tuple):
     def __init__(self, reps):
         k, self.cells = len(self), SCAN_CELLS
         free, trail = 0, 1  # full trailing axes, and the tuples they span
-        while free < min(k - 1, MAX_AXES) and trail * len(self[k - 1 - free]) <= self.cells:
+        while free < min(k - 1, MAX_AXES - 1) and trail * len(self[k - 1 - free]) <= self.cells:
             free, trail = free + 1, trail * len(self[k - 1 - free])
         lead = k - 1 - free  # -1 with no variables: one empty prefix and one empty block
         width = max(1, self.cells // trail)
@@ -294,7 +287,7 @@ def first_failure(reps, failing, conjugates=None) -> tuple[int, ...] | None:
     built under the current `SCAN_CELLS`, its walk is built first. `failing(axes)`
     gets one broadcastable index array per variable and returns a boolean array,
     broadcastable to the grid they span, that is true where the check fails.
-    The trailing variables (at most `MAX_AXES`) get one full axis each, so a
+    The trailing variables (at most `MAX_AXES` - 1) get one full axis each, so a
     subterm costs the product of its own variables' ranges; the leading ones
     are fixed as Python int scalars, and the one in between is cut into
     blocks, so one slice holds at most `SCAN_CELLS` tuples (a block of one

@@ -119,6 +119,26 @@ MUTANTS = [
      "check_sampling(args.samples, args.seed)",
      "pass",
      ["tests/test_cli.py"]),
+    # a spec reader without its trailing-input check, so `zmod:6,7` builds zmod:6
+    ("groups",
+     "    cur.end()\n    return built",
+     "    return built",
+     ["tests/test_rings.py"]),
+    # a suite that reads ring specs only when `ring_rci` runs
+    ("suite",
+     "rings = _parse_specs(config.rings, parse_ring_spec, errors)",
+     "rings = _parse_specs(config.rings if \"ring_rci\" in config.checks else (), parse_ring_spec, errors)",
+     ["tests/test_cli.py"]),
+    # builder refusals that do not name the spec
+    ("groups",
+     'raise SpecError(f"{spec!r}: {e}") from None',
+     "raise SpecError(str(e)) from None",
+     ["tests/test_groups.py"]),
+    # a slice of MAX_AXES full trailing axes, and the lead block's beside them
+    ("tables",
+     "while free < min(k - 1, MAX_AXES - 1) and",
+     "while free < min(k - 1, MAX_AXES) and",
+     ["tests/test_words.py"]),
 ]
 
 

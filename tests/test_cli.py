@@ -58,8 +58,8 @@ def test_group_bad_spec_exits_2(capsys):
 @pytest.mark.parametrize("argv, message", [
     (("group", "cyclic:" + "9" * 5000), "the number at position 7 has 5000 digits"),
     (("group", "product:cyclic:2,perm:(1 " + "9" * 101 + ")"), "the number at position 25 has 101 digits"),
-    (("ring", "zmod:" + "9" * 5000, "--law", "RCI"), "ring spec argument 1 has 5000 digits"),
-    (("ring", "matrix:2," + "9" * 101, "--law", "RCI"), "ring spec argument 2 has 101 digits"),
+    (("ring", "zmod:" + "9" * 5000, "--law", "RCI"), "the number at position 5 has 5000 digits"),
+    (("ring", "matrix:2," + "9" * 101, "--law", "RCI"), "the number at position 9 has 101 digits"),
 ])
 def test_overlong_spec_numbers_are_refused_by_the_digit_limit(capsys, argv, message):
     # checked before int(), which refuses more than 4300 digits with advice
@@ -401,6 +401,25 @@ def test_suite_bad_entry_exits_1(tmp_path, capsys):
     )
     assert rc == 1
     assert "ERROR cyclic:zzz" in out
+
+
+@pytest.mark.parametrize("raw,bad,message", [
+    ({"groups": ["cyclic:3"], "rings": ["zmod:x"], "checks": ["prop_1_1"]},
+     "zmod:x", "expected a number at position 5 in 'zmod:x'"),
+    ({"groups": ["cyclic:zzz"], "rings": ["zmod:6"], "checks": ["ring_rci"]},
+     "cyclic:zzz", "expected a number at position 7 in 'cyclic:zzz'"),
+], ids=["ring", "group"])
+def test_suite_reads_every_spec_whichever_checks_run(tmp_path, capsys, raw, bad, message):
+    # a malformed spec of either kind is a spec error, though no selected check reads it
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(raw))
+    rc, out, _ = run(
+        capsys, "suite", str(config),
+        "--text", str(tmp_path / "r.txt"), "--json", str(tmp_path / "r.json"),
+    )
+    assert rc == 1
+    assert f"ERROR {bad}: {message}\n" in out
+    assert "1 spec errors" in out
 
 
 @pytest.mark.parametrize("key,value", [("groups", "cyclic:3"), ("rings", {"zmod:4": 1}),

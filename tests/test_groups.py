@@ -550,7 +550,10 @@ def test_parse_group_spec_errors():
     ("perm:(1 2", "expected ')' at position 9 in 'perm:(1 2'"),
     ("perm:()", "expected a number at position 6 in 'perm:()'"),
     ("perm:(1 2)(", "expected a number at position 11 in 'perm:(1 2)('"),
-    ("perm:(0 1)", "cycle points must be positive integers"),
+    ("perm:(0 1)", "'perm:(0 1)': cycle points must be positive integers"),
+    ("perm:(1 2)(1 3)", "'perm:(1 2)(1 3)': cycles must be disjoint (a point repeats)"),
+    ("perm:(1 2 3 4 5 6 7),(1 2)", "'perm:(1 2 3 4 5 6 7),(1 2)': "
+     "permutation closure exceeds order budget 1024 (partial size 1025)"),
     ("product:cyclic:2", "expected ',' at position 16 in 'product:cyclic:2'"),
     ("product:perm:(1 2),,cyclic:2", "expected a name at position 19 in 'product:perm:(1 2),,cyclic:2'"),
     ("product:product:cyclic:2,cyclic:2",

@@ -180,12 +180,59 @@ def test_parse_ring_spec():
         parse_ring_spec("uppertri:0,2")
     # Arguments are decimal digits only, as in group specs: int() alone would
     # read "1_0" as 10 and "+6" as 6, and "²" is no digit to int().
-    for bad in ("zmod:1_0", "zmod:+6", "zmod:-6", "matrix:2,+2", "uppertri:2_0,2", "zmod:²"):
-        with pytest.raises(SpecError, match=r"arguments must be integers$"):
+    for bad, message in (
+        ("zmod:1_0", "trailing input at position 6 in 'zmod:1_0'"),
+        ("zmod:+6", "expected a number at position 5 in 'zmod:+6'"),
+        ("zmod:-6", "expected a number at position 5 in 'zmod:-6'"),
+        ("matrix:2,+2", "expected a number at position 9 in 'matrix:2,+2'"),
+        ("uppertri:2_0,2", "expected ',' at position 10 in 'uppertri:2_0,2'"),
+        ("zmod:²", "expected a number at position 5 in 'zmod:²'"),
+    ):
+        with pytest.raises(SpecError) as e:
             parse_ring_spec(bad)
+        assert str(e.value) == message
     # A number is held to the digit limit before int(), which refuses past 4300 digits.
-    with pytest.raises(SpecError, match=r"^ring spec argument 1 has 5000 digits, more than the limit of 100$"):
+    with pytest.raises(SpecError) as e:
         parse_ring_spec("zmod:" + "9" * 5000)
+    assert str(e.value) == "the number at position 5 has 5000 digits, more than the limit of 100"
+
+
+# Every refusal text of the ring-spec reader, position included: ring specs are
+# read by the group-spec cursor, and each text reaches the user verbatim as the
+# CLI's "error: ..." line.
+@pytest.mark.parametrize("spec,message", [
+    ("", "expected a name at position 0 in ''"),
+    ("  ", "expected a name at position 2 in '  '"),
+    ("zmod", "expected ':' at position 4 in 'zmod'"),
+    ("z mod:6", "expected ':' at position 2 in 'z mod:6'"),
+    ("zmod: ", "expected a number at position 6 in 'zmod: '"),
+    ("zmod:x", "expected a number at position 5 in 'zmod:x'"),
+    ("zmod:6,", "trailing input at position 6 in 'zmod:6,'"),
+    ("zmod:6,7", "trailing input at position 6 in 'zmod:6,7'"),
+    ("zmod:6 x", "trailing input at position 7 in 'zmod:6 x'"),
+    ("matrix:2", "expected ',' at position 8 in 'matrix:2'"),
+    ("matrix:2,", "expected a number at position 9 in 'matrix:2,'"),
+    ("uppertri:2 3", "expected ',' at position 11 in 'uppertri:2 3'"),
+    ("matrix:2,3,4", "trailing input at position 10 in 'matrix:2,3,4'"),
+    ("nope:2", "unknown ring spec 'nope:2' (expected zmod:n, matrix:k,n, or uppertri:k,n)"),
+    ("Zmod:6", "unknown ring spec 'Zmod:6' (expected zmod:n, matrix:k,n, or uppertri:k,n)"),
+    ("zmod:" + "9" * 101, "the number at position 5 has 101 digits, more than the limit of 100"),
+    ("zmod:0", "'zmod:0': modulus must be at least 1"),
+    ("uppertri:2,0", "'uppertri:2,0': upper-triangular ring needs k >= 1 and n >= 1"),
+    ("zmod:1025", "'zmod:1025': zmod ring has order 1025, exceeding the order budget 1024"),
+])
+def test_every_ring_spec_refusal_has_its_exact_text(spec, message):
+    with pytest.raises(SpecError) as e:
+        parse_ring_spec(spec)
+    assert str(e.value) == message
+
+
+def test_ring_specs_take_blanks_as_group_specs_do():
+    for spec, plain in ((" zmod :6 ", "zmod:6"), ("matrix : 2 , 2", "matrix:2,2"),
+                        ("\tuppertri:\t2,3", "uppertri:2,3")):
+        r, want = parse_ring_spec(spec), parse_ring_spec(plain)
+        assert (r.label, r.names) == (want.label, want.names), spec
+        assert np.array_equal(r.add, want.add) and np.array_equal(r.mul, want.mul), spec
 
 
 # --- bracket structure ----------------------------------------------------------

@@ -3,7 +3,8 @@
 `structure_oracles` keeps the builders as they were before they were
 vectorised. Every table, name and member set must come out identical on the
 default corpus, on every structure the benchmark workloads build, and on
-random permutation groups.
+random permutation groups. The law 3M_I must hold exactly on the default
+groups that its variety's oracle admits.
 """
 
 import importlib.util
@@ -29,10 +30,12 @@ from dmagma.groups import (
 )
 from dmagma.rings import parse_ring_spec
 from dmagma.suite import DEFAULT_GROUPS, DEFAULT_RINGS
+from dmagma.words import builtin_law, check_law_exhaustive
 from structure_oracles import (
     composed_permutation_group,
     dihedral_oracle,
     heisenberg_oracle,
+    is_three_metabelian,
     metacyclic_oracle,
     perm_oracle,
     product_oracle,
@@ -229,3 +232,17 @@ def test_subgroup_set_rejects_a_missing_product_or_inverse():
         assert want == "member set is not closed under product and inverse"
         with pytest.raises(ValueError, match=f"^{want}$"):
             SubgroupSet(members, g)
+
+
+# --- 3M_I as a variety --------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", DEFAULT_GROUPS)
+def test_3m_i_holds_exactly_where_every_3_generated_subgroup_is_metabelian(spec):
+    # 3M_I, [x,y;x,z] = 1, defines the variety of 3-metabelian groups; the
+    # oracle decides membership from subgroup closures alone, and S4 is the
+    # one default group outside it
+    g = parse_group_spec(spec)
+    member = is_three_metabelian(g)
+    assert member == (spec != "perm:(1 2),(1 2 3 4)")
+    assert check_law_exhaustive(g, builtin_law("3M_I")).holds == member

@@ -350,7 +350,7 @@ def test_every_scan_takes_intp_cells_with_intp_indices(monkeypatch):
 
 
 def test_laws_with_more_variables_than_numpy_has_dimensions():
-    # a slice spans at most MAX_AXES full trailing axes; the rest are scalars
+    # a slice spans at most MAX_AXES axes, its lead block's among them; the rest are scalars
     product = lambda k: parse_law("*".join(f"x{i}" for i in range(k)) + "=1")  # noqa: E731
     assert check_law_exhaustive(parse_group_spec("cyclic:1"), product(70)) == Verdict(
         HOLDS_EXHAUSTIVE, 1

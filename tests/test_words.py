@@ -628,6 +628,31 @@ def test_a_walk_kept_under_other_scan_cells_is_laid_out_again(monkeypatch):
     assert sizes and max(sizes) <= 7
 
 
+def _long_law(k, factor, rhs=None):
+    lhs = "*".join(factor.format(f"x{i}") for i in range(k))
+    return parse_law(f"{lhs}={lhs if rhs is None else rhs}")
+
+
+@pytest.mark.parametrize("spec,law,verdict", [
+    ("cyclic:1", _long_law(33, "{}"), Verdict(HOLDS_EXHAUSTIVE, 1)),
+    ("dihedral:3", _long_law(33, "{}^0", "1"), Verdict(HOLDS_EXHAUSTIVE, 6**33)),
+    ("cyclic:1", _long_law(40, "{}"), Verdict(HOLDS_EXHAUSTIVE, 1)),
+], ids=["33-product", "33-powers", "40-product"])
+def test_no_scan_slice_spans_more_axes_than_numpy_1_allows(monkeypatch, spec, law, verdict):
+    # numpy 1.x refuses arrays of more than 32 dimensions, and a slice's lead
+    # block takes an axis beside the full trailing ones
+    ndims, real_run_ops = [], dmagma.words.run_ops
+
+    def recording_run_ops(low, op_tables, axes):
+        out = real_run_ops(low, op_tables, axes)
+        ndims.extend(np.ndim(a) for a in [*axes, *out])
+        return out
+
+    monkeypatch.setattr(dmagma.words, "run_ops", recording_run_ops)
+    assert check_law_exhaustive(parse_group_spec(spec), law, budget=10**30) == verdict
+    assert ndims and max(ndims) <= 32
+
+
 @pytest.mark.parametrize("text,cells", [("x=x", 1), ("x=x", 2), ("x*y=x*y", 1), ("x*y=x*y", 6)])
 def test_a_law_of_bare_prefix_scalars_holds(monkeypatch, text, cells):
     # with `cells` = 1 every variable is a Python int prefix scalar, so x != x
